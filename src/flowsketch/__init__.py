@@ -8,6 +8,7 @@ grid, optionally restricted to the flows singled out by counter-ranking
 whale localization.
 """
 
+from .decoders import DecodeSpec, Decoded, decode
 from .graph import (
     BipartiteGraph,
     CoverSet,
@@ -15,12 +16,9 @@ from .graph import (
     ExpansionReport,
     GraphConstructionError,
     apply_adjacency,
-    apply_normalized,
     build_graph_with_cover,
     build_random_expander,
-    choose_degree,
     greedy_cover,
-    incremental_update,
     load_graph,
     save_graph,
     verify_expansion,
@@ -46,14 +44,12 @@ from .pmle import (
     PmleResult,
     SparseSolveResult,
     WhaleLocalization,
-    derive_k_prime,
     kraft_audit,
     localize_whales,
     neg_log_likelihood,
     penalty,
     pmle_exhaustive,
     pmle_reduced,
-    rate_from_counter_mass,
     sparse_poisson_solve,
 )
 from .stream import (

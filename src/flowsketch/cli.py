@@ -12,12 +12,13 @@ import sys
 
 import numpy as np
 
-from . import experiment, lp, pmle
+from . import experiment, lp
+from .decoders import DECODERS, DecodeSpec, decode
 from .graph import (
     EnumerationCapExceeded,
     GraphConstructionError,
     build_random_expander,
-    greedy_cover,
+    greedy_cover,  # noqa: F401 - the benchmark's spans wrap cli.greedy_cover
     load_graph,
     save_graph,
     verify_expansion,
@@ -73,12 +74,10 @@ def _build_parser() -> _Parser:
     r = sub.add_parser("recover", help="decode rates from saved counters")
     r.add_argument("--graph", required=True)
     r.add_argument("--counters", required=True)
-    r.add_argument("--decoder", choices=experiment.DECODERS, default="direct")
+    r.add_argument("--decoder", choices=DECODERS, default="direct")
     r.add_argument("--epochs", type=int, required=True)
     r.add_argument("--tau", type=float, default=1.0)
     r.add_argument("--out", required=True)
-    r.add_argument("--solver", default="auto",
-                   choices=["auto", "interior-point", "admm"])
     r.add_argument("--tol-feas", type=float)
     r.add_argument("--tol-obj", type=float)
     r.add_argument("--iter-cap", type=int)
@@ -171,50 +170,32 @@ def _cmd_simulate(args) -> int:
 def _cmd_recover(args) -> int:
     g = load_graph(args.graph)
     y = _read_vector_csv(args.counters, g.n_right)
-    scale = args.epochs * args.tau
-    if args.decoder == "direct":
-        sol = lp.basis_pursuit(
-            g, y, args.tol_feas, args.tol_obj, args.iter_cap,
-            solver=args.solver, collect_trace=args.trace is not None,
-        )
+    spec = DecodeSpec(
+        decoder=args.decoder, k=args.k, l0=args.l0, gamma=args.gamma,
+        levels=args.levels, penalty_mode=args.penalty_mode,
+        tol_feas=args.tol_feas, tol_obj=args.tol_obj, iter_cap=args.iter_cap,
+    )
+    dec = decode(g, y, args.epochs, args.tau, spec)
+    res = dec.result
+    if isinstance(res, lp.LpSolution):
         if args.trace:
             with open(args.trace, "w", newline="") as f:
                 w = csv.writer(f)
                 w.writerow(["iteration", "objective", "feasibility"])
-                for row in sol.trace or []:
+                for row in res.trace:
                     w.writerow([row[0], repr(float(row[1])), repr(float(row[2]))])
-        if sol.status == "infeasible":
-            raise lp.NumericalError("basis pursuit reported infeasible")
-        est = lp.direct_estimate(sol, args.epochs, args.tau)
         print(
-            f"direct: status={sol.status} objective={sol.objective:.6g} "
-            f"feas={sol.primal_feasibility:.3g} iters={sol.iterations}"
+            f"direct: status={res.status} objective={res.objective:.6g} "
+            f"feas={res.primal_feasibility:.3g} iters={res.iterations}"
         )
     else:
-        if args.k is None or args.l0 is None:
-            raise UsageError(f"decoder {args.decoder} requires --k and --l0")
-        cover = greedy_cover(g)
-        cfg = pmle.PmleConfig.from_problem(
-            n_flows=g.n_left, k=args.k, l0=args.l0, cover=cover,
-            gamma=args.gamma, levels=args.levels,
-        )
-        if args.decoder == "pmle-exhaustive":
-            cs = pmle.CandidateSet(
-                universe=np.arange(g.n_left), grid_step=cfg.grid_step,
-                n_levels=cfg.n_levels, penalty_mode=args.penalty_mode,
-            )
-            res = pmle.pmle_exhaustive(y, g, cs, cfg, scale)
-        else:
-            loc = pmle.localize_whales(y, g, args.k)
-            res = pmle.pmle_reduced(y, g, loc, cfg, scale,
-                                    penalty_mode=args.penalty_mode)
-            print(f"localization: |A1|={loc.a1.size} k'={loc.k_prime}")
-        est = res.rates
+        if res.localization is not None:
+            print(f"localization: |A1|={res.localization.a1.size}")
         print(
             f"{args.decoder}: support={list(res.support)} "
             f"objective={res.objective:.6g} evaluated={res.n_evaluated}"
         )
-    _write_vector_csv(args.out, [float(v) for v in est])
+    _write_vector_csv(args.out, [float(v) for v in dec.estimate])
     print(f"estimate -> {args.out}")
     return EXIT_OK
 

@@ -14,12 +14,12 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
 
 import numpy as np
 
-from . import lp, pmle
+from .decoders import DECODERS, DecodeSpec, decode
 from .graph import build_graph_with_cover
 from .metrics import relative_l1_error, support_recovery_success
 from .seeds import stable_seed
@@ -40,7 +40,6 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
-DECODERS = ("direct", "pmle-exhaustive", "pmle-reduced")
 
 _ROW_FIELDS = [
     "k", "trial", "decoder", "success", "rel_l1_error", "rel_is_absolute",
@@ -56,22 +55,11 @@ _AGG_FIELDS = [
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Basis-pursuit knobs passed straight to lp.basis_pursuit."""
+    """Basis-pursuit tolerances and iteration cap; None takes the default."""
 
-    solver: str = "auto"
     iter_cap: Optional[int] = None
     tol_feas: Optional[float] = None
     tol_obj: Optional[float] = None
-
-    def to_dict(self) -> dict:
-        return {
-            "solver": self.solver, "iter_cap": self.iter_cap,
-            "tol_feas": self.tol_feas, "tol_obj": self.tol_obj,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SolverOptions":
-        return cls(**d)
 
 
 @dataclass(frozen=True)
@@ -84,23 +72,16 @@ class PmleOptions:
     penalty_mode: str = "l0-scaled"
     l0: Optional[float] = None
     l0_margin: float = 0.25
-    exhaustive_cap: int = 10**6
-    path_cap: Optional[int] = None
-    solver_iters: int = 500
-    c: Optional[float] = None
 
-    def to_dict(self) -> dict:
-        return {
-            "gamma": self.gamma, "levels": self.levels,
-            "penalty_mode": self.penalty_mode, "l0": self.l0,
-            "l0_margin": self.l0_margin, "exhaustive_cap": self.exhaustive_cap,
-            "path_cap": self.path_cap, "solver_iters": self.solver_iters,
-            "c": self.c,
-        }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "PmleOptions":
-        return cls(**d)
+def _from_keys(cls, d: dict, where: str = ""):
+    """cls(**d), refusing keys that name no field of cls."""
+    unknown = sorted(set(d) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(
+            "unknown key " + ", ".join(repr(where + k) for k in unknown)
+        )
+    return cls(**d)
 
 
 @dataclass(frozen=True)
@@ -135,21 +116,10 @@ class ExperimentConfig:
         if self.epochs < 1 or self.tau <= 0:
             raise ValueError("need epochs >= 1 and tau > 0")
 
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "n_flows": self.n_flows, "n_counters": self.n_counters,
-            "degree": self.degree, "epochs": self.epochs, "tau": self.tau,
-            "sweep": list(self.sweep), "trials": self.trials,
-            "whale_dist": self.whale_dist.to_dict(),
-            "minnow_dist": self.minnow_dist.to_dict(),
-            "decoders": list(self.decoders), "root_seed": self.root_seed,
-            "solver": self.solver.to_dict(), "pmle": self.pmle.to_dict(),
-            "out_dir": self.out_dir,
-        }
-
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
+        """Parse the JSON form written by save_config. Unknown keys, at
+        the top level or inside a block, raise ValueError."""
         d = dict(d)
         version = d.pop("schema_version", None)
         if version != SCHEMA_VERSION:
@@ -159,11 +129,9 @@ class ExperimentConfig:
             )
         d["whale_dist"] = Dist.from_dict(d["whale_dist"])
         d["minnow_dist"] = Dist.from_dict(d["minnow_dist"])
-        d["solver"] = SolverOptions.from_dict(d.get("solver", {}))
-        d["pmle"] = PmleOptions.from_dict(d.get("pmle", {}))
-        d["sweep"] = tuple(d["sweep"])
-        d["decoders"] = tuple(d["decoders"])
-        return cls(**d)
+        d["solver"] = _from_keys(SolverOptions, d.get("solver", {}), "solver.")
+        d["pmle"] = _from_keys(PmleOptions, d.get("pmle", {}), "pmle.")
+        return _from_keys(cls, d)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -173,7 +141,8 @@ def load_config(path) -> ExperimentConfig:
 
 def save_config(cfg: ExperimentConfig, path) -> None:
     with open(path, "w") as f:
-        json.dump(cfg.to_dict(), f, indent=2, sort_keys=True)
+        json.dump({"schema_version": SCHEMA_VERSION, **asdict(cfg)}, f,
+                  indent=2, sort_keys=True)
         f.write("\n")
 
 
@@ -291,49 +260,25 @@ def run_trial(cfg: ExperimentConfig, k: int, trial: int) -> list:
     run_epochs(state, cfg.epochs)
     y = state.y
     counter_hash = hashlib.sha256(y.tobytes()).hexdigest()[:16]
-    scale = cfg.epochs * cfg.tau
 
     rows = []
     for decoder in cfg.decoders:
         t0 = time.perf_counter()
         try:
-            a1_size, whales_in_a1 = -1, None
-            if decoder == "direct":
-                sol = lp.basis_pursuit(
-                    g, y, cfg.solver.tol_feas, cfg.solver.tol_obj,
-                    cfg.solver.iter_cap, solver=cfg.solver.solver,
-                )
-                if sol.status == "infeasible":
-                    raise lp.NumericalError("basis pursuit reported infeasible")
-                est = lp.direct_estimate(sol, cfg.epochs, cfg.tau)
-            else:
-                l0 = _derive_l0(cfg.pmle, truth)
-                pcfg = pmle.PmleConfig.from_problem(
-                    n_flows=cfg.n_flows, k=k, l0=l0, cover=cover,
-                    gamma=cfg.pmle.gamma, levels=cfg.pmle.levels, c=cfg.pmle.c,
-                )
-                if decoder == "pmle-exhaustive":
-                    cs = pmle.CandidateSet(
-                        universe=np.arange(cfg.n_flows),
-                        grid_step=pcfg.grid_step, n_levels=pcfg.n_levels,
-                        penalty_mode=cfg.pmle.penalty_mode,
-                    )
-                    res = pmle.pmle_exhaustive(y, g, cs, pcfg, scale)
-                else:
-                    loc = pmle.localize_whales(y, g, k)
-                    res = pmle.pmle_reduced(
-                        y, g, loc, pcfg, scale,
-                        exhaustive_cap=cfg.pmle.exhaustive_cap,
-                        path_cap=cfg.pmle.path_cap,
-                        penalty_mode=cfg.pmle.penalty_mode,
-                        solver_iters=cfg.pmle.solver_iters,
-                    )
-                    a1_size = int(res.localization.a1.size)
-                    whales_in_a1 = bool(np.isin(
-                        truth.whale_support, res.localization.a1
-                    ).all())
-                est = res.rates
+            spec = DecodeSpec(
+                decoder=decoder, k=k,
+                l0=None if decoder == "direct" else _derive_l0(cfg.pmle, truth),
+                gamma=cfg.pmle.gamma, levels=cfg.pmle.levels,
+                penalty_mode=cfg.pmle.penalty_mode, **asdict(cfg.solver),
+            )
+            dec = decode(g, y, cfg.epochs, cfg.tau, spec, cover)
             dt = time.perf_counter() - t0
+            est = dec.estimate
+            a1_size, whales_in_a1 = -1, None
+            loc = getattr(dec.result, "localization", None)
+            if loc is not None:
+                a1_size = int(loc.a1.size)
+                whales_in_a1 = bool(np.isin(truth.whale_support, loc.a1).all())
             rel = relative_l1_error(est, truth)
             rows.append(TrialRow(
                 k=k, trial=trial, decoder=decoder,
@@ -349,11 +294,6 @@ def run_trial(cfg: ExperimentConfig, k: int, trial: int) -> list:
     return rows
 
 
-def _trial_task(args):
-    cfg_dict, k, trial = args
-    return run_trial(ExperimentConfig.from_dict(cfg_dict), k, trial)
-
-
 def run_sweep(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
     """Run every (k, trial) cell and aggregate. Deterministic in
     cfg.root_seed regardless of worker count (rows are sorted, timings
@@ -364,11 +304,9 @@ def run_sweep(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
         for k, t in tasks:
             rows.extend(run_trial(cfg, k, t))
     else:
-        cfg_dict = cfg.to_dict()
+        ks, ts = zip(*tasks)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for chunk in pool.map(
-                _trial_task, [(cfg_dict, k, t) for k, t in tasks]
-            ):
+            for chunk in pool.map(run_trial, [cfg] * len(tasks), ks, ts):
                 rows.extend(chunk)
     return ExperimentResult.from_rows(rows)
 

@@ -22,12 +22,9 @@ __all__ = [
     "GraphConstructionError",
     "EnumerationCapExceeded",
     "apply_adjacency",
-    "apply_normalized",
     "build_graph_with_cover",
     "build_random_expander",
-    "choose_degree",
     "greedy_cover",
-    "incremental_update",
     "load_graph",
     "save_graph",
     "verify_expansion",
@@ -131,13 +128,6 @@ class ExpansionReport:
     worst_ratio: float
     is_expander: bool
     subsets_tested: int
-
-
-def choose_degree(n_flows: int, k: int) -> int:
-    """Default left degree for a target sparsity level: ceil(2*log2(N/k))."""
-    if not 1 <= k <= n_flows:
-        raise ValueError(f"need 1 <= k <= n_flows, got k={k}")
-    return max(1, math.ceil(2 * math.log2(n_flows / k)))
 
 
 def _sample_columns(rng: np.random.Generator, n: int, m: int, d: int) -> np.ndarray:
@@ -297,21 +287,6 @@ def apply_adjacency(g: BipartiteGraph, x: np.ndarray) -> np.ndarray:
     if np.issubdtype(x.dtype, np.integer):
         return g.csr @ x.astype(np.int64)
     return g.csr_f @ x.astype(np.float64)
-
-
-def apply_normalized(g: BipartiteGraph, x: np.ndarray) -> np.ndarray:
-    """apply_adjacency scaled by 1/d."""
-    return apply_adjacency(g, x) / g.d
-
-
-def incremental_update(
-    counters: np.ndarray, g: BipartiteGraph, i: int, delta: int
-) -> np.ndarray:
-    """Add `delta` new packets of flow i to its d counters, in place. O(d)."""
-    if not 0 <= i < g.n_left:
-        raise IndexError(f"flow index {i} out of [0, {g.n_left})")
-    counters[g.columns[i]] += delta
-    return counters
 
 
 def save_graph(g: BipartiteGraph, path) -> None:

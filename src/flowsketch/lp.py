@@ -2,9 +2,8 @@
 
 Solves min ||u||_1 subject to A u = y with a self-contained Mehrotra
 predictor-corrector interior-point method on the split formulation
-u = p - q, p,q >= 0 (normal equations, dense M x M Cholesky). Large
-counter banks fall back to ADMM, which factors A A^T once and iterates
-soft-thresholding steps.
+u = p - q, p,q >= 0 (normal equations, dense M x M Cholesky). Every
+solve records its per-iteration objective and residual in the solution.
 
 Termination is certified, not hoped for: any dual vector nu scaled by
 max(1, ||A^T nu||_inf) is feasible for the dual (max y.nu subject to
@@ -12,7 +11,7 @@ max(1, ||A^T nu||_inf) is feasible for the dual (max y.nu subject to
 ||u||_1 - y.nu_hat bounds the suboptimality of the current iterate.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -30,7 +29,6 @@ __all__ = [
 ]
 
 _IPM_DEFAULT_CAP = 200
-_ADMM_DEFAULT_CAP = 50_000
 
 
 class NumericalError(RuntimeError):
@@ -45,8 +43,8 @@ class LpSolution:
     duality_gap: float  # certified bound on suboptimality (may be ~0-)
     iterations: int
     status: str  # "optimal" | "iteration-cap" | "infeasible"
-    solver: str  # "interior-point" | "admm" | "trivial"
-    trace: Optional[list] = None  # (iteration, objective, primal_feasibility)
+    solver: str  # "interior-point" | "trivial"
+    trace: list = field(default_factory=list)  # (iteration, objective, feasibility)
 
 
 def _default_tols(y: np.ndarray) -> tuple[float, float]:
@@ -56,13 +54,18 @@ def _default_tols(y: np.ndarray) -> tuple[float, float]:
 
 
 def _chol(h: np.ndarray):
+    """Lower Cholesky factor of the symmetric matrix h. A failed attempt
+    sets the diagonal of h, in place, to its original values plus a jitter
+    that grows 100x per retry."""
+    diag = h.diagonal().copy()
+    bump = 1e-12 * max(float(diag.max(initial=0.0)), 1.0)
     jitter = 0.0
-    bump = 1e-12 * max(float(h.diagonal().max(initial=0.0)), 1.0)
     for _ in range(8):
         try:
-            return cho_factor(h + jitter * np.eye(h.shape[0]), lower=True)
+            return cho_factor(h, lower=True)
         except LinAlgError:
             jitter = bump if jitter == 0.0 else jitter * 100.0
+            np.fill_diagonal(h, diag + jitter)
     raise NumericalError("normal-equation matrix is numerically singular")
 
 
@@ -79,7 +82,7 @@ def _max_step(v: np.ndarray, dv: np.ndarray) -> float:
     return min(1.0, float((-v[neg] / dv[neg]).min()))
 
 
-def _solve_ipm(a, y, tol_feas, tol_obj, iter_cap, collect_trace):
+def _solve_ipm(a, y, tol_feas, tol_obj, iter_cap):
     m, n = a.shape
     at = a.T.tocsr()
     ones = np.ones(2 * n)
@@ -92,8 +95,7 @@ def _solve_ipm(a, y, tol_feas, tol_obj, iter_cap, collect_trace):
         return np.concatenate([t, -t])
 
     # starting point: least-squares primal, unit slacks, shifted positive
-    aat2 = 2.0 * (a @ a.T).toarray()
-    t = cho_solve(_chol(aat2), y)
+    t = cho_solve(_chol((2.0 * (a @ a.T)).toarray()), y)
     z_tilde = gtmul(t)
     z_bar = z_tilde + max(-1.5 * float(z_tilde.min(initial=0.0)), 0.0)
     s_bar = ones.copy()
@@ -105,8 +107,7 @@ def _solve_ipm(a, y, tol_feas, tol_obj, iter_cap, collect_trace):
         s = s_bar + 0.5 * dot / z_bar.sum()
     nu = np.zeros(m)
 
-    trace = [] if collect_trace else None
-    feas_hist = []
+    trace = []
     status = "iteration-cap"
     it = 0
     for it in range(iter_cap):
@@ -116,9 +117,7 @@ def _solve_ipm(a, y, tol_feas, tol_obj, iter_cap, collect_trace):
         feas = float(np.abs(rp).max(initial=0.0))
         obj = float(np.abs(u).sum())
         gap = obj - _dual_bound(a, y, nu)
-        if collect_trace:
-            trace.append((it, obj, feas))
-        feas_hist.append(feas)
+        trace.append((it, obj, feas))
         if feas <= tol_feas and gap <= tol_obj:
             status = "optimal"
             break
@@ -157,69 +156,13 @@ def _solve_ipm(a, y, tol_feas, tol_obj, iter_cap, collect_trace):
     feas = float(np.abs(rp).max(initial=0.0))
     obj = float(np.abs(u).sum())
     gap = obj - _dual_bound(a, y, nu)
-    if status != "optimal" and feas > 1e3 * tol_feas and len(feas_hist) >= 10:
+    if status != "optimal" and feas > 1e3 * tol_feas and len(trace) >= 10:
         # residual stalled far from feasibility: y is not reachable
-        if feas_hist[-1] > 0.9 * feas_hist[-10]:
+        if trace[-1][2] > 0.9 * trace[-10][2]:
             status = "infeasible"
     return LpSolution(
         u=u, objective=obj, primal_feasibility=feas, duality_gap=gap,
         iterations=it, status=status, solver="interior-point", trace=trace,
-    )
-
-
-def _soft(v: np.ndarray, t: float) -> np.ndarray:
-    return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
-
-
-def _solve_admm(a, y, tol_feas, tol_obj, iter_cap, collect_trace,
-                rho: float = 1.0, relax: float = 1.7):
-    m, n = a.shape
-    at = a.T.tocsr()
-    scale = max(1.0, float(np.abs(y).max(initial=0.0)))
-    ys = y / scale
-    aat = (a @ a.T).toarray()
-    factor = _chol(aat)
-
-    def project(v):
-        return v + at @ cho_solve(factor, ys - a @ v)
-
-    def certify(zv, uv):
-        cand = project(zv)
-        obj = float(np.abs(cand).sum())
-        nu = cho_solve(factor, a @ (rho * uv))
-        gap = obj - _dual_bound(a, ys, nu)
-        return cand, obj, gap
-
-    x = project(np.zeros(n))
-    z = x.copy()
-    u = np.zeros(n)
-    trace = [] if collect_trace else None
-    status = "iteration-cap"
-    it = 0
-    tol_obj_s = tol_obj / scale
-    for it in range(1, iter_cap + 1):
-        x = project(z - u)
-        xh = relax * x + (1.0 - relax) * z
-        z = _soft(xh + u, 1.0 / rho)
-        u = u + xh - z
-        if it % 25 == 0 or it == iter_cap:
-            cand, obj, gap = certify(z, u)
-            if collect_trace:
-                feas = float(np.abs(a @ z - ys).max(initial=0.0))
-                trace.append((it, obj * scale, feas * scale))
-            if gap <= tol_obj_s:
-                status = "optimal"
-                break
-
-    cand, obj, gap = certify(z, u)
-    feas = float(np.abs(a @ cand - ys).max(initial=0.0))
-    if feas * scale > tol_feas:
-        # projection failed to reach the affine set: inconsistent system
-        status = "infeasible"
-    return LpSolution(
-        u=cand * scale, objective=obj * scale, primal_feasibility=feas * scale,
-        duality_gap=gap * scale, iterations=it, status=status,
-        solver="admm", trace=trace,
     )
 
 
@@ -229,21 +172,14 @@ def basis_pursuit(
     tol_feas: Optional[float] = None,
     tol_obj: Optional[float] = None,
     iter_cap: Optional[int] = None,
-    *,
-    solver: str = "auto",
-    collect_trace: bool = False,
 ) -> LpSolution:
-    """Minimum-l1 preimage of the counter vector y under the bank's matrix.
-
-    solver "auto" picks the interior-point method up to 2000 counters and
-    ADMM beyond. Default tolerances scale with the data:
+    """Minimum-l1 preimage of the counter vector y under the bank's matrix,
+    by the interior-point method. Default tolerances scale with the data:
     tol_feas = 1e-6*(1+||y||_inf), tol_obj = 1e-6*(1+||y||_1).
     """
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (g.n_right,):
         raise ValueError(f"y has shape {y.shape}, expected ({g.n_right},)")
-    if solver not in ("auto", "interior-point", "admm"):
-        raise ValueError(f"unknown solver {solver!r}")
     dt_feas, dt_obj = _default_tols(y)
     tol_feas = dt_feas if tol_feas is None else tol_feas
     tol_obj = dt_obj if tol_obj is None else tol_obj
@@ -255,22 +191,15 @@ def basis_pursuit(
             u=np.zeros(g.n_left), objective=0.0,
             primal_feasibility=float(np.abs(y).max()), duality_gap=np.inf,
             iterations=0, status="infeasible", solver="trivial",
-            trace=[] if collect_trace else None,
         )
     if float(np.abs(y).max(initial=0.0)) == 0.0:
         return LpSolution(
             u=np.zeros(g.n_left), objective=0.0, primal_feasibility=0.0,
-            duality_gap=0.0, iterations=0, status="optimal",
-            solver="trivial", trace=[] if collect_trace else None,
+            duality_gap=0.0, iterations=0, status="optimal", solver="trivial",
         )
 
-    if solver == "auto":
-        solver = "interior-point" if g.n_right <= 2000 else "admm"
-    if solver == "interior-point":
-        cap = _IPM_DEFAULT_CAP if iter_cap is None else iter_cap
-        return _solve_ipm(a, y, tol_feas, tol_obj, cap, collect_trace)
-    cap = _ADMM_DEFAULT_CAP if iter_cap is None else iter_cap
-    return _solve_admm(a, y, tol_feas, tol_obj, cap, collect_trace)
+    cap = _IPM_DEFAULT_CAP if iter_cap is None else iter_cap
+    return _solve_ipm(a, y, tol_feas, tol_obj, cap)
 
 
 def direct_estimate(sol: LpSolution, n_epochs: int, tau: float) -> np.ndarray:

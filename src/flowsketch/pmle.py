@@ -33,7 +33,6 @@ __all__ = [
     "PmleResult",
     "SparseSolveResult",
     "WhaleLocalization",
-    "derive_k_prime",
     "kraft_audit",
     "localize_whales",
     "neg_log_likelihood",
@@ -323,14 +322,6 @@ class WhaleLocalization:
     b2: np.ndarray
     a1: np.ndarray
     a2: np.ndarray
-    k_prime: int
-
-
-def derive_k_prime(k: int, d: int) -> int:
-    """Smallest integer k' with 15*k'*d/16 >= k*d + 1."""
-    if k < 1 or d < 1:
-        raise ValueError(f"need k, d >= 1, got k={k}, d={d}")
-    return -(-16 * (k * d + 1) // (15 * d))
 
 
 def localize_whales(y: np.ndarray, g: BipartiteGraph, k: int) -> WhaleLocalization:
@@ -356,7 +347,7 @@ def localize_whales(y: np.ndarray, g: BipartiteGraph, k: int) -> WhaleLocalizati
     a2 = np.nonzero(~all_big)[0].astype(np.int64)
     return WhaleLocalization(
         b1=b1.astype(np.int64), b2=b2.astype(np.int64),
-        a1=a1, a2=a2, k_prime=derive_k_prime(k, g.d),
+        a1=a1, a2=a2,
     )
 
 
@@ -440,18 +431,6 @@ def pmle_exhaustive(
         support=supp, levels=lv, objective=obj,
         n_evaluated=n_eval, exhaustive=True,
     )
-
-
-def rate_from_counter_mass(theta, n_epochs: int, tau: float, d: int) -> np.ndarray:
-    """Convert counter-mass parameters to rates per unit time.
-
-    A flow with rate r deposits n*tau*r*d expected increments across its d
-    counters over an n-epoch window; this inverts that bookkeeping. All grid
-    and solver code in this module works in rate units already, so the
-    conversion is only needed when interfacing with counter-mass candidate
-    grids.
-    """
-    return np.asarray(theta, dtype=np.float64) / (n_epochs * tau * d)
 
 
 @dataclass
@@ -618,9 +597,7 @@ def pmle_reduced(
     cfg: PmleConfig,
     scale: float,
     exhaustive_cap: int = _EXHAUSTIVE_GUARD,
-    path_cap: Optional[int] = None,
     penalty_mode: str = "l0-scaled",
-    solver_iters: int = 500,
 ) -> PmleResult:
     """Penalized MLE restricted to supports inside the localized set A1.
 
@@ -629,7 +606,8 @@ def pmle_reduced(
     supported in A1 the reduced search returns it exactly. Small reduced
     sets are enumerated; large ones are screened by one continuous solve
     on A1 whose sorted coordinates define an l0 path of grid-projected
-    candidates for the final penalized comparison.
+    candidates, at most max(2k, 32) long, for the final penalized
+    comparison.
     """
     y = np.asarray(y, dtype=np.float64)
     if loc.a1.size == 0:
@@ -659,13 +637,10 @@ def pmle_reduced(
 
     offset = cfg.offset_rates(g.n_left)
     mu0 = scale * (g.csr_f @ offset)
-    solve = sparse_poisson_solve(
-        y, g, loc.a1, scale, mu_base=mu0, max_iter=solver_iters
-    )
+    solve = sparse_poisson_solve(y, g, loc.a1, scale, mu_base=mu0)
     order = np.argsort(-solve.theta, kind="stable")
     step = cs.grid_step
-    cap = path_cap if path_cap is not None else max(2 * cfg.k, 32)
-    s_max = min(loc.a1.size, cs.n_levels, cap)
+    s_max = min(loc.a1.size, cs.n_levels, max(2 * cfg.k, 32))
 
     best = None
     seen = set()

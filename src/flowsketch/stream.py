@@ -56,9 +56,6 @@ class Dist:
             return np.full(size, self.value, dtype=np.float64)
         return np.abs(rng.normal(0.0, self.value, size))
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "value": self.value}
-
     @classmethod
     def from_dict(cls, d: dict) -> "Dist":
         return cls(kind=d["kind"], value=float(d["value"]))

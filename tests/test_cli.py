@@ -1,11 +1,18 @@
 """End-to-end command-line checks, all through main(argv)."""
 
 import csv
+import json
 
 import numpy as np
 import pytest
 
-from flowsketch import BipartiteGraph, save_graph
+from flowsketch import (
+    BipartiteGraph,
+    experiment,
+    relative_l1_error,
+    save_graph,
+    support_recovery_success,
+)
 from flowsketch.cli import main
 from flowsketch.experiment import ExperimentConfig, save_config
 from flowsketch.stream import Dist
@@ -126,7 +133,7 @@ def test_recover_pmle_without_k_is_usage_error(graph_file, tmp_path, capsys):
                str(y_path), "--decoder", "pmle-reduced", "--epochs", "10",
                "--out", str(tmp_path / "e.csv")])
     assert rc == 1
-    assert "requires --k and --l0" in capsys.readouterr().err
+    assert "requires k and l0" in capsys.readouterr().err
 
 
 def test_recover_infeasible_counters_is_numerical_error(tmp_path, capsys):
@@ -180,3 +187,70 @@ def test_sweep_and_plot_data(tmp_path, capsys):
     assert lines[0] == "# metric: success"
     vals = [float(ln.split()[1]) for ln in lines[2:]]
     assert all(0.0 <= v <= 1.0 for v in vals)
+
+
+@pytest.mark.parametrize("block,key", [
+    ("pmle", "gama"), ("pmle", "path_cap"), ("pmle", "c"),
+    ("solver", "solver"), (None, "workers"),
+])
+def test_sweep_unknown_config_key_is_invalid_input(tmp_path, capsys, block, key):
+    cfg = ExperimentConfig(
+        n_flows=10, n_counters=8, degree=2, epochs=4, tau=1.0, sweep=(1,),
+        trials=1, whale_dist=Dist("constant", 1.0),
+        minnow_dist=Dist("constant", 0.0), decoders=("direct",), root_seed=1,
+    )
+    cfg_path = tmp_path / "cfg.json"
+    save_config(cfg, cfg_path)
+    d = json.loads(cfg_path.read_text())
+    (d[block] if block else d)[key] = 0.5
+    cfg_path.write_text(json.dumps(d))
+    rc = main(["sweep", "--config", str(cfg_path), "--out-dir", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input: unknown key")
+    assert repr(f"{block}.{key}" if block else key) in err
+
+
+def test_recover_matches_sweep_row(tmp_path, monkeypatch):
+    # recover on a sweep cell's own graph and counters scores exactly as
+    # the sweep row did, for each decoder
+    seen = {}
+
+    def spy(name):
+        fn = getattr(experiment, name)
+
+        def wrapper(*args, **kwargs):
+            seen[name] = out = fn(*args, **kwargs)
+            return out
+        monkeypatch.setattr(experiment, name, wrapper)
+
+    for name in ("build_graph_with_cover", "gen_rates", "run_epochs"):
+        spy(name)
+    cfg = ExperimentConfig(
+        n_flows=400, n_counters=90, degree=6, epochs=40, tau=1.0, sweep=(3,),
+        trials=1, whale_dist=Dist("constant", 1.0),
+        minnow_dist=Dist("abs-gaussian", 1e-6),
+        decoders=("direct", "pmle-reduced"), root_seed=31,
+        pmle=experiment.PmleOptions(levels=16),
+    )
+    rows = experiment.run_trial(cfg, 3, 0)
+    g, truth = seen["build_graph_with_cover"][0], seen["gen_rates"]
+    y = seen["run_epochs"].y
+    g_path, y_path = tmp_path / "g.txt", tmp_path / "y.csv"
+    save_graph(g, g_path)
+    with open(y_path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(["index", "value"])
+        w.writerows(enumerate(int(v) for v in y))
+    l0 = (1.0 + cfg.pmle.l0_margin) * truth.l1()
+    for row in rows:
+        assert row.note == ""
+        est_path = tmp_path / f"{row.decoder}.csv"
+        argv = ["recover", "--graph", str(g_path), "--counters", str(y_path),
+                "--epochs", "40", "--decoder", row.decoder, "--out", str(est_path)]
+        if row.decoder != "direct":
+            argv += ["--k", "3", "--l0", repr(l0), "--levels", "16"]
+        assert main(argv) == 0
+        est = read_vector(est_path)
+        assert support_recovery_success(est, truth) == row.success
+        assert relative_l1_error(est, truth).value == row.rel_l1_error

@@ -1,6 +1,7 @@
 """Sweep orchestration, CSV persistence, and plot emission tests."""
 
 import csv
+import json
 import math
 
 import numpy as np
@@ -51,7 +52,7 @@ def test_config_json_round_trip(tmp_path):
     p = tmp_path / "cfg.json"
     save_config(cfg, p)
     assert load_config(p) == cfg
-    bad = cfg.to_dict()
+    bad = json.loads(p.read_text())
     bad["schema_version"] = 999
     with pytest.raises(ValueError):
         ExperimentConfig.from_dict(bad)

@@ -8,12 +8,9 @@ from flowsketch import (
     EnumerationCapExceeded,
     GraphConstructionError,
     apply_adjacency,
-    apply_normalized,
     build_graph_with_cover,
     build_random_expander,
-    choose_degree,
     greedy_cover,
-    incremental_update,
     load_graph,
     save_graph,
     verify_expansion,
@@ -107,33 +104,6 @@ def test_mass_conservation_for_nonnegative():
         x = rng.random(25) * rng.integers(0, 2, 25)
         y = apply_adjacency(g, x)
         assert np.isclose(np.abs(y).sum(), g.d * np.abs(x).sum())
-    assert np.allclose(apply_normalized(g, x), apply_adjacency(g, x) / g.d)
-
-
-def test_incremental_update_matches_batch():
-    g = build_random_expander(20, 8, 3, seed=9)
-    rng = np.random.default_rng(42)
-    counters = np.zeros(8, dtype=np.int64)
-    totals = np.zeros(20, dtype=np.int64)
-    events = [(int(rng.integers(0, 20)), int(rng.integers(0, 50))) for _ in range(200)]
-    rng.shuffle(events)
-    for i, delta in events:
-        incremental_update(counters, g, i, delta)
-        totals[i] += delta
-    assert np.array_equal(counters, apply_adjacency(g, totals))
-    before = counters.copy()
-    incremental_update(counters, g, 0, 0)
-    assert np.array_equal(counters, before)
-    with pytest.raises(IndexError):
-        incremental_update(counters, g, 20, 1)
-
-
-def test_choose_degree():
-    assert choose_degree(1024, 1) == 20
-    assert choose_degree(1024, 1024) == 1
-    for n, k in [(100, 5), (5000, 10), (64, 2)]:
-        assert choose_degree(n, k) == int(np.ceil(2 * np.log2(n / k)))
-    assert choose_degree(5000, 10) >= choose_degree(5000, 100)
 
 
 def test_verify_k1_always_one():
@@ -214,7 +184,7 @@ def test_greedy_cover_random_properties():
         assert covered.size == 20
         assert cover.members.size <= 20
         # normalized cover mass reaches every counter with weight >= 1/d
-        assert (apply_normalized(g, cover.indicator) >= 1.0 / g.d - 1e-12).all()
+        assert (apply_adjacency(g, cover.indicator) / g.d >= 1.0 / g.d - 1e-12).all()
 
 
 def test_greedy_cover_isolated_counter_rejected():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from flowsketch import (
+    DecodeSpec,
     Dist,
     LpSolution,
     RateVector,
@@ -12,6 +13,8 @@ from flowsketch import (
     apply_adjacency,
     basis_pursuit,
     best_k_term,
+    build_random_expander,
+    decode,
     direct_estimate,
     gen_rates,
     run_epochs,
@@ -44,8 +47,6 @@ def test_input_validation():
                        columns=np.array([[0, 1], [0, 1]], dtype=np.int32), seed=0)
     with pytest.raises(ValueError):
         basis_pursuit(g, np.zeros(3))
-    with pytest.raises(ValueError):
-        basis_pursuit(g, np.zeros(2), solver="simplex")
 
 
 def test_two_sparse_recovery_matches_oracle(small_expander):
@@ -91,21 +92,21 @@ def test_expander_error_bound(plane_expander):
     assert np.abs(sol.u - x).sum() <= bound + 1e-6
 
 
-def test_solvers_agree(small_expander):
-    g = small_expander
+def test_direct_decode_above_2000_counters_is_certified():
+    # 2001 counters: the smallest bank that used to be sent to a second solver
+    g = build_random_expander(4000, 2001, 8, seed=65)
     rng = np.random.default_rng(65)
     x = np.zeros(g.n_left)
     x[rng.choice(g.n_left, 3, replace=False)] = (5.0, 9.0, 2.0)
     y = apply_adjacency(g, x)
-    ipm = basis_pursuit(g, y, solver="interior-point")
-    admm = basis_pursuit(g, y, solver="admm")
+    sol = decode(g, y, 1, 1.0, DecodeSpec("direct")).result
     tol_obj = 1e-6 * (1 + np.abs(y).sum())
     tol_feas = 1e-6 * (1 + np.abs(y).max())
-    for sol in (ipm, admm):
-        assert sol.status == "optimal"
-        assert sol.primal_feasibility <= tol_feas
-        assert sol.duality_gap <= tol_obj
-    assert abs(ipm.objective - admm.objective) <= 2 * tol_obj
+    assert sol.solver == "interior-point"
+    assert sol.status == "optimal"
+    assert sol.primal_feasibility <= tol_feas
+    assert sol.duality_gap <= tol_obj
+    assert abs(sol.objective - np.abs(x).sum()) <= 2 * tol_obj
 
 
 def test_infeasible_counters_detected():
@@ -130,12 +131,10 @@ def test_trace_collection(small_expander):
     x = np.zeros(g.n_left)
     x[3], x[17] = 4.0, 11.0
     y = apply_adjacency(g, x)
-    sol = basis_pursuit(g, y, collect_trace=True)
+    sol = basis_pursuit(g, y)
     assert sol.trace and len(sol.trace[0]) == 3
     its = [row[0] for row in sol.trace]
     assert its == sorted(its)
-    sol2 = basis_pursuit(g, y)
-    assert sol2.trace is None
 
 
 def test_direct_estimate():

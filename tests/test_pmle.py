@@ -16,10 +16,8 @@ from flowsketch import (
     StreamState,
     WhaleLocalization,
     apply_adjacency,
-    apply_normalized,
     build_graph_with_cover,
     build_random_expander,
-    derive_k_prime,
     gen_rates,
     greedy_cover,
     kraft_audit,
@@ -28,7 +26,6 @@ from flowsketch import (
     penalty,
     pmle_exhaustive,
     pmle_reduced,
-    rate_from_counter_mass,
     run_epochs,
     sparse_poisson_solve,
 )
@@ -47,25 +44,6 @@ def hexad_graph():
     return BipartiteGraph(n_left=6, n_right=4, d=2, columns=cols, seed=0)
 
 
-# ---------------------------------------------------------------- k prime
-
-
-def test_derive_k_prime_examples():
-    assert derive_k_prime(1, 16) == 2
-    assert derive_k_prime(10, 8) == 11
-    with pytest.raises(ValueError):
-        derive_k_prime(0, 4)
-
-
-def test_derive_k_prime_grid():
-    for k in range(1, 21):
-        for d in range(1, 21):
-            kp = derive_k_prime(k, d)
-            assert 15 * kp * d / 16 >= k * d + 1
-            assert 15 * (kp - 1) * d / 16 < k * d + 1  # minimality
-            assert kp > k  # k' >= k + 1/d
-
-
 # ---------------------------------------------------------------- localize
 
 
@@ -76,7 +54,6 @@ def test_localize_zero_counters():
     assert list(loc.b2) == [4, 5, 6, 7]
     expect_a1 = [i for i in range(12) if set(g.columns[i]) <= {0, 1, 2, 3}]
     assert list(loc.a1) == expect_a1
-    assert loc.k_prime == derive_k_prime(2, 2)
 
 
 def test_localize_single_flow():
@@ -373,17 +350,7 @@ def test_offset_positivity():
     cfg = PmleConfig.from_problem(200, 3, 8.0, cover, levels=16)
     f = cfg.offset_rates(200)  # any candidate only adds to this
     floor = cfg.c * cfg.l0 / g.d
-    assert (apply_normalized(g, f) >= floor - 1e-12).all()
-
-
-def test_rate_from_counter_mass():
-    theta = np.array([0.0, 320.0, 64.0])
-    lam = rate_from_counter_mass(theta, n_epochs=40, tau=1.0, d=8)
-    assert np.allclose(lam, [0.0, 1.0, 0.2])
-    # round trip: rates -> counter mass convention -> rates
-    rates = np.array([0.3, 1.7])
-    assert np.allclose(rate_from_counter_mass(40 * 0.5 * 8 * rates, 40, 0.5, 8),
-                       rates)
+    assert (apply_adjacency(g, f) / g.d >= floor - 1e-12).all()
 
 
 # ---------------------------------------------------------------- solver
@@ -479,7 +446,7 @@ def test_reduced_empty_a1_warns():
     cfg = PmleConfig(l0=4.0, k=1, gamma=1.0, delta=1.0, c=0.1, cover=cover)
     loc = WhaleLocalization(
         b1=np.arange(2), b2=np.arange(2, 4),
-        a1=np.empty(0, dtype=np.int64), a2=np.arange(6), k_prime=2,
+        a1=np.empty(0, dtype=np.int64), a2=np.arange(6),
     )
     with pytest.warns(UserWarning):
         res = pmle_reduced(np.ones(4), g, loc, cfg, 1.0)

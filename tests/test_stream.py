@@ -1,5 +1,7 @@
 """Signal generation and Poisson stream simulation tests."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -56,7 +58,7 @@ def test_parse_dist():
 
 def test_dist_dict_round_trip():
     d = Dist("abs-gaussian", 0.25)
-    assert Dist.from_dict(d.to_dict()) == d
+    assert Dist.from_dict(asdict(d)) == d
 
 
 def test_signal_spec_validation():
