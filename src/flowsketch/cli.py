@@ -110,23 +110,33 @@ def _write_vector_csv(path, values) -> None:
             w.writerow([i, repr(float(v)) if isinstance(v, float) else int(v)])
 
 
-def _read_vector_csv(path, expected_len: int) -> np.ndarray:
+def _read_counters_csv(path, n_counters: int) -> np.ndarray:
+    """Counters as simulate writes them: header index,value, then every
+    index in [0, n_counters) exactly once with a finite, nonnegative,
+    integral count. Raises ValueError naming the path and the index."""
+    out = [None] * n_counters
     with open(path, newline="") as f:
         r = csv.reader(f)
-        header = next(r)
-        if header != ["index", "value"]:
+        if next(r, None) != ["index", "value"]:
             raise ValueError(f"{path}: expected header index,value")
-        out = np.zeros(expected_len, dtype=np.float64)
-        seen = 0
         for row in r:
-            i = int(row[0])
-            if not 0 <= i < expected_len:
+            try:
+                i, v = int(row[0]), float(row[1])
+            except (IndexError, ValueError):
+                raise ValueError(f"{path}: malformed row {row!r}") from None
+            if not 0 <= i < n_counters:
                 raise ValueError(f"{path}: index {i} out of range")
-            out[i] = float(row[1])
-            seen += 1
-    if seen != expected_len:
-        raise ValueError(f"{path}: {seen} rows for a length-{expected_len} vector")
-    return out
+            if out[i] is not None:
+                raise ValueError(f"{path}: index {i} repeated")
+            if not (v >= 0 and v.is_integer()):
+                raise ValueError(
+                    f"{path}: index {i} has value {row[1]!r}, "
+                    "not a nonnegative integer count"
+                )
+            out[i] = v
+    if None in out:
+        raise ValueError(f"{path}: index {out.index(None)} missing")
+    return np.array(out, dtype=np.float64)
 
 
 def _cmd_gen_graph(args) -> int:
@@ -169,7 +179,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_recover(args) -> int:
     g = load_graph(args.graph)
-    y = _read_vector_csv(args.counters, g.n_right)
+    y = _read_counters_csv(args.counters, g.n_right)
     spec = DecodeSpec(
         decoder=args.decoder, k=args.k, l0=args.l0, gamma=args.gamma,
         levels=args.levels, penalty_mode=args.penalty_mode,

@@ -61,9 +61,19 @@ def decode(
     epochs of length tau.
 
     cover is the greedy cover of g; the pmle decoders compute it when it
-    is not given. Raises lp.NumericalError when basis pursuit finds y
-    unreachable.
+    is not given. Raises ValueError, before any solver runs, unless y
+    holds one finite, nonnegative entry per counter, and lp.NumericalError
+    when basis pursuit finds y unreachable.
     """
+    y = np.asarray(y)
+    if y.shape != (g.n_right,):
+        raise ValueError(f"y has shape {y.shape}, expected ({g.n_right},)")
+    bad = np.flatnonzero(~(np.isfinite(y) & (y >= 0)))
+    if bad.size:
+        raise ValueError(
+            f"counter {int(bad[0])} is {float(y[bad[0]])}; "
+            "counters must be finite and nonnegative"
+        )
     if spec.decoder == "direct":
         sol = lp.basis_pursuit(g, y, spec.tol_feas, spec.tol_obj, spec.iter_cap)
         if sol.status == "infeasible":

@@ -14,7 +14,7 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -75,12 +75,19 @@ class PmleOptions:
 
 
 def _from_keys(cls, d: dict, where: str = ""):
-    """cls(**d), refusing keys that name no field of cls."""
-    unknown = sorted(set(d) - {f.name for f in fields(cls)})
-    if unknown:
-        raise ValueError(
-            "unknown key " + ", ".join(repr(where + k) for k in unknown)
-        )
+    """cls(**d), refusing keys that name no field of cls and missing keys
+    of fields without a default."""
+    names = {f.name for f in fields(cls)}
+    required = {
+        f.name for f in fields(cls)
+        if f.default is MISSING and f.default_factory is MISSING
+    }
+    for problem, keys in (("unknown", set(d) - names),
+                          ("missing", required - set(d))):
+        if keys:
+            raise ValueError(
+                f"{problem} key " + ", ".join(repr(where + k) for k in sorted(keys))
+            )
     return cls(**d)
 
 
@@ -118,8 +125,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        """Parse the JSON form written by save_config. Unknown keys, at
-        the top level or inside a block, raise ValueError."""
+        """Parse the JSON form written by save_config. Unknown or missing
+        keys, at the top level or inside a block, raise ValueError."""
         d = dict(d)
         version = d.pop("schema_version", None)
         if version != SCHEMA_VERSION:
@@ -127,8 +134,9 @@ class ExperimentConfig:
                 f"config schema_version {version!r} unsupported "
                 f"(expected {SCHEMA_VERSION})"
             )
-        d["whale_dist"] = Dist.from_dict(d["whale_dist"])
-        d["minnow_dist"] = Dist.from_dict(d["minnow_dist"])
+        for key in ("whale_dist", "minnow_dist"):
+            if key in d:
+                d[key] = _from_keys(Dist, d[key], key + ".")
         d["solver"] = _from_keys(SolverOptions, d.get("solver", {}), "solver.")
         d["pmle"] = _from_keys(PmleOptions, d.get("pmle", {}), "pmle.")
         return _from_keys(cls, d)

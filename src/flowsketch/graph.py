@@ -230,19 +230,33 @@ def greedy_cover(g: BipartiteGraph) -> CoverSet:
     """Greedy set cover of the counters by flow neighborhoods.
 
     Repeatedly picks the flow covering the most still-uncovered counters,
-    ties broken by lowest flow index.
+    ties broken by lowest flow index. A flow's gain only shrinks as
+    counters get covered (Minoux's accelerated greedy rests on the same
+    fact), so the gains live in one length-N array: every flow starts at
+    d, and each counter a pick newly covers takes 1 off the gain of every
+    flow incident to it, read from the cached adjacency g.csr. Each
+    counter is retired once, so the updates cost O(N*d) in total, and
+    each pick adds one O(N) argmax.
     """
-    degree_in = np.bincount(g.columns.ravel(), minlength=g.n_right)
-    if (degree_in == 0).any():
-        bad = int(np.nonzero(degree_in == 0)[0][0])
-        raise GraphConstructionError(f"counter {bad} has no incident flow")
+    indptr, flows = g.csr.indptr, g.csr.indices
+    isolated = np.flatnonzero(np.diff(indptr) == 0)
+    if isolated.size:
+        raise GraphConstructionError(
+            f"counter {int(isolated[0])} has no incident flow"
+        )
+    gains = np.full(g.n_left, g.d, dtype=np.int64)
     uncovered = np.ones(g.n_right, dtype=bool)
+    n_uncovered = g.n_right
     members = []
-    while uncovered.any():
-        gains = uncovered[g.columns].sum(axis=1)
+    while n_uncovered:
         pick = int(np.argmax(gains))  # argmax returns the lowest tied index
         members.append(pick)
-        uncovered[g.columns[pick]] = False
+        cols = g.columns[pick]
+        newly = cols[uncovered[cols]]
+        uncovered[newly] = False
+        n_uncovered -= newly.size
+        for j in newly:
+            gains[flows[indptr[j]:indptr[j + 1]]] -= 1
     members = np.array(sorted(members), dtype=np.int64)
     indicator = np.zeros(g.n_left, dtype=np.int8)
     indicator[members] = 1

@@ -46,6 +46,7 @@ class Dist:
     value: float
 
     def __post_init__(self):
+        object.__setattr__(self, "value", float(self.value))
         if self.kind not in ("constant", "abs-gaussian"):
             raise ValueError(f"unknown distribution kind {self.kind!r}")
         if not (math.isfinite(self.value) and self.value >= 0):

@@ -9,7 +9,7 @@ from itertools import combinations
 
 import numpy as np
 
-from flowsketch import BipartiteGraph
+from flowsketch import BipartiteGraph, GraphConstructionError
 
 
 def affine_plane_graph() -> BipartiteGraph:
@@ -102,3 +102,18 @@ def brute_expansion_ratio(g: BipartiteGraph, k: int) -> float:
             nbrs = np.unique(g.columns[list(subset)])
             worst = min(worst, nbrs.size / (g.d * s))
     return worst
+
+
+def greedy_cover_rescan(g: BipartiteGraph) -> np.ndarray:
+    """Sorted members of the greedy cover, recomputing every flow's gain
+    over all N*d entries on each pick; ties go to the lowest flow index."""
+    if np.bincount(g.columns.ravel(), minlength=g.n_right).min() == 0:
+        raise GraphConstructionError("a counter has no incident flow")
+    uncovered = np.ones(g.n_right, dtype=bool)
+    members = []
+    while uncovered.any():
+        gains = uncovered[g.columns].sum(axis=1)
+        pick = int(np.argmax(gains))
+        members.append(pick)
+        uncovered[g.columns[pick]] = False
+    return np.array(sorted(members), dtype=np.int64)

@@ -161,6 +161,67 @@ def test_recover_bad_counter_header_is_usage_error(graph_file, tmp_path):
     assert rc == 1
 
 
+@pytest.fixture
+def counters_file(graph_file, tmp_path):
+    y_path = tmp_path / "y.csv"
+    assert main(["simulate", "--graph", str(graph_file), "--whales", "2",
+                 "--whale-dist", "constant:3.0", "--epochs", "30",
+                 "--signal-seed", "5", "--stream-seed", "6",
+                 "--out-counters", str(y_path)]) == 0
+    return y_path
+
+
+def recover_argv(graph_file, y_path, est_path, decoder):
+    argv = ["recover", "--graph", str(graph_file), "--counters", str(y_path),
+            "--epochs", "30", "--decoder", decoder, "--out", str(est_path)]
+    if decoder != "direct":
+        argv += ["--k", "2", "--l0", "8.0", "--levels", "8"]
+    return argv
+
+
+@pytest.mark.parametrize("decoder", ["direct", "pmle-reduced"])
+@pytest.mark.parametrize("case,index,why", [
+    ("duplicate+missing", 0, "repeated"),
+    ("missing", 19, "missing"),
+    ("nan", 3, "'nan'"),
+    ("inf", 3, "'inf'"),
+    ("negative", 3, "'-2'"),
+    ("fractional", 3, "'2.5'"),
+    ("negative-fractional", 3, "'-2.5'"),
+])
+def test_recover_malformed_counters_is_invalid_input(
+        graph_file, counters_file, tmp_path, capsys, decoder, case, index, why):
+    lines = counters_file.read_text().splitlines()  # header, then 0..19
+    if case == "duplicate+missing":
+        lines[-1] = "0,0"
+    elif case == "missing":
+        del lines[-1]
+    else:
+        value = {"nan": "nan", "inf": "inf", "negative": "-2",
+                 "fractional": "2.5", "negative-fractional": "-2.5"}[case]
+        lines[1 + index] = f"{index},{value}"
+    counters_file.write_text("\n".join(lines) + "\n")
+    est_path = tmp_path / "est.csv"
+    capsys.readouterr()
+    assert main(recover_argv(graph_file, counters_file, est_path, decoder)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"invalid input: {counters_file}: index {index} ")
+    assert why in err
+    assert not est_path.exists()
+
+
+def test_recover_reads_crlf_and_lf_counters(graph_file, counters_file, tmp_path):
+    # simulate writes \r\n line ends; a hand-written \n file decodes the same
+    assert counters_file.read_bytes().count(b"\r\n") == 21
+    lf = tmp_path / "lf.csv"
+    lf.write_bytes(counters_file.read_bytes().replace(b"\r\n", b"\n"))
+    for decoder in ("direct", "pmle-reduced"):
+        a, b = tmp_path / f"{decoder}-a.csv", tmp_path / f"{decoder}-b.csv"
+        assert main(recover_argv(graph_file, counters_file, a, decoder)) == 0
+        assert main(recover_argv(graph_file, lf, b, decoder)) == 0
+        assert a.read_bytes() == b.read_bytes()
+
+
 def test_sweep_and_plot_data(tmp_path, capsys):
     cfg = ExperimentConfig(
         n_flows=10, n_counters=8, degree=2, epochs=4, tau=1.0,
@@ -189,11 +250,8 @@ def test_sweep_and_plot_data(tmp_path, capsys):
     assert all(0.0 <= v <= 1.0 for v in vals)
 
 
-@pytest.mark.parametrize("block,key", [
-    ("pmle", "gama"), ("pmle", "path_cap"), ("pmle", "c"),
-    ("solver", "solver"), (None, "workers"),
-])
-def test_sweep_unknown_config_key_is_invalid_input(tmp_path, capsys, block, key):
+def sweep_with_edited_config(tmp_path, edit):
+    """Exit code of a sweep on a small saved config after edit(dict)."""
     cfg = ExperimentConfig(
         n_flows=10, n_counters=8, degree=2, epochs=4, tau=1.0, sweep=(1,),
         trials=1, whale_dist=Dist("constant", 1.0),
@@ -202,12 +260,35 @@ def test_sweep_unknown_config_key_is_invalid_input(tmp_path, capsys, block, key)
     cfg_path = tmp_path / "cfg.json"
     save_config(cfg, cfg_path)
     d = json.loads(cfg_path.read_text())
-    (d[block] if block else d)[key] = 0.5
+    edit(d)
     cfg_path.write_text(json.dumps(d))
-    rc = main(["sweep", "--config", str(cfg_path), "--out-dir", str(tmp_path)])
-    assert rc == 1
+    return main(["sweep", "--config", str(cfg_path), "--out-dir", str(tmp_path)])
+
+
+@pytest.mark.parametrize("block,key", [
+    ("pmle", "gama"), ("pmle", "path_cap"), ("pmle", "c"),
+    ("solver", "solver"), (None, "workers"),
+    ("whale_dist", "vaule"), ("minnow_dist", "vaule"),
+])
+def test_sweep_unknown_config_key_is_invalid_input(tmp_path, capsys, block, key):
+    def edit(d):
+        (d[block] if block else d)[key] = 0.5
+    assert sweep_with_edited_config(tmp_path, edit) == 1
     err = capsys.readouterr().err
     assert err.startswith("invalid input: unknown key")
+    assert repr(f"{block}.{key}" if block else key) in err
+
+
+@pytest.mark.parametrize("block,key", [
+    (None, "n_flows"), (None, "whale_dist"), (None, "decoders"),
+    ("whale_dist", "kind"), ("minnow_dist", "value"),
+])
+def test_sweep_missing_config_key_is_invalid_input(tmp_path, capsys, block, key):
+    def edit(d):
+        del (d[block] if block else d)[key]
+    assert sweep_with_edited_config(tmp_path, edit) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input: missing key")
     assert repr(f"{block}.{key}" if block else key) in err
 
 

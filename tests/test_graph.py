@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowsketch import (
     BipartiteGraph,
@@ -16,7 +18,7 @@ from flowsketch import (
     verify_expansion,
 )
 
-from helpers import brute_expansion_ratio
+from helpers import brute_expansion_ratio, greedy_cover_rescan
 
 
 def test_complete_graph_forced():
@@ -192,6 +194,46 @@ def test_greedy_cover_isolated_counter_rejected():
     g = BipartiteGraph(n_left=3, n_right=4, d=2, columns=cols, seed=0)
     with pytest.raises(GraphConstructionError):
         greedy_cover(g)
+
+
+@st.composite
+def small_graphs(draw):
+    """Graphs of 1-60 flows over 1-20 counters. Columns are drawn from a
+    pool that may be much smaller than the flow count, so duplicated
+    columns force gain ties; most graphs also get the cyclic d-windows of
+    one counter permutation, so that no counter is left isolated."""
+    n_right = draw(st.integers(1, 20))
+    d = draw(st.integers(1, n_right))
+    column = st.permutations(range(n_right)).map(lambda p: sorted(p[:d]))
+    pool = draw(st.lists(column, min_size=1, max_size=60))
+    rows = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=60))
+    if draw(st.integers(0, 3)):
+        perm = draw(st.permutations(range(n_right)))
+        windows = [sorted(perm[(s + t) % n_right] for t in range(d))
+                   for s in range(0, n_right, d)]
+        rows = draw(st.permutations(rows[:60 - len(windows)] + windows))
+    return BipartiteGraph(n_left=len(rows), n_right=n_right, d=d,
+                          columns=np.array(rows, dtype=np.int32), seed=0)
+
+
+@settings(max_examples=400, deadline=None)
+@given(small_graphs())
+def test_greedy_cover_matches_rescan_oracle(g):
+    try:
+        want = greedy_cover_rescan(g)
+    except GraphConstructionError:
+        with pytest.raises(GraphConstructionError):
+            greedy_cover(g)
+        return
+    cover = greedy_cover(g)
+    assert cover.members.tolist() == want.tolist()
+    assert np.flatnonzero(cover.indicator).tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_greedy_cover_matches_rescan_oracle_20k(seed):
+    g = build_random_expander(20_000, 2500, 10, seed=seed)
+    assert np.array_equal(greedy_cover(g).members, greedy_cover_rescan(g))
 
 
 def test_build_graph_with_cover():
