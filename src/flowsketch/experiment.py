@@ -333,36 +333,23 @@ def _parse_opt_bool(s: str) -> Optional[bool]:
     return None if s == "" else s == "1"
 
 
+def _cells(x, names: list) -> list:
+    return [_fmt(getattr(x, n)) for n in names]
+
+
 def emit_csv(res: ExperimentResult, path) -> None:
     """Write three files: the deterministic rows at `path`, wall times at
     `<path minus .csv>.timings.csv`, aggregates at `<...>.agg.csv`."""
     path = str(path)
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(_ROW_FIELDS)
-        for r in res.rows:
-            w.writerow([
-                r.k, r.trial, r.decoder, _fmt(r.success),
-                _fmt(r.rel_l1_error), _fmt(r.rel_is_absolute),
-                _fmt(r.abs_l1_error), r.a1_size, _fmt(r.whales_in_a1),
-                r.counter_hash, r.note,
-            ])
-    with open(_sibling(path, "timings"), "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(_TIMING_FIELDS)
-        for r in res.rows:
-            w.writerow([r.k, r.trial, r.decoder, _fmt(r.wall_time_s)])
-    with open(_sibling(path, "agg"), "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(_AGG_FIELDS)
-        for a in res.aggregates:
-            w.writerow([
-                a.k, a.decoder, a.n_trials, _fmt(a.success_prob),
-                _fmt(a.success_half_width), _fmt(a.mean_rel_error),
-                _fmt(a.rel_half_width), _fmt(a.mean_abs_error),
-                _fmt(a.abs_half_width), _fmt(a.mean_time_s),
-                _fmt(a.time_half_width),
-            ])
+    for out, names, items in (
+        (path, _ROW_FIELDS, res.rows),
+        (_sibling(path, "timings"), _TIMING_FIELDS, res.rows),
+        (_sibling(path, "agg"), _AGG_FIELDS, res.aggregates),
+    ):
+        with open(out, "w", newline="") as f:
+            w = csv.writer(f)
+            w.writerow(names)
+            w.writerows(_cells(x, names) for x in items)
 
 
 def _sibling(path: str, tag: str) -> str:
@@ -429,13 +416,7 @@ def _crosscheck_aggregates(res: ExperimentResult, agg_path: str) -> None:
             f"recomputed {len(res.aggregates)}"
         )
     for row, a in zip(stored, res.aggregates):
-        want = [
-            str(a.k), a.decoder, str(a.n_trials), _fmt(a.success_prob),
-            _fmt(a.success_half_width), _fmt(a.mean_rel_error),
-            _fmt(a.rel_half_width), _fmt(a.mean_abs_error),
-            _fmt(a.abs_half_width), _fmt(a.mean_time_s),
-            _fmt(a.time_half_width),
-        ]
+        want = _cells(a, _AGG_FIELDS)
         if row != want:
             raise ValueError(
                 f"{agg_path}: stored aggregate {row} != recomputed {want}"

@@ -179,7 +179,9 @@ def verify_expansion(
 
     worst_ratio is the exact minimum of |N(S)|/(d|S|) over every nonempty
     subset of at most k left nodes; feasibility is guarded by `cap` on the
-    total number of subsets.
+    total number of subsets. Every k >= 2 takes the same walk: a depth-first
+    recursion over subsets in index order that ORs per-flow counter
+    bitmasks and counts bits; no N x N matrix is built.
     """
     if not 1 <= k <= g.n_left:
         raise ValueError(f"need 1 <= k <= n_left, got k={k}")
@@ -195,28 +197,20 @@ def verify_expansion(
     # singletons: every column has exactly d distinct neighbors
     worst = 1.0
     if k >= 2:
-        if k == 2:
-            b = np.zeros((g.n_left, g.n_right), dtype=np.int32)
-            b[np.arange(g.n_left)[:, None], g.columns] = 1
-            inter = b @ b.T
-            iu = np.triu_indices(g.n_left, k=1)
-            pair_worst = float((2 * d - inter[iu].max()) / (2 * d))
-            worst = min(worst, pair_worst)
-        else:
-            masks = g.neighbor_masks()
-            n = g.n_left
+        masks = g.neighbor_masks()
+        n = g.n_left
 
-            def rec(start: int, depth: int, acc: int, worst: float) -> float:
-                for i in range(start, n):
-                    m = acc | masks[i]
-                    ratio = m.bit_count() / (d * (depth + 1))
-                    if ratio < worst:
-                        worst = ratio
-                    if depth + 1 < k:
-                        worst = rec(i + 1, depth + 1, m, worst)
-                return worst
+        def rec(start: int, depth: int, acc: int, worst: float) -> float:
+            for i in range(start, n):
+                m = acc | masks[i]
+                ratio = m.bit_count() / (d * (depth + 1))
+                if ratio < worst:
+                    worst = ratio
+                if depth + 1 < k:
+                    worst = rec(i + 1, depth + 1, m, worst)
+            return worst
 
-            worst = rec(0, 0, 0, worst)
+        worst = rec(0, 0, 0, worst)
     return ExpansionReport(
         k_checked=k,
         epsilon=epsilon,
@@ -270,11 +264,12 @@ def build_graph_with_cover(
     seed: int,
     max_retries: int = 16,
 ) -> tuple[BipartiteGraph, CoverSet, int]:
-    """Build a random graph whose greedy cover has at most n_right members.
+    """Build a random graph and its greedy cover.
 
-    Greedy covers of random left-regular graphs are almost always well under
-    n_right; if one exceeds it the graph is rebuilt with a derived seed
-    (never truncated). Returns (graph, cover, retries_used).
+    Every greedy pick covers at least one new counter, so the cover never
+    has more than n_right members. The one thing that can fail is a counter
+    with no incident flow; the graph is then rebuilt with a derived seed.
+    Returns (graph, cover, retries_used).
     """
     from .seeds import stable_seed
 
@@ -282,11 +277,9 @@ def build_graph_with_cover(
         s = seed if attempt == 0 else stable_seed(seed, "cover-retry", attempt)
         g = build_random_expander(n_left, n_right, d, s)
         try:
-            cover = greedy_cover(g)
+            return g, greedy_cover(g), attempt
         except GraphConstructionError:
             continue  # a counter landed with no incident flow; redraw
-        if len(cover) <= n_right:
-            return g, cover, attempt
     raise GraphConstructionError(
         f"no usable greedy cover after {max_retries} retries"
     )

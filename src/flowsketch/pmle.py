@@ -18,7 +18,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator, NamedTuple, Optional, Tuple
+from typing import Iterable, Iterator, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -176,10 +176,6 @@ class CandidateSet:
     @property
     def l0(self) -> float:
         return self.n_levels * self.grid_step
-
-    @property
-    def grid_values(self) -> np.ndarray:
-        return np.arange(self.n_levels + 1) * self.grid_step
 
     def _smax(self, universe_size: int) -> int:
         s = min(universe_size, self.n_levels)
@@ -412,11 +408,25 @@ def pmle_exhaustive(
     if not scale > 0:
         raise ValueError(f"scale must be positive, got {scale}")
     mu0 = scale * (g.csr_f @ cfg.offset_rates(g.n_left))
-    step = cs.grid_step
+    return _argmin(y, g, cs, mu0, scale, cs.enumerate(), exhaustive=True)
 
+
+def _argmin(
+    y: np.ndarray,
+    g: BipartiteGraph,
+    cs: CandidateSet,
+    mu0: np.ndarray,
+    scale: float,
+    candidates: Iterable[tuple[tuple, tuple]],
+    exhaustive: bool,
+) -> PmleResult:
+    """Score each (support, levels) candidate as NLL(candidate + offset) +
+    2*pen(candidate), mu0 being the offset's counter means, and keep the
+    first minimum."""
+    step = cs.grid_step
     best = None
     n_eval = 0
-    for supp, lv in cs.enumerate():
+    for supp, lv in candidates:
         mu = mu0.copy()
         if supp:
             cols = g.columns[list(supp)].ravel()
@@ -429,7 +439,7 @@ def pmle_exhaustive(
     return PmleResult(
         rates=cs.materialize(supp, lv, g.n_left),
         support=supp, levels=lv, objective=obj,
-        n_evaluated=n_eval, exhaustive=True,
+        n_evaluated=n_eval, exhaustive=exhaustive,
     )
 
 
@@ -439,7 +449,7 @@ class SparseSolveResult:
     objective: float
     iterations: int
     converged: bool
-    trace: Optional[Tuple[float, ...]] = None
+    trace: Tuple[float, ...]  # objective after the start and each accepted step
 
 
 def sparse_poisson_solve(
@@ -450,7 +460,6 @@ def sparse_poisson_solve(
     mu_base: Optional[np.ndarray] = None,
     max_iter: int = 500,
     rel_tol: float = 1e-8,
-    collect_trace: bool = False,
 ) -> SparseSolveResult:
     """Projected proximal-gradient Poisson regression on a fixed support.
 
@@ -492,7 +501,7 @@ def sparse_poisson_solve(
     theta = np.full(support.size, (y.sum() + 1.0) / (scale * g.d * support.size))
     mu = mu_base + scale * (a_s @ theta)
     f = objective(mu)
-    trace = [f] if collect_trace else None
+    trace = [f]
     t = 1.0 / (1.0 + scale * g.d)
     converged = False
     it = 0
@@ -515,8 +524,7 @@ def sparse_poisson_solve(
             converged = True
             break
         theta, mu = cand, mu_cand
-        if trace is not None:
-            trace.append(f_cand)
+        trace.append(f_cand)
         if abs(f - f_cand) <= rel_tol * max(1.0, abs(f)):
             f = f_cand
             converged = True
@@ -525,8 +533,7 @@ def sparse_poisson_solve(
     theta = _newton_polish(theta, a_s, y, scale, mu_base)
     f = objective(mu_base + scale * (a_s @ theta))
     return SparseSolveResult(theta=theta, objective=f, iterations=it,
-                             converged=converged,
-                             trace=None if trace is None else tuple(trace))
+                             converged=converged, trace=tuple(trace))
 
 
 def _newton_polish(theta, a_s, y, scale, mu_base, passes: int = 3):
@@ -607,22 +614,14 @@ def pmle_reduced(
     sets are enumerated; large ones are screened by one continuous solve
     on A1 whose sorted coordinates define an l0 path of grid-projected
     candidates, at most max(2k, 32) long, for the final penalized
-    comparison.
+    comparison. Either way ties go to the candidate scored first. An
+    empty A1 warns and is always enumerated: its only candidate is zero,
+    so the result is the zero estimate with the objective of the offset
+    alone (n_evaluated 1, exhaustive True).
     """
     y = np.asarray(y, dtype=np.float64)
     if loc.a1.size == 0:
         warnings.warn("localization produced an empty support; returning zeros")
-        mu0 = scale * (g.csr_f @ cfg.offset_rates(g.n_left))
-        step = cfg.grid_step
-        cs0 = CandidateSet(
-            universe=np.arange(g.n_left), grid_step=step, n_levels=cfg.n_levels,
-            penalty_mode=penalty_mode,
-        )
-        obj = _nll_from_mu(mu0, y) + 2.0 * cs0.pen_of_size(0)
-        return PmleResult(
-            rates=np.zeros(g.n_left), support=(), levels=(), objective=obj,
-            n_evaluated=0, exhaustive=False, localization=loc,
-        )
     cs = CandidateSet(
         universe=loc.a1,
         grid_step=cfg.grid_step,
@@ -630,43 +629,28 @@ def pmle_reduced(
         penalty_mode=penalty_mode,
         penalty_universe_size=g.n_left,
     )
-    if not cs.count_exceeds(exhaustive_cap):
+    if loc.a1.size == 0 or not cs.count_exceeds(exhaustive_cap):
         res = pmle_exhaustive(y, g, cs, cfg, scale)
         res.localization = loc
         return res
 
-    offset = cfg.offset_rates(g.n_left)
-    mu0 = scale * (g.csr_f @ offset)
+    mu0 = scale * (g.csr_f @ cfg.offset_rates(g.n_left))
     solve = sparse_poisson_solve(y, g, loc.a1, scale, mu_base=mu0)
     order = np.argsort(-solve.theta, kind="stable")
-    step = cs.grid_step
     s_max = min(loc.a1.size, cs.n_levels, max(2 * cfg.k, 32))
 
-    best = None
-    seen = set()
-    n_eval = 0
-    for s in range(0, s_max + 1):
-        chosen = np.sort(order[:s])
-        flows = loc.a1[chosen]
-        m = _grid_project(solve.theta[chosen], step, cs.n_levels)
-        keep = m > 0
-        supp = tuple(int(i) for i in flows[keep])
-        lv = tuple(int(v) for v in m[keep])
-        key = (supp, lv)
-        if key in seen:
-            continue
-        seen.add(key)
-        mu = mu0.copy()
-        if supp:
-            cols = g.columns[list(supp)].ravel()
-            np.add.at(mu, cols, np.repeat(scale * step * np.asarray(lv, float), g.d))
-        obj = _nll_from_mu(mu, y) + 2.0 * cs.pen_of_size(len(supp))
-        n_eval += 1
-        if best is None or obj < best[0]:
-            best = (obj, supp, lv)
-    obj, supp, lv = best
-    return PmleResult(
-        rates=cs.materialize(supp, lv, g.n_left),
-        support=supp, levels=lv, objective=obj,
-        n_evaluated=n_eval, exhaustive=False, localization=loc,
-    )
+    def path():
+        seen = set()
+        for s in range(0, s_max + 1):
+            chosen = np.sort(order[:s])
+            m = _grid_project(solve.theta[chosen], cs.grid_step, cs.n_levels)
+            keep = m > 0
+            key = (tuple(int(i) for i in loc.a1[chosen][keep]),
+                   tuple(int(v) for v in m[keep]))
+            if key not in seen:
+                seen.add(key)
+                yield key
+
+    res = _argmin(y, g, cs, mu0, scale, path(), exhaustive=False)
+    res.localization = loc
+    return res

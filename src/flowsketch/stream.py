@@ -59,7 +59,8 @@ class Dist:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Dist":
-        return cls(kind=d["kind"], value=float(d["value"]))
+        """Dist(**d): an unknown or a missing key raises TypeError."""
+        return cls(**d)
 
 
 def parse_dist(text: str) -> Dist:

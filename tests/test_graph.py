@@ -133,11 +133,15 @@ def test_verify_duplicate_columns_fail():
 
 def test_verify_matches_brute_force():
     """The recursive bitmask walk must agree with plain enumeration."""
-    for seed in range(6):
-        g = build_random_expander(12, 8, 3, seed=seed)
+    graphs = [build_random_expander(12, 8, 3, seed=seed) for seed in range(6)]
+    cols = graphs[0].columns.copy()
+    cols[7] = cols[3]  # a duplicated column: the pair {3, 7} has ratio 1/2
+    graphs.append(BipartiteGraph(n_left=12, n_right=8, d=3, columns=cols, seed=0))
+    for g in graphs:
         for k in (2, 3, 4):
             rep = verify_expansion(g, k, 0.25)
-            assert np.isclose(rep.worst_ratio, brute_expansion_ratio(g, k))
+            assert rep.worst_ratio == brute_expansion_ratio(g, k)
+    assert verify_expansion(graphs[-1], 2, 0.25).worst_ratio == 0.5
 
 
 def test_verify_spec_seed_and_fixture(ac2_seeds):
@@ -226,6 +230,8 @@ def test_greedy_cover_matches_rescan_oracle(g):
             greedy_cover(g)
         return
     cover = greedy_cover(g)
+    # each pick covers a new counter, so the cover fits in n_right members
+    assert len(cover) <= g.n_right
     assert cover.members.tolist() == want.tolist()
     assert np.flatnonzero(cover.indicator).tolist() == want.tolist()
 

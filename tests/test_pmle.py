@@ -430,10 +430,9 @@ def test_sparse_solve_monotone_trace():
         x[supp] = rng.uniform(0.5, 4.0, 3)
         y = rng.poisson(6.0 * apply_adjacency(g, x)).astype(float)
         base = np.full(m, 1e-3)
-        res = sparse_poisson_solve(y, g, supp, 6.0, mu_base=base,
-                                   collect_trace=True)
+        res = sparse_poisson_solve(y, g, supp, 6.0, mu_base=base)
         tr = res.trace
-        assert tr is not None and len(tr) >= 1
+        assert isinstance(tr, tuple) and len(tr) >= 1
         assert all(a >= b - 1e-9 * max(1.0, abs(a)) for a, b in zip(tr, tr[1:]))
 
 
@@ -441,6 +440,9 @@ def test_sparse_solve_monotone_trace():
 
 
 def test_reduced_empty_a1_warns():
+    # the zero candidate is scored against the full-universe code length
+    # under both penalty modes, and an empty A1 never reaches the
+    # continuous solve, even with exhaustive_cap=0
     g = hexad_graph()
     cover = greedy_cover(g)
     cfg = PmleConfig(l0=4.0, k=1, gamma=1.0, delta=1.0, c=0.1, cover=cover)
@@ -448,9 +450,21 @@ def test_reduced_empty_a1_warns():
         b1=np.arange(2), b2=np.arange(2, 4),
         a1=np.empty(0, dtype=np.int64), a2=np.arange(6),
     )
-    with pytest.warns(UserWarning):
-        res = pmle_reduced(np.ones(4), g, loc, cfg, 1.0)
-    assert not res.rates.any() and res.support == ()
+    y, scale = np.ones(4), 1.0
+    for penalty_mode in ("l0-scaled", "uniform"):
+        cs_full = CandidateSet(universe=np.arange(g.n_left),
+                               grid_step=cfg.grid_step, n_levels=cfg.n_levels,
+                               penalty_mode=penalty_mode)
+        want = (neg_log_likelihood(cfg.offset_rates(g.n_left), g, y, scale)
+                + 2.0 * cs_full.pen_of_size(0))
+        for cap in (10**6, 0):
+            with pytest.warns(UserWarning):
+                res = pmle_reduced(y, g, loc, cfg, scale, exhaustive_cap=cap,
+                                   penalty_mode=penalty_mode)
+            assert not res.rates.any() and res.support == ()
+            assert res.objective == want
+            assert res.n_evaluated == 1 and res.exhaustive
+            assert res.localization is loc
 
 
 def test_reduced_path_branch_exact_recovery(small_expander):

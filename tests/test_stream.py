@@ -61,6 +61,15 @@ def test_dist_dict_round_trip():
     assert Dist.from_dict(asdict(d)) == d
 
 
+@pytest.mark.parametrize("bad", [
+    {"kind": "constant", "value": 1, "vaule": 2},  # unknown key
+    {"kind": "constant"},  # missing key
+])
+def test_dist_from_dict_rejects_bad_keys(bad):
+    with pytest.raises(TypeError):
+        Dist.from_dict(bad)
+
+
 def test_signal_spec_validation():
     with pytest.raises(ValueError):
         SignalSpec(10, 11, CONST1, MINNOW, seed=0)
