@@ -12,12 +12,18 @@ Candidates live in rate units: a candidate lam contributes
 mu = scale * A @ lam to the counter means, scale = n_epochs * tau. This
 is the normalized-matrix convention with theta = n*tau*d*lam folded in;
 estimates are returned as rates directly, no trailing division.
+
+Candidates are scored in blocks, all level tuples of one support at a
+time, as arrays over the few counters that support touches. Near-ties of
+the batched values are rescored exactly, candidate by candidate, so the
+argmin, its objective and the tie-break (the candidate enumerated first)
+are those of scoring every candidate on its own.
 """
 
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Iterator, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -193,8 +199,9 @@ class CandidateSet:
         return total
 
     def count(self) -> int:
-        """|Lambda| = sum_s C(U,s)*C(G,s): supports times level tuples
-        (level tuples with s entries in [1,G] summing <= G number C(G,s))."""
+        """|Lambda| = sum_s C(U,s)*C(G,s): supports times level tuples.
+        A tuple of s levels in [1,G] summing to at most G is fixed by its
+        prefix sums, s distinct values in [1,G]: C(G,s) of them."""
         return self._count_sum(self.universe.size)
 
     def count_exceeds(self, cap: int) -> bool:
@@ -222,15 +229,24 @@ class CandidateSet:
             + KRAFT_CONSTANT
         )
 
-    def enumerate(self) -> Iterator[tuple[tuple, tuple]]:
-        """Yield (support, levels) pairs: support size ascending, supports
-        in lexicographic order, level tuples in lexicographic order."""
-        g = self.n_levels
+    def blocks(self) -> Iterator[tuple[tuple, np.ndarray]]:
+        """Yield (support, levels) blocks, one per support: support size
+        ascending, supports in lexicographic order, and levels an int
+        array of shape (C(G,s), s) holding every level tuple of that
+        support in lexicographic order. Supports of one size share one
+        read-only levels array."""
         universe = [int(i) for i in self.universe]
-        yield (), ()
-        for s in range(1, self._smax(len(universe)) + 1):
+        for s in range(self._smax(len(universe)) + 1):
+            levels = _level_tuples(s, self.n_levels)
             for supp in combinations(universe, s):
-                yield from ((supp, lv) for lv in _level_tuples(s, g))
+                yield supp, levels
+
+    def enumerate(self) -> Iterator[tuple[tuple, tuple]]:
+        """Yield every (support, levels) candidate as tuples, in the order
+        of `blocks`."""
+        for supp, levels in self.blocks():
+            for lv in levels.tolist():
+                yield supp, tuple(lv)
 
     def materialize(self, support: tuple, levels: tuple, n_flows: int) -> np.ndarray:
         out = np.zeros(n_flows, dtype=np.float64)
@@ -239,18 +255,23 @@ class CandidateSet:
         return out
 
 
-def _level_tuples(s: int, budget: int) -> Iterator[tuple]:
-    """Tuples of s integer levels in [1, budget] with sum <= budget,
-    lexicographic."""
+def _level_tuples(s: int, budget: int) -> np.ndarray:
+    """Every tuple of s integer levels in [1, budget] with sum <= budget,
+    lexicographic, as a read-only array of shape (C(budget,s), s) in the
+    smallest unsigned integer type that holds budget.
 
-    def rec(prefix: tuple, slots: int, remaining: int) -> Iterator[tuple]:
-        if slots == 0:
-            yield prefix
-            return
-        for m in range(1, remaining - (slots - 1) + 1):
-            yield from rec(prefix + (m,), slots - 1, remaining - m)
-
-    yield from rec((), s, budget)
+    The prefix sums of such a tuple are s increasing values in
+    [1, budget], and lexicographic order of the tuples is that of their
+    prefix sums, so the rows are the differences of
+    combinations(range(1, budget+1), s).
+    """
+    n = math.comb(budget, s)
+    out = np.fromiter(chain.from_iterable(combinations(range(1, budget + 1), s)),
+                      dtype=np.min_scalar_type(budget), count=n * s).reshape(n, s)
+    for j in range(s - 1, 0, -1):
+        out[:, j] -= out[:, j - 1]
+    out.setflags(write=False)
+    return out
 
 
 def penalty(candidate: np.ndarray, cs: CandidateSet) -> float:
@@ -394,8 +415,10 @@ def pmle_exhaustive(
 ) -> PmleResult:
     """Exact penalized-MLE argmin by full enumeration of the candidate set.
 
-    Guarded: refuses more than 10^6 candidates. Ties go to the candidate
-    enumerated first.
+    Guarded: refuses more than 10^6 candidates. Scoring is batched: all
+    level tuples of one support are scored as one array, and candidates
+    within rounding error of the minimum are rescored exactly, so ties
+    still go to the candidate enumerated first.
     """
     if cs.count_exceeds(_EXHAUSTIVE_GUARD):
         raise CandidateCountError(
@@ -408,7 +431,13 @@ def pmle_exhaustive(
     if not scale > 0:
         raise ValueError(f"scale must be positive, got {scale}")
     mu0 = scale * (g.csr_f @ cfg.offset_rates(g.n_left))
-    return _argmin(y, g, cs, mu0, scale, cs.enumerate(), exhaustive=True)
+    return _argmin(y, g, cs, mu0, scale, cs.blocks(), exhaustive=True)
+
+
+# Rows of a level block scored per array operation, so the one scoring
+# buffer stays at most _CHUNK_ROWS * s * d floats however many tuples the
+# block has.
+_CHUNK_ROWS = 1024
 
 
 def _argmin(
@@ -417,30 +446,104 @@ def _argmin(
     cs: CandidateSet,
     mu0: np.ndarray,
     scale: float,
-    candidates: Iterable[tuple[tuple, tuple]],
+    blocks: Iterable[tuple[tuple, np.ndarray]],
     exhaustive: bool,
 ) -> PmleResult:
-    """Score each (support, levels) candidate as NLL(candidate + offset) +
-    2*pen(candidate), mu0 being the offset's counter means, and keep the
-    first minimum."""
-    step = cs.grid_step
-    best = None
+    """First minimizer, in enumeration order, of NLL(candidate + offset) +
+    2*pen(candidate) over (support, levels) blocks, mu0 being the offset's
+    counter means.
+
+    A block is scored as arrays, in row chunks. A candidate changes mu0
+    only on the counters T its support touches, so its objective is
+    sum(mu0) + scale*step*d*sum(levels), minus the y*ln(mu) terms of the
+    untouched counters (summed once per call), minus those of T, plus the
+    penalty; a positive counter left at mean zero makes it +inf. These
+    sums are reassociated, so they only screen: each candidate whose
+    value is within a rounding-error bound of the running minimum is
+    rescored exactly by `_score`, in enumeration order, and the first
+    strict minimum wins. That is the candidate, objective and count a
+    one-by-one loop over `_score` returns. When every candidate is +inf
+    the first one is returned.
+    """
+    a = scale * cs.grid_step
+    pos = y > 0
+    live = pos & (mu0 > 0)
+    w = np.zeros_like(mu0)
+    w[live] = y[live] * np.log(mu0[live])
+    dead = pos & ~live
+    n_dead = int(dead.sum())
+    mu0_sum, w_sum, w_abs = float(mu0.sum()), float(w.sum()), float(np.abs(w).sum())
+    y_sum = float(y.sum())
+    best = None  # (exact objective, support, levels) of the running minimum
+    first = None
+    best_hi = math.inf  # least upper bound on any screened objective so far
     n_eval = 0
-    for supp, lv in candidates:
-        mu = mu0.copy()
-        if supp:
-            cols = g.columns[list(supp)].ravel()
-            np.add.at(mu, cols, np.repeat(scale * step * np.asarray(lv, float), g.d))
-        obj = _nll_from_mu(mu, y) + 2.0 * cs.pen_of_size(len(supp))
-        n_eval += 1
-        if best is None or obj < best[0]:
-            best = (obj, supp, lv)
-    obj, supp, lv = best
+    for supp, levels in blocks:
+        n_eval += len(levels)
+        if first is None:
+            first = (supp, tuple(levels[0].tolist()))
+        s = len(supp)
+        touched, inv = np.unique(g.columns[list(supp)].ravel(), return_inverse=True)
+        if dead[touched].sum() < n_dead:
+            continue  # an untouched positive counter keeps mean zero
+        inc = np.zeros((s, touched.size))  # a flow's d counters are distinct
+        inc[np.repeat(np.arange(s), g.d), inv] = 1.0
+        keep = pos[touched]
+        inc = inc[:, keep]
+        y_t, mu0_t = y[touched[keep]], mu0[touched[keep]]
+        rest = w_sum - float(w[touched].sum())
+        pen2 = 2.0 * cs.pen_of_size(s)
+        # first-order rounding bound of either evaluation, per unit of the
+        # summed term magnitudes (the objective itself can cancel)
+        tol_k = 4.0 * (y.size + s * g.d + 8) * np.finfo(np.float64).eps
+        for lo in range(0, len(levels), _CHUNK_ROWS):
+            lv = levels[lo:lo + _CHUNK_ROWS]
+            lvf = lv.astype(np.float64)
+            mass = mu0_sum + (a * g.d) * lvf.sum(axis=1)
+            # one (rows, |T|) buffer, in place: mu, then y*ln(mu), then |y*ln(mu)|
+            buf = lvf @ inc
+            buf *= a
+            buf += mu0_t
+            bad = (buf <= 0).any(axis=1)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                np.log(buf, out=buf)
+            buf *= y_t
+            obj = mass - (rest + buf.sum(axis=1)) + pen2
+            np.abs(buf, out=buf)
+            tol = tol_k * (mass + w_abs + buf.sum(axis=1) + y_sum + abs(pen2))
+            obj[bad], tol[bad] = math.inf, 0.0
+            best_hi = min(best_hi, float((obj + tol).min()))
+            if best_hi == math.inf:
+                continue
+            for j in np.nonzero(obj - tol <= best_hi)[0]:
+                cand = tuple(lv[j].tolist())
+                exact = _score(y, g, cs, mu0, scale, supp, cand)
+                if best is None or exact < best[0]:
+                    best = (exact, supp, cand)
+    obj, supp, lv = best if best is not None else (math.inf, *first)
     return PmleResult(
         rates=cs.materialize(supp, lv, g.n_left),
         support=supp, levels=lv, objective=obj,
         n_evaluated=n_eval, exhaustive=exhaustive,
     )
+
+
+def _score(
+    y: np.ndarray,
+    g: BipartiteGraph,
+    cs: CandidateSet,
+    mu0: np.ndarray,
+    scale: float,
+    supp: tuple,
+    lv: tuple,
+) -> float:
+    """NLL(candidate + offset) + 2*pen(candidate) of one candidate, over
+    all counters."""
+    mu = mu0.copy()
+    if supp:
+        cols = g.columns[list(supp)].ravel()
+        np.add.at(mu, cols, np.repeat(scale * cs.grid_step * np.asarray(lv, float), g.d))
+    return _nll_from_mu(mu, y) + 2.0 * cs.pen_of_size(len(supp))
 
 
 @dataclass
@@ -645,11 +748,11 @@ def pmle_reduced(
             chosen = np.sort(order[:s])
             m = _grid_project(solve.theta[chosen], cs.grid_step, cs.n_levels)
             keep = m > 0
-            key = (tuple(int(i) for i in loc.a1[chosen][keep]),
-                   tuple(int(v) for v in m[keep]))
+            supp = tuple(int(i) for i in loc.a1[chosen][keep])
+            key = (supp, tuple(int(v) for v in m[keep]))
             if key not in seen:
                 seen.add(key)
-                yield key
+                yield supp, m[keep][None, :]
 
     res = _argmin(y, g, cs, mu0, scale, path(), exhaustive=False)
     res.localization = loc

@@ -5,11 +5,12 @@ oracles use dense algebra and plain enumeration so they stay trustworthy
 as reference implementations.
 """
 
+import math
 from itertools import combinations
 
 import numpy as np
 
-from flowsketch import BipartiteGraph, GraphConstructionError
+from flowsketch import BipartiteGraph, GraphConstructionError, PmleResult
 
 
 def affine_plane_graph() -> BipartiteGraph:
@@ -117,3 +118,48 @@ def greedy_cover_rescan(g: BipartiteGraph) -> np.ndarray:
         members.append(pick)
         uncovered[g.columns[pick]] = False
     return np.array(sorted(members), dtype=np.int64)
+
+
+def level_tuples_recursive(s: int, budget: int):
+    """Tuples of s integer levels in [1, budget] with sum <= budget,
+    lexicographic, built one prefix at a time."""
+
+    def rec(prefix: tuple, slots: int, remaining: int):
+        if slots == 0:
+            yield prefix
+            return
+        for m in range(1, remaining - (slots - 1) + 1):
+            yield from rec(prefix + (m,), slots - 1, remaining - m)
+
+    yield from rec((), s, budget)
+
+
+def _nll_from_mu(mu: np.ndarray, y: np.ndarray) -> float:
+    pos = y > 0
+    if (mu[pos] <= 0).any():
+        return math.inf
+    return float(mu.sum() - (y[pos] * np.log(mu[pos])).sum())
+
+
+def argmin_scalar(y, g, cs, mu0, scale, candidates, exhaustive) -> PmleResult:
+    """Score each (support, levels) candidate as NLL(candidate + offset) +
+    2*pen(candidate) over all counters, one candidate at a time, and keep
+    the first minimum."""
+    step = cs.grid_step
+    best = None
+    n_eval = 0
+    for supp, lv in candidates:
+        mu = mu0.copy()
+        if supp:
+            cols = g.columns[list(supp)].ravel()
+            np.add.at(mu, cols, np.repeat(scale * step * np.asarray(lv, float), g.d))
+        obj = _nll_from_mu(mu, y) + 2.0 * cs.pen_of_size(len(supp))
+        n_eval += 1
+        if best is None or obj < best[0]:
+            best = (obj, supp, lv)
+    obj, supp, lv = best
+    return PmleResult(
+        rates=cs.materialize(supp, lv, g.n_left),
+        support=supp, levels=lv, objective=obj,
+        n_evaluated=n_eval, exhaustive=exhaustive,
+    )

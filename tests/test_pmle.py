@@ -1,10 +1,15 @@
 """Penalized-MLE decoder tests: grids, penalties, localization, solvers."""
 
 import math
+import tracemalloc
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowsketch import (
     KRAFT_CONSTANT,
@@ -29,8 +34,11 @@ from flowsketch import (
     run_epochs,
     sparse_poisson_solve,
 )
-from flowsketch.graph import BipartiteGraph
+from flowsketch import pmle as pmle_module
+from flowsketch.graph import BipartiteGraph, CoverSet
 from flowsketch.seeds import stable_seed
+
+from helpers import argmin_scalar, level_tuples_recursive
 
 CONST1 = Dist("constant", 1.0)
 ZERO = Dist("constant", 0.0)
@@ -202,6 +210,14 @@ def test_candidate_count_matches_enumeration():
         assert all(1 <= m <= 3 for m in lv) and sum(lv) <= 3
         vec = cs.materialize(supp, lv, 5)
         assert vec.sum() <= cs.l0 + 1e-12
+
+
+@pytest.mark.parametrize("s, budget", [(s, g) for g in range(1, 11)
+                                        for s in range(1, g + 1)] + [(3, 64)])
+def test_level_tuples_match_recursive_oracle(s, budget):
+    got = pmle_module._level_tuples(s, budget)
+    assert got.shape == (math.comb(budget, s), s)
+    assert [tuple(r) for r in got.tolist()] == list(level_tuples_recursive(s, budget))
 
 
 def test_candidate_count_exceeds():
@@ -524,3 +540,156 @@ def test_reduced_matches_exhaustive_small():
             matched += 1
         assert not red.support or np.isin(np.array(red.support), loc.a1).all()
     assert qualified == 12 and matched == 12
+
+
+# ---------------------------------------------------------------- batched scoring
+
+
+def _scalar_argmin(y, g, cs, mu0, scale, blocks, exhaustive):
+    flat = ((supp, tuple(lv)) for supp, levels in blocks for lv in levels.tolist())
+    return argmin_scalar(y, g, cs, mu0, scale, flat, exhaustive)
+
+
+def _outcome(decode):
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            return decode()
+    except ValueError as e:  # the reduced path's infeasibility precheck
+        return str(e)
+
+
+def assert_matches_scalar(decode):
+    """decode() gives the argmin, objective and count that scoring each
+    candidate on its own gives."""
+    got = _outcome(decode)
+    with mock.patch.object(pmle_module, "_argmin", _scalar_argmin):
+        want = _outcome(decode)
+    if isinstance(want, str):
+        assert got == want
+        return got
+    assert got.support == want.support and got.levels == want.levels
+    assert got.objective == want.objective
+    assert got.n_evaluated == want.n_evaluated
+    assert got.exhaustive == want.exhaustive
+    assert np.array_equal(got.rates, want.rates)
+    return got
+
+
+def _check_against_scalar(columns, n_right, universe, n_levels, step, scale,
+                          y, c, cover_members, penalty_mode):
+    columns = np.array(columns, dtype=np.int32)
+    g = BipartiteGraph(n_left=len(columns), n_right=n_right,
+                       d=columns.shape[1], columns=columns, seed=0)
+    indicator = np.zeros(g.n_left, dtype=np.int8)
+    indicator[list(cover_members)] = 1
+    cover = CoverSet(members=np.array(sorted(cover_members), dtype=np.int64),
+                     indicator=indicator)
+    cfg = PmleConfig(l0=n_levels * step, k=1, gamma=1.0, delta=step * step,
+                     c=c, cover=cover)
+    cs = CandidateSet(universe=np.array(sorted(universe), dtype=np.int64),
+                      grid_step=step, n_levels=n_levels,
+                      penalty_mode=penalty_mode, penalty_universe_size=g.n_left)
+    y = np.array(y, dtype=np.float64)
+    full = assert_matches_scalar(lambda: pmle_exhaustive(y, g, cs, cfg, scale))
+    assert full.n_evaluated == cs.count()
+    a1 = cs.universe
+    loc = WhaleLocalization(b1=np.arange(n_right), b2=np.empty(0, dtype=np.int64),
+                            a1=a1, a2=np.setdiff1d(np.arange(g.n_left), a1))
+    assert_matches_scalar(lambda: pmle_reduced(y, g, loc, cfg, scale,
+                                               exhaustive_cap=0,
+                                               penalty_mode=penalty_mode))
+    return full
+
+
+@st.composite
+def scoring_instances(draw):
+    """Up to 7 flows over 2-7 counters. Columns come from a pool that may
+    be smaller than the flow count, so duplicated columns force exact
+    ties; counters may be all zero, and with c=0 a positive counter
+    outside every support makes every candidate +inf."""
+    n_right = draw(st.integers(2, 7))
+    d = draw(st.integers(1, min(3, n_right)))
+    column = st.permutations(range(n_right)).map(lambda p: sorted(p[:d]))
+    pool = draw(st.lists(column, min_size=1, max_size=4))
+    columns = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=7))
+    flows = st.integers(0, len(columns) - 1)
+    counts = st.lists(st.integers(0, 6), min_size=n_right, max_size=n_right)
+    return dict(
+        columns=columns, n_right=n_right,
+        universe=draw(st.sets(flows, max_size=4)),
+        n_levels=draw(st.integers(1, 4)),
+        step=draw(st.sampled_from([0.3, 0.5, 1.0, 2.5])),
+        scale=draw(st.sampled_from([1.0, 3.0, 7.5, 40.0])),
+        y=draw(st.one_of(st.just([0] * n_right), counts)),
+        c=draw(st.sampled_from([0.0, 0.05, 0.4])),
+        cover_members=draw(st.sets(flows)),
+        penalty_mode=draw(st.sampled_from(["l0-scaled", "uniform"])),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(scoring_instances())
+def test_batched_scoring_matches_scalar_oracle(inst):
+    _check_against_scalar(**inst)
+
+
+_EDGE = dict(columns=[[0, 1], [0, 2], [1, 2], [0, 1]], n_right=4,
+             universe={0, 1, 2, 3}, n_levels=3, step=0.5, scale=8.0,
+             y=[8, 8, 0, 0], c=0.1, cover_members={1, 2},
+             penalty_mode="l0-scaled")
+
+
+@pytest.mark.parametrize("penalty_mode", ["l0-scaled", "uniform"])
+@pytest.mark.parametrize("case, edit", [
+    ("duplicated-columns", {}),  # flows 0 and 3 tie exactly
+    ("zero-counters", dict(y=[0, 0, 0, 0])),
+    ("all-infinite", dict(c=0.0, y=[4, 2, 2, 3])),  # counter 3 unreachable
+    ("empty-universe", dict(universe=set())),
+])
+def test_batched_scoring_edge_cases(case, edit, penalty_mode):
+    res = _check_against_scalar(**{**_EDGE, **edit, "penalty_mode": penalty_mode})
+    if case == "duplicated-columns":
+        assert res.support == (0,)  # not (3,): the first enumerated wins
+    if case in ("all-infinite", "empty-universe"):
+        assert res.support == ()
+    if case == "all-infinite":
+        assert res.objective == math.inf
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_batched_scoring_matches_scalar_oracle_5k(seed):
+    # README size with k=3: |A1| = 3 and 47,905 candidates, enumerated
+    g, cover, _ = build_graph_with_cover(5000, 800, 8, stable_seed(seed, "g"))
+    truth = gen_rates(SignalSpec(5000, 3, CONST1, Dist("abs-gaussian", 1e-6),
+                                 seed=stable_seed(seed, "s")))
+    st_ = StreamState(graph=g, rates=truth, tau=1.0, seed=stable_seed(seed, "st"))
+    run_epochs(st_, 40)
+    cfg = PmleConfig.from_problem(5000, 3, l0=1.25 * truth.l1(), cover=cover,
+                                  levels=64)
+    loc = localize_whales(st_.y, g, 3)
+    res = assert_matches_scalar(lambda: pmle_reduced(st_.y, g, loc, cfg, 40.0))
+    assert res.exhaustive and res.n_evaluated == 47_905
+
+
+def test_exhaustive_scoring_memory_is_chunked():
+    # |A1| = 4 with 64 levels: 814,385 candidates, 635,376 of them on the
+    # one support of size 4. Scored as one array, that block would need
+    # over 150 MB per float temporary.
+    g = build_random_expander(40, 24, 8, seed=17)
+    cover = greedy_cover(g)
+    truth = np.zeros(40)
+    truth[[3, 30]] = 2.0
+    y = 40.0 * apply_adjacency(g, truth)
+    cfg = PmleConfig.from_problem(40, 2, 8.0, cover, gamma=0.05, levels=64)
+    cs = CandidateSet(universe=np.array([3, 9, 17, 30]), grid_step=cfg.grid_step,
+                      n_levels=cfg.n_levels, penalty_universe_size=40)
+    tracemalloc.start()
+    try:
+        res = pmle_exhaustive(y, g, cs, cfg, 40.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.n_evaluated == cs.count() == 814_385
+    assert res.support == (3, 30)
+    assert peak < 32 * 2**20
