@@ -2,13 +2,14 @@
 
 A counter bank aggregates N flows into M counters (M <= N) through a
 sparse binary matrix: flow i increments the d counters listed in
-``columns[i]``. Construction is randomized but fully determined by an
-integer seed; expansion quality of small instances can be certified by
-brute force.
+``columns[i]``. That (N, d) array is the graph; the one structure derived
+from it and cached is ``csr``, the flows of each counter.
+Construction is randomized but fully determined by an integer seed;
+expansion quality of small instances can be certified by brute force.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
@@ -43,7 +44,9 @@ class EnumerationCapExceeded(ValueError):
 class BipartiteGraph:
     """Immutable left-d-regular bipartite graph in column-major form.
 
-    columns[i] holds the sorted, distinct counter indices of flow i.
+    columns[i] holds the sorted, distinct counter indices of flow i; it
+    alone defines the graph. `csr` is its one cached counter-major index,
+    read by `greedy_cover`, `apply_adjacency` and `lp.basis_pursuit`.
     """
 
     n_left: int
@@ -76,7 +79,8 @@ class BipartiteGraph:
 
     @cached_property
     def csr(self) -> sp.csr_matrix:
-        """Integer adjacency matrix, shape (n_right, n_left)."""
+        """Integer adjacency matrix, shape (n_right, n_left): row j lists
+        the flows incident to counter j, in increasing order."""
         n, d = self.n_left, self.d
         indptr = np.arange(0, n * d + 1, d)
         data = np.ones(n * d, dtype=np.int64)
@@ -84,15 +88,6 @@ class BipartiteGraph:
             (data, self.columns.ravel(), indptr), shape=(self.n_right, n)
         )
         return csc.tocsr()
-
-    @cached_property
-    def csr_f(self) -> sp.csr_matrix:
-        """Float adjacency matrix for solvers."""
-        return self.csr.astype(np.float64)
-
-    @cached_property
-    def csc_f(self) -> sp.csc_matrix:
-        return self.csr_f.tocsc()
 
     def neighbor_masks(self) -> list:
         """Per-flow counter sets as int bitmasks (for subset enumeration)."""
@@ -287,13 +282,13 @@ def build_graph_with_cover(
 
 def apply_adjacency(g: BipartiteGraph, x: np.ndarray) -> np.ndarray:
     """Counter contents for flow totals x: y_j = sum of x_i over flows
-    incident to counter j. Exact integer arithmetic for integer x."""
+    incident to counter j. Exact int64 arithmetic for integer x, float64
+    otherwise."""
     x = np.asarray(x)
     if x.shape != (g.n_left,):
         raise ValueError(f"x has shape {x.shape}, expected ({g.n_left},)")
-    if np.issubdtype(x.dtype, np.integer):
-        return g.csr @ x.astype(np.int64)
-    return g.csr_f @ x.astype(np.float64)
+    exact = np.issubdtype(x.dtype, np.integer)
+    return g.csr @ x.astype(np.int64 if exact else np.float64)
 
 
 def save_graph(g: BipartiteGraph, path) -> None:

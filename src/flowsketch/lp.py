@@ -2,8 +2,10 @@
 
 Solves min ||u||_1 subject to A u = y with a self-contained Mehrotra
 predictor-corrector interior-point method on the split formulation
-u = p - q, p,q >= 0 (normal equations, dense M x M Cholesky). Every
-solve records its per-iteration objective and residual in the solution.
+u = p - q, p,q >= 0 (normal equations, dense M x M Cholesky). A is the
+graph's counter-major `csr`, converted to float for the length of one
+solve and not kept. Every solve records its per-iteration objective and
+residual in the solution.
 
 Termination is certified, not hoped for: any dual vector nu scaled by
 max(1, ||A^T nu||_inf) is feasible for the dual (max y.nu subject to
@@ -184,7 +186,7 @@ def basis_pursuit(
     tol_feas = dt_feas if tol_feas is None else tol_feas
     tol_obj = dt_obj if tol_obj is None else tol_obj
 
-    a = g.csr_f
+    a = g.csr.astype(np.float64)
     row_empty = np.diff(a.indptr) == 0
     if (row_empty & (y != 0)).any():
         return LpSolution(

@@ -20,6 +20,7 @@ argmin, its objective and the tie-break (the candidate enumerated first)
 are those of scoring every candidate on its own.
 """
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -27,8 +28,9 @@ from itertools import chain, combinations
 from typing import Iterable, Iterator, NamedTuple, Optional, Tuple
 
 import numpy as np
+import scipy.sparse as sp
 
-from .graph import BipartiteGraph, CoverSet
+from .graph import BipartiteGraph, CoverSet, apply_adjacency
 
 __all__ = [
     "KRAFT_CONSTANT",
@@ -255,10 +257,13 @@ class CandidateSet:
         return out
 
 
+@functools.lru_cache(maxsize=16)
 def _level_tuples(s: int, budget: int) -> np.ndarray:
     """Every tuple of s integer levels in [1, budget] with sum <= budget,
     lexicographic, as a read-only array of shape (C(budget,s), s) in the
-    smallest unsigned integer type that holds budget.
+    smallest unsigned integer type that holds budget. Cached: read-only,
+    a function of (s, budget) alone, and under the exhaustive guard each
+    has at most 10^6 rows.
 
     The prefix sums of such a tuple are s increasing values in
     [1, budget], and lexicographic order of the tuples is that of their
@@ -329,20 +334,14 @@ def kraft_audit(cs: CandidateSet, exhaustive_cap: int = 10**5) -> KraftAudit:
 
 @dataclass(frozen=True)
 class WhaleLocalization:
-    """Output of the counter-sorting pass.
+    """Output of the counter-sorting pass: a1 holds, sorted, the flows
+    whose every counter ranks among the (up to) kd largest."""
 
-    b1 holds the (up to) kd largest counters, b2 the rest; a1 the flows
-    whose every counter lies in b1, a2 the complement. All sorted.
-    """
-
-    b1: np.ndarray
-    b2: np.ndarray
     a1: np.ndarray
-    a2: np.ndarray
 
 
 def localize_whales(y: np.ndarray, g: BipartiteGraph, k: int) -> WhaleLocalization:
-    """Split flows by whether all their counters rank among the kd largest.
+    """The flows whose counters all rank among the kd largest.
 
     Ties in the counter ranking break toward the lowest index. When
     kd >= M every counter is large and a1 is all flows (the reduction
@@ -355,17 +354,10 @@ def localize_whales(y: np.ndarray, g: BipartiteGraph, k: int) -> WhaleLocalizati
         raise ValueError(f"k must be >= 1, got {k}")
     t = min(k * g.d, g.n_right)
     order = np.argsort(-np.asarray(y, dtype=np.float64), kind="stable")
-    b1 = np.sort(order[:t])
-    b2 = np.sort(order[t:])
     big = np.zeros(g.n_right, dtype=bool)
-    big[b1] = True
-    all_big = big[g.columns].all(axis=1)
-    a1 = np.nonzero(all_big)[0].astype(np.int64)
-    a2 = np.nonzero(~all_big)[0].astype(np.int64)
-    return WhaleLocalization(
-        b1=b1.astype(np.int64), b2=b2.astype(np.int64),
-        a1=a1, a2=a2,
-    )
+    big[order[:t]] = True
+    a1 = np.nonzero(big[g.columns].all(axis=1))[0].astype(np.int64)
+    return WhaleLocalization(a1=a1)
 
 
 def neg_log_likelihood(
@@ -384,8 +376,7 @@ def neg_log_likelihood(
     if not scale > 0:
         raise ValueError(f"scale must be positive, got {scale}")
     y = np.asarray(y, dtype=np.float64)
-    mu = scale * (g.csr_f @ theta)
-    return _nll_from_mu(mu, y)
+    return _nll_from_mu(scale * apply_adjacency(g, theta), y)
 
 
 def _nll_from_mu(mu: np.ndarray, y: np.ndarray) -> float:
@@ -430,7 +421,7 @@ def pmle_exhaustive(
         raise ValueError(f"y has shape {y.shape}, expected ({g.n_right},)")
     if not scale > 0:
         raise ValueError(f"scale must be positive, got {scale}")
-    mu0 = scale * (g.csr_f @ cfg.offset_rates(g.n_left))
+    mu0 = scale * apply_adjacency(g, cfg.offset_rates(g.n_left))
     return _argmin(y, g, cs, mu0, scale, cs.blocks(), exhaustive=True)
 
 
@@ -555,6 +546,16 @@ class SparseSolveResult:
     trace: Tuple[float, ...]  # objective after the start and each accepted step
 
 
+def _support_matrix(g: BipartiteGraph, support: np.ndarray) -> sp.csr_matrix:
+    """A[:, support] as a float CSR matrix, read from the columns of the
+    support flows."""
+    nnz = support.size * g.d
+    return sp.csc_matrix(
+        (np.ones(nnz), g.columns[support].ravel(), np.arange(0, nnz + 1, g.d)),
+        shape=(g.n_right, support.size),
+    ).tocsr()
+
+
 def sparse_poisson_solve(
     y: np.ndarray,
     g: BipartiteGraph,
@@ -578,7 +579,7 @@ def sparse_poisson_solve(
     y = np.asarray(y, dtype=np.float64)
     if not scale > 0:
         raise ValueError(f"scale must be positive, got {scale}")
-    a_s = g.csc_f[:, support].tocsr()
+    a_s = _support_matrix(g, support)
     if mu_base is None:
         mu_base = np.zeros(g.n_right)
     covered = np.asarray((a_s @ np.ones(support.size)) > 0)
@@ -737,7 +738,7 @@ def pmle_reduced(
         res.localization = loc
         return res
 
-    mu0 = scale * (g.csr_f @ cfg.offset_rates(g.n_left))
+    mu0 = scale * apply_adjacency(g, cfg.offset_rates(g.n_left))
     solve = sparse_poisson_solve(y, g, loc.a1, scale, mu_base=mu0)
     order = np.argsort(-solve.theta, kind="stable")
     s_max = min(loc.a1.size, cs.n_levels, max(2 * cfg.k, 32))

@@ -41,7 +41,7 @@ def oracle_2sparse(g: BipartiteGraph, y: np.ndarray):
     coefficients, and returns the one of minimum l1 norm (None if no pair
     fits). Vectorized over pairs; near-singular pairs fall back to lstsq.
     """
-    a = g.csr_f.toarray()
+    a = g.csr.toarray().astype(np.float64)
     n = g.n_left
     gram = a.T @ a
     b = a.T @ y
@@ -118,6 +118,12 @@ def greedy_cover_rescan(g: BipartiteGraph) -> np.ndarray:
         members.append(pick)
         uncovered[g.columns[pick]] = False
     return np.array(sorted(members), dtype=np.int64)
+
+
+def support_matrix_via_csc(g: BipartiteGraph, support: np.ndarray):
+    """A[:, support] as float CSR by slicing a full float CSC copy of the
+    adjacency, the construction the sparse Poisson solve used to read."""
+    return g.csr.astype(np.float64).tocsc()[:, support].tocsr()
 
 
 def level_tuples_recursive(s: int, budget: int):

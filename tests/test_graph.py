@@ -1,5 +1,8 @@
 """Graph construction, expansion checking, covers, and serialization."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +21,9 @@ from flowsketch import (
     verify_expansion,
 )
 
-from helpers import brute_expansion_ratio, greedy_cover_rescan
+from flowsketch.pmle import _support_matrix
+
+from helpers import brute_expansion_ratio, greedy_cover_rescan, support_matrix_via_csc
 
 
 def test_complete_graph_forced():
@@ -260,3 +265,81 @@ def test_save_load_round_trip(tmp_path):
     path2 = tmp_path / "again.txt"
     save_graph(g2, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def _graph(rows, n_right):
+    return BipartiteGraph(n_left=len(rows), n_right=n_right, d=len(rows[0]),
+                          columns=np.array(rows, dtype=np.int32), seed=0)
+
+
+def _dense(g):
+    ref = np.zeros((g.n_right, g.n_left), dtype=np.int64)
+    for i, col in enumerate(g.columns):
+        ref[col, i] = 1
+    return ref
+
+
+# d = M, a single flow, and duplicated columns, beside the drawn graphs
+adjacency_graphs = st.one_of(st.sampled_from([
+    _graph([[0, 1, 2]] * 4, 3),
+    _graph([[1, 4]], 5),
+    _graph([[0, 2], [1, 3], [0, 2], [0, 2], [1, 3]], 4),
+]), small_graphs())
+
+
+@settings(max_examples=200, deadline=None)
+@given(adjacency_graphs)
+def test_csr_is_dense_incidence_with_sorted_rows(g):
+    a = g.csr
+    assert a.shape == (g.n_right, g.n_left) and a.dtype == np.int64
+    assert np.array_equal(a.toarray(), _dense(g))
+    for j in range(g.n_right):
+        assert (np.diff(a.indices[a.indptr[j]:a.indptr[j + 1]]) > 0).all()
+
+
+@settings(max_examples=200, deadline=None)
+@given(adjacency_graphs, st.data())
+def test_apply_adjacency_matches_dense_product(g, data):
+    dense = _dense(g)
+    n = g.n_left
+    xi = np.array(data.draw(st.lists(st.integers(-2**40, 2**40),
+                                     min_size=n, max_size=n)), dtype=np.int64)
+    yi = apply_adjacency(g, xi)
+    assert yi.dtype == np.int64 and np.array_equal(yi, dense @ xi)
+    xf = np.array(data.draw(st.lists(st.floats(-1e6, 1e6), min_size=n,
+                                     max_size=n)), dtype=np.float64)
+    yf = apply_adjacency(g, xf)
+    assert yf.dtype == np.float64
+    # relative to the summed magnitudes, since the sums may cancel
+    assert (np.abs(yf - dense @ xf) <= 1e-12 * (dense @ np.abs(xf))).all()
+
+
+@settings(max_examples=200, deadline=None)
+@given(adjacency_graphs, st.data())
+def test_support_matrix_matches_csc_slice(g, data):
+    support = np.array(data.draw(st.lists(st.integers(0, g.n_left - 1),
+                                          min_size=1, max_size=g.n_left,
+                                          unique=True)), dtype=np.int64)
+    got = _support_matrix(g, support)
+    want = support_matrix_via_csc(g, support)
+    assert got.shape == want.shape
+    for part in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, part), getattr(want, part)), part
+    assert got.data.dtype == want.data.dtype == np.float64
+
+
+@settings(max_examples=100, deadline=None)
+@given(adjacency_graphs, st.integers(-2**63, 2**63 - 1))
+def test_save_load_round_trip_property(g, seed):
+    g = BipartiteGraph(g.n_left, g.n_right, g.d, g.columns, seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "graph.txt"
+        save_graph(g, path)
+        back = load_graph(path)
+        assert (back.n_left, back.n_right, back.d, back.seed) == \
+            (g.n_left, g.n_right, g.d, seed)
+        assert back.columns.dtype == np.int32
+        assert np.array_equal(back.columns, g.columns)
+        again = Path(tmp) / "again.txt"
+        save_graph(back, again)
+        assert again.read_bytes() == path.read_bytes()
