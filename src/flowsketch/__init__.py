@@ -15,7 +15,6 @@ from .graph import (
     EnumerationCapExceeded,
     ExpansionReport,
     GraphConstructionError,
-    apply_adjacency,
     build_graph_with_cover,
     build_random_expander,
     greedy_cover,
@@ -25,11 +24,8 @@ from .graph import (
 )
 from .lp import LpSolution, NumericalError, basis_pursuit, direct_estimate
 from .metrics import (
-    KTermDecomposition,
     RelativeError,
-    RiskEstimate,
     best_k_term,
-    empirical_risk,
     positive_clip,
     relative_l1_error,
     support_recovery_success,
@@ -39,29 +35,21 @@ from .pmle import (
     KRAFT_CONSTANT,
     CandidateCountError,
     CandidateSet,
-    KraftAudit,
     PmleConfig,
     PmleResult,
     SparseSolveResult,
     WhaleLocalization,
-    kraft_audit,
     localize_whales,
-    neg_log_likelihood,
-    penalty,
     pmle_exhaustive,
     pmle_reduced,
     sparse_poisson_solve,
 )
 from .stream import (
     Dist,
-    HeavyTailCheck,
-    HeavyTailParams,
     RateVector,
     SignalSpec,
     StreamState,
     advance_epoch,
-    check_heavy_tail,
-    counters_consistent,
     gen_rates,
     parse_dist,
     run_epochs,

@@ -11,7 +11,6 @@ expansion quality of small instances can be certified by brute force.
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 
 import numpy as np
 import scipy.sparse as sp
@@ -22,7 +21,6 @@ __all__ = [
     "ExpansionReport",
     "GraphConstructionError",
     "EnumerationCapExceeded",
-    "apply_adjacency",
     "build_graph_with_cover",
     "build_random_expander",
     "greedy_cover",
@@ -46,7 +44,7 @@ class BipartiteGraph:
 
     columns[i] holds the sorted, distinct counter indices of flow i; it
     alone defines the graph. `csr` is its one cached counter-major index,
-    read by `greedy_cover`, `apply_adjacency` and `lp.basis_pursuit`.
+    read by `greedy_cover` and `lp.basis_pursuit`.
     """
 
     n_left: int
@@ -79,11 +77,12 @@ class BipartiteGraph:
 
     @cached_property
     def csr(self) -> sp.csr_matrix:
-        """Integer adjacency matrix, shape (n_right, n_left): row j lists
-        the flows incident to counter j, in increasing order."""
+        """0/1 adjacency matrix, shape (n_right, n_left): row j lists the
+        flows incident to counter j, in increasing order. The ones are
+        int8; products with wider operands upcast them."""
         n, d = self.n_left, self.d
         indptr = np.arange(0, n * d + 1, d)
-        data = np.ones(n * d, dtype=np.int64)
+        data = np.ones(n * d, dtype=np.int8)
         csc = sp.csc_matrix(
             (data, self.columns.ravel(), indptr), shape=(self.n_right, n)
         )
@@ -102,15 +101,11 @@ class CoverSet:
     """Left nodes whose neighborhoods jointly cover every counter."""
 
     members: np.ndarray  # sorted flow indices
-    indicator: np.ndarray  # 0/1 vector, length n_left
 
     def __post_init__(self):
         m = np.asarray(self.members, dtype=np.int64)
-        ind = np.asarray(self.indicator, dtype=np.int8)
         m.setflags(write=False)
-        ind.setflags(write=False)
         object.__setattr__(self, "members", m)
-        object.__setattr__(self, "indicator", ind)
 
     def __len__(self):
         return len(self.members)
@@ -246,10 +241,7 @@ def greedy_cover(g: BipartiteGraph) -> CoverSet:
         n_uncovered -= newly.size
         for j in newly:
             gains[flows[indptr[j]:indptr[j + 1]]] -= 1
-    members = np.array(sorted(members), dtype=np.int64)
-    indicator = np.zeros(g.n_left, dtype=np.int8)
-    indicator[members] = 1
-    return CoverSet(members=members, indicator=indicator)
+    return CoverSet(members=np.array(sorted(members), dtype=np.int64))
 
 
 def build_graph_with_cover(
@@ -278,17 +270,6 @@ def build_graph_with_cover(
     raise GraphConstructionError(
         f"no usable greedy cover after {max_retries} retries"
     )
-
-
-def apply_adjacency(g: BipartiteGraph, x: np.ndarray) -> np.ndarray:
-    """Counter contents for flow totals x: y_j = sum of x_i over flows
-    incident to counter j. Exact int64 arithmetic for integer x, float64
-    otherwise."""
-    x = np.asarray(x)
-    if x.shape != (g.n_left,):
-        raise ValueError(f"x has shape {x.shape}, expected ({g.n_left},)")
-    exact = np.issubdtype(x.dtype, np.integer)
-    return g.csr @ x.astype(np.int64 if exact else np.float64)
 
 
 def save_graph(g: BipartiteGraph, path) -> None:

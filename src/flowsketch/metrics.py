@@ -10,11 +10,8 @@ from typing import NamedTuple
 import numpy as np
 
 __all__ = [
-    "KTermDecomposition",
     "RelativeError",
-    "RiskEstimate",
     "best_k_term",
-    "empirical_risk",
     "positive_clip",
     "relative_l1_error",
     "support_recovery_success",
@@ -31,11 +28,6 @@ class KTermDecomposition(NamedTuple):
 class RelativeError(NamedTuple):
     value: float
     is_absolute: bool  # True when the truth had zero l1 mass
-
-
-class RiskEstimate(NamedTuple):
-    mean: float
-    half_width: float  # 1.96 * sem
 
 
 def top_k_indices(u: np.ndarray, k: int) -> np.ndarray:
@@ -100,11 +92,3 @@ def relative_l1_error(estimate: np.ndarray, truth) -> RelativeError:
         return RelativeError(value=abs_err, is_absolute=True)
     return RelativeError(value=abs_err / denom, is_absolute=False)
 
-
-def empirical_risk(errors) -> RiskEstimate:
-    """Mean error over independent trials with a normal 95% half-width."""
-    errors = np.asarray(list(errors), dtype=np.float64)
-    if errors.size < 2:
-        raise ValueError("need at least 2 trials for a confidence interval")
-    sem = float(errors.std(ddof=1) / np.sqrt(errors.size))
-    return RiskEstimate(mean=float(errors.mean()), half_width=1.96 * sem)

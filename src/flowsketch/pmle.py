@@ -11,7 +11,9 @@ provably contains the whales when they dominate.
 Candidates live in rate units: a candidate lam contributes
 mu = scale * A @ lam to the counter means, scale = n_epochs * tau. This
 is the normalized-matrix convention with theta = n*tau*d*lam folded in;
-estimates are returned as rates directly, no trailing division.
+estimates are returned as rates directly, no trailing division. The
+offset's own means mu0 = scale * A @ (c*L0 on the cover) come from
+`PmleConfig.offset_means`, which sums over the cover flows alone.
 
 Candidates are scored in blocks, all level tuples of one support at a
 time, as arrays over the few counters that support touches. Near-ties of
@@ -25,26 +27,22 @@ import math
 import warnings
 from dataclasses import dataclass
 from itertools import chain, combinations
-from typing import Iterable, Iterator, NamedTuple, Optional, Tuple
+from typing import Iterable, Iterator, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import BipartiteGraph, CoverSet, apply_adjacency
+from .graph import BipartiteGraph, CoverSet
 
 __all__ = [
     "KRAFT_CONSTANT",
     "CandidateCountError",
     "CandidateSet",
-    "KraftAudit",
     "PmleConfig",
     "PmleResult",
     "SparseSolveResult",
     "WhaleLocalization",
-    "kraft_audit",
     "localize_whales",
-    "neg_log_likelihood",
-    "penalty",
     "pmle_exhaustive",
     "pmle_reduced",
     "sparse_poisson_solve",
@@ -57,6 +55,10 @@ KRAFT_CONSTANT = math.log(math.pi**2 / 6.0)
 
 _EXHAUSTIVE_GUARD = 10**6
 _MU_FLOOR = 1e-12
+# iteration cap and relative objective change that stop the first-order
+# phase of sparse_poisson_solve
+_SOLVE_MAX_ITER = 500
+_SOLVE_REL_TOL = 1e-8
 
 
 class CandidateCountError(ValueError):
@@ -74,7 +76,6 @@ class PmleConfig:
 
     l0: float
     k: int
-    gamma: float
     delta: float
     c: float
     cover: CoverSet
@@ -103,13 +104,8 @@ class PmleConfig:
         cover: CoverSet,
         gamma: float = 1.0,
         levels: int = 64,
-        c: Optional[float] = None,
     ) -> "PmleConfig":
-        """Derive c = gamma/(k*ln(N/k)) and the grid from a level count.
-
-        Pass c=0 explicitly to disable the offset (diagnostics only; the
-        likelihood is then infinite on candidates missing active counters).
-        """
+        """Derive c = gamma/(k*ln(N/k)) and the grid from a level count."""
         if not 1 <= k < n_flows:
             raise ValueError(f"need 1 <= k < n_flows, got k={k}, N={n_flows}")
         if not gamma > 0:
@@ -119,14 +115,11 @@ class PmleConfig:
         log_ratio = math.log(n_flows / k)
         if log_ratio <= 0:
             raise ValueError(f"ln(N/k) must be positive, got N={n_flows}, k={k}")
-        if c is None:
-            c = gamma / (k * log_ratio)
-            if not 0 < c < 1:
-                raise ValueError(
-                    f"derived c = {c:.4g} outside (0,1); lower gamma"
-                )
+        c = gamma / (k * log_ratio)
+        if not 0 < c < 1:
+            raise ValueError(f"derived c = {c:.4g} outside (0,1); lower gamma")
         step = l0 / levels
-        return cls(l0=l0, k=k, gamma=gamma, delta=step * step, c=c, cover=cover)
+        return cls(l0=l0, k=k, delta=step * step, c=c, cover=cover)
 
     @property
     def grid_step(self) -> float:
@@ -136,13 +129,19 @@ class PmleConfig:
     def n_levels(self) -> int:
         return round(self.l0 / math.sqrt(self.delta))
 
-    def offset_rates(self, n_flows: int) -> np.ndarray:
-        """The additive rate offset c*l0 on the cover flows, zero elsewhere."""
-        if self.cover.indicator.size != n_flows:
+    def offset_means(self, g: BipartiteGraph, scale: float) -> np.ndarray:
+        """Counter means of the offset alone: scale * A @ (c*l0 on the cover
+        flows). Each counter adds c*l0 once per incident cover flow, the
+        nonzero terms of its row of that product, so the bits agree."""
+        members = self.cover.members
+        if members.size and members.max() >= g.n_left:
             raise ValueError(
-                f"cover built for {self.cover.indicator.size} flows, not {n_flows}"
+                f"cover flow {int(members.max())} outside a graph of "
+                f"{g.n_left} flows"
             )
-        return self.c * self.l0 * self.cover.indicator.astype(np.float64)
+        mu = np.zeros(g.n_right)
+        np.add.at(mu, g.columns[members].ravel(), self.c * self.l0)
+        return scale * mu
 
 
 @dataclass(frozen=True)
@@ -164,7 +163,6 @@ class CandidateSet:
     n_levels: int
     penalty_mode: str = "l0-scaled"
     penalty_universe_size: Optional[int] = None
-    max_support: Optional[int] = None
 
     def __post_init__(self):
         u = np.unique(np.asarray(self.universe, dtype=np.int64))
@@ -185,30 +183,23 @@ class CandidateSet:
     def l0(self) -> float:
         return self.n_levels * self.grid_step
 
-    def _smax(self, universe_size: int) -> int:
-        s = min(universe_size, self.n_levels)
-        if self.max_support is not None:
-            s = min(s, self.max_support)
-        return s
-
     def _count_sum(self, universe_size: int, cap: Optional[int] = None) -> int:
+        """|Lambda| over a universe of U flows: sum_s C(U,s)*C(G,s),
+        supports times level tuples, stopping once past cap. A tuple of s
+        levels in [1,G] summing to at most G is fixed by its prefix sums,
+        s distinct values in [1,G]: C(G,s) of them."""
         g = self.n_levels
         total = 0
-        for s in range(self._smax(universe_size) + 1):
+        for s in range(min(universe_size, g) + 1):
             total += math.comb(universe_size, s) * math.comb(g, s)
             if cap is not None and total > cap:
                 break
         return total
 
-    def count(self) -> int:
-        """|Lambda| = sum_s C(U,s)*C(G,s): supports times level tuples.
-        A tuple of s levels in [1,G] summing to at most G is fixed by its
-        prefix sums, s distinct values in [1,G]: C(G,s) of them."""
-        return self._count_sum(self.universe.size)
-
     def count_exceeds(self, cap: int) -> bool:
-        """Early-terminating `count() > cap` (the full sum can be astronomically
-        large while the comparison needs only its first few terms)."""
+        """Whether the set has more than cap candidates. Early-terminating:
+        the full count can be astronomically large while the comparison
+        needs only its first few terms."""
         return self._count_sum(self.universe.size, cap=cap) > cap
 
     def _penalty_count(self) -> int:
@@ -238,17 +229,10 @@ class CandidateSet:
         support in lexicographic order. Supports of one size share one
         read-only levels array."""
         universe = [int(i) for i in self.universe]
-        for s in range(self._smax(len(universe)) + 1):
+        for s in range(min(len(universe), self.n_levels) + 1):
             levels = _level_tuples(s, self.n_levels)
             for supp in combinations(universe, s):
                 yield supp, levels
-
-    def enumerate(self) -> Iterator[tuple[tuple, tuple]]:
-        """Yield every (support, levels) candidate as tuples, in the order
-        of `blocks`."""
-        for supp, levels in self.blocks():
-            for lv in levels.tolist():
-                yield supp, tuple(lv)
 
     def materialize(self, support: tuple, levels: tuple, n_flows: int) -> np.ndarray:
         out = np.zeros(n_flows, dtype=np.float64)
@@ -279,59 +263,6 @@ def _level_tuples(s: int, budget: int) -> np.ndarray:
     return out
 
 
-def penalty(candidate: np.ndarray, cs: CandidateSet) -> float:
-    """Code length of an explicit candidate vector.
-
-    Validates grid membership: support inside the universe, every nonzero
-    entry an integer multiple of the step within 1e-9 relative, total
-    level budget respected.
-    """
-    candidate = np.asarray(candidate, dtype=np.float64)
-    nz = np.nonzero(candidate)[0]
-    if not np.isin(nz, cs.universe).all():
-        raise ValueError("candidate support lies outside the universe")
-    if (candidate[nz] < 0).any():
-        raise ValueError("candidate entries must be nonnegative")
-    levels = candidate[nz] / cs.grid_step
-    rounded = np.rint(levels)
-    if (np.abs(levels - rounded) > 1e-9 * np.maximum(1.0, levels)).any():
-        raise ValueError("candidate entry off the grid")
-    if (rounded > cs.n_levels).any() or rounded.sum() > cs.n_levels:
-        raise ValueError("candidate exceeds the l1 budget")
-    return cs.pen_of_size(int(nz.size))
-
-
-class KraftAudit(NamedTuple):
-    total: float  # sum of e^{-pen} over the candidate set
-    exhaustive: bool  # True when summed candidate by candidate
-    ok: bool  # total <= 1 (tiny float slack)
-
-
-def kraft_audit(cs: CandidateSet, exhaustive_cap: int = 10**5) -> KraftAudit:
-    """Verify the penalty is a valid code length: sum e^{-pen} <= 1.
-
-    Small sets are summed candidate by candidate; larger ones use the
-    exact per-size counts (the penalty depends only on support size, so
-    the counting formula is not a bound but the same sum regrouped).
-    """
-    n = cs.count()
-    if n <= exhaustive_cap:
-        total = 0.0
-        for supp, _levels in cs.enumerate():
-            total += math.exp(-cs.pen_of_size(len(supp)))
-        return KraftAudit(total=total, exhaustive=True, ok=total <= 1.0 + 1e-9)
-    g = cs.n_levels
-    u = cs.universe.size
-    total = 0.0
-    for s in range(cs._smax(u) + 1):
-        log_count = (
-            math.lgamma(u + 1) - math.lgamma(s + 1) - math.lgamma(u - s + 1)
-            + math.lgamma(g + 1) - math.lgamma(s + 1) - math.lgamma(g - s + 1)
-        )
-        total += math.exp(log_count - cs.pen_of_size(s))
-    return KraftAudit(total=total, exhaustive=False, ok=total <= 1.0 + 1e-9)
-
-
 @dataclass(frozen=True)
 class WhaleLocalization:
     """Output of the counter-sorting pass: a1 holds, sorted, the flows
@@ -358,25 +289,6 @@ def localize_whales(y: np.ndarray, g: BipartiteGraph, k: int) -> WhaleLocalizati
     big[order[:t]] = True
     a1 = np.nonzero(big[g.columns].all(axis=1))[0].astype(np.int64)
     return WhaleLocalization(a1=a1)
-
-
-def neg_log_likelihood(
-    theta: np.ndarray, g: BipartiteGraph, y: np.ndarray, scale: float
-) -> float:
-    """Poisson negative log likelihood of counters y under rate vector
-    theta: sum_j [mu_j - y_j ln mu_j] with mu = scale * A theta, dropping
-    the ln(y_j!) constant. A counter with mu_j = 0 contributes 0 when
-    y_j = 0 and +inf (candidate rejected) when y_j > 0.
-    """
-    theta = np.asarray(theta, dtype=np.float64)
-    if theta.shape != (g.n_left,):
-        raise ValueError(f"theta has shape {theta.shape}, expected ({g.n_left},)")
-    if (theta < 0).any():
-        raise ValueError("theta must be nonnegative")
-    if not scale > 0:
-        raise ValueError(f"scale must be positive, got {scale}")
-    y = np.asarray(y, dtype=np.float64)
-    return _nll_from_mu(scale * apply_adjacency(g, theta), y)
 
 
 def _nll_from_mu(mu: np.ndarray, y: np.ndarray) -> float:
@@ -421,7 +333,7 @@ def pmle_exhaustive(
         raise ValueError(f"y has shape {y.shape}, expected ({g.n_right},)")
     if not scale > 0:
         raise ValueError(f"scale must be positive, got {scale}")
-    mu0 = scale * apply_adjacency(g, cfg.offset_rates(g.n_left))
+    mu0 = cfg.offset_means(g, scale)
     return _argmin(y, g, cs, mu0, scale, cs.blocks(), exhaustive=True)
 
 
@@ -562,15 +474,13 @@ def sparse_poisson_solve(
     support: np.ndarray,
     scale: float,
     mu_base: Optional[np.ndarray] = None,
-    max_iter: int = 500,
-    rel_tol: float = 1e-8,
 ) -> SparseSolveResult:
     """Projected proximal-gradient Poisson regression on a fixed support.
 
     Minimizes sum(mu) - sum y ln(mu) over theta >= 0 with
     mu = mu_base + scale * A[:, support] @ theta. Backtracking line search
     keeps the objective non-increasing; stops when the relative objective
-    change drops below rel_tol or at the iteration cap. Log and gradient
+    change drops below 1e-8 or after 500 iterations. Log and gradient
     inputs are floored at 1e-12 so a stray zero mean cannot produce NaN.
     """
     support = np.asarray(support, dtype=np.int64)
@@ -609,7 +519,7 @@ def sparse_poisson_solve(
     t = 1.0 / (1.0 + scale * g.d)
     converged = False
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, _SOLVE_MAX_ITER + 1):
         grad = gradient(mu)
         t *= 2.0
         while True:
@@ -629,7 +539,7 @@ def sparse_poisson_solve(
             break
         theta, mu = cand, mu_cand
         trace.append(f_cand)
-        if abs(f - f_cand) <= rel_tol * max(1.0, abs(f)):
+        if abs(f - f_cand) <= _SOLVE_REL_TOL * max(1.0, abs(f)):
             f = f_cand
             converged = True
             break
@@ -738,7 +648,7 @@ def pmle_reduced(
         res.localization = loc
         return res
 
-    mu0 = scale * apply_adjacency(g, cfg.offset_rates(g.n_left))
+    mu0 = cfg.offset_means(g, scale)
     solve = sparse_poisson_solve(y, g, loc.a1, scale, mu_base=mu0)
     order = np.argsort(-solve.theta, kind="stable")
     s_max = min(loc.a1.size, cs.n_levels, max(2 * cfg.k, 32))

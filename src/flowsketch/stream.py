@@ -10,22 +10,18 @@ epoch can be regenerated in isolation.
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .graph import BipartiteGraph, apply_adjacency
+from .graph import BipartiteGraph
 from .metrics import top_k_indices
 
 __all__ = [
     "Dist",
-    "HeavyTailCheck",
-    "HeavyTailParams",
     "RateVector",
     "SignalSpec",
     "StreamState",
     "advance_epoch",
-    "check_heavy_tail",
     "gen_rates",
     "parse_dist",
     "run_epochs",
@@ -140,42 +136,6 @@ def gen_rates(spec: SignalSpec) -> RateVector:
     return RateVector.from_rates(rates, k)
 
 
-@dataclass(frozen=True)
-class HeavyTailParams:
-    """Compressibility class: ||rates||_1 <= l0 and the tail after the
-    best s-term approximation is at most l0 * s^(-alpha) for every s."""
-
-    l0: float
-    alpha: float
-
-    def __post_init__(self):
-        if not self.l0 > 0:
-            raise ValueError(f"l0 must be positive, got {self.l0}")
-        if not self.alpha >= 1:
-            raise ValueError(f"alpha must be >= 1, got {self.alpha}")
-
-
-class HeavyTailCheck(NamedTuple):
-    ok: bool
-    first_violation: Optional[int]  # 0 = the l1 budget itself; s >= 1 = tail at s
-
-
-def check_heavy_tail(rates: np.ndarray, params: HeavyTailParams) -> HeavyTailCheck:
-    """Test membership in the compressibility class, reporting the first
-    failing tail index (0 means the overall l1 budget failed)."""
-    r = np.abs(np.asarray(rates, dtype=np.float64))
-    total = float(r.sum())
-    if total > params.l0:
-        return HeavyTailCheck(ok=False, first_violation=0)
-    desc = np.sort(r)[::-1]
-    tails = total - np.cumsum(desc)  # tails[s-1] = sigma_s
-    ks = np.arange(1, r.size + 1, dtype=np.float64)
-    bad = np.nonzero(tails > params.l0 * ks**-params.alpha + 1e-12 * params.l0)[0]
-    if bad.size:
-        return HeavyTailCheck(ok=False, first_violation=int(bad[0]) + 1)
-    return HeavyTailCheck(ok=True, first_violation=None)
-
-
 @dataclass
 class StreamState:
     """Mutable simulation state: epoch counter, exact flow tallies x, and
@@ -237,7 +197,3 @@ def run_epochs(state: StreamState, count: int) -> StreamState:
         advance_epoch(state)
     return state
 
-
-def counters_consistent(state: StreamState) -> bool:
-    """Exact check y == A x; used by simulation self-tests."""
-    return np.array_equal(state.y, apply_adjacency(state.graph, state.x))

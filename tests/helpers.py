@@ -1,4 +1,4 @@
-"""Shared oracles and fixture builders for the test suite.
+"""Shared oracles, fixture builders and checks for the test suite.
 
 Everything here is deliberately independent of the package internals:
 oracles use dense algebra and plain enumeration so they stay trustworthy
@@ -6,11 +6,171 @@ as reference implementations.
 """
 
 import math
+from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from flowsketch import BipartiteGraph, GraphConstructionError, PmleResult
+
+
+def apply_adjacency(g: BipartiteGraph, x: np.ndarray) -> np.ndarray:
+    """Counter contents for flow totals x: y_j = sum of x_i over flows
+    incident to counter j. Exact int64 arithmetic for integer x, float64
+    otherwise."""
+    x = np.asarray(x)
+    if x.shape != (g.n_left,):
+        raise ValueError(f"x has shape {x.shape}, expected ({g.n_left},)")
+    exact = np.issubdtype(x.dtype, np.integer)
+    return g.csr @ x.astype(np.int64 if exact else np.float64)
+
+
+def counters_consistent(state) -> bool:
+    """Exact check y == A x of a stream.StreamState."""
+    return np.array_equal(state.y, apply_adjacency(state.graph, state.x))
+
+
+@dataclass(frozen=True)
+class HeavyTailParams:
+    """Compressibility class: ||rates||_1 <= l0 and the tail after the
+    best s-term approximation is at most l0 * s^(-alpha) for every s."""
+
+    l0: float
+    alpha: float
+
+    def __post_init__(self):
+        if not self.l0 > 0:
+            raise ValueError(f"l0 must be positive, got {self.l0}")
+        if not self.alpha >= 1:
+            raise ValueError(f"alpha must be >= 1, got {self.alpha}")
+
+
+class HeavyTailCheck(NamedTuple):
+    ok: bool
+    first_violation: Optional[int]  # 0 = the l1 budget itself; s >= 1 = tail at s
+
+
+def check_heavy_tail(rates: np.ndarray, params: HeavyTailParams) -> HeavyTailCheck:
+    """Test membership in the compressibility class, reporting the first
+    failing tail index (0 means the overall l1 budget failed)."""
+    r = np.abs(np.asarray(rates, dtype=np.float64))
+    total = float(r.sum())
+    if total > params.l0:
+        return HeavyTailCheck(ok=False, first_violation=0)
+    desc = np.sort(r)[::-1]
+    tails = total - np.cumsum(desc)  # tails[s-1] = sigma_s
+    ks = np.arange(1, r.size + 1, dtype=np.float64)
+    bad = np.nonzero(tails > params.l0 * ks**-params.alpha + 1e-12 * params.l0)[0]
+    if bad.size:
+        return HeavyTailCheck(ok=False, first_violation=int(bad[0]) + 1)
+    return HeavyTailCheck(ok=True, first_violation=None)
+
+
+def offset_rates(cfg, n_flows: int) -> np.ndarray:
+    """The additive rate offset c*l0 of a PmleConfig on its cover flows,
+    zero elsewhere."""
+    on_cover = np.zeros(n_flows)
+    on_cover[cfg.cover.members] = 1.0
+    return cfg.c * cfg.l0 * on_cover
+
+
+def neg_log_likelihood(theta: np.ndarray, g: BipartiteGraph, y: np.ndarray,
+                       scale: float) -> float:
+    """Poisson negative log likelihood of counters y under rate vector
+    theta: sum_j [mu_j - y_j ln mu_j] with mu = scale * A theta, dropping
+    the ln(y_j!) constant. A counter with mu_j = 0 contributes 0 when
+    y_j = 0 and +inf (candidate rejected) when y_j > 0.
+    """
+    theta = np.asarray(theta, dtype=np.float64)
+    if theta.shape != (g.n_left,):
+        raise ValueError(f"theta has shape {theta.shape}, expected ({g.n_left},)")
+    if (theta < 0).any():
+        raise ValueError("theta must be nonnegative")
+    if not scale > 0:
+        raise ValueError(f"scale must be positive, got {scale}")
+    y = np.asarray(y, dtype=np.float64)
+    return _nll_from_mu(scale * apply_adjacency(g, theta), y)
+
+
+def _support_sizes(cs, max_support: Optional[int] = None) -> range:
+    """Support sizes of a pmle.CandidateSet's candidates, optionally only
+    those of at most max_support flows."""
+    smax = min(cs.universe.size, cs.n_levels)
+    return range((smax if max_support is None else min(smax, max_support)) + 1)
+
+
+def candidate_count(cs, max_support: Optional[int] = None) -> int:
+    """|Lambda| of a pmle.CandidateSet: C(U,s) supports times C(G,s)
+    level tuples, summed over the support sizes s."""
+    u, g = cs.universe.size, cs.n_levels
+    return sum(math.comb(u, s) * math.comb(g, s)
+               for s in _support_sizes(cs, max_support))
+
+
+def enumerate_candidates(cs, max_support: Optional[int] = None):
+    """Every (support, levels) candidate of a pmle.CandidateSet as tuples,
+    in the order of its blocks, optionally only the supports of at most
+    max_support flows."""
+    for supp, levels in cs.blocks():
+        if max_support is not None and len(supp) > max_support:
+            return  # support sizes ascend
+        for lv in levels.tolist():
+            yield supp, tuple(lv)
+
+
+def penalty(candidate: np.ndarray, cs) -> float:
+    """Code length of an explicit candidate vector.
+
+    Validates grid membership: support inside the universe, every nonzero
+    entry an integer multiple of the step within 1e-9 relative, total
+    level budget respected.
+    """
+    candidate = np.asarray(candidate, dtype=np.float64)
+    nz = np.nonzero(candidate)[0]
+    if not np.isin(nz, cs.universe).all():
+        raise ValueError("candidate support lies outside the universe")
+    if (candidate[nz] < 0).any():
+        raise ValueError("candidate entries must be nonnegative")
+    levels = candidate[nz] / cs.grid_step
+    rounded = np.rint(levels)
+    if (np.abs(levels - rounded) > 1e-9 * np.maximum(1.0, levels)).any():
+        raise ValueError("candidate entry off the grid")
+    if (rounded > cs.n_levels).any() or rounded.sum() > cs.n_levels:
+        raise ValueError("candidate exceeds the l1 budget")
+    return cs.pen_of_size(int(nz.size))
+
+
+class KraftAudit(NamedTuple):
+    total: float  # sum of e^{-pen} over the candidate set
+    exhaustive: bool  # True when summed candidate by candidate
+    ok: bool  # total <= 1 (tiny float slack)
+
+
+def kraft_audit(cs, max_support: Optional[int] = None,
+                exhaustive_cap: int = 10**5) -> KraftAudit:
+    """Verify the penalty of a pmle.CandidateSet is a valid code length:
+    sum e^{-pen} <= 1 over its candidates with at most max_support flows.
+
+    Small sets are summed candidate by candidate; larger ones use the
+    exact per-size counts (the penalty depends only on support size, so
+    the counting formula is not a bound but the same sum regrouped).
+    """
+    if candidate_count(cs, max_support) <= exhaustive_cap:
+        total = 0.0
+        for supp, _levels in enumerate_candidates(cs, max_support):
+            total += math.exp(-cs.pen_of_size(len(supp)))
+        return KraftAudit(total=total, exhaustive=True, ok=total <= 1.0 + 1e-9)
+    g = cs.n_levels
+    u = cs.universe.size
+    total = 0.0
+    for s in _support_sizes(cs, max_support):
+        log_count = (
+            math.lgamma(u + 1) - math.lgamma(s + 1) - math.lgamma(u - s + 1)
+            + math.lgamma(g + 1) - math.lgamma(s + 1) - math.lgamma(g - s + 1)
+        )
+        total += math.exp(log_count - cs.pen_of_size(s))
+    return KraftAudit(total=total, exhaustive=False, ok=total <= 1.0 + 1e-9)
 
 
 def affine_plane_graph() -> BipartiteGraph:

@@ -6,6 +6,7 @@ calibrated against the recorded seeds and must not be loosened without
 recording why.
 """
 
+import dataclasses
 import math
 import tempfile
 import time
@@ -17,7 +18,6 @@ from flowsketch import (
     CandidateSet,
     PmleConfig,
     SignalSpec,
-    apply_adjacency,
     StreamState,
     basis_pursuit,
     build_graph_with_cover,
@@ -25,7 +25,6 @@ from flowsketch import (
     direct_estimate,
     gen_rates,
     greedy_cover,
-    kraft_audit,
     localize_whales,
     pmle_exhaustive,
     pmle_reduced,
@@ -34,10 +33,10 @@ from flowsketch import (
 )
 from flowsketch.experiment import ExperimentConfig, PmleOptions, run_sweep
 from flowsketch.seeds import stable_seed
-from flowsketch.stream import Dist, counters_consistent
+from flowsketch.stream import Dist
 
 from conftest import EXPANDER_SEEDS_200_60_6, record_gate
-from helpers import oracle_2sparse
+from helpers import apply_adjacency, counters_consistent, kraft_audit, oracle_2sparse
 
 CONST1 = Dist("constant", 1.0)
 ZERO = Dist("constant", 0.0)
@@ -170,17 +169,16 @@ def test_ac5_localization():
 
 
 def test_ac6_kraft_audit():
-    small = [
-        CandidateSet(universe=np.array([0]), grid_step=1.0, n_levels=99,
-                     penalty_mode="uniform"),
-        CandidateSet(universe=np.arange(20), grid_step=0.5, n_levels=4,
-                     max_support=2),
-        CandidateSet(universe=np.arange(12), grid_step=0.5, n_levels=5),
+    small = [  # (candidate set, largest support audited)
+        (CandidateSet(universe=np.array([0]), grid_step=1.0, n_levels=99,
+                      penalty_mode="uniform"), None),
+        (CandidateSet(universe=np.arange(20), grid_step=0.5, n_levels=4), 2),
+        (CandidateSet(universe=np.arange(12), grid_step=0.5, n_levels=5), None),
     ]
     audits = []
-    for cs in small:
-        audits.append(kraft_audit(cs))  # candidate-by-candidate
-        audits.append(kraft_audit(cs, exhaustive_cap=0))  # counting formula
+    for cs, max_support in small:
+        audits.append(kraft_audit(cs, max_support))  # candidate-by-candidate
+        audits.append(kraft_audit(cs, max_support, exhaustive_cap=0))  # counting formula
     large = [
         CandidateSet(universe=np.arange(5000), grid_step=0.25, n_levels=64),
         CandidateSet(universe=np.arange(5000), grid_step=0.05, n_levels=1024,
@@ -210,8 +208,8 @@ def test_ac7_oracle_equivalence():
         st = StreamState(graph=g, rates=truth, tau=1.0,
                          seed=stable_seed(ts, "st"))
         run_epochs(st, 60)
-        cfg = PmleConfig.from_problem(12, 2, l0=2.5, cover=cover, levels=5,
-                                      c=0.01)
+        cfg = dataclasses.replace(
+            PmleConfig.from_problem(12, 2, l0=2.5, cover=cover, levels=5), c=0.01)
         cs = CandidateSet(universe=np.arange(12), grid_step=cfg.grid_step,
                           n_levels=cfg.n_levels)
         full = pmle_exhaustive(st.y, g, cs, cfg, 60.0)

@@ -2,9 +2,13 @@
 
 import csv
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowsketch import (
     BipartiteGraph,
@@ -13,7 +17,7 @@ from flowsketch import (
     save_graph,
     support_recovery_success,
 )
-from flowsketch.cli import main
+from flowsketch.cli import _read_counters_csv, _write_vector_csv, main
 from flowsketch.experiment import ExperimentConfig, save_config
 from flowsketch.stream import Dist
 
@@ -221,6 +225,27 @@ def test_recover_reads_crlf_and_lf_counters(graph_file, counters_file, tmp_path)
         assert main(recover_argv(graph_file, lf, b, decoder)) == 0
         assert a.read_bytes() == b.read_bytes()
 
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.integers(0, 2**53), st.integers(0, 2**63 - 1)),
+                min_size=1, max_size=40))
+def test_counters_csv_round_trip(values):
+    # the format simulate writes, with its \r\n line ends and with \n
+    y = np.array(values, dtype=np.int64)
+    with tempfile.TemporaryDirectory() as td:
+        crlf, lf = Path(td) / "crlf.csv", Path(td) / "lf.csv"
+        _write_vector_csv(crlf, [int(v) for v in y])
+        assert crlf.read_bytes().count(b"\r\n") == y.size + 1
+        lf.write_bytes(crlf.read_bytes().replace(b"\r\n", b"\n"))
+        for path in (crlf, lf):
+            back = _read_counters_csv(path, y.size)
+            # counts come back as float64: exact up to 2^53, rounded to
+            # the nearest double above
+            assert back.dtype == np.float64
+            assert back.tolist() == [float(v) for v in values]
+            exact = y <= 2**53
+            assert back[exact].astype(np.int64).tolist() == y[exact].tolist()
 
 def test_sweep_and_plot_data(tmp_path, capsys):
     cfg = ExperimentConfig(

@@ -13,6 +13,7 @@ from flowsketch.experiment import (
     ExperimentResult,
     PmleOptions,
     TrialRow,
+    _mean_hw,
     emit_csv,
     emit_plot_data,
     load_config,
@@ -137,6 +138,17 @@ def test_hand_built_rows_aggregate(tmp_path):
     assert agg.mean_rel_error == 2.0
     assert abs(agg.rel_half_width - 1.96) < 1e-12
     assert agg.mean_abs_error == 4.0
+
+
+def test_mean_hw():
+    assert _mean_hw(np.zeros(3)) == (0.0, 0.0)
+    mean, half_width = _mean_hw(np.array([1.0, 3.0]))
+    assert mean == 2.0
+    assert abs(half_width - 1.96) < 1e-12  # sd sqrt(2), sem 1
+    # one trial has no interval, no trial not even a mean
+    mean, half_width = _mean_hw(np.array([1.0]))
+    assert mean == 1.0 and math.isnan(half_width)
+    assert all(math.isnan(v) for v in _mean_hw(np.array([])))
 
 
 def test_decoder_failure_recorded_not_raised():

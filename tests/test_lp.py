@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowsketch import (
     DecodeSpec,
@@ -10,7 +13,6 @@ from flowsketch import (
     RateVector,
     SignalSpec,
     StreamState,
-    apply_adjacency,
     basis_pursuit,
     best_k_term,
     build_random_expander,
@@ -20,7 +22,7 @@ from flowsketch import (
     run_epochs,
 )
 from flowsketch.graph import BipartiteGraph
-from helpers import oracle_2sparse
+from helpers import apply_adjacency, oracle_2sparse
 
 
 def test_zero_counters():
@@ -151,3 +153,66 @@ def test_direct_estimate():
         direct_estimate(sol, 0, 1.0)
     with pytest.raises(ValueError):
         direct_estimate(sol, 2, 0.0)
+
+
+@st.composite
+def sparse_banks(draw):
+    """A bank of at most 60 flows over at most 20 counters, and the
+    counters y = A x of a sparse nonnegative integer x."""
+    n_right = draw(st.integers(1, 20))
+    g = build_random_expander(draw(st.integers(1, 60)), n_right,
+                              draw(st.integers(1, n_right)),
+                              draw(st.integers(0, 2**32)))
+    support = draw(st.sets(st.integers(0, g.n_left - 1), max_size=6))
+    x = np.zeros(g.n_left, dtype=np.int64)
+    for i in support:
+        x[i] = draw(st.integers(1, 50))
+    return g, apply_adjacency(g, x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_banks())
+def test_basis_pursuit_matches_highs(bank):
+    g, y = bank
+    a = g.csr.toarray().astype(np.float64)
+    ref = scipy.optimize.linprog(np.ones(2 * g.n_left), A_eq=np.hstack([a, -a]),
+                                 b_eq=y, bounds=(0, None), method="highs")
+    assert ref.status == 0
+    # default tolerances certify the gap to 1e-6 * (1 + ||y||_1), up to d
+    # times 1e-6 of the optimum: HiGHS's optimum lies in that interval
+    sol = basis_pursuit(g, y)
+    assert sol.status == "optimal"
+    assert sol.objective - sol.duality_gap <= ref.fun * (1 + 1e-9)
+    assert abs(sol.objective - ref.fun) <= 1e-6 * (1 + y.sum())
+    # tightened tolerances reach the optimum to 1e-6 relative
+    sol = basis_pursuit(g, y, tol_feas=1e-9 * (1 + y.max()),
+                        tol_obj=1e-9 * (1 + y.sum()))
+    assert sol.status == "optimal"
+    assert abs(sol.objective - ref.fun) <= 1e-6 * max(1.0, ref.fun)
+
+
+@st.composite
+def degenerate_banks(draw):
+    """Feasible counters the interior-point method finds hard to move on:
+    columns drawn from a small pool so many flows are duplicates, and y
+    from a few flows that share one counter, so most counters read 0."""
+    n_right = draw(st.integers(2, 20))
+    d = draw(st.integers(1, n_right))
+    column = st.permutations(range(n_right)).map(lambda p: sorted(p[:d]))
+    pool = draw(st.lists(column, min_size=1, max_size=4))
+    cols = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=60))
+    g = BipartiteGraph(n_left=len(cols), n_right=n_right, d=d,
+                       columns=np.array(cols, dtype=np.int32), seed=0)
+    j = draw(st.sampled_from(sorted(set(g.columns.ravel().tolist()))))
+    on_j = np.flatnonzero((g.columns == j).any(axis=1))
+    x = np.zeros(g.n_left, dtype=np.int64)
+    for i in draw(st.lists(st.sampled_from(on_j.tolist()), min_size=1)):
+        x[i] += draw(st.integers(1, 10**4))
+    return g, apply_adjacency(g, x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(degenerate_banks())
+def test_stall_heuristic_spares_feasible_degenerate_counters(bank):
+    g, y = bank
+    assert basis_pursuit(g, y).status != "infeasible"

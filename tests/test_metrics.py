@@ -8,7 +8,6 @@ from flowsketch import (
     RateVector,
     SignalSpec,
     best_k_term,
-    empirical_risk,
     gen_rates,
     positive_clip,
     relative_l1_error,
@@ -138,13 +137,3 @@ def test_relative_error_shape_mismatch():
     truth = _truth([1.0, 2.0], 1)
     with pytest.raises(ValueError):
         relative_l1_error(np.zeros(3), truth)
-
-
-def test_empirical_risk():
-    zero = empirical_risk([0.0, 0.0, 0.0])
-    assert zero == (0.0, 0.0)
-    two = empirical_risk([1.0, 3.0])
-    assert two.mean == 2.0
-    assert abs(two.half_width - 1.96) < 1e-12  # sd sqrt(2), sem 1
-    with pytest.raises(ValueError):
-        empirical_risk([1.0])

@@ -1,5 +1,6 @@
 """Penalized-MLE decoder tests: grids, penalties, localization, solvers."""
 
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -20,15 +21,11 @@ from flowsketch import (
     SignalSpec,
     StreamState,
     WhaleLocalization,
-    apply_adjacency,
     build_graph_with_cover,
     build_random_expander,
     gen_rates,
     greedy_cover,
-    kraft_audit,
     localize_whales,
-    neg_log_likelihood,
-    penalty,
     pmle_exhaustive,
     pmle_reduced,
     run_epochs,
@@ -38,7 +35,17 @@ from flowsketch import pmle as pmle_module
 from flowsketch.graph import BipartiteGraph, CoverSet
 from flowsketch.seeds import stable_seed
 
-from helpers import argmin_scalar, level_tuples_recursive
+from helpers import (
+    apply_adjacency,
+    argmin_scalar,
+    candidate_count,
+    enumerate_candidates,
+    kraft_audit,
+    level_tuples_recursive,
+    neg_log_likelihood,
+    offset_rates,
+    penalty,
+)
 
 CONST1 = Dist("constant", 1.0)
 ZERO = Dist("constant", 0.0)
@@ -176,13 +183,13 @@ def test_nll_stationarity():
 def test_pmle_config_validation():
     cover = greedy_cover(hexad_graph())
     with pytest.raises(ValueError):
-        PmleConfig(l0=0.0, k=1, gamma=1.0, delta=1.0, c=0.1, cover=cover)
+        PmleConfig(l0=0.0, k=1, delta=1.0, c=0.1, cover=cover)
     with pytest.raises(ValueError):
-        PmleConfig(l0=4.0, k=0, gamma=1.0, delta=1.0, c=0.1, cover=cover)
+        PmleConfig(l0=4.0, k=0, delta=1.0, c=0.1, cover=cover)
     with pytest.raises(ValueError):
-        PmleConfig(l0=4.0, k=1, gamma=1.0, delta=0.9, c=0.1, cover=cover)
+        PmleConfig(l0=4.0, k=1, delta=0.9, c=0.1, cover=cover)
     with pytest.raises(ValueError):
-        PmleConfig(l0=4.0, k=1, gamma=1.0, delta=1.0, c=1.0, cover=cover)
+        PmleConfig(l0=4.0, k=1, delta=1.0, c=1.0, cover=cover)
     cfg = PmleConfig.from_problem(6, 2, 4.0, cover, gamma=0.5, levels=4)
     assert cfg.grid_step == 1.0 and cfg.n_levels == 4
     assert abs(cfg.c - 0.5 / (2 * math.log(3))) < 1e-12
@@ -190,8 +197,8 @@ def test_pmle_config_validation():
         PmleConfig.from_problem(6, 6, 4.0, cover)  # k = N
     with pytest.raises(ValueError):
         PmleConfig.from_problem(6, 2, 4.0, cover, gamma=4.0)  # c >= 1
-    with pytest.raises(ValueError):
-        cfg.offset_rates(7)
+    with pytest.raises(ValueError):  # cover flow 5 is not in a 5-flow graph
+        cfg.offset_means(build_random_expander(5, 4, 2, seed=0), 1.0)
 
 
 # ---------------------------------------------------------------- candidates
@@ -199,8 +206,8 @@ def test_pmle_config_validation():
 
 def test_candidate_count_matches_enumeration():
     cs = CandidateSet(universe=np.arange(5), grid_step=0.5, n_levels=3)
-    cands = list(cs.enumerate())
-    assert len(cands) == cs.count() == sum(
+    cands = list(enumerate_candidates(cs))
+    assert len(cands) == candidate_count(cs) == sum(
         math.comb(5, s) * math.comb(3, s) for s in range(4)
     )
     assert len(set(cands)) == len(cands)
@@ -232,7 +239,7 @@ def test_level_tuples_cached_read_only():
 
 def test_candidate_count_exceeds():
     cs = CandidateSet(universe=np.arange(5), grid_step=0.5, n_levels=3)
-    n = cs.count()
+    n = candidate_count(cs)
     assert cs.count_exceeds(n - 1)
     assert not cs.count_exceeds(n)
     big = CandidateSet(universe=np.arange(5000), grid_step=0.1, n_levels=2048)
@@ -259,7 +266,7 @@ def test_uniform_penalty_kraft_exact():
     # |Lambda| = 1 + 99 = 100; every candidate pays ln 100
     cs = CandidateSet(universe=np.array([0]), grid_step=0.25, n_levels=99,
                       penalty_mode="uniform")
-    assert cs.count() == 100
+    assert candidate_count(cs) == 100
     assert cs.pen_of_size(0) == cs.pen_of_size(1) == math.log(100)
     audit = kraft_audit(cs)
     assert audit.exhaustive and audit.ok
@@ -291,10 +298,9 @@ def test_penalty_rejects_bad_candidates():
 
 
 def test_kraft_audit_l0_scaled():
-    cs = CandidateSet(universe=np.arange(20), grid_step=1.0, n_levels=4,
-                      max_support=2)
-    brute = kraft_audit(cs, exhaustive_cap=10**5)
-    formula = kraft_audit(cs, exhaustive_cap=100)
+    cs = CandidateSet(universe=np.arange(20), grid_step=1.0, n_levels=4)
+    brute = kraft_audit(cs, max_support=2, exhaustive_cap=10**5)
+    formula = kraft_audit(cs, max_support=2, exhaustive_cap=100)
     assert brute.exhaustive and not formula.exhaustive
     assert brute.ok and formula.ok
     assert abs(brute.total - formula.total) < 1e-9
@@ -314,7 +320,7 @@ def _hexad_problem(c=0.0, gamma=0.5):
     scale = 5.0
     y = scale * apply_adjacency(g, truth)
     if c == 0.0:
-        cfg = PmleConfig(l0=4.0, k=2, gamma=gamma, delta=1.0, c=0.0, cover=cover)
+        cfg = PmleConfig(l0=4.0, k=2, delta=1.0, c=0.0, cover=cover)
     else:
         cfg = PmleConfig.from_problem(6, 2, 4.0, cover, gamma=gamma, levels=4)
     cs = CandidateSet(universe=np.arange(6), grid_step=1.0, n_levels=4,
@@ -329,7 +335,7 @@ def test_exhaustive_noiseless_uniform():
     res = pmle_exhaustive(y, g, cs, cfg, scale)
     assert res.support == (0, 3) and res.levels == (2, 1)
     assert np.array_equal(res.rates, truth)
-    assert res.exhaustive and res.n_evaluated == cs.count()
+    assert res.exhaustive and res.n_evaluated == candidate_count(cs)
 
 
 def test_exhaustive_offset_perturbation():
@@ -342,7 +348,7 @@ def test_exhaustive_offset_perturbation():
 def test_exhaustive_singleton_universe():
     g = hexad_graph()
     cover = greedy_cover(g)
-    cfg = PmleConfig(l0=3.0, k=1, gamma=1.0, delta=1.0, c=0.0, cover=cover)
+    cfg = PmleConfig(l0=3.0, k=1, delta=1.0, c=0.0, cover=cover)
     cs = CandidateSet(universe=np.array([2]), grid_step=1.0, n_levels=3,
                       penalty_mode="uniform")
     truth = np.zeros(6)
@@ -374,9 +380,40 @@ def test_scale_equivariance_uniform():
 def test_offset_positivity():
     g, cover, _ = build_graph_with_cover(200, 40, 4, seed=12)
     cfg = PmleConfig.from_problem(200, 3, 8.0, cover, levels=16)
-    f = cfg.offset_rates(200)  # any candidate only adds to this
+    mu0 = cfg.offset_means(g, 1.0)  # any candidate only adds to this
     floor = cfg.c * cfg.l0 / g.d
-    assert (apply_adjacency(g, f) / g.d >= floor - 1e-12).all()
+    assert (mu0 / g.d >= floor - 1e-12).all()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_offset_means_match_csr_product(data):
+    # each counter adds the same term c*l0 once per incident cover flow,
+    # the nonzero terms of its csr row, so the bits equal the full product's
+    n_right = data.draw(st.integers(1, 12))
+    d = data.draw(st.integers(1, n_right))
+    column = st.permutations(range(n_right)).map(lambda p: sorted(p[:d]))
+    cols = data.draw(st.lists(column, min_size=1, max_size=30))
+    g = BipartiteGraph(n_left=len(cols), n_right=n_right, d=d,
+                       columns=np.array(cols, dtype=np.int32), seed=0)
+    members = sorted(data.draw(st.sets(st.integers(0, g.n_left - 1))))
+    step = data.draw(st.sampled_from([0.3, 0.5, 1.0, 2.5]))
+    levels = data.draw(st.integers(1, 64))
+    cfg = PmleConfig(l0=levels * step, k=1, delta=step * step,
+                     c=data.draw(st.floats(0.0, 0.99)),
+                     cover=CoverSet(members=np.array(members, dtype=np.int64)))
+    scale = data.draw(st.sampled_from([0.1, 1.0, 3.0, 40.0]))
+    want = scale * apply_adjacency(g, offset_rates(cfg, g.n_left))
+    assert cfg.offset_means(g, scale).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n, m, d", [(5000, 800, 8), (20000, 2500, 10)])
+def test_offset_means_match_csr_product_greedy_cover(n, m, d):
+    g, cover, _ = build_graph_with_cover(n, m, d, stable_seed(n, "offset"))
+    cfg = PmleConfig.from_problem(n, 10, 12.5, cover, levels=64)
+    for scale in (1.0, 40.0):
+        want = scale * apply_adjacency(g, offset_rates(cfg, n))
+        assert cfg.offset_means(g, scale).tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------- solver
@@ -388,8 +425,7 @@ def test_sparse_solve_one_dimensional():
     for i in (0, 9, 19):
         y = np.zeros(10)
         y[g.columns[i]] = rng.poisson(8.0, 3)
-        res = sparse_poisson_solve(y, g, np.array([i]), scale=2.0,
-                                   rel_tol=1e-14, max_iter=2000)
+        res = sparse_poisson_solve(y, g, np.array([i]), scale=2.0)
         opt = y[g.columns[i]].sum() / (2.0 * 3)
         if opt == 0.0:
             assert res.theta[0] == 0.0
@@ -427,8 +463,7 @@ def test_sparse_solve_matches_oracle():
     x[support] = theta_true
     scale = 20.0
     y = scale * apply_adjacency(g, x)
-    res = sparse_poisson_solve(y, g, support, scale, rel_tol=1e-14,
-                               max_iter=5000)
+    res = sparse_poisson_solve(y, g, support, scale)
     rel = np.abs(res.theta - theta_true).sum() / theta_true.sum()
     assert rel <= 1e-4
 
@@ -471,14 +506,14 @@ def test_reduced_empty_a1_warns():
     # continuous solve, even with exhaustive_cap=0
     g = hexad_graph()
     cover = greedy_cover(g)
-    cfg = PmleConfig(l0=4.0, k=1, gamma=1.0, delta=1.0, c=0.1, cover=cover)
+    cfg = PmleConfig(l0=4.0, k=1, delta=1.0, c=0.1, cover=cover)
     loc = WhaleLocalization(a1=np.empty(0, dtype=np.int64))
     y, scale = np.ones(4), 1.0
     for penalty_mode in ("l0-scaled", "uniform"):
         cs_full = CandidateSet(universe=np.arange(g.n_left),
                                grid_step=cfg.grid_step, n_levels=cfg.n_levels,
                                penalty_mode=penalty_mode)
-        want = (neg_log_likelihood(cfg.offset_rates(g.n_left), g, y, scale)
+        want = (neg_log_likelihood(offset_rates(cfg, g.n_left), g, y, scale)
                 + 2.0 * cs_full.pen_of_size(0))
         for cap in (10**6, 0):
             with pytest.warns(UserWarning):
@@ -531,8 +566,8 @@ def test_reduced_matches_exhaustive_small():
         st = StreamState(graph=g, rates=truth, tau=1.0,
                          seed=stable_seed(ts, "st"))
         run_epochs(st, 60)
-        cfg = PmleConfig.from_problem(12, 2, l0=2.5, cover=cover, levels=5,
-                                      c=0.01)
+        cfg = dataclasses.replace(
+            PmleConfig.from_problem(12, 2, l0=2.5, cover=cover, levels=5), c=0.01)
         cs = CandidateSet(universe=np.arange(12), grid_step=cfg.grid_step,
                           n_levels=cfg.n_levels)
         full = pmle_exhaustive(st.y, g, cs, cfg, 60.0)
@@ -588,18 +623,15 @@ def _check_against_scalar(columns, n_right, universe, n_levels, step, scale,
     columns = np.array(columns, dtype=np.int32)
     g = BipartiteGraph(n_left=len(columns), n_right=n_right,
                        d=columns.shape[1], columns=columns, seed=0)
-    indicator = np.zeros(g.n_left, dtype=np.int8)
-    indicator[list(cover_members)] = 1
-    cover = CoverSet(members=np.array(sorted(cover_members), dtype=np.int64),
-                     indicator=indicator)
-    cfg = PmleConfig(l0=n_levels * step, k=1, gamma=1.0, delta=step * step,
+    cover = CoverSet(members=np.array(sorted(cover_members), dtype=np.int64))
+    cfg = PmleConfig(l0=n_levels * step, k=1, delta=step * step,
                      c=c, cover=cover)
     cs = CandidateSet(universe=np.array(sorted(universe), dtype=np.int64),
                       grid_step=step, n_levels=n_levels,
                       penalty_mode=penalty_mode, penalty_universe_size=g.n_left)
     y = np.array(y, dtype=np.float64)
     full = assert_matches_scalar(lambda: pmle_exhaustive(y, g, cs, cfg, scale))
-    assert full.n_evaluated == cs.count()
+    assert full.n_evaluated == candidate_count(cs)
     a1 = cs.universe
     loc = WhaleLocalization(a1=a1)
     assert_matches_scalar(lambda: pmle_reduced(y, g, loc, cfg, scale,
@@ -663,6 +695,20 @@ def test_batched_scoring_edge_cases(case, edit, penalty_mode):
         assert res.objective == math.inf
 
 
+def test_batched_scoring_rounding_tie():
+    # Mirror-image flows: flow 1's counters are flow 0's reflected, as are
+    # y and the offset, so both candidates have the same objective in exact
+    # arithmetic. Summed in different orders, _score puts flow 1 one ulp
+    # lower while the batched values put flow 0 lower; a screen without
+    # its rounding tolerance never rescores flow 1 and returns flow 0.
+    res = _check_against_scalar(
+        columns=[[0, 1, 2], [1, 2, 3]], n_right=4, universe={0, 1},
+        n_levels=1, step=2.5, scale=1.0, y=[11, 11, 11, 11], c=0.013,
+        cover_members={0, 1}, penalty_mode="uniform")
+    assert res.support == (1,) and res.levels == (1,)
+    assert res.objective.hex() == "0x1.0a3b8258c2ff8p+4"
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_batched_scoring_matches_scalar_oracle_5k(seed):
     # README size with k=3: |A1| = 3 and 47,905 candidates, enumerated
@@ -696,6 +742,6 @@ def test_exhaustive_scoring_memory_is_chunked():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert res.n_evaluated == cs.count() == 814_385
+    assert res.n_evaluated == candidate_count(cs) == 814_385
     assert res.support == (3, 30)
     assert peak < 32 * 2**20

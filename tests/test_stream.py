@@ -7,21 +7,24 @@ import pytest
 
 from flowsketch import (
     Dist,
-    HeavyTailParams,
     RateVector,
     SignalSpec,
     StreamState,
     advance_epoch,
-    apply_adjacency,
     best_k_term,
     build_random_expander,
-    check_heavy_tail,
-    counters_consistent,
     gen_rates,
     parse_dist,
     run_epochs,
 )
 from flowsketch.graph import BipartiteGraph
+
+from helpers import (
+    HeavyTailParams,
+    apply_adjacency,
+    check_heavy_tail,
+    counters_consistent,
+)
 
 CONST1 = Dist("constant", 1.0)
 MINNOW = Dist("abs-gaussian", 1e-3)
