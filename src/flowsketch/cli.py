@@ -9,6 +9,7 @@ import argparse
 import csv
 import os
 import sys
+from decimal import Decimal
 
 import numpy as np
 
@@ -78,9 +79,6 @@ def _build_parser() -> _Parser:
     r.add_argument("--epochs", type=int, required=True)
     r.add_argument("--tau", type=float, default=1.0)
     r.add_argument("--out", required=True)
-    r.add_argument("--tol-feas", type=float)
-    r.add_argument("--tol-obj", type=float)
-    r.add_argument("--iter-cap", type=int)
     r.add_argument("--trace", help="dump LP iterations to this CSV")
     r.add_argument("--k", type=int, help="whale count (pmle decoders)")
     r.add_argument("--l0", type=float, help="rate budget (pmle decoders)")
@@ -113,7 +111,9 @@ def _write_vector_csv(path, values) -> None:
 def _read_counters_csv(path, n_counters: int) -> np.ndarray:
     """Counters as simulate writes them: header index,value, then every
     index in [0, n_counters) exactly once with a finite, nonnegative,
-    integral count. Raises ValueError naming the path and the index."""
+    integral count of at most 2^53, the range in which float64, the type
+    both decoders work in, holds every integer. Raises ValueError naming
+    the path and the index."""
     out = [None] * n_counters
     with open(path, newline="") as f:
         r = csv.reader(f)
@@ -132,6 +132,11 @@ def _read_counters_csv(path, n_counters: int) -> np.ndarray:
                 raise ValueError(
                     f"{path}: index {i} has value {row[1]!r}, "
                     "not a nonnegative integer count"
+                )
+            if v >= 2**53 and Decimal(row[1]) > 2**53:
+                raise ValueError(
+                    f"{path}: index {i} has value {row[1]!r}, "
+                    "above 2^53, which float64 cannot hold exactly"
                 )
             out[i] = v
     if None in out:
@@ -183,7 +188,6 @@ def _cmd_recover(args) -> int:
     spec = DecodeSpec(
         decoder=args.decoder, k=args.k, l0=args.l0, gamma=args.gamma,
         levels=args.levels, penalty_mode=args.penalty_mode,
-        tol_feas=args.tol_feas, tol_obj=args.tol_obj, iter_cap=args.iter_cap,
     )
     dec = decode(g, y, args.epochs, args.tau, spec)
     res = dec.result

@@ -21,8 +21,8 @@ DECODERS = ("direct", "pmle-exhaustive", "pmle-reduced")
 @dataclass(frozen=True)
 class DecodeSpec:
     """What to decode with. The pmle decoders need the whale count k and
-    the l1 budget l0 of their candidates; tol_feas, tol_obj and iter_cap
-    go to basis pursuit, None meaning its data-scaled default."""
+    the l1 budget l0 of their candidates; basis pursuit runs at its
+    data-scaled default tolerances."""
 
     decoder: str = "direct"
     k: Optional[int] = None
@@ -30,9 +30,6 @@ class DecodeSpec:
     gamma: float = 1.0
     levels: int = 64
     penalty_mode: str = "l0-scaled"
-    tol_feas: Optional[float] = None
-    tol_obj: Optional[float] = None
-    iter_cap: Optional[int] = None
 
     def __post_init__(self):
         if self.decoder not in DECODERS:
@@ -75,7 +72,7 @@ def decode(
             "counters must be finite and nonnegative"
         )
     if spec.decoder == "direct":
-        sol = lp.basis_pursuit(g, y, spec.tol_feas, spec.tol_obj, spec.iter_cap)
+        sol = lp.basis_pursuit(g, y)
         if sol.status == "infeasible":
             raise lp.NumericalError("basis pursuit reported infeasible")
         return Decoded(lp.direct_estimate(sol, epochs, tau), sol)

@@ -14,7 +14,7 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -30,7 +30,6 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentResult",
     "PmleOptions",
-    "SolverOptions",
     "TrialRow",
     "emit_csv",
     "emit_plot_data",
@@ -51,15 +50,6 @@ _AGG_FIELDS = [
     "mean_rel_error", "rel_half_width", "mean_abs_error", "abs_half_width",
     "mean_time_s", "time_half_width",
 ]
-
-
-@dataclass(frozen=True)
-class SolverOptions:
-    """Basis-pursuit tolerances and iteration cap; None takes the default."""
-
-    iter_cap: Optional[int] = None
-    tol_feas: Optional[float] = None
-    tol_obj: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -104,7 +94,6 @@ class ExperimentConfig:
     minnow_dist: Dist
     decoders: tuple
     root_seed: int
-    solver: SolverOptions = SolverOptions()
     pmle: PmleOptions = PmleOptions()
     out_dir: str = "results"
 
@@ -125,8 +114,9 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        """Parse the JSON form written by save_config. Unknown or missing
-        keys, at the top level or inside a block, raise ValueError."""
+        """Parse the JSON form of a config (see the README). Unknown or
+        missing keys, at the top level or inside a block, raise
+        ValueError."""
         d = dict(d)
         version = d.pop("schema_version", None)
         if version != SCHEMA_VERSION:
@@ -137,7 +127,6 @@ class ExperimentConfig:
         for key in ("whale_dist", "minnow_dist"):
             if key in d:
                 d[key] = _from_keys(Dist, d[key], key + ".")
-        d["solver"] = _from_keys(SolverOptions, d.get("solver", {}), "solver.")
         d["pmle"] = _from_keys(PmleOptions, d.get("pmle", {}), "pmle.")
         return _from_keys(cls, d)
 
@@ -145,13 +134,6 @@ class ExperimentConfig:
 def load_config(path) -> ExperimentConfig:
     with open(path) as f:
         return ExperimentConfig.from_dict(json.load(f))
-
-
-def save_config(cfg: ExperimentConfig, path) -> None:
-    with open(path, "w") as f:
-        json.dump({"schema_version": SCHEMA_VERSION, **asdict(cfg)}, f,
-                  indent=2, sort_keys=True)
-        f.write("\n")
 
 
 @dataclass
@@ -277,7 +259,7 @@ def run_trial(cfg: ExperimentConfig, k: int, trial: int) -> list:
                 decoder=decoder, k=k,
                 l0=None if decoder == "direct" else _derive_l0(cfg.pmle, truth),
                 gamma=cfg.pmle.gamma, levels=cfg.pmle.levels,
-                penalty_mode=cfg.pmle.penalty_mode, **asdict(cfg.solver),
+                penalty_mode=cfg.pmle.penalty_mode,
             )
             dec = decode(g, y, cfg.epochs, cfg.tau, spec, cover)
             dt = time.perf_counter() - t0

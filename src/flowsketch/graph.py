@@ -244,23 +244,27 @@ def greedy_cover(g: BipartiteGraph) -> CoverSet:
     return CoverSet(members=np.array(sorted(members), dtype=np.int64))
 
 
+# graphs redrawn, each with a derived seed, before build_graph_with_cover
+# gives up on a counter with no incident flow
+_COVER_RETRIES = 16
+
+
 def build_graph_with_cover(
     n_left: int,
     n_right: int,
     d: int,
     seed: int,
-    max_retries: int = 16,
 ) -> tuple[BipartiteGraph, CoverSet, int]:
     """Build a random graph and its greedy cover.
 
     Every greedy pick covers at least one new counter, so the cover never
     has more than n_right members. The one thing that can fail is a counter
-    with no incident flow; the graph is then rebuilt with a derived seed.
-    Returns (graph, cover, retries_used).
+    with no incident flow; the graph is then rebuilt with a derived seed,
+    at most _COVER_RETRIES times. Returns (graph, cover, retries_used).
     """
     from .seeds import stable_seed
 
-    for attempt in range(max_retries + 1):
+    for attempt in range(_COVER_RETRIES + 1):
         s = seed if attempt == 0 else stable_seed(seed, "cover-retry", attempt)
         g = build_random_expander(n_left, n_right, d, s)
         try:
@@ -268,7 +272,7 @@ def build_graph_with_cover(
         except GraphConstructionError:
             continue  # a counter landed with no incident flow; redraw
     raise GraphConstructionError(
-        f"no usable greedy cover after {max_retries} retries"
+        f"no usable greedy cover after {_COVER_RETRIES} retries"
     )
 
 

@@ -111,6 +111,7 @@ def _solve_ipm(a, y, tol_feas, tol_obj, iter_cap):
 
     trace = []
     status = "iteration-cap"
+    diverged = False
     it = 0
     for it in range(iter_cap):
         rp = y - gmul(z)
@@ -124,8 +125,12 @@ def _solve_ipm(a, y, tol_feas, tol_obj, iter_cap):
             status = "optimal"
             break
 
-        w = z / s
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            w = z / s
         wcol = w[:n] + w[n:]
+        if not np.isfinite(wcol.sum()):
+            diverged = True  # a slack reached zero: the weights overflow
+            break
         h = (a.multiply(wcol) @ a.T).toarray()
         factor = _chol(h)
 
@@ -158,10 +163,11 @@ def _solve_ipm(a, y, tol_feas, tol_obj, iter_cap):
     feas = float(np.abs(rp).max(initial=0.0))
     obj = float(np.abs(u).sum())
     gap = obj - _dual_bound(a, y, nu)
-    if status != "optimal" and feas > 1e3 * tol_feas and len(trace) >= 10:
-        # residual stalled far from feasibility: y is not reachable
-        if trace[-1][2] > 0.9 * trace[-10][2]:
-            status = "infeasible"
+    stalled = len(trace) >= 10 and trace[-1][2] > 0.9 * trace[-10][2]
+    if status != "optimal" and feas > 1e3 * tol_feas and (diverged or stalled):
+        # the residual stalled far from feasibility, or the iterates
+        # diverged before reaching it: y is not reachable
+        status = "infeasible"
     return LpSolution(
         u=u, objective=obj, primal_feasibility=feas, duality_gap=gap,
         iterations=it, status=status, solver="interior-point", trace=trace,
@@ -177,7 +183,9 @@ def basis_pursuit(
 ) -> LpSolution:
     """Minimum-l1 preimage of the counter vector y under the bank's matrix,
     by the interior-point method. Default tolerances scale with the data:
-    tol_feas = 1e-6*(1+||y||_inf), tol_obj = 1e-6*(1+||y||_1).
+    tol_feas = 1e-6*(1+||y||_inf), tol_obj = 1e-6*(1+||y||_1). The status
+    is "infeasible" when the residual ends far from feasibility after
+    stalling, or after the iterates diverged (a slack reached zero).
     """
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (g.n_right,):

@@ -458,16 +458,6 @@ class SparseSolveResult:
     trace: Tuple[float, ...]  # objective after the start and each accepted step
 
 
-def _support_matrix(g: BipartiteGraph, support: np.ndarray) -> sp.csr_matrix:
-    """A[:, support] as a float CSR matrix, read from the columns of the
-    support flows."""
-    nnz = support.size * g.d
-    return sp.csc_matrix(
-        (np.ones(nnz), g.columns[support].ravel(), np.arange(0, nnz + 1, g.d)),
-        shape=(g.n_right, support.size),
-    ).tocsr()
-
-
 def sparse_poisson_solve(
     y: np.ndarray,
     g: BipartiteGraph,
@@ -480,8 +470,15 @@ def sparse_poisson_solve(
     Minimizes sum(mu) - sum y ln(mu) over theta >= 0 with
     mu = mu_base + scale * A[:, support] @ theta. Backtracking line search
     keeps the objective non-increasing; stops when the relative objective
-    change drops below 1e-8 or after 500 iterations. Log and gradient
-    inputs are floored at 1e-12 so a stray zero mean cannot produce NaN.
+    change drops below 1e-8 or after 500 iterations. Up to three projected
+    Newton steps then polish theta. Log and gradient inputs are floored at
+    1e-12 so a stray zero mean cannot produce NaN.
+
+    Only the counters T that the support touches depend on theta, so every
+    array of the solve is over T: the incidence A[T, support] is one CSR
+    built once, next to a CSR copy of its transpose. The other counters
+    keep their mu_base means and add one constant to the objective, so
+    `objective`, `trace` and the stop rule are over all counters.
     """
     support = np.asarray(support, dtype=np.int64)
     if support.size == 0:
@@ -489,34 +486,49 @@ def sparse_poisson_solve(
     y = np.asarray(y, dtype=np.float64)
     if not scale > 0:
         raise ValueError(f"scale must be positive, got {scale}")
-    a_s = _support_matrix(g, support)
     if mu_base is None:
         mu_base = np.zeros(g.n_right)
-    covered = np.asarray((a_s @ np.ones(support.size)) > 0)
-    feas_bad = (y > 0) & (mu_base <= 0) & ~covered
+    n, d = support.size, g.d
+    # inv[i*d:(i+1)*d] are the local indices of flow i's sorted counters
+    touched, inv = np.unique(g.columns[support].ravel(), return_inverse=True)
+    rest = np.ones(g.n_right, dtype=bool)
+    rest[touched] = False
+    feas_bad = rest & (y > 0) & (mu_base <= 0)
     if feas_bad.any():
         j = int(np.nonzero(feas_bad)[0][0])
         raise ValueError(
             f"counter {j} has observed packets but no mass reaches it "
             f"from the support or the offset"
         )
+    theta = np.full(n, (y.sum() + 1.0) / (scale * d * n))
+    y_r, mu_r = y[rest], mu_base[rest]
+    const = float(mu_r.sum() - (y_r * np.log(np.maximum(mu_r, _MU_FLOOR))).sum())
+    a_t = sp.csr_matrix((np.ones(n * d), inv, np.arange(0, n * d + 1, d)),
+                        shape=(n, touched.size))
+    a = a_t.T.tocsr()
+    base = mu_base[touched]
+    pos = y[touched] > 0
+    ypos = y[touched][pos]
 
-    pos = y > 0
-    ypos = y[pos]
+    def means(th):
+        return base + scale * (a @ th)
 
     def objective(mu):
-        return float(mu.sum() - (ypos * np.log(np.maximum(mu[pos], _MU_FLOOR))).sum())
+        return const + float(
+            mu.sum() - (ypos * np.log(np.maximum(mu[pos], _MU_FLOOR))).sum())
 
     def gradient(mu):
-        r = np.ones(g.n_right)
+        r = np.ones(touched.size)
         r[pos] -= ypos / np.maximum(mu[pos], _MU_FLOOR)
-        return scale * (a_s.T @ r)
+        return scale * (a_t @ r)
 
-    theta = np.full(support.size, (y.sum() + 1.0) / (scale * g.d * support.size))
-    mu = mu_base + scale * (a_s @ theta)
+    def pg_norm(th, grad):  # sup norm of the projected gradient
+        return float(np.abs(np.where((th <= 0) & (grad > 0), 0.0, grad)).max())
+
+    mu = means(theta)
     f = objective(mu)
     trace = [f]
-    t = 1.0 / (1.0 + scale * g.d)
+    t = 1.0 / (1.0 + scale * d)
     converged = False
     it = 0
     for it in range(1, _SOLVE_MAX_ITER + 1):
@@ -527,7 +539,7 @@ def sparse_poisson_solve(
             delta = cand - theta
             if not delta.any():
                 break
-            mu_cand = mu_base + scale * (a_s @ cand)
+            mu_cand = means(cand)
             f_cand = objective(mu_cand)
             if f_cand <= f + grad @ delta + (delta @ delta) / (2.0 * t):
                 break
@@ -540,44 +552,26 @@ def sparse_poisson_solve(
         theta, mu = cand, mu_cand
         trace.append(f_cand)
         if abs(f - f_cand) <= _SOLVE_REL_TOL * max(1.0, abs(f)):
-            f = f_cand
             converged = True
             break
         f = f_cand
-    theta = _newton_polish(theta, a_s, y, scale, mu_base)
-    f = objective(mu_base + scale * (a_s @ theta))
-    return SparseSolveResult(theta=theta, objective=f, iterations=it,
-                             converged=converged, trace=tuple(trace))
 
-
-def _newton_polish(theta, a_s, y, scale, mu_base, passes: int = 3):
-    """Projected Newton steps on the free coordinates.
-
-    First-order stops certify progress through objective differences, whose
-    double-precision noise floors the parameter error near 1e-8 relative.
-    Gradients carry far less noise, so a few second-order steps judged by
-    the projected gradient norm push the solution to machine stationarity.
-    """
-    pos = y > 0
-
-    def pg_norm(th, grad):
-        pg = np.where((th <= 0) & (grad > 0), 0.0, grad)
-        return float(np.abs(pg).max(initial=0.0))
-
-    for _ in range(passes):
-        mu = mu_base + scale * (a_s @ theta)
-        r = np.ones(y.size)
-        r[pos] -= y[pos] / np.maximum(mu[pos], _MU_FLOOR)
-        grad = scale * (a_s.T @ r)
+    # First-order stops certify progress through objective differences,
+    # whose double-precision noise floors the parameter error near 1e-8
+    # relative. Gradients carry far less noise, so up to three Newton steps
+    # on the free coordinates, each kept only if it shrinks the projected
+    # gradient, push theta to machine stationarity.
+    inv = inv.reshape(n, d)
+    grad = gradient(mu)
+    for _ in range(3):
         before = pg_norm(theta, grad)
         if before == 0.0:
             break
         free = np.nonzero((theta > 0) | (grad < 0))[0]
-        if free.size == 0:
-            break
-        w = np.zeros(y.size)
-        w[pos] = y[pos] / np.maximum(mu[pos], _MU_FLOOR) ** 2
-        af = a_s[:, free].toarray()
+        af = np.zeros((touched.size, free.size))  # the dense A[T, free]
+        af[inv[free].ravel(), np.repeat(np.arange(free.size), d)] = 1.0
+        w = np.zeros(touched.size)
+        w[pos] = ypos / np.maximum(mu[pos], _MU_FLOOR) ** 2
         h = scale * scale * (af.T * w) @ af
         h[np.diag_indices_from(h)] += 1e-12 * max(h.diagonal().max(), 1.0)
         try:
@@ -586,16 +580,15 @@ def _newton_polish(theta, a_s, y, scale, mu_base, passes: int = 3):
             break
         cand = theta.copy()
         cand[free] = np.maximum(cand[free] - step, 0.0)
-        mu_c = mu_base + scale * (a_s @ cand)
-        if (mu_c[pos] <= 0).any():
+        mu_cand = means(cand)
+        if (mu_cand[pos] <= 0).any():
             break
-        r_c = np.ones(y.size)
-        r_c[pos] -= y[pos] / np.maximum(mu_c[pos], _MU_FLOOR)
-        grad_c = scale * (a_s.T @ r_c)
-        if pg_norm(cand, grad_c) >= before:
+        grad_cand = gradient(mu_cand)
+        if pg_norm(cand, grad_cand) >= before:
             break
-        theta = cand
-    return theta
+        theta, mu, grad = cand, mu_cand, grad_cand
+    return SparseSolveResult(theta=theta, objective=objective(mu), iterations=it,
+                             converged=converged, trace=tuple(trace))
 
 
 def _grid_project(values: np.ndarray, step: float, budget: int) -> np.ndarray:

@@ -5,14 +5,30 @@ oracles use dense algebra and plain enumeration so they stay trustworthy
 as reference implementations.
 """
 
+import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import combinations
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from flowsketch import BipartiteGraph, GraphConstructionError, PmleResult
+from flowsketch import (
+    BipartiteGraph,
+    GraphConstructionError,
+    PmleResult,
+    SparseSolveResult,
+)
+from flowsketch.experiment import SCHEMA_VERSION
+
+
+def save_config(cfg, path) -> None:
+    """Write an experiment.ExperimentConfig as the JSON that `sweep
+    --config` reads, every block spelled out."""
+    with open(path, "w") as f:
+        json.dump({"schema_version": SCHEMA_VERSION, **asdict(cfg)}, f,
+                  indent=2, sort_keys=True)
+        f.write("\n")
 
 
 def apply_adjacency(g: BipartiteGraph, x: np.ndarray) -> np.ndarray:
@@ -284,6 +300,120 @@ def support_matrix_via_csc(g: BipartiteGraph, support: np.ndarray):
     """A[:, support] as float CSR by slicing a full float CSC copy of the
     adjacency, the construction the sparse Poisson solve used to read."""
     return g.csr.astype(np.float64).tocsc()[:, support].tocsr()
+
+
+def sparse_poisson_solve_full(y, g: BipartiteGraph, support, scale: float,
+                              mu_base=None) -> SparseSolveResult:
+    """pmle.sparse_poisson_solve over all M counters: the same start point,
+    step rule, stop rule and Newton polish, on the n_right-row A[:, support]
+    and length-M means, residuals and objective."""
+    support = np.asarray(support, dtype=np.int64)
+    if support.size == 0:
+        raise ValueError("support must be nonempty")
+    y = np.asarray(y, dtype=np.float64)
+    if not scale > 0:
+        raise ValueError(f"scale must be positive, got {scale}")
+    a_s = support_matrix_via_csc(g, support)
+    if mu_base is None:
+        mu_base = np.zeros(g.n_right)
+    covered = np.asarray((a_s @ np.ones(support.size)) > 0)
+    feas_bad = (y > 0) & (mu_base <= 0) & ~covered
+    if feas_bad.any():
+        j = int(np.nonzero(feas_bad)[0][0])
+        raise ValueError(
+            f"counter {j} has observed packets but no mass reaches it "
+            f"from the support or the offset"
+        )
+    floor = 1e-12
+    pos = y > 0
+    ypos = y[pos]
+
+    def objective(mu):
+        return float(mu.sum() - (ypos * np.log(np.maximum(mu[pos], floor))).sum())
+
+    def gradient(mu):
+        r = np.ones(g.n_right)
+        r[pos] -= ypos / np.maximum(mu[pos], floor)
+        return scale * (a_s.T @ r)
+
+    theta = np.full(support.size, (y.sum() + 1.0) / (scale * g.d * support.size))
+    mu = mu_base + scale * (a_s @ theta)
+    f = objective(mu)
+    trace = [f]
+    t = 1.0 / (1.0 + scale * g.d)
+    converged = False
+    it = 0
+    for it in range(1, 501):
+        grad = gradient(mu)
+        t *= 2.0
+        while True:
+            cand = np.maximum(theta - t * grad, 0.0)
+            delta = cand - theta
+            if not delta.any():
+                break
+            mu_cand = mu_base + scale * (a_s @ cand)
+            f_cand = objective(mu_cand)
+            if f_cand <= f + grad @ delta + (delta @ delta) / (2.0 * t):
+                break
+            t *= 0.5
+            if t < 1e-18:
+                break
+        if not delta.any() or t < 1e-18:
+            converged = True
+            break
+        theta, mu = cand, mu_cand
+        trace.append(f_cand)
+        if abs(f - f_cand) <= 1e-8 * max(1.0, abs(f)):
+            converged = True
+            break
+        f = f_cand
+    theta = _newton_polish_full(theta, a_s, y, scale, mu_base, floor)
+    f = objective(mu_base + scale * (a_s @ theta))
+    return SparseSolveResult(theta=theta, objective=f, iterations=it,
+                             converged=converged, trace=tuple(trace))
+
+
+def _newton_polish_full(theta, a_s, y, scale, mu_base, floor, passes=3):
+    """Projected Newton steps on the free coordinates, each kept only if it
+    shrinks the sup norm of the projected gradient."""
+    pos = y > 0
+
+    def pg_norm(th, grad):
+        pg = np.where((th <= 0) & (grad > 0), 0.0, grad)
+        return float(np.abs(pg).max(initial=0.0))
+
+    for _ in range(passes):
+        mu = mu_base + scale * (a_s @ theta)
+        r = np.ones(y.size)
+        r[pos] -= y[pos] / np.maximum(mu[pos], floor)
+        grad = scale * (a_s.T @ r)
+        before = pg_norm(theta, grad)
+        if before == 0.0:
+            break
+        free = np.nonzero((theta > 0) | (grad < 0))[0]
+        if free.size == 0:
+            break
+        w = np.zeros(y.size)
+        w[pos] = y[pos] / np.maximum(mu[pos], floor) ** 2
+        af = a_s[:, free].toarray()
+        h = scale * scale * (af.T * w) @ af
+        h[np.diag_indices_from(h)] += 1e-12 * max(h.diagonal().max(), 1.0)
+        try:
+            step = np.linalg.solve(h, grad[free])
+        except np.linalg.LinAlgError:
+            break
+        cand = theta.copy()
+        cand[free] = np.maximum(cand[free] - step, 0.0)
+        mu_c = mu_base + scale * (a_s @ cand)
+        if (mu_c[pos] <= 0).any():
+            break
+        r_c = np.ones(y.size)
+        r_c[pos] -= y[pos] / np.maximum(mu_c[pos], floor)
+        grad_c = scale * (a_s.T @ r_c)
+        if pg_norm(cand, grad_c) >= before:
+            break
+        theta = cand
+    return theta
 
 
 def level_tuples_recursive(s: int, budget: int):

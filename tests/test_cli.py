@@ -3,11 +3,12 @@
 import csv
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flowsketch import (
@@ -18,8 +19,9 @@ from flowsketch import (
     support_recovery_success,
 )
 from flowsketch.cli import _read_counters_csv, _write_vector_csv, main
-from flowsketch.experiment import ExperimentConfig, save_config
+from flowsketch.experiment import ExperimentConfig
 from flowsketch.stream import Dist
+from helpers import save_config
 
 
 def read_vector(path):
@@ -157,6 +159,23 @@ def test_recover_infeasible_counters_is_numerical_error(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_recover_unreachable_counters_is_numerical_error(tmp_path, capsys):
+    # every flow is on both counters, so A x has equal entries and y = (1, 2)
+    # is out of reach; the interior-point weights overflow on the way
+    g_path, y_path = tmp_path / "g.txt", tmp_path / "y.csv"
+    g_path.write_text("3 2 2 0\n0 1\n0 1\n0 1\n")
+    _write_vector_csv(y_path, [1, 2])
+    est_path = tmp_path / "e.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["recover", "--graph", str(g_path), "--counters", str(y_path),
+                   "--epochs", "1", "--decoder", "direct", "--out", str(est_path)])
+    assert rc == 2
+    assert "numerical failure: basis pursuit reported infeasible" in \
+        capsys.readouterr().err
+    assert not est_path.exists()
+
+
 def test_recover_bad_counter_header_is_usage_error(graph_file, tmp_path):
     y_path = tmp_path / "y.csv"
     y_path.write_text("idx,val\n0,1\n")
@@ -192,6 +211,7 @@ def recover_argv(graph_file, y_path, est_path, decoder):
     ("negative", 3, "'-2'"),
     ("fractional", 3, "'2.5'"),
     ("negative-fractional", 3, "'-2.5'"),
+    ("above-2^53", 3, "'9007199254740993'"),
 ])
 def test_recover_malformed_counters_is_invalid_input(
         graph_file, counters_file, tmp_path, capsys, decoder, case, index, why):
@@ -202,7 +222,8 @@ def test_recover_malformed_counters_is_invalid_input(
         del lines[-1]
     else:
         value = {"nan": "nan", "inf": "inf", "negative": "-2",
-                 "fractional": "2.5", "negative-fractional": "-2.5"}[case]
+                 "fractional": "2.5", "negative-fractional": "-2.5",
+                 "above-2^53": str(2**53 + 1)}[case]
         lines[1 + index] = f"{index},{value}"
     counters_file.write_text("\n".join(lines) + "\n")
     est_path = tmp_path / "est.csv"
@@ -230,22 +251,29 @@ def test_recover_reads_crlf_and_lf_counters(graph_file, counters_file, tmp_path)
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.one_of(st.integers(0, 2**53), st.integers(0, 2**63 - 1)),
                 min_size=1, max_size=40))
+@example([2**53])
+@example([5, 2**53 + 1])
 def test_counters_csv_round_trip(values):
     # the format simulate writes, with its \r\n line ends and with \n
     y = np.array(values, dtype=np.int64)
+    above = np.flatnonzero(y > 2**53)
     with tempfile.TemporaryDirectory() as td:
         crlf, lf = Path(td) / "crlf.csv", Path(td) / "lf.csv"
         _write_vector_csv(crlf, [int(v) for v in y])
         assert crlf.read_bytes().count(b"\r\n") == y.size + 1
         lf.write_bytes(crlf.read_bytes().replace(b"\r\n", b"\n"))
         for path in (crlf, lf):
+            if above.size:
+                # float64 would round such a count; the first one is named
+                i = int(above[0])
+                with pytest.raises(ValueError) as err:
+                    _read_counters_csv(path, y.size)
+                assert f"index {i} has value '{values[i]}', above 2^53" in str(err.value)
+                continue
             back = _read_counters_csv(path, y.size)
-            # counts come back as float64: exact up to 2^53, rounded to
-            # the nearest double above
+            # counts up to 2^53 come back exactly, as float64
             assert back.dtype == np.float64
-            assert back.tolist() == [float(v) for v in values]
-            exact = y <= 2**53
-            assert back[exact].astype(np.int64).tolist() == y[exact].tolist()
+            assert back.astype(np.int64).tolist() == y.tolist()
 
 def test_sweep_and_plot_data(tmp_path, capsys):
     cfg = ExperimentConfig(
@@ -292,7 +320,7 @@ def sweep_with_edited_config(tmp_path, edit):
 
 @pytest.mark.parametrize("block,key", [
     ("pmle", "gama"), ("pmle", "path_cap"), ("pmle", "c"),
-    ("solver", "solver"), (None, "workers"),
+    (None, "solver"), (None, "workers"),
     ("whale_dist", "vaule"), ("minnow_dist", "vaule"),
 ])
 def test_sweep_unknown_config_key_is_invalid_input(tmp_path, capsys, block, key):

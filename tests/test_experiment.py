@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,8 +20,8 @@ from flowsketch.experiment import (
     load_config,
     load_csv,
     run_sweep,
-    save_config,
 )
+from helpers import save_config
 
 CONST1 = Dist("constant", 1.0)
 MINNOW = Dist("abs-gaussian", 1e-3)
@@ -45,6 +46,15 @@ def test_config_validation():
         tiny_cfg(decoders=("omp",))
     with pytest.raises(ValueError):
         tiny_cfg(epochs=0)
+
+
+def test_readme_config_example_loads():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Sweep configs", 1)[1]
+    example = section.split("```json\n", 1)[1].split("```", 1)[0]
+    cfg = ExperimentConfig.from_dict(json.loads(example))
+    assert cfg.decoders == ("direct", "pmle-reduced")
+    assert cfg.pmle == PmleOptions(gamma=1.0, levels=64, penalty_mode="l0-scaled")
 
 
 def test_config_json_round_trip(tmp_path):

@@ -20,13 +20,10 @@ from flowsketch import (
     verify_expansion,
 )
 
-from flowsketch.pmle import _support_matrix
-
 from helpers import (
     apply_adjacency,
     brute_expansion_ratio,
     greedy_cover_rescan,
-    support_matrix_via_csc,
 )
 
 
@@ -316,20 +313,6 @@ def test_apply_adjacency_matches_dense_product(g, data):
     assert yf.dtype == np.float64
     # relative to the summed magnitudes, since the sums may cancel
     assert (np.abs(yf - dense @ xf) <= 1e-12 * (dense @ np.abs(xf))).all()
-
-
-@settings(max_examples=200, deadline=None)
-@given(adjacency_graphs, st.data())
-def test_support_matrix_matches_csc_slice(g, data):
-    support = np.array(data.draw(st.lists(st.integers(0, g.n_left - 1),
-                                          min_size=1, max_size=g.n_left,
-                                          unique=True)), dtype=np.int64)
-    got = _support_matrix(g, support)
-    want = support_matrix_via_csc(g, support)
-    assert got.shape == want.shape
-    for part in ("indptr", "indices", "data"):
-        assert np.array_equal(getattr(got, part), getattr(want, part)), part
-    assert got.data.dtype == want.data.dtype == np.float64
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,5 +1,7 @@
 """Basis-pursuit decoder tests."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -216,3 +218,17 @@ def degenerate_banks(draw):
 def test_stall_heuristic_spares_feasible_degenerate_counters(bank):
     g, y = bank
     assert basis_pursuit(g, y).status != "infeasible"
+
+
+def test_unreachable_counters_are_infeasible():
+    # every flow is on both counters, so y must have equal entries; on
+    # (1, 2) the residual stalls at 0.5 until a slack reaches zero and the
+    # weights overflow, which ends the solve without a warning
+    g = BipartiteGraph(n_left=3, n_right=2, d=2, seed=0,
+                       columns=np.array([[0, 1]] * 3, dtype=np.int32))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = basis_pursuit(g, np.array([1.0, 2.0]))
+        assert sol.status == "infeasible" and sol.solver == "interior-point"
+        assert sol.primal_feasibility >= 0.5 - 1e-9
+        assert basis_pursuit(g, np.array([2.0, 2.0])).status == "optimal"

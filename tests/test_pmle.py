@@ -45,6 +45,7 @@ from helpers import (
     neg_log_likelihood,
     offset_rates,
     penalty,
+    sparse_poisson_solve_full,
 )
 
 CONST1 = Dist("constant", 1.0)
@@ -495,6 +496,116 @@ def test_sparse_solve_monotone_trace():
         tr = res.trace
         assert isinstance(tr, tuple) and len(tr) >= 1
         assert all(a >= b - 1e-9 * max(1.0, abs(a)) for a, b in zip(tr, tr[1:]))
+
+
+def _assert_same_solve(got, want, y, g, support, scale, mu_base):
+    """got within 1e-12 of want: theta relative to its largest entry, the
+    objectives relative to their summed term magnitudes; the same
+    iterations, convergence flag and trace length."""
+    assert got.iterations == want.iterations
+    assert got.converged == want.converged
+    assert len(got.trace) == len(want.trace)
+    assert (np.abs(got.theta - want.theta).max()
+            <= 1e-12 * np.abs(want.theta).max())
+    mu = np.zeros(g.n_right) if mu_base is None else mu_base.copy()
+    np.add.at(mu, g.columns[support].ravel(),
+              np.repeat(scale * want.theta, g.d))
+    mag = 1.0 + mu.sum() + (y * np.abs(np.log(np.maximum(mu, 1e-12)))).sum()
+    assert abs(got.objective - want.objective) <= 1e-12 * mag
+
+
+@st.composite
+def solve_problems(draw):
+    """A small bank, a support, counters and an optional base mean: zero,
+    positive, or zero on some counters."""
+    n_right = draw(st.integers(1, 16))
+    g = build_random_expander(draw(st.integers(1, 30)), n_right,
+                              draw(st.integers(1, n_right)),
+                              draw(st.integers(0, 2**32)))
+    support = np.array(sorted(draw(st.sets(st.integers(0, g.n_left - 1),
+                                           min_size=1))), dtype=np.int64)
+    y = np.array(draw(st.lists(st.integers(0, 300), min_size=n_right,
+                               max_size=n_right)), dtype=np.float64)
+    scale = draw(st.sampled_from([0.5, 1.0, 6.0, 40.0]))
+    mu_base = draw(st.one_of(
+        st.none(),
+        st.lists(st.sampled_from([0.0, 1e-3, 0.5, 7.0]), min_size=n_right,
+                 max_size=n_right).map(np.array)))
+    return y, g, support, scale, mu_base
+
+
+@settings(max_examples=300, deadline=None)
+@given(solve_problems())
+def test_sparse_solve_matches_full_counter_oracle(problem):
+    # the solve over the touched counters against the same solve over all M
+    y, g, support, scale, mu_base = problem
+    try:
+        want = sparse_poisson_solve_full(y, g, support, scale, mu_base=mu_base)
+    except ValueError as e:
+        with pytest.raises(ValueError) as got:
+            sparse_poisson_solve(y, g, support, scale, mu_base=mu_base)
+        assert str(got.value) == str(e)
+        return
+    got = sparse_poisson_solve(y, g, support, scale, mu_base=mu_base)
+    _assert_same_solve(got, want, y, g, support, scale, mu_base)
+
+
+@pytest.mark.parametrize("k", [10, 40, 100])
+def test_sparse_solve_matches_full_counter_oracle_5k(k):
+    # the solve pmle_reduced runs on A1 at 5k/800/8; at k=100 A1 is every flow
+    ts = stable_seed(808, 0)
+    g, cover, _ = build_graph_with_cover(5000, 800, 8, stable_seed(ts, "g"))
+    rv = gen_rates(SignalSpec(n_flows=5000, k=k, whale_dist=CONST1,
+                              minnow_dist=Dist("abs-gaussian", 1e-6),
+                              seed=stable_seed(ts, "s")))
+    st_ = StreamState(graph=g, rates=rv, tau=1.0, seed=stable_seed(ts, "st"))
+    run_epochs(st_, 40)
+    cfg = PmleConfig.from_problem(5000, k, l0=1.25 * rv.l1(), cover=cover,
+                                  levels=64)
+    a1 = localize_whales(st_.y, g, k).a1
+    mu0 = cfg.offset_means(g, 40.0)
+    want = sparse_poisson_solve_full(st_.y, g, a1, 40.0, mu_base=mu0)
+    got = sparse_poisson_solve(st_.y, g, a1, 40.0, mu_base=mu0)
+    _assert_same_solve(got, want, st_.y, g, a1, 40.0, mu0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(0.0, 100.0), min_size=1, max_size=20),
+       st.sampled_from([0.3, 0.5, 1.0, 2.5]), st.integers(1, 64))
+def test_grid_project_keeps_budget(values, step, budget):
+    values = np.array(values)
+    rounded = np.clip(np.rint(values / step).astype(np.int64), 0, budget)
+    m = pmle_module._grid_project(values, step, budget)
+    assert ((0 <= m) & (m <= budget) & (m <= rounded)).all()
+    assert m.sum() == min(budget, rounded.sum())
+
+
+def test_grid_project_walks_back_most_over_rounded_first():
+    # rounds to (3, 3, 3); two levels over budget, taken off the entries
+    # rounded up the most, the first of them on ties
+    m = pmle_module._grid_project(np.array([2.6, 2.6, 2.6]), 1.0, 7)
+    assert m.tolist() == [2, 2, 3]
+
+
+def test_reduced_path_levels_within_budget_below_fitted_mass(small_expander):
+    # l0 = 2 under the fitted mass 4: the grid projection walks the path
+    # candidates back inside the budget
+    g = small_expander
+    truth = np.zeros(g.n_left)
+    truth[11], truth[37] = 3.0, 1.0
+    scale = 50.0
+    y = scale * apply_adjacency(g, truth)
+    loc = localize_whales(y, g, 2)
+    cfg = PmleConfig.from_problem(g.n_left, 2, 2.0, greedy_cover(g),
+                                  gamma=0.1, levels=4)
+    with mock.patch.object(pmle_module, "_grid_project",
+                           wraps=pmle_module._grid_project) as proj:
+        res = pmle_reduced(y, g, loc, cfg, scale, exhaustive_cap=0)
+    assert not res.exhaustive
+    assert any(np.clip(np.rint(v / step), 0, budget).sum() > budget
+               for v, step, budget in (c.args for c in proj.call_args_list))
+    assert res.support and 0 < sum(res.levels) <= cfg.n_levels
+    assert abs(res.rates.sum() - cfg.grid_step * sum(res.levels)) <= 1e-12
 
 
 # ---------------------------------------------------------------- reduced

@@ -1,6 +1,7 @@
 """The library exports only what the library itself uses.
 
-Every name a module of flowsketch lists in ``__all__`` must be read
+Every public name of flowsketch, whether a module lists it in ``__all__``
+or defines it at module level as a function or a class, must be read
 somewhere in the package outside ``__init__.py``, as a plain name or as an
 attribute. A name that only the tests read belongs in ``tests/helpers.py``.
 """
@@ -13,20 +14,26 @@ import flowsketch
 PACKAGE = Path(flowsketch.__file__).parent
 
 
-def _exported(tree: ast.Module) -> list:
+def _public(tree: ast.Module) -> set:
+    """Names listed in __all__, and public module-level functions and
+    classes."""
+    names = set()
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
                 isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
-            return list(ast.literal_eval(node.value))
-    return []
+            names.update(ast.literal_eval(node.value))
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)) and \
+                not node.name.startswith("_"):
+            names.add(node.name)
+    return names
 
 
 def test_every_exported_name_has_a_caller_in_the_package():
-    exported, used = {}, set()
+    public, used = {}, set()
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
-        for name in _exported(tree):
-            exported[name] = path.name
+        for name in _public(tree):
+            public[name] = path.name
         if path.name == "__init__.py":
             continue
         for node in ast.walk(tree):
@@ -34,7 +41,7 @@ def test_every_exported_name_has_a_caller_in_the_package():
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
-    assert exported, f"no __all__ found under {PACKAGE}"
-    unused = sorted(f"{mod}: {name}" for name, mod in exported.items()
+    assert public, f"no public names found under {PACKAGE}"
+    unused = sorted(f"{mod}: {name}" for name, mod in public.items()
                     if name not in used)
-    assert not unused, f"exported but never used in the package: {unused}"
+    assert not unused, f"public but never used in the package: {unused}"
