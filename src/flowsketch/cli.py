@@ -9,7 +9,7 @@ import argparse
 import csv
 import os
 import sys
-from decimal import Decimal
+from typing import Optional
 
 import numpy as np
 
@@ -101,39 +101,41 @@ def _build_parser() -> _Parser:
 
 
 def _write_vector_csv(path, values) -> None:
+    """index,value CSV with \r\n line ends, as csv.writer writes it: floats
+    by repr, anything else as an int."""
     with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["index", "value"])
-        for i, v in enumerate(values):
-            w.writerow([i, repr(float(v)) if isinstance(v, float) else int(v)])
+        f.write("index,value\r\n")
+        f.write("".join(
+            f"{i},{float(v)!r}\r\n" if isinstance(v, float) else f"{i},{int(v)}\r\n"
+            for i, v in enumerate(values)))
 
 
 def _read_counters_csv(path, n_counters: int) -> np.ndarray:
     """Counters as simulate writes them: header index,value, then every
-    index in [0, n_counters) exactly once with a finite, nonnegative,
-    integral count of at most 2^53, the range in which float64, the type
-    both decoders work in, holds every integer. Raises ValueError naming
-    the path and the index."""
+    index in [0, n_counters) exactly once with a count of ASCII digits
+    only, at most 2^53, the range in which float64, the type both decoders
+    work in, holds every integer. Raises ValueError naming the path and
+    the index."""
     out = [None] * n_counters
     with open(path, newline="") as f:
         r = csv.reader(f)
         if next(r, None) != ["index", "value"]:
             raise ValueError(f"{path}: expected header index,value")
         for row in r:
-            try:
-                i, v = int(row[0]), float(row[1])
-            except (IndexError, ValueError):
-                raise ValueError(f"{path}: malformed row {row!r}") from None
-            if not 0 <= i < n_counters:
-                raise ValueError(f"{path}: index {i} out of range")
+            i = _plain_int(row[0]) if len(row) >= 2 else None
+            if i is None:
+                raise ValueError(f"{path}: malformed row {row!r}")
+            if i >= n_counters:
+                raise ValueError(f"{path}: index {row[0]} out of range")
             if out[i] is not None:
                 raise ValueError(f"{path}: index {i} repeated")
-            if not (v >= 0 and v.is_integer()):
+            v = _plain_int(row[1])
+            if v is None:
                 raise ValueError(
                     f"{path}: index {i} has value {row[1]!r}, "
                     "not a nonnegative integer count"
                 )
-            if v >= 2**53 and Decimal(row[1]) > 2**53:
+            if v > 2**53:
                 raise ValueError(
                     f"{path}: index {i} has value {row[1]!r}, "
                     "above 2^53, which float64 cannot hold exactly"
@@ -142,6 +144,16 @@ def _read_counters_csv(path, n_counters: int) -> np.ndarray:
     if None in out:
         raise ValueError(f"{path}: index {out.index(None)} missing")
     return np.array(out, dtype=np.float64)
+
+
+def _plain_int(text: str) -> Optional[int]:
+    """The value text spells in ASCII digits, [0-9]+, or None for any other
+    text. Values above 2^53 read as 2^53 + 1, so that no digit string is
+    too long for int()."""
+    if not (text.isascii() and text.isdigit()):
+        return None
+    digits = text.lstrip("0") or "0"  # 2^53 has 16 digits
+    return int(digits) if len(digits) <= 16 else 2**53 + 1
 
 
 def _cmd_gen_graph(args) -> int:

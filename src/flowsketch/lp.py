@@ -2,15 +2,31 @@
 
 Solves min ||u||_1 subject to A u = y with a self-contained Mehrotra
 predictor-corrector interior-point method on the split formulation
-u = p - q, p,q >= 0 (normal equations, dense M x M Cholesky). A is the
-graph's counter-major `csr`, converted to float for the length of one
-solve and not kept. Every solve records its per-iteration objective and
-residual in the solution.
+u = p - q, p,q >= 0. A is the graph's counter-major `csr`, converted to
+float for the length of one solve and not kept. Every solve records its
+per-iteration objective and residual in the solution.
+
+The method is matrix-free: it reads A only through the products A x and
+A^T v and forms no M x M matrix. Each Newton step solves the normal
+equations A diag(w) A^T dnu = r by preconditioned conjugate gradients
+(PCG) to a relative residual of 1e-10. The preconditioner is
+P = diag(A W_N A^T) + A_B W_B A_B^T: B holds the flows whose weight w
+exceeds 10^3 times the median weight, N the rest. P^-1 is applied by the
+Woodbury identity with one |B| x |B| Cholesky factor per iteration, which
+the predictor and corrector solves share. The start point solves
+(2 A A^T) t = y by PCG preconditioned by its diagonal, twice the counter
+degrees. Cf. Gondzio, "Matrix-free interior point method" (COAP 2012);
+Fountoulakis, Gondzio and Zhlobich, "Matrix-free interior point method for
+compressed sensing problems" (Math. Prog. Comp. 2014).
 
 Termination is certified, not hoped for: any dual vector nu scaled by
 max(1, ||A^T nu||_inf) is feasible for the dual (max y.nu subject to
 ||A^T nu||_inf <= 1), so y.nu_hat is a true lower bound and the gap
-||u||_1 - y.nu_hat bounds the suboptimality of the current iterate.
+||u||_1 - y.nu_hat bounds the suboptimality of the current iterate. A CG
+solve that misses its tolerance (it reaches its iteration cap, or breaks
+down on a singular system) returns its iterate of least residual and the
+method steps with that; "optimal" still needs the primal residual and the
+certified gap of the iterate itself within their tolerances.
 """
 
 from dataclasses import dataclass, field
@@ -31,6 +47,13 @@ __all__ = [
 ]
 
 _IPM_DEFAULT_CAP = 200
+# CG stops at this relative residual ||H x - b|| / ||b|| ...
+_CG_RTOL = 1e-10
+# ... or after this many iterations on one system
+_CG_MAX_ITER = 500
+# a flow joins the preconditioner's low-rank part B when its weight
+# exceeds this multiple of the median weight
+_LOW_RANK_RATIO = 1e3
 
 
 class NumericalError(RuntimeError):
@@ -55,25 +78,83 @@ def _default_tols(y: np.ndarray) -> tuple[float, float]:
     return tol_feas, tol_obj
 
 
-def _chol(h: np.ndarray):
-    """Lower Cholesky factor of the symmetric matrix h. A failed attempt
-    sets the diagonal of h, in place, to its original values plus a jitter
-    that grows 100x per retry."""
-    diag = h.diagonal().copy()
-    bump = 1e-12 * max(float(diag.max(initial=0.0)), 1.0)
-    jitter = 0.0
-    for _ in range(8):
-        try:
-            return cho_factor(h, lower=True)
-        except LinAlgError:
-            jitter = bump if jitter == 0.0 else jitter * 100.0
-            np.fill_diagonal(h, diag + jitter)
-    raise NumericalError("normal-equation matrix is numerically singular")
+def _pcg(hmul, b: np.ndarray, pinv) -> np.ndarray:
+    """Approximate solution of H x = b by conjugate gradients from x = 0,
+    H symmetric positive semidefinite given by its product hmul, and
+    pinv the product with the preconditioner's inverse. Stops at relative
+    residual _CG_RTOL; after _CG_MAX_ITER steps, or when the recurrence
+    breaks down (p^T H p or r^T P^-1 r not positive and finite, as on a
+    singular H with b outside its range), it returns the iterate of least
+    residual instead."""
+    x = np.zeros_like(b)
+    r = b.copy()
+    best_x, best_r = x, float(np.linalg.norm(r))
+    target = _CG_RTOL * best_r
+    if best_r == 0.0:
+        return x
+    z = pinv(r)
+    rz = float(r @ z)
+    p = z
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(_CG_MAX_ITER):
+            if not 0.0 < rz < np.inf:
+                break
+            hp = hmul(p)
+            php = float(p @ hp)
+            if not 0.0 < php < np.inf:
+                break
+            alpha = rz / php
+            x = x + alpha * p
+            r = r - alpha * hp
+            rn = float(np.linalg.norm(r))
+            if rn < best_r:
+                best_x, best_r = x, rn
+                if rn <= target:
+                    break
+            z = pinv(r)
+            rz_next = float(r @ z)
+            p = z + (rz_next / rz) * p
+            rz = rz_next
+    return best_x
 
 
-def _dual_bound(a: sp.csr_matrix, y: np.ndarray, nu: np.ndarray) -> float:
+def _preconditioner(a: sp.csr_matrix, cols: np.ndarray, wcol: np.ndarray):
+    """Product with P^-1, P = diag(A W_N A^T) + A_B W_B A_B^T, by Woodbury:
+    P^-1 = D^-1 - D^-1 A_B C^-1 A_B^T D^-1 with D the diagonal part and
+    C = W_B^-1 + A_B^T D^-1 A_B, a |B| x |B| matrix factored once. D is
+    floored at 1e-12 max(A wcol), so counters with no flow in N (or none
+    at all) stay invertible. The floor also bounds D^-1 by 1e12 / max(w),
+    which keeps C's diagonal term W_B^-1 from vanishing next to the rest;
+    should C still fail to factor, P is D alone."""
+    m, d = a.shape[0], cols.shape[1]
+    big = wcol > _LOW_RANK_RATIO * float(np.median(wcol))
+    diag = a @ np.where(big, 0.0, wcol)
+    dinv = 1.0 / np.maximum(diag, 1e-12 * float((a @ wcol).max()))
+    b = np.flatnonzero(big)
+    if b.size == 0:
+        return lambda r: dinv * r
+    cb = cols[b]
+    e = sp.csr_matrix((np.ones(cb.size), cb.ravel(), np.arange(0, cb.size + 1, d)),
+                      shape=(b.size, m))
+    c = (e.multiply(dinv) @ e.T).toarray()
+    c[np.diag_indices_from(c)] += 1.0 / wcol[b]
+    try:
+        factor = cho_factor(c, lower=True, check_finite=False)
+    except LinAlgError:
+        return lambda r: dinv * r
+    flat = cb.ravel()
+
+    def pinv(r):
+        t = dinv * r
+        v = cho_solve(factor, t[cb].sum(axis=1), check_finite=False)
+        return t - dinv * np.bincount(flat, weights=np.repeat(v, d), minlength=m)
+
+    return pinv
+
+
+def _dual_bound(at: sp.csr_matrix, y: np.ndarray, nu: np.ndarray) -> float:
     """Lower bound on the optimum from an arbitrary dual vector."""
-    atn = np.abs(a.T @ nu).max(initial=0.0)
+    atn = np.abs(at @ nu).max(initial=0.0)
     return float(y @ (nu / max(1.0, atn)))
 
 
@@ -84,7 +165,11 @@ def _max_step(v: np.ndarray, dv: np.ndarray) -> float:
     return min(1.0, float((-v[neg] / dv[neg]).min()))
 
 
-def _solve_ipm(a, y, tol_feas, tol_obj, iter_cap):
+def _solve_ipm(a, cols, y, tol_feas, tol_obj, iter_cap):
+    """Mehrotra predictor-corrector on the split formulation, a the float
+    adjacency and cols the graph's columns. Both Newton systems of an
+    iteration are solved by `_pcg` under one `_preconditioner`; see the
+    module docstring for what a CG solve that misses its tolerance does."""
     m, n = a.shape
     at = a.T.tocsr()
     ones = np.ones(2 * n)
@@ -97,7 +182,9 @@ def _solve_ipm(a, y, tol_feas, tol_obj, iter_cap):
         return np.concatenate([t, -t])
 
     # starting point: least-squares primal, unit slacks, shifted positive
-    t = cho_solve(_chol((2.0 * (a @ a.T)).toarray()), y)
+    deg2 = 2.0 * np.diff(a.indptr)
+    dinv0 = 1.0 / np.maximum(deg2, 1e-12 * float(deg2.max()))
+    t = _pcg(lambda v: 2.0 * (a @ (at @ v)), y, lambda r: dinv0 * r)
     z_tilde = gtmul(t)
     z_bar = z_tilde + max(-1.5 * float(z_tilde.min(initial=0.0)), 0.0)
     s_bar = ones.copy()
@@ -119,7 +206,7 @@ def _solve_ipm(a, y, tol_feas, tol_obj, iter_cap):
         u = z[:n] - z[n:]
         feas = float(np.abs(rp).max(initial=0.0))
         obj = float(np.abs(u).sum())
-        gap = obj - _dual_bound(a, y, nu)
+        gap = obj - _dual_bound(at, y, nu)
         trace.append((it, obj, feas))
         if feas <= tol_feas and gap <= tol_obj:
             status = "optimal"
@@ -131,13 +218,15 @@ def _solve_ipm(a, y, tol_feas, tol_obj, iter_cap):
         if not np.isfinite(wcol.sum()):
             diverged = True  # a slack reached zero: the weights overflow
             break
-        h = (a.multiply(wcol) @ a.T).toarray()
-        factor = _chol(h)
+        pinv = _preconditioner(a, cols, wcol)
+
+        def hmul(v):
+            return a @ (wcol * (at @ v))
 
         def newton(rc):
             rhs = rp + a @ ((w[:n] * rd[:n] - rc[:n] / s[:n])
                             - (w[n:] * rd[n:] - rc[n:] / s[n:]))
-            dnu = cho_solve(factor, rhs)
+            dnu = _pcg(hmul, rhs, pinv)
             dz = w * (gtmul(dnu) - rd) + rc / s
             ds = (rc - s * dz) / z
             return dnu, dz, ds
@@ -162,7 +251,7 @@ def _solve_ipm(a, y, tol_feas, tol_obj, iter_cap):
     u = z[:n] - z[n:]
     feas = float(np.abs(rp).max(initial=0.0))
     obj = float(np.abs(u).sum())
-    gap = obj - _dual_bound(a, y, nu)
+    gap = obj - _dual_bound(at, y, nu)
     stalled = len(trace) >= 10 and trace[-1][2] > 0.9 * trace[-10][2]
     if status != "optimal" and feas > 1e3 * tol_feas and (diverged or stalled):
         # the residual stalled far from feasibility, or the iterates
@@ -182,10 +271,10 @@ def basis_pursuit(
     iter_cap: Optional[int] = None,
 ) -> LpSolution:
     """Minimum-l1 preimage of the counter vector y under the bank's matrix,
-    by the interior-point method. Default tolerances scale with the data:
-    tol_feas = 1e-6*(1+||y||_inf), tol_obj = 1e-6*(1+||y||_1). The status
-    is "infeasible" when the residual ends far from feasibility after
-    stalling, or after the iterates diverged (a slack reached zero).
+    by the matrix-free interior-point method. Default tolerances scale with
+    the data: tol_feas = 1e-6*(1+||y||_inf), tol_obj = 1e-6*(1+||y||_1).
+    The status is "infeasible" when the residual ends far from feasibility
+    after stalling, or after the iterates diverged (a slack reached zero).
     """
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (g.n_right,):
@@ -209,7 +298,7 @@ def basis_pursuit(
         )
 
     cap = _IPM_DEFAULT_CAP if iter_cap is None else iter_cap
-    return _solve_ipm(a, y, tol_feas, tol_obj, cap)
+    return _solve_ipm(a, g.columns, y, tol_feas, tol_obj, cap)
 
 
 def direct_estimate(sol: LpSolution, n_epochs: int, tau: float) -> np.ndarray:

@@ -15,8 +15,10 @@ estimates are returned as rates directly, no trailing division. The
 offset's own means mu0 = scale * A @ (c*L0 on the cover) come from
 `PmleConfig.offset_means`, which sums over the cover flows alone.
 
-Candidates are scored in blocks, all level tuples of one support at a
-time, as arrays over the few counters that support touches. Near-ties of
+Candidates are scored in blocks, as arrays over the few counters a
+block's flows touch: all level tuples of one support at a time when
+enumerating, and the whole l0 path of the reduced decoder as one block
+whose rows hold zero levels off each candidate's support. Near-ties of
 the batched values are rescored exactly, candidate by candidate, so the
 argmin, its objective and the tie-break (the candidate enumerated first)
 are those of scoring every candidate on its own.
@@ -353,11 +355,12 @@ def _argmin(
     exhaustive: bool,
 ) -> PmleResult:
     """First minimizer, in enumeration order, of NLL(candidate + offset) +
-    2*pen(candidate) over (support, levels) blocks, mu0 being the offset's
-    counter means.
+    2*pen(candidate) over (flows, levels) blocks, mu0 being the offset's
+    counter means. Each row of a block's levels array is one candidate:
+    the flows whose level in that row is nonzero, at those levels.
 
     A block is scored as arrays, in row chunks. A candidate changes mu0
-    only on the counters T its support touches, so its objective is
+    only on the counters T the block's flows touch, so its objective is
     sum(mu0) + scale*step*d*sum(levels), minus the y*ln(mu) terms of the
     untouched counters (summed once per call), minus those of T, plus the
     penalty; a positive counter left at mean zero makes it +inf. These
@@ -377,16 +380,26 @@ def _argmin(
     n_dead = int(dead.sum())
     mu0_sum, w_sum, w_abs = float(mu0.sum()), float(w.sum()), float(np.abs(w).sum())
     y_sum = float(y.sum())
+    pen2 = []  # pen2[s] = 2*pen_of_size(s), extended as sizes appear
     best = None  # (exact objective, support, levels) of the running minimum
     first = None
     best_hi = math.inf  # least upper bound on any screened objective so far
     n_eval = 0
-    for supp, levels in blocks:
+
+    def candidate(flows, row):
+        nz = np.flatnonzero(row)
+        return tuple(flows[i] for i in nz), tuple(row[nz].tolist())
+
+    for flows, levels in blocks:
         n_eval += len(levels)
         if first is None:
-            first = (supp, tuple(levels[0].tolist()))
-        s = len(supp)
-        touched, inv = np.unique(g.columns[list(supp)].ravel(), return_inverse=True)
+            first = candidate(flows, levels[0])
+        s = len(flows)
+        while len(pen2) <= s:
+            pen2.append(2.0 * cs.pen_of_size(len(pen2)))
+        pen2_s = np.array(pen2[:s + 1])
+        ragged = not levels.all()  # some rows leave some of the flows out
+        touched, inv = np.unique(g.columns[list(flows)].ravel(), return_inverse=True)
         if dead[touched].sum() < n_dead:
             continue  # an untouched positive counter keeps mean zero
         inc = np.zeros((s, touched.size))  # a flow's d counters are distinct
@@ -395,13 +408,11 @@ def _argmin(
         inc = inc[:, keep]
         y_t, mu0_t = y[touched[keep]], mu0[touched[keep]]
         rest = w_sum - float(w[touched].sum())
-        pen2 = 2.0 * cs.pen_of_size(s)
-        # first-order rounding bound of either evaluation, per unit of the
-        # summed term magnitudes (the objective itself can cancel)
-        tol_k = 4.0 * (y.size + s * g.d + 8) * np.finfo(np.float64).eps
         for lo in range(0, len(levels), _CHUNK_ROWS):
             lv = levels[lo:lo + _CHUNK_ROWS]
             lvf = lv.astype(np.float64)
+            size = np.count_nonzero(lv, axis=1) if ragged else s
+            pen2_r = pen2_s[size]
             mass = mu0_sum + (a * g.d) * lvf.sum(axis=1)
             # one (rows, |T|) buffer, in place: mu, then y*ln(mu), then |y*ln(mu)|
             buf = lvf @ inc
@@ -411,15 +422,18 @@ def _argmin(
             with np.errstate(divide="ignore", invalid="ignore"):
                 np.log(buf, out=buf)
             buf *= y_t
-            obj = mass - (rest + buf.sum(axis=1)) + pen2
+            obj = mass - (rest + buf.sum(axis=1)) + pen2_r
             np.abs(buf, out=buf)
-            tol = tol_k * (mass + w_abs + buf.sum(axis=1) + y_sum + abs(pen2))
+            # first-order rounding bound of either evaluation, per unit of
+            # the summed term magnitudes (the objective itself can cancel)
+            tol_k = 4.0 * (y.size + size * g.d + 8) * np.finfo(np.float64).eps
+            tol = tol_k * (mass + w_abs + buf.sum(axis=1) + y_sum + np.abs(pen2_r))
             obj[bad], tol[bad] = math.inf, 0.0
             best_hi = min(best_hi, float((obj + tol).min()))
             if best_hi == math.inf:
                 continue
             for j in np.nonzero(obj - tol <= best_hi)[0]:
-                cand = tuple(lv[j].tolist())
+                supp, cand = candidate(flows, lv[j])
                 exact = _score(y, g, cs, mu0, scale, supp, cand)
                 if best is None or exact < best[0]:
                     best = (exact, supp, cand)
@@ -489,10 +503,14 @@ def sparse_poisson_solve(
     if mu_base is None:
         mu_base = np.zeros(g.n_right)
     n, d = support.size, g.d
-    # inv[i*d:(i+1)*d] are the local indices of flow i's sorted counters
-    touched, inv = np.unique(g.columns[support].ravel(), return_inverse=True)
+    # touched counters numbered in increasing order by a mask and its
+    # running count; inv[i*d:(i+1)*d] are the local indices of flow i's
+    # sorted counters
+    cols = g.columns[support].ravel()
     rest = np.ones(g.n_right, dtype=bool)
-    rest[touched] = False
+    rest[cols] = False
+    touched = np.flatnonzero(~rest)
+    inv = np.cumsum(~rest)[cols] - 1
     feas_bad = rest & (y > 0) & (mu_base <= 0)
     if feas_bad.any():
         j = int(np.nonzero(feas_bad)[0][0])
@@ -591,10 +609,15 @@ def sparse_poisson_solve(
                              converged=converged, trace=tuple(trace))
 
 
+def _round_levels(values: np.ndarray, step: float, budget: int) -> np.ndarray:
+    """Each value rounded to an integer level, clipped to [0, budget]."""
+    return np.clip(np.rint(values / step).astype(np.int64), 0, budget)
+
+
 def _grid_project(values: np.ndarray, step: float, budget: int) -> np.ndarray:
     """Round to integer levels, clip to [0, budget], then walk the total
     back inside the budget by decrementing the most over-rounded entries."""
-    m = np.clip(np.rint(values / step).astype(np.int64), 0, budget)
+    m = _round_levels(values, step, budget)
     excess = int(m.sum()) - budget
     while excess > 0:
         idx = np.nonzero(m > 0)[0]
@@ -602,6 +625,30 @@ def _grid_project(values: np.ndarray, step: float, budget: int) -> np.ndarray:
         m[idx[int(np.argmax(over))]] -= 1
         excess -= 1
     return m
+
+
+def _l0_path(theta: np.ndarray, flows_all: np.ndarray, step: float, budget: int,
+             s_max: int) -> tuple[tuple, np.ndarray]:
+    """The l0 path of fitted values theta on flows_all as one block for
+    `_argmin`: the flows of the s_max largest values (ties to the lower
+    position), and a levels array whose row s, for s = 0..s_max, is the
+    grid projection of the s largest values, zero elsewhere. Each value
+    rounds on its own, so only the rows whose rounded levels overspend the
+    budget need `_grid_project`'s walk-back. A repeated row is kept only
+    at its first place."""
+    order = np.argsort(-theta, kind="stable")[:s_max]
+    flows = np.sort(order)
+    theta = theta[flows]
+    joins = np.empty(s_max, dtype=np.int64)  # the row at which each flow enters
+    joins[np.searchsorted(flows, order)] = np.arange(1, s_max + 1)
+    rounded = _round_levels(theta, step, budget)
+    path = np.where(joins <= np.arange(s_max + 1)[:, None], rounded, 0)
+    for s in np.flatnonzero(path.sum(axis=1) > budget):
+        chosen = joins <= s
+        path[s, chosen] = _grid_project(theta[chosen], step, budget)
+    first_at = {row.tobytes(): s for s, row in reversed(list(enumerate(path)))}
+    return (tuple(int(i) for i in flows_all[flows]),
+            path[sorted(first_at.values())])
 
 
 def pmle_reduced(
@@ -643,21 +690,8 @@ def pmle_reduced(
 
     mu0 = cfg.offset_means(g, scale)
     solve = sparse_poisson_solve(y, g, loc.a1, scale, mu_base=mu0)
-    order = np.argsort(-solve.theta, kind="stable")
     s_max = min(loc.a1.size, cs.n_levels, max(2 * cfg.k, 32))
-
-    def path():
-        seen = set()
-        for s in range(0, s_max + 1):
-            chosen = np.sort(order[:s])
-            m = _grid_project(solve.theta[chosen], cs.grid_step, cs.n_levels)
-            keep = m > 0
-            supp = tuple(int(i) for i in loc.a1[chosen][keep])
-            key = (supp, tuple(int(v) for v in m[keep]))
-            if key not in seen:
-                seen.add(key)
-                yield supp, m[keep][None, :]
-
-    res = _argmin(y, g, cs, mu0, scale, path(), exhaustive=False)
+    block = _l0_path(solve.theta, loc.a1, cs.grid_step, cs.n_levels, s_max)
+    res = _argmin(y, g, cs, mu0, scale, [block], exhaustive=False)
     res.localization = loc
     return res

@@ -5,6 +5,7 @@ oracles use dense algebra and plain enumeration so they stay trustworthy
 as reference implementations.
 """
 
+import csv
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -12,14 +13,19 @@ from itertools import combinations
 from typing import NamedTuple, Optional
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from flowsketch import (
+    LpSolution,
     BipartiteGraph,
     GraphConstructionError,
     PmleResult,
     SparseSolveResult,
 )
+from flowsketch import pmle
 from flowsketch.experiment import SCHEMA_VERSION
+from flowsketch.lp import NumericalError, _default_tols, basis_pursuit
 
 
 def save_config(cfg, path) -> None:
@@ -29,6 +35,16 @@ def save_config(cfg, path) -> None:
         json.dump({"schema_version": SCHEMA_VERSION, **asdict(cfg)}, f,
                   indent=2, sort_keys=True)
         f.write("\n")
+
+
+def write_vector_csv_rows(path, values) -> None:
+    """An index,value CSV written row by row through csv.writer: floats
+    by repr, anything else as an int."""
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(["index", "value"])
+        for i, v in enumerate(values):
+            w.writerow([i, repr(float(v)) if isinstance(v, float) else int(v)])
 
 
 def apply_adjacency(g: BipartiteGraph, x: np.ndarray) -> np.ndarray:
@@ -416,6 +432,25 @@ def _newton_polish_full(theta, a_s, y, scale, mu_base, floor, passes=3):
     return theta
 
 
+def l0_path_candidates(theta, flows_all, step: float, budget: int,
+                       s_max: int) -> list:
+    """The l0 path of pmle_reduced as a list of (support, levels), built
+    one candidate at a time: for s = 0..s_max the s largest of theta (ties
+    to the lower position), grid projected, zero levels dropped, each
+    distinct candidate once, at its first place."""
+    order = np.argsort(-np.asarray(theta), kind="stable")
+    out = []
+    for s in range(s_max + 1):
+        chosen = np.sort(order[:s])
+        m = pmle._grid_project(theta[chosen], step, budget)
+        keep = m > 0
+        cand = (tuple(int(i) for i in flows_all[chosen][keep]),
+                tuple(int(v) for v in m[keep]))
+        if cand not in out:
+            out.append(cand)
+    return out
+
+
 def level_tuples_recursive(s: int, budget: int):
     """Tuples of s integer levels in [1, budget] with sum <= budget,
     lexicographic, built one prefix at a time."""
@@ -459,3 +494,135 @@ def argmin_scalar(y, g, cs, mu0, scale, candidates, exhaustive) -> PmleResult:
         support=supp, levels=lv, objective=obj,
         n_evaluated=n_eval, exhaustive=exhaustive,
     )
+
+
+def _chol(h: np.ndarray):
+    """Lower Cholesky factor of the symmetric matrix h. A failed attempt
+    sets the diagonal of h, in place, to its original values plus a jitter
+    that grows 100x per retry."""
+    diag = h.diagonal().copy()
+    bump = 1e-12 * max(float(diag.max(initial=0.0)), 1.0)
+    jitter = 0.0
+    for _ in range(8):
+        try:
+            return cho_factor(h, lower=True)
+        except LinAlgError:
+            jitter = bump if jitter == 0.0 else jitter * 100.0
+            np.fill_diagonal(h, diag + jitter)
+    raise NumericalError("normal-equation matrix is numerically singular")
+
+
+def _solve_ipm_dense(a: sp.csr_matrix, y, tol_feas, tol_obj, iter_cap):
+    """lp._solve_ipm with its normal equations formed as a dense M x M
+    matrix and factored by Cholesky: the same start point, steps, stop
+    rule, certified bound and statuses."""
+    m, n = a.shape
+    at = a.T.tocsr()
+    ones = np.ones(2 * n)
+
+    def gmul(z):
+        return a @ (z[:n] - z[n:])
+
+    def gtmul(nu):
+        t = at @ nu
+        return np.concatenate([t, -t])
+
+    def dual_bound(nu):
+        atn = np.abs(at @ nu).max(initial=0.0)
+        return float(y @ (nu / max(1.0, atn)))
+
+    def max_step(v, dv):
+        neg = dv < 0
+        if not neg.any():
+            return 1.0
+        return min(1.0, float((-v[neg] / dv[neg]).min()))
+
+    t = cho_solve(_chol((2.0 * (a @ a.T)).toarray()), y)
+    z_tilde = gtmul(t)
+    z_bar = z_tilde + max(-1.5 * float(z_tilde.min(initial=0.0)), 0.0)
+    s_bar = ones.copy()
+    dot = float(z_bar @ s_bar)
+    if dot <= 0.0:
+        z, s = ones.copy(), ones.copy()
+    else:
+        z = z_bar + 0.5 * dot / s_bar.sum()
+        s = s_bar + 0.5 * dot / z_bar.sum()
+    nu = np.zeros(m)
+
+    trace = []
+    status = "iteration-cap"
+    diverged = False
+    it = 0
+    for it in range(iter_cap):
+        rp = y - gmul(z)
+        rd = ones - gtmul(nu) - s
+        u = z[:n] - z[n:]
+        feas = float(np.abs(rp).max(initial=0.0))
+        obj = float(np.abs(u).sum())
+        gap = obj - dual_bound(nu)
+        trace.append((it, obj, feas))
+        if feas <= tol_feas and gap <= tol_obj:
+            status = "optimal"
+            break
+
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            w = z / s
+        wcol = w[:n] + w[n:]
+        if not np.isfinite(wcol.sum()):
+            diverged = True
+            break
+        factor = _chol((a.multiply(wcol) @ a.T).toarray())
+
+        def newton(rc):
+            rhs = rp + a @ ((w[:n] * rd[:n] - rc[:n] / s[:n])
+                            - (w[n:] * rd[n:] - rc[n:] / s[n:]))
+            dnu = cho_solve(factor, rhs)
+            dz = w * (gtmul(dnu) - rd) + rc / s
+            ds = (rc - s * dz) / z
+            return dnu, dz, ds
+
+        mu = float(z @ s) / (2 * n)
+        dnu_a, dz_a, ds_a = newton(-z * s)
+        ap = max_step(z, dz_a)
+        ad = max_step(s, ds_a)
+        mu_aff = float((z + ap * dz_a) @ (s + ad * ds_a)) / (2 * n)
+        sigma = (mu_aff / mu) ** 3 if mu > 0 else 0.0
+
+        dnu, dz, ds = newton(sigma * mu - z * s - dz_a * ds_a)
+        ap = 0.999 * max_step(z, dz)
+        ad = 0.999 * max_step(s, ds)
+        z = z + ap * dz
+        s = s + ad * ds
+        nu = nu + ad * dnu
+    else:
+        it += 1
+
+    rp = y - gmul(z)
+    u = z[:n] - z[n:]
+    feas = float(np.abs(rp).max(initial=0.0))
+    obj = float(np.abs(u).sum())
+    gap = obj - dual_bound(nu)
+    stalled = len(trace) >= 10 and trace[-1][2] > 0.9 * trace[-10][2]
+    if status != "optimal" and feas > 1e3 * tol_feas and (diverged or stalled):
+        status = "infeasible"
+    return LpSolution(
+        u=u, objective=obj, primal_feasibility=feas, duality_gap=gap,
+        iterations=it, status=status, solver="interior-point", trace=trace,
+    )
+
+
+def basis_pursuit_dense(g: BipartiteGraph, y, tol_feas=None, tol_obj=None,
+                        iter_cap=None) -> LpSolution:
+    """lp.basis_pursuit with the dense normal-equation interior-point
+    method that the matrix-free one replaced. The trivial cases (a
+    nonzero counter with no flow, y = 0) are lp.basis_pursuit's own."""
+    y = np.asarray(y, dtype=np.float64)
+    a = g.csr.astype(np.float64)
+    if y.shape != (g.n_right,) or not np.abs(y).max(initial=0.0) or (
+            (np.diff(a.indptr) == 0) & (y != 0)).any():
+        return basis_pursuit(g, y, tol_feas, tol_obj, iter_cap)
+    dt_feas, dt_obj = _default_tols(y)
+    return _solve_ipm_dense(
+        a, y, dt_feas if tol_feas is None else tol_feas,
+        dt_obj if tol_obj is None else tol_obj,
+        200 if iter_cap is None else iter_cap)

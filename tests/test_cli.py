@@ -21,7 +21,7 @@ from flowsketch import (
 from flowsketch.cli import _read_counters_csv, _write_vector_csv, main
 from flowsketch.experiment import ExperimentConfig
 from flowsketch.stream import Dist
-from helpers import save_config
+from helpers import save_config, write_vector_csv_rows
 
 
 def read_vector(path):
@@ -212,6 +212,12 @@ def recover_argv(graph_file, y_path, est_path, decoder):
     ("fractional", 3, "'2.5'"),
     ("negative-fractional", 3, "'-2.5'"),
     ("above-2^53", 3, "'9007199254740993'"),
+    ("underscore", 3, "'1_0'"),
+    ("exponent", 3, "'1e3'"),
+    ("spaces", 3, "' 7 '"),
+    ("plus-sign", 3, "'+7'"),
+    ("integral-float", 3, "'2.0'"),
+    ("arabic-indic-digit", 3, "'\u0663'"),
 ])
 def test_recover_malformed_counters_is_invalid_input(
         graph_file, counters_file, tmp_path, capsys, decoder, case, index, why):
@@ -223,7 +229,9 @@ def test_recover_malformed_counters_is_invalid_input(
     else:
         value = {"nan": "nan", "inf": "inf", "negative": "-2",
                  "fractional": "2.5", "negative-fractional": "-2.5",
-                 "above-2^53": str(2**53 + 1)}[case]
+                 "above-2^53": str(2**53 + 1), "underscore": "1_0",
+                 "exponent": "1e3", "spaces": " 7 ", "plus-sign": "+7",
+                 "integral-float": "2.0", "arabic-indic-digit": "\u0663"}[case]
         lines[1 + index] = f"{index},{value}"
     counters_file.write_text("\n".join(lines) + "\n")
     est_path = tmp_path / "est.csv"
@@ -274,6 +282,34 @@ def test_counters_csv_round_trip(values):
             # counts up to 2^53 come back exactly, as float64
             assert back.dtype == np.float64
             assert back.astype(np.int64).tolist() == y.tolist()
+
+def test_counters_csv_digit_strings_past_int_limit(tmp_path):
+    # int() refuses more than 4300 digits; such a count or index is still
+    # reported against the file and the index it is on
+    path = tmp_path / "y.csv"
+    path.write_text("index,value\n0,5\n1," + "9" * 5000 + "\n")
+    with pytest.raises(ValueError, match=f"{path}: index 1 has value '9+', above 2"):
+        _read_counters_csv(path, 2)
+    path.write_text("index,value\n" + "0" * 5000 + "1,5\n0,5\n")
+    assert _read_counters_csv(path, 2).tolist() == [5.0, 5.0]
+    path.write_text("index,value\n0,5\n" + "1" * 5000 + ",5\n")
+    with pytest.raises(ValueError, match=f"{path}: index 1+ out of range"):
+        _read_counters_csv(path, 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=30),
+    st.lists(st.integers(-2**70, 2**70), max_size=30),
+))
+@example([-0.0, 0.0, float("nan"), float("inf"), -float("inf"), 1e-300, 0.1])
+def test_vector_csv_bytes_match_csv_writer(values):
+    with tempfile.TemporaryDirectory() as td:
+        got, want = Path(td) / "got.csv", Path(td) / "want.csv"
+        _write_vector_csv(got, values)
+        write_vector_csv_rows(want, values)
+        assert got.read_bytes() == want.read_bytes()
+
 
 def test_sweep_and_plot_data(tmp_path, capsys):
     cfg = ExperimentConfig(

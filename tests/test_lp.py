@@ -1,12 +1,14 @@
 """Basis-pursuit decoder tests."""
 
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import LinAlgError
 
 from flowsketch import (
     DecodeSpec,
@@ -23,8 +25,9 @@ from flowsketch import (
     gen_rates,
     run_epochs,
 )
+from flowsketch import lp
 from flowsketch.graph import BipartiteGraph
-from helpers import apply_adjacency, oracle_2sparse
+from helpers import apply_adjacency, basis_pursuit_dense, oracle_2sparse
 
 
 def test_zero_counters():
@@ -232,3 +235,76 @@ def test_unreachable_counters_are_infeasible():
         assert sol.status == "infeasible" and sol.solver == "interior-point"
         assert sol.primal_feasibility >= 0.5 - 1e-9
         assert basis_pursuit(g, np.array([2.0, 2.0])).status == "optimal"
+
+
+# ------------------------------------------------- matrix-free vs dense oracle
+
+
+def assert_matches_dense(g, y, **tols):
+    """basis_pursuit and the dense normal-equation oracle reach the same
+    status, and optima within the larger of their certified gaps."""
+    got = basis_pursuit(g, y, **tols)
+    want = basis_pursuit_dense(g, y, **tols)
+    assert got.status == want.status
+    if got.status == "optimal":
+        assert abs(got.objective - want.objective) <= max(
+            got.duality_gap, want.duality_gap)
+    return got, want
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(sparse_banks(), degenerate_banks()))
+def test_matrix_free_matches_dense_oracle(bank):
+    g, y = bank
+    assert_matches_dense(g, y)
+
+
+@pytest.mark.parametrize("k", [3, 10])
+def test_matrix_free_matches_dense_oracle_5k(k):
+    g = build_random_expander(5000, 800, 8, seed=67)
+    for seed in range(5):
+        rates = gen_rates(SignalSpec(5000, k, Dist("constant", 1.0),
+                                     Dist("abs-gaussian", 1e-6), seed=seed))
+        st_ = StreamState(graph=g, rates=rates, tau=1.0, seed=100 + seed)
+        run_epochs(st_, 40)
+        got, want = assert_matches_dense(g, st_.y.astype(np.float64))
+        assert got.status == "optimal"
+        assert got.iterations == want.iterations
+        assert np.abs(got.u - want.u).max() <= 1e-6
+
+
+def test_exact_normal_matvec_regression_44x15():
+    # a bank on which adding even 1e-12 max(A diag(w) 1) to the normal
+    # product H v, to regularize CG, loses feasibility at these tolerances
+    # (the run ends "infeasible" or at the iteration cap); with H v exact
+    # it is optimal in under ten iterations
+    g = build_random_expander(44, 15, 10, 4241244824)
+    x = np.zeros(g.n_left, dtype=np.int64)
+    x[[27, 41, 42, 29, 33]] = (34, 17, 8, 7, 1)
+    y = apply_adjacency(g, x)
+    a = g.csr.toarray().astype(np.float64)
+    ref = scipy.optimize.linprog(np.ones(2 * g.n_left), A_eq=np.hstack([a, -a]),
+                                 b_eq=y, bounds=(0, None), method="highs")
+    sol = basis_pursuit(g, y, tol_feas=1e-9 * (1 + y.max()),
+                        tol_obj=1e-9 * (1 + y.sum()))
+    assert sol.status == "optimal" and sol.iterations <= 50
+    assert abs(sol.objective - ref.fun) <= 1e-6 * max(1.0, ref.fun)
+
+
+def test_woodbury_factor_failure_falls_back_to_diagonal(small_expander):
+    # the |B| x |B| factor of the preconditioner has a diagonal floor and
+    # does not fail in practice; if it did, PCG runs on the diagonal alone
+    g = small_expander
+    x = np.zeros(g.n_left)
+    x[3], x[17] = 4.0, 11.0
+    y = apply_adjacency(g, x)
+    want = basis_pursuit(g, y)
+
+    def fail(*args, **kwargs):
+        raise LinAlgError("not positive definite")
+
+    with mock.patch.object(lp, "cho_factor", fail):
+        got = basis_pursuit(g, y)
+    assert got.status == want.status == "optimal"
+    assert abs(got.objective - want.objective) <= max(got.duality_gap,
+                                                      want.duality_gap)

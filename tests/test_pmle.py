@@ -41,6 +41,7 @@ from helpers import (
     candidate_count,
     enumerate_candidates,
     kraft_audit,
+    l0_path_candidates,
     level_tuples_recursive,
     neg_log_likelihood,
     offset_rates,
@@ -587,6 +588,21 @@ def test_grid_project_walks_back_most_over_rounded_first():
     assert m.tolist() == [2, 2, 3]
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from([0.0, 0.2, 0.5, 0.7, 1.0, 1.3, 2.5, 4.9]) | st.floats(0.0, 5.0),
+                min_size=1, max_size=12),
+       st.sampled_from([0.3, 0.5, 1.0, 2.5]), st.integers(1, 40), st.integers(1, 40))
+def test_l0_path_block_matches_candidate_loop(theta, step, budget, s_max):
+    # repeated values tie in the ordering; large ones overspend the budget
+    theta = np.array(theta)
+    s_max = min(s_max, theta.size, budget)
+    flows_all = 3 * np.arange(theta.size) + 1
+    flows, levels = pmle_module._l0_path(theta, flows_all, step, budget, s_max)
+    got = [(tuple(i for i, m in zip(flows, row) if m), tuple(m for m in row if m))
+           for row in levels.tolist()]
+    assert got == l0_path_candidates(theta, flows_all, step, budget, s_max)
+
+
 def test_reduced_path_levels_within_budget_below_fitted_mass(small_expander):
     # l0 = 2 under the fitted mass 4: the grid projection walks the path
     # candidates back inside the budget
@@ -699,7 +715,9 @@ def test_reduced_matches_exhaustive_small():
 
 
 def _scalar_argmin(y, g, cs, mu0, scale, blocks, exhaustive):
-    flat = ((supp, tuple(lv)) for supp, levels in blocks for lv in levels.tolist())
+    # a row's candidate is the block's flows with a nonzero level
+    flat = ((tuple(i for i, m in zip(flows, lv) if m), tuple(m for m in lv if m))
+            for flows, levels in blocks for lv in levels.tolist())
     return argmin_scalar(y, g, cs, mu0, scale, flat, exhaustive)
 
 
