@@ -184,9 +184,9 @@ def _cmd_simulate(args) -> int:
     state = StreamState(graph=g, rates=gen_rates(spec), tau=args.tau,
                         seed=args.stream_seed)
     run_epochs(state, args.epochs)
-    _write_vector_csv(args.out_counters, [int(v) for v in state.y])
+    _write_vector_csv(args.out_counters, state.y.tolist())
     if args.out_counts:
-        _write_vector_csv(args.out_counts, [int(v) for v in state.x])
+        _write_vector_csv(args.out_counts, state.x.tolist())
     print(
         f"simulated {args.epochs} epochs: total packets={int(state.x.sum())}, "
         f"counters -> {args.out_counters}"
@@ -221,7 +221,7 @@ def _cmd_recover(args) -> int:
             f"{args.decoder}: support={list(res.support)} "
             f"objective={res.objective:.6g} evaluated={res.n_evaluated}"
         )
-    _write_vector_csv(args.out, [float(v) for v in dec.estimate])
+    _write_vector_csv(args.out, dec.estimate.tolist())
     print(f"estimate -> {args.out}")
     return EXIT_OK
 

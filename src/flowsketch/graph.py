@@ -121,7 +121,15 @@ class ExpansionReport:
 
 
 def _sample_columns(rng: np.random.Generator, n: int, m: int, d: int) -> np.ndarray:
-    """n independent uniform d-subsets of [0, m), each sorted ascending."""
+    """n independent uniform d-subsets of [0, m), each sorted ascending.
+
+    When d(d-1) < m, rows are drawn with replacement, and every row that
+    holds a counter twice is redrawn whole until none does. Each round
+    draws all the rows still bad, in index order, in one `rng.integers`
+    call, so the graph is fixed by the seed. The n rows are sorted once;
+    after that only the redrawn rows are sorted and checked, so a
+    rejection round costs O(rows redrawn * d log d), not O(n * d log d).
+    """
     if d == m:
         return np.tile(np.arange(m, dtype=np.int32), (n, 1))
     if d * (d - 1) >= m:
@@ -130,14 +138,23 @@ def _sample_columns(rng: np.random.Generator, n: int, m: int, d: int) -> np.ndar
         for i in range(n):
             out[i] = np.sort(rng.permutation(m)[:d])
         return out
-    cols = rng.integers(0, m, size=(n, d), dtype=np.int64)
-    while True:
-        s = np.sort(cols, axis=1)
-        bad = (s[:, 1:] == s[:, :-1]).any(axis=1)
-        if not bad.any():
-            break
-        cols[bad] = rng.integers(0, m, size=(int(bad.sum()), d), dtype=np.int64)
-    return np.sort(cols, axis=1).astype(np.int32)
+
+    def draw_sorted(rows: int) -> np.ndarray:
+        out = rng.integers(0, m, size=(rows, d), dtype=np.int64).astype(np.int32)
+        out.sort(axis=1)
+        return out
+
+    def repeats(rows: np.ndarray) -> np.ndarray:
+        """Indices of the sorted rows that hold a counter twice."""
+        return np.unique(np.flatnonzero(rows[:, 1:] == rows[:, :-1]) // (d - 1))
+
+    cols = draw_sorted(n)
+    bad = repeats(cols)
+    while bad.size:
+        redrawn = draw_sorted(bad.size)
+        cols[bad] = redrawn
+        bad = bad[repeats(redrawn)]
+    return cols
 
 
 def build_random_expander(
@@ -216,11 +233,15 @@ def greedy_cover(g: BipartiteGraph) -> CoverSet:
     Repeatedly picks the flow covering the most still-uncovered counters,
     ties broken by lowest flow index. A flow's gain only shrinks as
     counters get covered (Minoux's accelerated greedy rests on the same
-    fact), so the gains live in one length-N array: every flow starts at
-    d, and each counter a pick newly covers takes 1 off the gain of every
-    flow incident to it, read from the cached adjacency g.csr. Each
-    counter is retired once, so the updates cost O(N*d) in total, and
-    each pick adds one O(N) argmax.
+    fact), so the gains live in one length-N array of the smallest
+    unsigned dtype that holds d (one byte for d <= 255): every flow starts
+    at d, and each counter a pick newly covers takes 1 off the gain of
+    every flow incident to it, read from the cached adjacency g.csr. A
+    pick's decrements are one `np.subtract.at` over the concatenated csr
+    rows of the counters it newly covers, which counts a flow incident to
+    several of them once per counter. Each counter is retired once, so the
+    decrements cost O(N*d) in total, and each pick adds one argmax over
+    the one-byte array.
     """
     indptr, flows = g.csr.indptr, g.csr.indices
     isolated = np.flatnonzero(np.diff(indptr) == 0)
@@ -228,7 +249,8 @@ def greedy_cover(g: BipartiteGraph) -> CoverSet:
         raise GraphConstructionError(
             f"counter {int(isolated[0])} has no incident flow"
         )
-    gains = np.full(g.n_left, g.d, dtype=np.int64)
+    gains = np.full(g.n_left, g.d, dtype=np.min_scalar_type(g.d))
+    one = gains.dtype.type(1)
     uncovered = np.ones(g.n_right, dtype=bool)
     n_uncovered = g.n_right
     members = []
@@ -239,8 +261,8 @@ def greedy_cover(g: BipartiteGraph) -> CoverSet:
         newly = cols[uncovered[cols]]
         uncovered[newly] = False
         n_uncovered -= newly.size
-        for j in newly:
-            gains[flows[indptr[j]:indptr[j + 1]]] -= 1
+        np.subtract.at(gains, np.concatenate(
+            [flows[indptr[j]:indptr[j + 1]] for j in newly]), one)
     return CoverSet(members=np.array(sorted(members), dtype=np.int64))
 
 

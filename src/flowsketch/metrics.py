@@ -33,15 +33,26 @@ class RelativeError(NamedTuple):
 def top_k_indices(u: np.ndarray, k: int) -> np.ndarray:
     """Indices of the k largest-magnitude entries, ties to the lowest index.
 
-    Returned ascending.
+    Returned ascending. Entries rank by the key -|u|, as a stable argsort
+    of it would order them: NaN ranks below every number, -0.0 ties with
+    0.0, and entries of equal magnitude rank by index. The k-th key comes
+    from one `np.partition`; every entry ranked strictly before it is
+    kept, and its tie group fills the remaining places lowest index
+    first. Cost O(N), against O(N log N) for the sort.
     """
     u = np.asarray(u)
     if not 0 <= k <= u.size:
         raise ValueError(f"need 0 <= k <= {u.size}, got k={k}")
     if k == 0:
         return np.empty(0, dtype=np.int64)
-    order = np.argsort(-np.abs(u), kind="stable")
-    return np.sort(order[:k])
+    key = -np.abs(u)
+    kth = np.partition(key, k - 1)[k - 1]
+    if kth != kth:  # NaN: every number ranks before it
+        keep, tied = key == key, key != key
+    else:
+        keep, tied = key < kth, key == kth
+    keep[np.flatnonzero(tied)[:k - np.count_nonzero(keep)]] = True
+    return np.flatnonzero(keep)
 
 
 def best_k_term(u: np.ndarray, k: int) -> KTermDecomposition:

@@ -1,9 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from flowsketch import build_random_expander, verify_expansion
 
 from helpers import affine_plane_graph
+
+# On CI, hypothesis loads its "ci" profile by itself: derandomized and
+# without an example database, so every CI run replays the same examples.
+# "explore" (pytest --hypothesis-profile=explore) draws fresh ones and
+# prints the blob that reproduces a failure.
+settings.register_profile("explore", derandomize=False, print_blob=True,
+                          database=None)
 
 # Seeds for (N=200, M=60, d=6) graphs that pass the (2, 1/4) expansion
 # check. Random graphs at this density pass with probability ~1e-4, so

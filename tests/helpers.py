@@ -312,6 +312,38 @@ def greedy_cover_rescan(g: BipartiteGraph) -> np.ndarray:
     return np.array(sorted(members), dtype=np.int64)
 
 
+def sample_columns_resort(rng: np.random.Generator, n: int, m: int,
+                          d: int) -> np.ndarray:
+    """graph._sample_columns as it was before it re-sorted only redrawn
+    rows: every rejection round sorts all n rows, and so does the return.
+    The same rng.integers calls in the same order, so the same columns."""
+    if d == m:
+        return np.tile(np.arange(m, dtype=np.int32), (n, 1))
+    if d * (d - 1) >= m:
+        out = np.empty((n, d), dtype=np.int32)
+        for i in range(n):
+            out[i] = np.sort(rng.permutation(m)[:d])
+        return out
+    cols = rng.integers(0, m, size=(n, d), dtype=np.int64)
+    while True:
+        s = np.sort(cols, axis=1)
+        bad = (s[:, 1:] == s[:, :-1]).any(axis=1)
+        if not bad.any():
+            break
+        cols[bad] = rng.integers(0, m, size=(int(bad.sum()), d), dtype=np.int64)
+    return np.sort(cols, axis=1).astype(np.int32)
+
+
+def top_k_indices_argsort(u: np.ndarray, k: int) -> np.ndarray:
+    """metrics.top_k_indices by a stable argsort of -|u|: the first k in
+    that order, ascending."""
+    u = np.asarray(u)
+    if k == 0:
+        return np.empty(0, dtype=np.int64)
+    order = np.argsort(-np.abs(u), kind="stable")
+    return np.sort(order[:k])
+
+
 def support_matrix_via_csc(g: BipartiteGraph, support: np.ndarray):
     """A[:, support] as float CSR by slicing a full float CSC copy of the
     adjacency, the construction the sparse Poisson solve used to read."""

@@ -20,10 +20,13 @@ from flowsketch import (
     verify_expansion,
 )
 
+from flowsketch.graph import _sample_columns
+
 from helpers import (
     apply_adjacency,
     brute_expansion_ratio,
     greedy_cover_rescan,
+    sample_columns_resort,
 )
 
 
@@ -54,6 +57,29 @@ def test_columns_sorted_distinct_many_seeds():
         g = build_random_expander(60, 13, 5, seed=seed)
         assert (np.diff(g.columns, axis=1) > 0).all()
         assert g.columns.min() >= 0 and g.columns.max() < 13
+
+
+@st.composite
+def rejection_shapes(draw):
+    """(n, m, d) of the with-replacement sampler, d(d-1) < m, with m often
+    just above d(d-1), where most rows collide and are redrawn."""
+    d = draw(st.integers(1, 12))
+    lo = d * (d - 1) + 1
+    m = draw(st.one_of(st.integers(lo, lo + 3), st.integers(lo, 4 * lo + 50)))
+    if m == d:
+        m += 1  # d == m takes the complete-graph branch
+    return draw(st.integers(1, 400)), m, d
+
+
+@settings(max_examples=300, deadline=None)
+@given(rejection_shapes(), st.integers(0, 2**64 - 1))
+def test_sample_columns_matches_resort_oracle(shape, seed):
+    rng, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = _sample_columns(rng, *shape)
+    assert got.dtype == np.int32
+    assert np.array_equal(got, sample_columns_resort(rng_want, *shape))
+    # the same draws, so the generators end in the same state
+    assert rng.bit_generator.state == rng_want.bit_generator.state
 
 
 def test_invalid_shapes_rejected():
@@ -227,9 +253,7 @@ def small_graphs(draw):
                           columns=np.array(rows, dtype=np.int32), seed=0)
 
 
-@settings(max_examples=400, deadline=None)
-@given(small_graphs())
-def test_greedy_cover_matches_rescan_oracle(g):
+def assert_cover_matches_rescan(g):
     try:
         want = greedy_cover_rescan(g)
     except GraphConstructionError:
@@ -240,6 +264,38 @@ def test_greedy_cover_matches_rescan_oracle(g):
     # each pick covers a new counter, so the cover fits in n_right members
     assert len(cover) <= g.n_right
     assert cover.members.tolist() == want.tolist()
+
+
+@settings(max_examples=400, deadline=None)
+@given(small_graphs())
+def test_greedy_cover_matches_rescan_oracle(g):
+    assert_cover_matches_rescan(g)
+
+
+@st.composite
+def wide_graphs(draw):
+    """Graphs of d = 1 or d at the edges of the gains dtype (255 fits one
+    byte, 256 needs two), over at most d + 20 counters. Most also get the
+    cyclic d-windows of one counter permutation, so that no counter is
+    left isolated."""
+    d = draw(st.sampled_from([1, 2, 254, 255, 256, 257, 300]))
+    n_right = draw(st.integers(d, d + 20))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    rows = [np.sort(rng.permutation(n_right)[:d])
+            for _ in range(draw(st.integers(1, 40)))]
+    if draw(st.integers(0, 3)):
+        perm = rng.permutation(n_right)
+        rows += [np.sort(perm[np.arange(s, s + d) % n_right])
+                 for s in range(0, n_right, d)]
+    rows = [rows[i] for i in rng.permutation(len(rows))]
+    return BipartiteGraph(n_left=len(rows), n_right=n_right, d=d,
+                          columns=np.array(rows, dtype=np.int32), seed=0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_graphs())
+def test_greedy_cover_matches_rescan_oracle_wide(g):
+    assert_cover_matches_rescan(g)
 
 
 @pytest.mark.parametrize("seed", range(5))

@@ -6,7 +6,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.optimize
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import LinAlgError
 
@@ -242,18 +242,30 @@ def test_unreachable_counters_are_infeasible():
 
 def assert_matches_dense(g, y, **tols):
     """basis_pursuit and the dense normal-equation oracle reach the same
-    status, and optima within the larger of their certified gaps."""
+    status, and optima within the larger of their certified gaps. The
+    oracle may stop anywhere within tol_feas of feasible, where its
+    objective can sit below the optimum by more than either gap; when the
+    optima differ by more, the oracle's optimum is certified by a second
+    dense solve at 1e-9 tolerances, which must end optimal and agree."""
     got = basis_pursuit(g, y, **tols)
     want = basis_pursuit_dense(g, y, **tols)
     assert got.status == want.status
     if got.status == "optimal":
-        assert abs(got.objective - want.objective) <= max(
-            got.duality_gap, want.duality_gap)
+        bound = max(got.duality_gap, want.duality_gap)
+        if abs(got.objective - want.objective) > bound:
+            ref = basis_pursuit_dense(g, y, tol_feas=1e-9 * (1 + np.abs(y).max()),
+                                      tol_obj=1e-9 * (1 + np.abs(y).sum()))
+            assert ref.status == "optimal"
+            assert abs(got.objective - ref.objective) <= bound
     return got, want
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(sparse_banks(), degenerate_banks()))
+# the dense oracle stops at residual 2.7e-7 with objective 5.4e-7 below
+# the optimum of 52, past both certified gaps
+@example((BipartiteGraph(5, 5, 1, np.array([[0], [4], [3], [1], [0]]), seed=14),
+          np.array([10, 40, 0, 1, 1])))
 def test_matrix_free_matches_dense_oracle(bank):
     g, y = bank
     assert_matches_dense(g, y)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowsketch import (
     Dist,
@@ -14,7 +16,7 @@ from flowsketch import (
     support_recovery_success,
     top_k_indices,
 )
-from helpers import brute_best_k
+from helpers import brute_best_k, top_k_indices_argsort
 
 
 def test_best_k_term_examples():
@@ -40,6 +42,43 @@ def test_top_k_ties_and_bounds():
         top_k_indices(np.zeros(3), 4)
     with pytest.raises(ValueError):
         top_k_indices(np.zeros(3), -1)
+
+
+# few distinct magnitudes, so most values tie with another
+_TIED_FLOATS = [0.0, -0.0, 1.0, -1.0, 2.5, -2.5, 1e300, -np.inf, np.inf,
+                np.nan, -np.nan]
+_INT_DTYPES = [np.int8, np.int16, np.int64]
+
+
+@st.composite
+def top_k_inputs(draw):
+    if draw(st.booleans()):
+        pool = st.one_of(st.sampled_from(_TIED_FLOATS), st.floats())
+        dtype = draw(st.sampled_from([np.float64, np.float32]))
+        with np.errstate(over="ignore"):
+            return np.array(draw(st.lists(pool, max_size=40)), dtype=dtype)
+    dtype = draw(st.sampled_from(_INT_DTYPES))
+    info = np.iinfo(dtype)
+    pool = st.one_of(st.integers(-3, 3), st.integers(info.min, info.max))
+    return np.array(draw(st.lists(pool, max_size=40)), dtype=dtype)
+
+
+@settings(max_examples=400, deadline=None)
+@given(top_k_inputs())
+def test_top_k_matches_argsort_oracle(u):
+    for k in range(u.size + 1):
+        got = top_k_indices(u, k)
+        want = top_k_indices_argsort(u, k)
+        assert got.dtype == want.dtype
+        assert got.tolist() == want.tolist()
+
+
+def test_top_k_nan_ranks_last_and_signed_zeros_tie():
+    u = np.array([np.nan, -0.0, 0.0, np.nan, -1.0])
+    assert top_k_indices(u, 1).tolist() == [4]
+    assert top_k_indices(u, 2).tolist() == [1, 4]
+    assert top_k_indices(u, 3).tolist() == [1, 2, 4]
+    assert top_k_indices(u, 4).tolist() == [0, 1, 2, 4]
 
 
 def test_best_k_term_matches_brute_force():
