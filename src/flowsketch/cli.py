@@ -111,8 +111,9 @@ def _write_vector_csv(path, values) -> None:
 
 
 def _read_counters_csv(path, n_counters: int) -> np.ndarray:
-    """Counters as simulate writes them: header index,value, then every
-    index in [0, n_counters) exactly once with a count of ASCII digits
+    """Counters as simulate writes them: header index,value, then rows of
+    exactly those two fields, every index in [0, n_counters) exactly once
+    with a count of ASCII digits
     only, at most 2^53, the range in which float64, the type both decoders
     work in, holds every integer. Raises ValueError naming the path and
     the index."""
@@ -127,6 +128,11 @@ def _read_counters_csv(path, n_counters: int) -> np.ndarray:
                 raise ValueError(f"{path}: malformed row {row!r}")
             if i >= n_counters:
                 raise ValueError(f"{path}: index {row[0]} out of range")
+            if len(row) > 2:
+                raise ValueError(
+                    f"{path}: index {i} has extra fields {row[2:]!r}; "
+                    "expected index,value"
+                )
             if out[i] is not None:
                 raise ValueError(f"{path}: index {i} repeated")
             v = _plain_int(row[1])

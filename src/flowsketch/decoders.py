@@ -59,8 +59,9 @@ def decode(
 
     cover is the greedy cover of g; the pmle decoders compute it when it
     is not given. Raises ValueError, before any solver runs, unless y
-    holds one finite, nonnegative entry per counter, and lp.NumericalError
-    when basis pursuit finds y unreachable.
+    holds one finite, nonnegative entry per counter, epochs >= 1 and tau
+    is finite and positive; and lp.NumericalError when basis pursuit finds
+    y unreachable.
     """
     y = np.asarray(y)
     if y.shape != (g.n_right,):
@@ -70,6 +71,10 @@ def decode(
         raise ValueError(
             f"counter {int(bad[0])} is {float(y[bad[0]])}; "
             "counters must be finite and nonnegative"
+        )
+    if epochs < 1 or not 0 < tau < np.inf:
+        raise ValueError(
+            f"need epochs >= 1 and 0 < tau < inf, got epochs={epochs}, tau={tau}"
         )
     if spec.decoder == "direct":
         sol = lp.basis_pursuit(g, y)

@@ -64,9 +64,23 @@ class PmleOptions:
     l0_margin: float = 0.25
 
 
+# the JSON type of a config value, by the annotation of its field; a
+# boolean is neither an integer nor a number
+_JSON_TYPES = {
+    int: (int, "an integer"),
+    float: ((int, float), "a number"),
+    Optional[float]: ((int, float, type(None)), "a number or null"),
+    str: (str, "a string"),
+    tuple: (list, "a list"),
+}
+
+
 def _from_keys(cls, d: dict, where: str = ""):
-    """cls(**d), refusing keys that name no field of cls and missing keys
-    of fields without a default."""
+    """cls(**d) for the JSON object d of block `where`, refusing keys that
+    name no field of cls, missing keys of fields without a default, and
+    values of another JSON type than their field's (see _JSON_TYPES)."""
+    if not isinstance(d, dict):
+        raise ValueError(f"key {where[:-1]!r} must be an object, got {json.dumps(d)}")
     names = {f.name for f in fields(cls)}
     required = {
         f.name for f in fields(cls)
@@ -77,6 +91,14 @@ def _from_keys(cls, d: dict, where: str = ""):
         if keys:
             raise ValueError(
                 f"{problem} key " + ", ".join(repr(where + k) for k in sorted(keys))
+            )
+    for f in fields(cls):
+        if f.name not in d or f.type not in _JSON_TYPES:
+            continue
+        types, what = _JSON_TYPES[f.type]
+        if isinstance(d[f.name], bool) or not isinstance(d[f.name], types):
+            raise ValueError(
+                f"key {where + f.name!r} must be {what}, got {json.dumps(d[f.name])}"
             )
     return cls(**d)
 
@@ -115,8 +137,10 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         """Parse the JSON form of a config (see the README). Unknown or
-        missing keys, at the top level or inside a block, raise
-        ValueError."""
+        missing keys, at the top level or inside a block, and values of
+        the wrong JSON type raise ValueError."""
+        if not isinstance(d, dict):
+            raise ValueError(f"config must be an object, got {json.dumps(d)}")
         d = dict(d)
         version = d.pop("schema_version", None)
         if version != SCHEMA_VERSION:
@@ -128,6 +152,10 @@ class ExperimentConfig:
             if key in d:
                 d[key] = _from_keys(Dist, d[key], key + ".")
         d["pmle"] = _from_keys(PmleOptions, d.get("pmle", {}), "pmle.")
+        sweep = d.get("sweep")
+        if isinstance(sweep, list) and not all(
+                isinstance(k, int) and not isinstance(k, bool) for k in sweep):
+            raise ValueError(f"key 'sweep' must list integers, got {json.dumps(sweep)}")
         return _from_keys(cls, d)
 
 

@@ -43,8 +43,9 @@ class BipartiteGraph:
     """Immutable left-d-regular bipartite graph in column-major form.
 
     columns[i] holds the sorted, distinct counter indices of flow i; it
-    alone defines the graph. `csr` is its one cached counter-major index,
-    read by `greedy_cover` and `lp.basis_pursuit`.
+    alone defines the graph, and it is A^T in CSR form, which
+    `lp.basis_pursuit` reads as is. `csr` is its one cached counter-major
+    index, read by `greedy_cover` alone.
     """
 
     n_left: int

@@ -2,8 +2,9 @@
 
 Solves min ||u||_1 subject to A u = y with a self-contained Mehrotra
 predictor-corrector interior-point method on the split formulation
-u = p - q, p,q >= 0. A is the graph's counter-major `csr`, converted to
-float for the length of one solve and not kept. Every solve records its
+u = p - q, p,q >= 0. The one matrix a solve builds is A^T in CSR form, its
+indices the graph's own `columns` and its data float ones; A is its
+transpose view, which shares those arrays. Every solve records its
 per-iteration objective and residual in the solution.
 
 The method is matrix-free: it reads A only through the products A x and
@@ -14,10 +15,11 @@ P = diag(A W_N A^T) + A_B W_B A_B^T: B holds the flows whose weight w
 exceeds 10^3 times the median weight, N the rest. P^-1 is applied by the
 Woodbury identity with one |B| x |B| Cholesky factor per iteration, which
 the predictor and corrector solves share. The start point solves
-(2 A A^T) t = y by PCG preconditioned by its diagonal, twice the counter
-degrees. Cf. Gondzio, "Matrix-free interior point method" (COAP 2012);
-Fountoulakis, Gondzio and Zhlobich, "Matrix-free interior point method for
-compressed sensing problems" (Math. Prog. Comp. 2014).
+(2 A A^T) t = y as one more normal-equation system, at w = 2, where B is
+empty and P is the diagonal, twice the counter degrees. Cf. Gondzio,
+"Matrix-free interior point method" (COAP 2012); Fountoulakis, Gondzio
+and Zhlobich, "Matrix-free interior point method for compressed sensing
+problems" (Math. Prog. Comp. 2014).
 
 Termination is certified, not hoped for: any dual vector nu scaled by
 max(1, ||A^T nu||_inf) is feasible for the dual (max y.nu subject to
@@ -118,31 +120,29 @@ def _pcg(hmul, b: np.ndarray, pinv) -> np.ndarray:
     return best_x
 
 
-def _preconditioner(a: sp.csr_matrix, cols: np.ndarray, wcol: np.ndarray):
+def _preconditioner(a: sp.csc_matrix, at: sp.csr_matrix, wcol: np.ndarray):
     """Product with P^-1, P = diag(A W_N A^T) + A_B W_B A_B^T, by Woodbury:
     P^-1 = D^-1 - D^-1 A_B C^-1 A_B^T D^-1 with D the diagonal part and
-    C = W_B^-1 + A_B^T D^-1 A_B, a |B| x |B| matrix factored once. D is
-    floored at 1e-12 max(A wcol), so counters with no flow in N (or none
-    at all) stay invertible. The floor also bounds D^-1 by 1e12 / max(w),
-    which keeps C's diagonal term W_B^-1 from vanishing next to the rest;
-    should C still fail to factor, P is D alone."""
-    m, d = a.shape[0], cols.shape[1]
+    C = W_B^-1 + A_B^T D^-1 A_B, a |B| x |B| matrix factored once; A_B^T
+    is at[B]. D is floored at 1e-12 max(A wcol), so counters with no flow
+    in N (or none at all) stay invertible. The floor also bounds D^-1 by
+    1e12 / max(w), which keeps C's diagonal term W_B^-1 from vanishing
+    next to the rest; should C still fail to factor, P is D alone."""
     big = wcol > _LOW_RANK_RATIO * float(np.median(wcol))
     diag = a @ np.where(big, 0.0, wcol)
     dinv = 1.0 / np.maximum(diag, 1e-12 * float((a @ wcol).max()))
     b = np.flatnonzero(big)
     if b.size == 0:
         return lambda r: dinv * r
-    cb = cols[b]
-    e = sp.csr_matrix((np.ones(cb.size), cb.ravel(), np.arange(0, cb.size + 1, d)),
-                      shape=(b.size, m))
+    e = at[b]
     c = (e.multiply(dinv) @ e.T).toarray()
     c[np.diag_indices_from(c)] += 1.0 / wcol[b]
     try:
         factor = cho_factor(c, lower=True, check_finite=False)
     except LinAlgError:
         return lambda r: dinv * r
-    flat = cb.ravel()
+    cb = e.indices.reshape(b.size, -1)
+    flat, d, m = e.indices, cb.shape[1], at.shape[1]
 
     def pinv(r):
         t = dinv * r
@@ -152,10 +152,9 @@ def _preconditioner(a: sp.csr_matrix, cols: np.ndarray, wcol: np.ndarray):
     return pinv
 
 
-def _dual_bound(at: sp.csr_matrix, y: np.ndarray, nu: np.ndarray) -> float:
-    """Lower bound on the optimum from an arbitrary dual vector."""
-    atn = np.abs(at @ nu).max(initial=0.0)
-    return float(y @ (nu / max(1.0, atn)))
+def _dual_bound(atn: np.ndarray, y: np.ndarray, nu: np.ndarray) -> float:
+    """Lower bound on the optimum from any dual vector nu, atn = A^T nu."""
+    return float(y @ (nu / max(1.0, np.abs(atn).max(initial=0.0))))
 
 
 def _max_step(v: np.ndarray, dv: np.ndarray) -> float:
@@ -165,27 +164,28 @@ def _max_step(v: np.ndarray, dv: np.ndarray) -> float:
     return min(1.0, float((-v[neg] / dv[neg]).min()))
 
 
-def _solve_ipm(a, cols, y, tol_feas, tol_obj, iter_cap):
-    """Mehrotra predictor-corrector on the split formulation, a the float
-    adjacency and cols the graph's columns. Both Newton systems of an
-    iteration are solved by `_pcg` under one `_preconditioner`; see the
-    module docstring for what a CG solve that misses its tolerance does."""
-    m, n = a.shape
-    at = a.T.tocsr()
+def _solve_ipm(at, y, tol_feas, tol_obj, iter_cap):
+    """Mehrotra predictor-corrector on the split formulation, at the float
+    A^T in CSR form and A its transpose view. The start point and both
+    Newton systems of an iteration are normal-equation solves by `_pcg`,
+    the latter two under one `_preconditioner`; see the module docstring
+    for what a CG solve that misses its tolerance does."""
+    n, m = at.shape
+    a = at.T
     ones = np.ones(2 * n)
 
     def gmul(z):
         return a @ (z[:n] - z[n:])
 
-    def gtmul(nu):
-        t = at @ nu
+    def split(t):
         return np.concatenate([t, -t])
 
+    def normal_solver(wcol):  # of A diag(wcol) A^T x = rhs
+        pinv = _preconditioner(a, at, wcol)
+        return lambda rhs: _pcg(lambda v: a @ (wcol * (at @ v)), rhs, pinv)
+
     # starting point: least-squares primal, unit slacks, shifted positive
-    deg2 = 2.0 * np.diff(a.indptr)
-    dinv0 = 1.0 / np.maximum(deg2, 1e-12 * float(deg2.max()))
-    t = _pcg(lambda v: 2.0 * (a @ (at @ v)), y, lambda r: dinv0 * r)
-    z_tilde = gtmul(t)
+    z_tilde = split(at @ normal_solver(np.full(n, 2.0))(y))
     z_bar = z_tilde + max(-1.5 * float(z_tilde.min(initial=0.0)), 0.0)
     s_bar = ones.copy()
     dot = float(z_bar @ s_bar)
@@ -202,11 +202,12 @@ def _solve_ipm(a, cols, y, tol_feas, tol_obj, iter_cap):
     it = 0
     for it in range(iter_cap):
         rp = y - gmul(z)
-        rd = ones - gtmul(nu) - s
+        atn = at @ nu
+        rd = ones - split(atn) - s
         u = z[:n] - z[n:]
         feas = float(np.abs(rp).max(initial=0.0))
         obj = float(np.abs(u).sum())
-        gap = obj - _dual_bound(at, y, nu)
+        gap = obj - _dual_bound(atn, y, nu)
         trace.append((it, obj, feas))
         if feas <= tol_feas and gap <= tol_obj:
             status = "optimal"
@@ -218,16 +219,13 @@ def _solve_ipm(a, cols, y, tol_feas, tol_obj, iter_cap):
         if not np.isfinite(wcol.sum()):
             diverged = True  # a slack reached zero: the weights overflow
             break
-        pinv = _preconditioner(a, cols, wcol)
-
-        def hmul(v):
-            return a @ (wcol * (at @ v))
+        solve = normal_solver(wcol)
 
         def newton(rc):
             rhs = rp + a @ ((w[:n] * rd[:n] - rc[:n] / s[:n])
                             - (w[n:] * rd[n:] - rc[n:] / s[n:]))
-            dnu = _pcg(hmul, rhs, pinv)
-            dz = w * (gtmul(dnu) - rd) + rc / s
+            dnu = solve(rhs)
+            dz = w * (split(at @ dnu) - rd) + rc / s
             ds = (rc - s * dz) / z
             return dnu, dz, ds
 
@@ -251,7 +249,7 @@ def _solve_ipm(a, cols, y, tol_feas, tol_obj, iter_cap):
     u = z[:n] - z[n:]
     feas = float(np.abs(rp).max(initial=0.0))
     obj = float(np.abs(u).sum())
-    gap = obj - _dual_bound(at, y, nu)
+    gap = obj - _dual_bound(at @ nu, y, nu)
     stalled = len(trace) >= 10 and trace[-1][2] > 0.9 * trace[-10][2]
     if status != "optimal" and feas > 1e3 * tol_feas and (diverged or stalled):
         # the residual stalled far from feasibility, or the iterates
@@ -283,9 +281,8 @@ def basis_pursuit(
     tol_feas = dt_feas if tol_feas is None else tol_feas
     tol_obj = dt_obj if tol_obj is None else tol_obj
 
-    a = g.csr.astype(np.float64)
-    row_empty = np.diff(a.indptr) == 0
-    if (row_empty & (y != 0)).any():
+    cols = g.columns.ravel()
+    if ((np.bincount(cols, minlength=g.n_right) == 0) & (y != 0)).any():
         return LpSolution(
             u=np.zeros(g.n_left), objective=0.0,
             primal_feasibility=float(np.abs(y).max()), duality_gap=np.inf,
@@ -298,12 +295,14 @@ def basis_pursuit(
         )
 
     cap = _IPM_DEFAULT_CAP if iter_cap is None else iter_cap
-    return _solve_ipm(a, g.columns, y, tol_feas, tol_obj, cap)
+    at = sp.csr_matrix((np.ones(cols.size), cols, np.arange(0, cols.size + 1, g.d)),
+                       shape=(g.n_left, g.n_right))
+    return _solve_ipm(at, y, tol_feas, tol_obj, cap)
 
 
 def direct_estimate(sol: LpSolution, n_epochs: int, tau: float) -> np.ndarray:
     """Rate estimate from a basis-pursuit solution: clip negatives, divide
     by total observation time n_epochs*tau. No rounding."""
-    if n_epochs < 1 or tau <= 0:
-        raise ValueError("need n_epochs >= 1 and tau > 0")
+    if n_epochs < 1 or not 0 < tau < np.inf:
+        raise ValueError("need n_epochs >= 1 and 0 < tau < inf")
     return positive_clip(sol.u) / (n_epochs * tau)

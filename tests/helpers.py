@@ -23,7 +23,7 @@ from flowsketch import (
     PmleResult,
     SparseSolveResult,
 )
-from flowsketch import pmle
+from flowsketch import lp, pmle
 from flowsketch.experiment import SCHEMA_VERSION
 from flowsketch.lp import NumericalError, _default_tols, basis_pursuit
 
@@ -526,6 +526,54 @@ def argmin_scalar(y, g, cs, mu0, scale, candidates, exhaustive) -> PmleResult:
         support=supp, levels=lv, objective=obj,
         n_evaluated=n_eval, exhaustive=exhaustive,
     )
+
+
+def adjacency_copies(g: BipartiteGraph):
+    """A and A^T as basis pursuit used to build them for every solve: a
+    float copy of the graph's int8 `csr`, and a CSR copy of its
+    transpose."""
+    a = g.csr.astype(np.float64)
+    return a, a.T.tocsr()
+
+
+def preconditioner_from_columns(a: sp.csr_matrix, cols: np.ndarray,
+                                wcol: np.ndarray):
+    """lp._preconditioner as it was before it read A_B from A^T: the same
+    Woodbury product, with A_B^T a fresh CSR built from the columns of
+    the flows in B."""
+    m, d = a.shape[0], cols.shape[1]
+    big = wcol > lp._LOW_RANK_RATIO * float(np.median(wcol))
+    diag = a @ np.where(big, 0.0, wcol)
+    dinv = 1.0 / np.maximum(diag, 1e-12 * float((a @ wcol).max()))
+    b = np.flatnonzero(big)
+    if b.size == 0:
+        return lambda r: dinv * r
+    cb = cols[b]
+    e = sp.csr_matrix((np.ones(cb.size), cb.ravel(), np.arange(0, cb.size + 1, d)),
+                      shape=(b.size, m))
+    c = (e.multiply(dinv) @ e.T).toarray()
+    c[np.diag_indices_from(c)] += 1.0 / wcol[b]
+    try:
+        factor = cho_factor(c, lower=True, check_finite=False)
+    except LinAlgError:
+        return lambda r: dinv * r
+    flat = cb.ravel()
+
+    def pinv(r):
+        t = dinv * r
+        v = cho_solve(factor, t[cb].sum(axis=1), check_finite=False)
+        return t - dinv * np.bincount(flat, weights=np.repeat(v, d), minlength=m)
+
+    return pinv
+
+
+def jacobi_start_preconditioner(a: sp.csr_matrix):
+    """The start point's own preconditioner before it became the normal
+    equations' at w = 2: the inverse of twice the counter degrees, floored
+    at 1e-12 of their maximum."""
+    deg2 = 2.0 * np.diff(a.indptr)
+    dinv0 = 1.0 / np.maximum(deg2, 1e-12 * float(deg2.max()))
+    return lambda r: dinv0 * r
 
 
 def _chol(h: np.ndarray):

@@ -14,6 +14,9 @@ from hypothesis import strategies as st
 from flowsketch import (
     BipartiteGraph,
     experiment,
+    graph,
+    lp,
+    pmle,
     relative_l1_error,
     save_graph,
     support_recovery_success,
@@ -218,6 +221,7 @@ def recover_argv(graph_file, y_path, est_path, decoder):
     ("plus-sign", 3, "'+7'"),
     ("integral-float", 3, "'2.0'"),
     ("arabic-indic-digit", 3, "'\u0663'"),
+    ("extra-field", 3, "extra fields ['junk']"),
 ])
 def test_recover_malformed_counters_is_invalid_input(
         graph_file, counters_file, tmp_path, capsys, decoder, case, index, why):
@@ -226,6 +230,8 @@ def test_recover_malformed_counters_is_invalid_input(
         lines[-1] = "0,0"
     elif case == "missing":
         del lines[-1]
+    elif case == "extra-field":
+        lines[1 + index] = f"{index},0,junk"
     else:
         value = {"nan": "nan", "inf": "inf", "negative": "-2",
                  "fractional": "2.5", "negative-fractional": "-2.5",
@@ -240,6 +246,31 @@ def test_recover_malformed_counters_is_invalid_input(
     err = capsys.readouterr().err
     assert err.startswith(f"invalid input: {counters_file}: index {index} ")
     assert why in err
+    assert not est_path.exists()
+
+
+@pytest.mark.parametrize("decoder", ["direct", "pmle-reduced"])
+@pytest.mark.parametrize("flag,value", [("--epochs", "0"), ("--epochs", "-3"),
+                                        ("--tau", "0"), ("--tau", "-1.5"),
+                                        ("--tau", "nan"), ("--tau", "inf")])
+def test_recover_bad_epochs_or_tau_fails_before_decoding(
+        graph_file, counters_file, tmp_path, capsys, monkeypatch, decoder,
+        flag, value):
+    def never(*args, **kwargs):
+        raise AssertionError("a solver ran on an invalid --epochs or --tau")
+
+    for module, name in ((lp, "basis_pursuit"), (graph, "greedy_cover"),
+                         (pmle, "localize_whales"), (pmle, "pmle_reduced")):
+        monkeypatch.setattr(module, name, never)
+    est_path = tmp_path / "est.csv"
+    # the last --epochs or --tau given wins
+    argv = recover_argv(graph_file, counters_file, est_path, decoder) + [flag, value]
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input: need epochs >= 1 and 0 < tau < inf")
+    shown = int(value) if flag == "--epochs" else float(value)
+    assert f"{flag[2:]}={shown}" in err
     assert not est_path.exists()
 
 
@@ -366,6 +397,48 @@ def test_sweep_unknown_config_key_is_invalid_input(tmp_path, capsys, block, key)
     err = capsys.readouterr().err
     assert err.startswith("invalid input: unknown key")
     assert repr(f"{block}.{key}" if block else key) in err
+
+
+@pytest.mark.parametrize("block,key,value,what", [
+    (None, "trials", "3", "an integer"),
+    (None, "epochs", 2.5, "an integer"),
+    (None, "n_flows", 50.0, "an integer"),
+    (None, "root_seed", True, "an integer"),
+    (None, "tau", "1", "a number"),
+    (None, "tau", False, "a number"),
+    (None, "sweep", 1, "a list"),
+    (None, "sweep", [1, "2"], "list integers"),
+    (None, "sweep", [1.0], "list integers"),
+    (None, "sweep", [True], "list integers"),
+    (None, "decoders", "direct", "a list"),
+    (None, "out_dir", 7, "a string"),
+    (None, "pmle", None, "an object"),
+    (None, "whale_dist", 5, "an object"),
+    (None, "minnow_dist", [], "an object"),
+    ("pmle", "gamma", "1", "a number"),
+    ("pmle", "levels", 8.0, "an integer"),
+    ("pmle", "l0", "4", "a number or null"),
+    ("pmle", "l0_margin", None, "a number"),
+    ("pmle", "penalty_mode", 1, "a string"),
+    ("whale_dist", "value", None, "a number"),
+    ("minnow_dist", "kind", 0, "a string"),
+])
+def test_sweep_config_value_of_wrong_type_is_invalid_input(
+        tmp_path, capsys, block, key, value, what):
+    def edit(d):
+        (d[block] if block else d)[key] = value
+    assert sweep_with_edited_config(tmp_path, edit) == 1
+    err = capsys.readouterr().err
+    name = f"{block}.{key}" if block else key
+    assert err.startswith(f"invalid input: key {name!r} must ")
+    assert what in err
+
+
+def test_sweep_config_not_an_object_is_invalid_input(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text("[1, 2]")
+    assert main(["sweep", "--config", str(cfg_path), "--out-dir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("invalid input: config must be an object")
 
 
 @pytest.mark.parametrize("block,key", [

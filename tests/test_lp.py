@@ -27,7 +27,14 @@ from flowsketch import (
 )
 from flowsketch import lp
 from flowsketch.graph import BipartiteGraph
-from helpers import apply_adjacency, basis_pursuit_dense, oracle_2sparse
+from helpers import (
+    adjacency_copies,
+    apply_adjacency,
+    basis_pursuit_dense,
+    jacobi_start_preconditioner,
+    oracle_2sparse,
+    preconditioner_from_columns,
+)
 
 
 def test_zero_counters():
@@ -158,6 +165,9 @@ def test_direct_estimate():
         direct_estimate(sol, 0, 1.0)
     with pytest.raises(ValueError):
         direct_estimate(sol, 2, 0.0)
+    for tau in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            direct_estimate(sol, 2, tau)
 
 
 @st.composite
@@ -283,6 +293,55 @@ def test_matrix_free_matches_dense_oracle_5k(k):
         assert got.status == "optimal"
         assert got.iterations == want.iterations
         assert np.abs(got.u - want.u).max() <= 1e-6
+
+
+# ------------------------------------- operators on A^T vs the copies they replace
+
+
+def solver_at(g):
+    """The A^T that basis_pursuit hands its interior-point method."""
+    seen = []
+    with mock.patch.object(lp, "_solve_ipm", lambda at, *rest: seen.append(at)):
+        basis_pursuit(g, apply_adjacency(g, np.ones(g.n_left)))
+    return seen[0]
+
+
+def assert_operators_match_copies(g, rng):
+    """A x, A^T v, the normal product, the start point's and an iteration's
+    preconditioner applied to r: bit for bit what the float copies of
+    `csr`, the preconditioner built from columns and the Jacobi start
+    gave."""
+    at = solver_at(g)
+    a = at.T
+    a_old, at_old = adjacency_copies(g)
+    n, m = g.n_left, g.n_right
+    x, v, r = rng.normal(size=n), rng.normal(size=m), rng.normal(size=m)
+    assert (a @ x).tobytes() == (a_old @ x).tobytes()
+    assert (at @ v).tobytes() == (at_old @ v).tobytes()
+    two = np.full(n, 2.0)
+    assert (a @ (two * (at @ v))).tobytes() == (2.0 * (a_old @ (at_old @ v))).tobytes()
+    got = lp._preconditioner(a, at, two)(r)
+    assert got.tobytes() == jacobi_start_preconditioner(a_old)(r).tobytes()
+    wcol = rng.uniform(0.5, 2.0, n)
+    big = rng.choice(n, size=rng.integers(0, n // 4 + 1), replace=False)
+    wcol[big] *= 10.0 ** rng.uniform(3.5, 8.0, big.size)
+    assert (a @ (wcol * (at @ v))).tobytes() == \
+        (a_old @ (wcol * (at_old @ v))).tobytes()
+    got = lp._preconditioner(a, at, wcol)(r)
+    want = preconditioner_from_columns(a_old, g.columns, wcol)(r)
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(sparse_banks(), degenerate_banks()), st.integers(0, 2**32 - 1))
+def test_operators_match_replaced_copies(bank, seed):
+    assert_operators_match_copies(bank[0], np.random.default_rng(seed))
+
+
+def test_operators_match_replaced_copies_5k():
+    g = build_random_expander(5000, 800, 8, seed=67)
+    for seed in range(3):
+        assert_operators_match_copies(g, np.random.default_rng(seed))
 
 
 def test_exact_normal_matvec_regression_44x15():
