@@ -12,6 +12,7 @@ import csv
 import hashlib
 import json
 import math
+import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields
@@ -120,6 +121,11 @@ class ExperimentConfig:
     out_dir: str = "results"
 
     def __post_init__(self):
+        if not all(isinstance(k, numbers.Integral) and not isinstance(k, bool)
+                   for k in self.sweep):
+            raise ValueError(
+                f"key 'sweep' must list integers, got {list(self.sweep)!r}"
+            )
         object.__setattr__(self, "sweep", tuple(int(k) for k in self.sweep))
         object.__setattr__(self, "decoders", tuple(self.decoders))
         if self.trials < 1:
@@ -131,8 +137,11 @@ class ExperimentConfig:
                 raise ValueError(f"unknown decoder {dec!r}; choose from {DECODERS}")
         if not self.decoders:
             raise ValueError("need at least one decoder")
-        if self.epochs < 1 or self.tau <= 0:
-            raise ValueError("need epochs >= 1 and tau > 0")
+        if self.epochs < 1 or not (math.isfinite(self.tau) and self.tau > 0):
+            raise ValueError(
+                "need epochs >= 1 and 0 < tau < inf, "
+                f"got epochs={self.epochs}, tau={self.tau}"
+            )
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -152,10 +161,6 @@ class ExperimentConfig:
             if key in d:
                 d[key] = _from_keys(Dist, d[key], key + ".")
         d["pmle"] = _from_keys(PmleOptions, d.get("pmle", {}), "pmle.")
-        sweep = d.get("sweep")
-        if isinstance(sweep, list) and not all(
-                isinstance(k, int) and not isinstance(k, bool) for k in sweep):
-            raise ValueError(f"key 'sweep' must list integers, got {json.dumps(sweep)}")
         return _from_keys(cls, d)
 
 

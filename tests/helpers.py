@@ -23,7 +23,7 @@ from flowsketch import (
     PmleResult,
     SparseSolveResult,
 )
-from flowsketch import lp, pmle
+from flowsketch import lp, pmle, stream
 from flowsketch.experiment import SCHEMA_VERSION
 from flowsketch.lp import NumericalError, _default_tols, basis_pursuit
 
@@ -310,6 +310,24 @@ def greedy_cover_rescan(g: BipartiteGraph) -> np.ndarray:
         members.append(pick)
         uncovered[g.columns[pick]] = False
     return np.array(sorted(members), dtype=np.int64)
+
+
+def advance_epoch_poisson(state) -> np.random.Generator:
+    """stream.advance_epoch as it was before the bulk-uniform draw: one
+    rng.poisson over all N means, folded in through a dense delta. Returns
+    the epoch's generator, left where the draw left it."""
+    rng = stream._epoch_rng(state.seed, state.n_epochs)
+    delta = rng.poisson(state.rates.rates * state.tau)
+    state.x += delta
+    active = np.nonzero(delta)[0]
+    if active.size:
+        np.add.at(
+            state.y,
+            state.graph.columns[active].ravel(),
+            np.repeat(delta[active], state.graph.d),
+        )
+    state.n_epochs += 1
+    return rng
 
 
 def sample_columns_resort(rng: np.random.Generator, n: int, m: int,

@@ -83,6 +83,18 @@ def test_simulate_deterministic(graph_file, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("tau", ["0", "-1", "inf", "nan", "1e308", "1e19"])
+def test_simulate_bad_tau_is_invalid_input(graph_file, tmp_path, capsys, tau):
+    # 1e308 and 1e19 are finite, but take the whale rate 1.0 past the
+    # largest mean numpy's Poisson sampler draws
+    y_path = tmp_path / "y.csv"
+    assert main(["simulate", "--graph", str(graph_file), "--whales", "2",
+                 "--epochs", "3", "--tau", tau, "--out-counters", str(y_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input: ") and "tau" in err
+    assert not y_path.exists()
+
+
 def test_simulate_then_recover_direct(graph_file, tmp_path):
     y_path, x_path = tmp_path / "y.csv", tmp_path / "x.csv"
     est_path = tmp_path / "est.csv"
@@ -432,6 +444,17 @@ def test_sweep_config_value_of_wrong_type_is_invalid_input(
     name = f"{block}.{key}" if block else key
     assert err.startswith(f"invalid input: key {name!r} must ")
     assert what in err
+
+
+@pytest.mark.parametrize("tau", [float("inf"), float("nan")])
+def test_sweep_config_tau_not_finite_is_invalid_input(tmp_path, capsys, tau):
+    # json.load reads Infinity and NaN as floats, so the type check passes
+    def edit(d):
+        d["tau"] = tau
+    assert sweep_with_edited_config(tmp_path, edit) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input: need epochs >= 1 and 0 < tau < inf")
+    assert not (tmp_path / "results.csv").exists()
 
 
 def test_sweep_config_not_an_object_is_invalid_input(tmp_path, capsys):

@@ -48,6 +48,27 @@ def test_config_validation():
         tiny_cfg(epochs=0)
 
 
+@pytest.mark.parametrize("tau", [0.0, -1.0, math.inf, math.nan])
+def test_config_refuses_tau_not_finite_and_positive(tau):
+    with pytest.raises(ValueError, match="tau"):
+        tiny_cfg(tau=tau)
+
+
+@pytest.mark.parametrize("sweep", [
+    (2.5,), ("3",), (True,), (2.0,), (1, np.float64(2.0)), (np.True_,),
+])
+def test_config_refuses_sweep_entries_that_are_not_integers(sweep):
+    # int() would run k=2 for 2.5 and k=3 for "3"
+    with pytest.raises(ValueError, match="sweep"):
+        tiny_cfg(sweep=sweep)
+
+
+def test_config_sweep_takes_numpy_integers():
+    cfg = tiny_cfg(sweep=(np.int64(3), np.int32(1), 2))
+    assert cfg.sweep == (3, 1, 2)
+    assert all(type(k) is int for k in cfg.sweep)
+
+
 def test_readme_config_example_loads():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme.split("## Sweep configs", 1)[1]

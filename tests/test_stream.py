@@ -1,9 +1,13 @@
 """Signal generation and Poisson stream simulation tests."""
 
+import hashlib
 from dataclasses import asdict
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from flowsketch import (
     Dist,
@@ -17,10 +21,12 @@ from flowsketch import (
     parse_dist,
     run_epochs,
 )
+from flowsketch import stream
 from flowsketch.graph import BipartiteGraph
 
 from helpers import (
     HeavyTailParams,
+    advance_epoch_poisson,
     apply_adjacency,
     check_heavy_tail,
     counters_consistent,
@@ -176,8 +182,19 @@ def test_stream_state_validation():
     with pytest.raises(ValueError):
         StreamState(graph=g, rates=rv, tau=1.0, seed=0)
     rv8 = gen_rates(SignalSpec(8, 1, CONST1, MINNOW, seed=0))
-    with pytest.raises(ValueError):
-        StreamState(graph=g, rates=rv8, tau=0.0, seed=0)
+    for tau in (0.0, -1.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="tau"):
+            StreamState(graph=g, rates=rv8, tau=tau, seed=0)
+
+
+@pytest.mark.parametrize("rate,tau", [(1e300, 1e10), (1.0, 1e308), (1.0, 1e19)])
+def test_mean_past_numpy_poisson_limit_is_refused(rate, tau):
+    # rates * tau overflows to inf, or is finite but above the largest mean
+    # rng.poisson draws: refused at construction, naming tau
+    g = build_random_expander(8, 4, 2, seed=0)
+    rv = RateVector.from_rates(np.array([rate] + [0.0] * 7), 1)
+    with pytest.raises(ValueError, match="tau"):
+        StreamState(graph=g, rates=rv, tau=tau, seed=0)
 
 
 def test_advance_zero_rates():
@@ -284,3 +301,106 @@ def test_aggregation_law():
     reps = 10_000
     _, ys = _replicate_counts(g, rv, 1.0, 3, reps, seed0=90_000)
     _assert_poisson_moments(ys, mu, reps)
+
+
+def _stream_pair(rates, tau, seed, m=20, d=3):
+    """Two identical fresh streams of the given rates over a cheap graph:
+    flow i feeds d consecutive counters."""
+    start = np.random.default_rng(seed).integers(0, m - d + 1, rates.size)
+    g = BipartiteGraph(n_left=rates.size, n_right=m, d=d,
+                       columns=start[:, None] + np.arange(d), seed=0)
+    rv = RateVector.from_rates(rates, 0)
+    return [StreamState(graph=g, rates=rv, tau=tau, seed=seed) for _ in range(2)]
+
+
+def _advance_both(new, old):
+    """advance_epoch on new, the old rng.poisson advance on old: x, y and
+    the next uniform of each epoch's generator must agree."""
+    made = []
+    real = stream._epoch_rng
+
+    def recording(seed, epoch):
+        made.append(real(seed, epoch))
+        return made[-1]
+
+    with mock.patch.object(stream, "_epoch_rng", recording):
+        advance_epoch(new)
+    rng = advance_epoch_poisson(old)
+    assert np.array_equal(new.x, old.x)
+    assert np.array_equal(new.y, old.y)
+    assert made[0].random() == rng.random()
+
+
+# means on both sides of numpy's switch from Knuth's method to PTRS at 10,
+# the smallest subnormal, and means so small that exp(-mean) rounds to 1
+MEANS = st.one_of(
+    st.sampled_from([0.0, 5e-324, 1e-300, 9.999, float(np.nextafter(10.0, 0.0)), 10.0]),
+    st.floats(1e-9, 10.0, exclude_max=True),
+    st.floats(10.0, 1e4),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.sampled_from([1, 2, 7, 100, 8191, 8192, 8193, 20000]),
+    base=st.sampled_from(["silent", "minnows", "mixed"]),
+    spikes=st.lists(st.tuples(st.integers(0, 2**31), MEANS), max_size=40),
+    tau=st.sampled_from([1.0, 0.7, 3.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+# flow 0 meets the epoch's first uniform U. Here libm's exp(-lam) is one
+# ulp below U, and np.exp(-lam) equals U on hosts whose numpy has its own
+# SIMD exp: the flow fires, and an unloosened bound np.exp(-lam) misses it
+@example(n=100, base="minnows", spikes=[(0, 0.305119833686703)], tau=1.0, seed=180)
+# exp(-lam) equals U exactly: a candidate above the bound that draws 0
+@example(n=100, base="minnows", spikes=[(0, 1.1921495278485903)], tau=1.0, seed=1)
+def test_epoch_draw_matches_poisson_oracle(n, base, spikes, tau, seed):
+    # sizes straddle the bulk draw's chunk of 8192 uniforms
+    rng = np.random.default_rng(seed)
+    if base == "silent":
+        rates = np.zeros(n)
+    elif base == "minnows":
+        rates = np.abs(rng.normal(0.0, 1e-6, n))
+    else:  # zeros among rates from 1e-9 to about 16
+        rates = 10.0 ** rng.uniform(-9.0, 1.2, n) * (rng.random(n) < 0.8)
+    for pos, mean in spikes:
+        rates[pos % n] = mean / tau
+    new, old = _stream_pair(rates, tau, seed)
+    for _ in range(2):
+        _advance_both(new, old)
+
+
+def _replay_bank(name):
+    minnows = Dist("abs-gaussian", 1e-6)
+    if name == "readme-5k":  # the README's simulate command, 10 whales
+        g = build_random_expander(5000, 800, 8, seed=1)
+        rv = gen_rates(SignalSpec(5000, 10, CONST1, minnows, seed=2))
+        return StreamState(graph=g, rates=rv, tau=1.0, seed=3)
+    if name == "100k":
+        g = build_random_expander(100_000, 3000, 10, seed=5)
+        rv = gen_rates(SignalSpec(100_000, 10, CONST1, minnows, seed=6))
+        return StreamState(graph=g, rates=rv, tau=1.0, seed=7)
+    # silent flows and means drawn by PTRS, at tau != 1
+    g = build_random_expander(2000, 300, 4, seed=8)
+    rates = np.random.default_rng(9).choice(
+        [0.0, 1e-6, 0.3, 2.0, 9.0, 14.0, 17.5, 250.0, 1e4], size=2000,
+        p=[0.3, 0.3, 0.1, 0.1, 0.05, 0.05, 0.05, 0.03, 0.02])
+    rv = RateVector.from_rates(rates, 10)
+    return StreamState(graph=g, rates=rv, tau=0.7, seed=11)
+
+
+# sha256 of x then y, as little-endian int64, after 40 epochs; taken from
+# the rng.poisson draw, so any change to the stream fails here
+REPLAY_PINS = {
+    "readme-5k": "757b36c995d10c4e3516906eeacd0f3281a33d4b900da130ab04a44be0ac2dc4",
+    "100k": "08f8c5e89e54a3a7297f93602de70ada5eef58724a46e74c9e38ce28a789b9ec",
+    "ptrs-and-silent": "dd0cebb48ff081729ee0a25465afae57a6c57cb034ed0a7cca386ca2fe28c34c",
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPLAY_PINS))
+def test_stream_replay_pinned(name):
+    st_ = run_epochs(_replay_bank(name), 40)
+    digest = hashlib.sha256(
+        st_.x.astype("<i8").tobytes() + st_.y.astype("<i8").tobytes()).hexdigest()
+    assert digest == REPLAY_PINS[name]
