@@ -11,7 +11,6 @@ whale localization.
 from .decoders import DecodeSpec, Decoded, decode
 from .graph import (
     BipartiteGraph,
-    CoverSet,
     EnumerationCapExceeded,
     ExpansionReport,
     GraphConstructionError,

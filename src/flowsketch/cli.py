@@ -180,6 +180,9 @@ def _cmd_verify_expander(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    if args.epochs < 0 or not 0 < args.tau < np.inf:
+        raise ValueError("need epochs >= 0 and 0 < tau < inf, "
+                         f"got epochs={args.epochs}, tau={args.tau}")
     g = load_graph(args.graph)
     spec = SignalSpec(
         n_flows=g.n_left, k=args.whales,

@@ -11,7 +11,7 @@ from typing import Optional, Union
 import numpy as np
 
 from . import graph, lp, pmle
-from .graph import BipartiteGraph, CoverSet
+from .graph import BipartiteGraph
 
 __all__ = ["DECODERS", "DecodeSpec", "Decoded", "decode"]
 
@@ -52,26 +52,18 @@ def decode(
     epochs: int,
     tau: float,
     spec: DecodeSpec,
-    cover: Optional[CoverSet] = None,
+    cover: Optional[np.ndarray] = None,
 ) -> Decoded:
     """Estimate per-flow rates from counters y observed over `epochs`
     epochs of length tau.
 
-    cover is the greedy cover of g; the pmle decoders compute it when it
-    is not given. Raises ValueError, before any solver runs, unless y
-    holds one finite, nonnegative entry per counter, epochs >= 1 and tau
-    is finite and positive; and lp.NumericalError when basis pursuit finds
-    y unreachable.
+    cover is the greedy cover of g, its sorted flows; the pmle decoders
+    compute it when it is not given. Raises ValueError, before any solver
+    runs, unless y passes `pmle.checked_counters`, epochs >= 1 and tau is
+    finite and positive; and lp.NumericalError when basis pursuit finds y
+    unreachable.
     """
-    y = np.asarray(y)
-    if y.shape != (g.n_right,):
-        raise ValueError(f"y has shape {y.shape}, expected ({g.n_right},)")
-    bad = np.flatnonzero(~(np.isfinite(y) & (y >= 0)))
-    if bad.size:
-        raise ValueError(
-            f"counter {int(bad[0])} is {float(y[bad[0]])}; "
-            "counters must be finite and nonnegative"
-        )
+    y = pmle.checked_counters(y, g)
     if epochs < 1 or not 0 < tau < np.inf:
         raise ValueError(
             f"need epochs >= 1 and 0 < tau < inf, got epochs={epochs}, tau={tau}"

@@ -23,6 +23,7 @@ import numpy as np
 from .decoders import DECODERS, DecodeSpec, decode
 from .graph import build_graph_with_cover
 from .metrics import relative_l1_error, support_recovery_success
+from .pmle import CandidateSet, PmleConfig
 from .seeds import stable_seed
 from .stream import Dist, RateVector, SignalSpec, StreamState, gen_rates, run_epochs
 
@@ -74,6 +75,25 @@ _JSON_TYPES = {
     str: (str, "a string"),
     tuple: (list, "a list"),
 }
+
+
+def _check_pmle_options(cfg) -> None:
+    """Refuse, naming its key, a pmle knob that would fail every pmle
+    trial, by the rules decoding applies: the budget is l0, or 1 + l0_margin
+    per unit of true l1 mass, and gamma must give c in (0,1) at every k."""
+    o = cfg.pmle
+    budget = ("l0", o.l0) if o.l0 is not None else ("l0_margin", 1.0 + o.l0_margin)
+    rules = [("pmle.penalty_mode", lambda: CandidateSet((), 1.0, 1, o.penalty_mode)),
+             ("pmle.levels", lambda: PmleConfig(1.0, 1, o.levels, 0.0, ())),
+             ("pmle." + budget[0], lambda: PmleConfig(budget[1], 1, 1, 0.0, ()))]
+    rules += [("pmle.gamma" if 1 <= k < cfg.n_flows else "sweep",  # k out of range
+               lambda k=k: PmleConfig.from_problem(cfg.n_flows, k, 1.0, (), o.gamma))
+              for k in cfg.sweep]
+    for key, rule in rules:
+        try:
+            rule()
+        except ValueError as e:
+            raise ValueError(f"key {key!r}: {e}") from None
 
 
 def _from_keys(cls, d: dict, where: str = ""):
@@ -142,6 +162,8 @@ class ExperimentConfig:
                 "need epochs >= 1 and 0 < tau < inf, "
                 f"got epochs={self.epochs}, tau={self.tau}"
             )
+        if set(self.decoders) - {"direct"}:
+            _check_pmle_options(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":

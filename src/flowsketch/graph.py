@@ -1,9 +1,10 @@
-"""Left-regular bipartite sensing graphs.
+"""Left-regular bipartite sensing graphs and their counter covers.
 
 A counter bank aggregates N flows into M counters (M <= N) through a
 sparse binary matrix: flow i increments the d counters listed in
 ``columns[i]``. That (N, d) array is the graph; the one structure derived
-from it and cached is ``csr``, the flows of each counter.
+from it and cached is ``csr``, the flows of each counter. A counter cover
+is an array too: the sorted flows whose counters cover every counter.
 Construction is randomized but fully determined by an integer seed;
 expansion quality of small instances can be certified by brute force.
 """
@@ -17,7 +18,6 @@ import scipy.sparse as sp
 
 __all__ = [
     "BipartiteGraph",
-    "CoverSet",
     "ExpansionReport",
     "GraphConstructionError",
     "EnumerationCapExceeded",
@@ -45,7 +45,7 @@ class BipartiteGraph:
     columns[i] holds the sorted, distinct counter indices of flow i; it
     alone defines the graph, and it is A^T in CSR form, which
     `lp.basis_pursuit` reads as is. `csr` is its one cached counter-major
-    index, read by `greedy_cover` alone.
+    index, read by `greedy_cover` alone. Nothing else is stored.
     """
 
     n_left: int
@@ -88,28 +88,6 @@ class BipartiteGraph:
             (data, self.columns.ravel(), indptr), shape=(self.n_right, n)
         )
         return csc.tocsr()
-
-    def neighbor_masks(self) -> list:
-        """Per-flow counter sets as int bitmasks (for subset enumeration)."""
-        return [
-            int(np.bitwise_or.reduce([1 << int(j) for j in row]))
-            for row in self.columns
-        ]
-
-
-@dataclass(frozen=True)
-class CoverSet:
-    """Left nodes whose neighborhoods jointly cover every counter."""
-
-    members: np.ndarray  # sorted flow indices
-
-    def __post_init__(self):
-        m = np.asarray(self.members, dtype=np.int64)
-        m.setflags(write=False)
-        object.__setattr__(self, "members", m)
-
-    def __len__(self):
-        return len(self.members)
 
 
 @dataclass(frozen=True)
@@ -205,7 +183,8 @@ def verify_expansion(
     # singletons: every column has exactly d distinct neighbors
     worst = 1.0
     if k >= 2:
-        masks = g.neighbor_masks()
+        masks = [int(np.bitwise_or.reduce([1 << int(j) for j in row]))
+                 for row in g.columns]  # each flow's counters as an int bitmask
         n = g.n_left
 
         def rec(start: int, depth: int, acc: int, worst: float) -> float:
@@ -228,8 +207,9 @@ def verify_expansion(
     )
 
 
-def greedy_cover(g: BipartiteGraph) -> CoverSet:
-    """Greedy set cover of the counters by flow neighborhoods.
+def greedy_cover(g: BipartiteGraph) -> np.ndarray:
+    """Greedy set cover of the counters by flow neighborhoods: the picked
+    flows, sorted, as a read-only int64 array.
 
     Repeatedly picks the flow covering the most still-uncovered counters,
     ties broken by lowest flow index. A flow's gain only shrinks as
@@ -254,17 +234,19 @@ def greedy_cover(g: BipartiteGraph) -> CoverSet:
     one = gains.dtype.type(1)
     uncovered = np.ones(g.n_right, dtype=bool)
     n_uncovered = g.n_right
-    members = []
+    picks = []
     while n_uncovered:
         pick = int(np.argmax(gains))  # argmax returns the lowest tied index
-        members.append(pick)
+        picks.append(pick)
         cols = g.columns[pick]
         newly = cols[uncovered[cols]]
         uncovered[newly] = False
         n_uncovered -= newly.size
         np.subtract.at(gains, np.concatenate(
             [flows[indptr[j]:indptr[j + 1]] for j in newly]), one)
-    return CoverSet(members=np.array(sorted(members), dtype=np.int64))
+    cover = np.array(sorted(picks), dtype=np.int64)
+    cover.setflags(write=False)
+    return cover
 
 
 # graphs redrawn, each with a derived seed, before build_graph_with_cover
@@ -277,11 +259,11 @@ def build_graph_with_cover(
     n_right: int,
     d: int,
     seed: int,
-) -> tuple[BipartiteGraph, CoverSet, int]:
-    """Build a random graph and its greedy cover.
+) -> tuple[BipartiteGraph, np.ndarray, int]:
+    """Build a random graph and its greedy cover (a sorted flow array).
 
     Every greedy pick covers at least one new counter, so the cover never
-    has more than n_right members. The one thing that can fail is a counter
+    has more than n_right flows. The one thing that can fail is a counter
     with no incident flow; the graph is then rebuilt with a derived seed,
     at most _COVER_RETRIES times. Returns (graph, cover, retries_used).
     """

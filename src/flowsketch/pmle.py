@@ -26,6 +26,7 @@ are those of scoring every candidate on its own.
 
 import functools
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from itertools import chain, combinations
@@ -34,7 +35,8 @@ from typing import Iterable, Iterator, Optional, Tuple
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import BipartiteGraph, CoverSet
+from .graph import BipartiteGraph
+from .metrics import top_k_indices
 
 __all__ = [
     "KRAFT_CONSTANT",
@@ -44,6 +46,7 @@ __all__ = [
     "PmleResult",
     "SparseSolveResult",
     "WhaleLocalization",
+    "checked_counters",
     "localize_whales",
     "pmle_exhaustive",
     "pmle_reduced",
@@ -71,31 +74,29 @@ class CandidateCountError(ValueError):
 class PmleConfig:
     """Grid geometry and offset for the penalized-MLE objective.
 
-    l0 bounds the l1 mass of every candidate; the grid step is sqrt(delta)
-    and l0/sqrt(delta) must be a positive integer (the number of nonzero
-    levels). c scales the always-on offset c*l0 on the cover flows.
+    l0 bounds the l1 mass of every candidate, split into n_levels levels of
+    grid_step = l0/n_levels (the paper's delta is grid_step**2). c scales
+    the offset c*l0 on the cover flows, a read-only int64 array.
     """
 
     l0: float
     k: int
-    delta: float
+    n_levels: int
     c: float
-    cover: CoverSet
+    cover: np.ndarray
 
     def __post_init__(self):
         if not self.l0 > 0:
             raise ValueError(f"l0 must be positive, got {self.l0}")
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
-        if not self.delta > 0:
-            raise ValueError(f"delta must be positive, got {self.delta}")
-        levels = self.l0 / math.sqrt(self.delta)
-        if abs(levels - round(levels)) > 1e-9 or round(levels) < 1:
-            raise ValueError(
-                f"l0/sqrt(delta) = {levels} must be a positive integer"
-            )
+        if not (isinstance(self.n_levels, numbers.Integral) and self.n_levels >= 1):
+            raise ValueError(f"need an integer n_levels >= 1, got {self.n_levels!r}")
         if not (0 <= self.c < 1):
             raise ValueError(f"offset coefficient c must be in [0,1), got {self.c}")
+        cover = np.array(self.cover, dtype=np.int64)
+        cover.setflags(write=False)
+        object.__setattr__(self, "cover", cover)
 
     @classmethod
     def from_problem(
@@ -103,46 +104,37 @@ class PmleConfig:
         n_flows: int,
         k: int,
         l0: float,
-        cover: CoverSet,
+        cover: np.ndarray,
         gamma: float = 1.0,
         levels: int = 64,
     ) -> "PmleConfig":
         """Derive c = gamma/(k*ln(N/k)) and the grid from a level count."""
         if not 1 <= k < n_flows:
             raise ValueError(f"need 1 <= k < n_flows, got k={k}, N={n_flows}")
-        if not gamma > 0:
-            raise ValueError(f"gamma must be positive, got {gamma}")
-        if levels < 1:
-            raise ValueError(f"need at least one grid level, got {levels}")
         log_ratio = math.log(n_flows / k)
         if log_ratio <= 0:
             raise ValueError(f"ln(N/k) must be positive, got N={n_flows}, k={k}")
         c = gamma / (k * log_ratio)
-        if not 0 < c < 1:
-            raise ValueError(f"derived c = {c:.4g} outside (0,1); lower gamma")
-        step = l0 / levels
-        return cls(l0=l0, k=k, delta=step * step, c=c, cover=cover)
+        if not 0 < c < 1:  # so gamma must be positive
+            raise ValueError(f"derived c = gamma/(k*ln(N/k)) = {c:.4g} outside (0,1)")
+        return cls(l0=l0, k=k, n_levels=levels, c=c, cover=cover)
 
     @property
     def grid_step(self) -> float:
-        return math.sqrt(self.delta)
-
-    @property
-    def n_levels(self) -> int:
-        return round(self.l0 / math.sqrt(self.delta))
+        return self.l0 / self.n_levels
 
     def offset_means(self, g: BipartiteGraph, scale: float) -> np.ndarray:
         """Counter means of the offset alone: scale * A @ (c*l0 on the cover
         flows). Each counter adds c*l0 once per incident cover flow, the
         nonzero terms of its row of that product, so the bits agree."""
-        members = self.cover.members
-        if members.size and members.max() >= g.n_left:
+        cover = self.cover
+        if cover.size and cover.max() >= g.n_left:
             raise ValueError(
-                f"cover flow {int(members.max())} outside a graph of "
+                f"cover flow {int(cover.max())} outside a graph of "
                 f"{g.n_left} flows"
             )
         mu = np.zeros(g.n_right)
-        np.add.at(mu, g.columns[members].ravel(), self.c * self.l0)
+        np.add.at(mu, g.columns[cover].ravel(), self.c * self.l0)
         return scale * mu
 
 
@@ -180,10 +172,6 @@ class CandidateSet:
             object.__setattr__(self, "penalty_universe_size", u.size)
         if self.penalty_universe_size < u.size:
             raise ValueError("penalty universe cannot be smaller than universe")
-
-    @property
-    def l0(self) -> float:
-        return self.n_levels * self.grid_step
 
     def _count_sum(self, universe_size: int, cap: Optional[int] = None) -> int:
         """|Lambda| over a universe of U flows: sum_s C(U,s)*C(G,s),
@@ -265,6 +253,20 @@ def _level_tuples(s: int, budget: int) -> np.ndarray:
     return out
 
 
+def checked_counters(y, g: BipartiteGraph) -> np.ndarray:
+    """y as a float64 array; ValueError unless it holds one finite,
+    nonnegative entry per counter of g."""
+    y = np.asarray(y, dtype=np.float64)
+    if y.shape != (g.n_right,):
+        raise ValueError(f"y has shape {y.shape}, expected ({g.n_right},)")
+    if not (y.min() >= 0 and y.max() < np.inf):  # a NaN fails both
+        j = int(np.flatnonzero(~(np.isfinite(y) & (y >= 0)))[0])
+        raise ValueError(
+            f"counter {j} is {float(y[j])}; counters must be finite and nonnegative"
+        )
+    return y
+
+
 @dataclass(frozen=True)
 class WhaleLocalization:
     """Output of the counter-sorting pass: a1 holds, sorted, the flows
@@ -274,21 +276,17 @@ class WhaleLocalization:
 
 
 def localize_whales(y: np.ndarray, g: BipartiteGraph, k: int) -> WhaleLocalization:
-    """The flows whose counters all rank among the kd largest.
-
-    Ties in the counter ranking break toward the lowest index. When
+    """The flows whose counters all rank among the kd largest, the
+    `top_k_indices` of y, so ties break toward the lowest index. When
     kd >= M every counter is large and a1 is all flows (the reduction
-    degrades gracefully to the full search). O(M log M + N d).
+    degrades gracefully to the full search). O(M + N d). y must pass
+    `checked_counters`, since top_k_indices ranks by magnitude.
     """
-    y = np.asarray(y)
-    if y.shape != (g.n_right,):
-        raise ValueError(f"y has shape {y.shape}, expected ({g.n_right},)")
+    y = checked_counters(y, g)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    t = min(k * g.d, g.n_right)
-    order = np.argsort(-np.asarray(y, dtype=np.float64), kind="stable")
     big = np.zeros(g.n_right, dtype=bool)
-    big[order[:t]] = True
+    big[top_k_indices(y, min(k * g.d, g.n_right))] = True
     a1 = np.nonzero(big[g.columns].all(axis=1))[0].astype(np.int64)
     return WhaleLocalization(a1=a1)
 
@@ -330,9 +328,7 @@ def pmle_exhaustive(
             f"candidate count exceeds the exhaustive guard "
             f"{_EXHAUSTIVE_GUARD}; use pmle_reduced"
         )
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != (g.n_right,):
-        raise ValueError(f"y has shape {y.shape}, expected ({g.n_right},)")
+    y = checked_counters(y, g)
     if not scale > 0:
         raise ValueError(f"scale must be positive, got {scale}")
     mu0 = cfg.offset_means(g, scale)
@@ -399,7 +395,7 @@ def _argmin(
             pen2.append(2.0 * cs.pen_of_size(len(pen2)))
         pen2_s = np.array(pen2[:s + 1])
         ragged = not levels.all()  # some rows leave some of the flows out
-        touched, inv = np.unique(g.columns[list(flows)].ravel(), return_inverse=True)
+        touched, _, inv = _local_index(g, list(flows))
         if dead[touched].sum() < n_dead:
             continue  # an untouched positive counter keeps mean zero
         inc = np.zeros((s, touched.size))  # a flow's d counters are distinct
@@ -463,6 +459,16 @@ def _score(
     return _nll_from_mu(mu, y) + 2.0 * cs.pen_of_size(len(supp))
 
 
+def _local_index(g: BipartiteGraph, flows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(touched, hit, inv): the sorted counters that `flows` (an index list
+    or array) touch, their mask over all M counters, and inv[i*d:(i+1)*d]
+    the numbers among them of flows[i]'s counters, by a running count."""
+    cols = g.columns[flows].ravel()
+    hit = np.zeros(g.n_right, dtype=bool)
+    hit[cols] = True
+    return np.flatnonzero(hit), hit, np.cumsum(hit)[cols] - 1
+
+
 @dataclass
 class SparseSolveResult:
     theta: np.ndarray  # nonnegative values on `support`, rate units
@@ -488,11 +494,12 @@ def sparse_poisson_solve(
     Newton steps then polish theta. Log and gradient inputs are floored at
     1e-12 so a stray zero mean cannot produce NaN.
 
-    Only the counters T that the support touches depend on theta, so every
-    array of the solve is over T: the incidence A[T, support] is one CSR
-    built once, next to a CSR copy of its transpose. The other counters
-    keep their mu_base means and add one constant to the objective, so
-    `objective`, `trace` and the stop rule are over all counters.
+    Only the counters T that the support touches (`_local_index`) depend
+    on theta, so every array of the solve is over T: the incidence
+    A[T, support] is one CSR built once, next to a CSR copy of its
+    transpose. The other counters keep their mu_base means and add one
+    constant to the objective, so `objective`, `trace` and the stop rule
+    are over all counters.
     """
     support = np.asarray(support, dtype=np.int64)
     if support.size == 0:
@@ -503,14 +510,8 @@ def sparse_poisson_solve(
     if mu_base is None:
         mu_base = np.zeros(g.n_right)
     n, d = support.size, g.d
-    # touched counters numbered in increasing order by a mask and its
-    # running count; inv[i*d:(i+1)*d] are the local indices of flow i's
-    # sorted counters
-    cols = g.columns[support].ravel()
-    rest = np.ones(g.n_right, dtype=bool)
-    rest[cols] = False
-    touched = np.flatnonzero(~rest)
-    inv = np.cumsum(~rest)[cols] - 1
+    touched, hit, inv = _local_index(g, support)
+    rest = ~hit
     feas_bad = rest & (y > 0) & (mu_base <= 0)
     if feas_bad.any():
         j = int(np.nonzero(feas_bad)[0][0])
@@ -554,17 +555,17 @@ def sparse_poisson_solve(
         t *= 2.0
         while True:
             cand = np.maximum(theta - t * grad, 0.0)
-            delta = cand - theta
-            if not delta.any():
+            move = cand - theta
+            if not move.any():
                 break
             mu_cand = means(cand)
             f_cand = objective(mu_cand)
-            if f_cand <= f + grad @ delta + (delta @ delta) / (2.0 * t):
+            if f_cand <= f + grad @ move + (move @ move) / (2.0 * t):
                 break
             t *= 0.5
             if t < 1e-18:
                 break
-        if not delta.any() or t < 1e-18:
+        if not move.any() or t < 1e-18:
             converged = True
             break
         theta, mu = cand, mu_cand
@@ -673,7 +674,7 @@ def pmle_reduced(
     so the result is the zero estimate with the objective of the offset
     alone (n_evaluated 1, exhaustive True).
     """
-    y = np.asarray(y, dtype=np.float64)
+    y = checked_counters(y, g)
     if loc.a1.size == 0:
         warnings.warn("localization produced an empty support; returning zeros")
     cs = CandidateSet(

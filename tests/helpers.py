@@ -103,7 +103,7 @@ def offset_rates(cfg, n_flows: int) -> np.ndarray:
     """The additive rate offset c*l0 of a PmleConfig on its cover flows,
     zero elsewhere."""
     on_cover = np.zeros(n_flows)
-    on_cover[cfg.cover.members] = 1.0
+    on_cover[cfg.cover] = 1.0
     return cfg.c * cfg.l0 * on_cover
 
 
@@ -360,6 +360,13 @@ def top_k_indices_argsort(u: np.ndarray, k: int) -> np.ndarray:
         return np.empty(0, dtype=np.int64)
     order = np.argsort(-np.abs(u), kind="stable")
     return np.sort(order[:k])
+
+
+def local_index_unique(g: BipartiteGraph, flows):
+    """The sorted counters that the flows touch, and each of the flows'
+    counters numbered by its place among them, by np.unique: the oracle of
+    pmle._local_index."""
+    return np.unique(g.columns[list(flows)].ravel(), return_inverse=True)
 
 
 def support_matrix_via_csc(g: BipartiteGraph, support: np.ndarray):

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from flowsketch import (
     BipartiteGraph,
+    cli,
     experiment,
     graph,
     lp,
@@ -92,6 +93,26 @@ def test_simulate_bad_tau_is_invalid_input(graph_file, tmp_path, capsys, tau):
                  "--epochs", "3", "--tau", tau, "--out-counters", str(y_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("invalid input: ") and "tau" in err
+    assert not y_path.exists()
+
+
+@pytest.mark.parametrize("flag,value", [("--epochs", "-1"), ("--tau", "0"),
+                                        ("--tau", "-1.5"), ("--tau", "nan"),
+                                        ("--tau", "inf")])
+def test_simulate_bad_epochs_or_tau_fails_before_loading_the_graph(
+        graph_file, tmp_path, capsys, monkeypatch, flag, value):
+    def never(*args, **kwargs):
+        raise AssertionError("the graph was loaded for an invalid --epochs or --tau")
+
+    monkeypatch.setattr(cli, "load_graph", never)
+    y_path = tmp_path / "y.csv"
+    argv = ["simulate", "--graph", str(graph_file), "--whales", "2",
+            "--epochs", "3", "--out-counters", str(y_path), flag, value]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input: need epochs >= 0 and 0 < tau < inf")
+    shown = int(value) if flag == "--epochs" else float(value)
+    assert f"{flag[2:]}={shown}" in err
     assert not y_path.exists()
 
 
@@ -454,6 +475,23 @@ def test_sweep_config_tau_not_finite_is_invalid_input(tmp_path, capsys, tau):
     assert sweep_with_edited_config(tmp_path, edit) == 1
     err = capsys.readouterr().err
     assert err.startswith("invalid input: need epochs >= 1 and 0 < tau < inf")
+    assert not (tmp_path / "results.csv").exists()
+
+
+@pytest.mark.parametrize("key,value", [
+    ("levels", 0), ("penalty_mode", "huffman"), ("gamma", -1),
+    ("gamma", 50),  # c = 50/(2 ln 100) = 5.43
+    ("l0", -3), ("l0_margin", -1.5),
+])
+def test_sweep_config_pmle_knob_failing_every_trial_is_invalid_input(
+        tmp_path, capsys, key, value):
+    def edit(d):
+        d.update(n_flows=200, n_counters=60, degree=6, sweep=[2],
+                 decoders=["direct", "pmle-reduced"])
+        d["pmle"][key] = value
+    assert sweep_with_edited_config(tmp_path, edit) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"invalid input: key 'pmle.{key}': ")
     assert not (tmp_path / "results.csv").exists()
 
 

@@ -69,6 +69,15 @@ def test_config_sweep_takes_numpy_integers():
     assert all(type(k) is int for k in cfg.sweep)
 
 
+def test_config_checks_pmle_knobs_only_when_a_pmle_decoder_runs():
+    bad = PmleOptions(levels=0)
+    tiny_cfg(pmle=bad)  # direct alone never reads the pmle block
+    with pytest.raises(ValueError, match="'pmle.levels'"):
+        tiny_cfg(pmle=bad, decoders=("direct", "pmle-reduced"))
+    with pytest.raises(ValueError, match="'sweep'"):  # k = N leaves no minnow
+        tiny_cfg(sweep=(1, 10), decoders=("pmle-exhaustive",))
+
+
 def test_readme_config_example_loads():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme.split("## Sweep configs", 1)[1]

@@ -200,14 +200,14 @@ def test_plane_graph_expands(plane_expander):
 def test_greedy_cover_complete():
     g = build_random_expander(3, 2, 2, seed=0)
     cover = greedy_cover(g)
-    assert cover.members.tolist() == [0]
+    assert cover.tolist() == [0]
 
 
 def test_greedy_cover_hand_case():
     cols = np.array([[0, 1], [2, 3], [0, 2]], dtype=np.int32)
     g = BipartiteGraph(n_left=3, n_right=4, d=2, columns=cols, seed=0)
     cover = greedy_cover(g)
-    assert cover.members.tolist() == [0, 1]
+    assert cover.tolist() == [0, 1]
 
 
 def test_greedy_cover_random_properties():
@@ -217,12 +217,12 @@ def test_greedy_cover_random_properties():
             cover = greedy_cover(g)
         except GraphConstructionError:
             continue  # isolated counter, legitimately rejected
-        covered = np.unique(g.columns[cover.members])
+        covered = np.unique(g.columns[cover])
         assert covered.size == 20
-        assert cover.members.size <= 20
+        assert cover.size <= 20
         # normalized cover mass reaches every counter with weight >= 1/d
         on_cover = np.zeros(g.n_left, dtype=np.int64)
-        on_cover[cover.members] = 1
+        on_cover[cover] = 1
         assert (apply_adjacency(g, on_cover) / g.d >= 1.0 / g.d - 1e-12).all()
 
 
@@ -263,7 +263,7 @@ def assert_cover_matches_rescan(g):
     cover = greedy_cover(g)
     # each pick covers a new counter, so the cover fits in n_right members
     assert len(cover) <= g.n_right
-    assert cover.members.tolist() == want.tolist()
+    assert cover.tolist() == want.tolist()
 
 
 @settings(max_examples=400, deadline=None)
@@ -301,14 +301,14 @@ def test_greedy_cover_matches_rescan_oracle_wide(g):
 @pytest.mark.parametrize("seed", range(5))
 def test_greedy_cover_matches_rescan_oracle_20k(seed):
     g = build_random_expander(20_000, 2500, 10, seed=seed)
-    assert np.array_equal(greedy_cover(g).members, greedy_cover_rescan(g))
+    assert np.array_equal(greedy_cover(g), greedy_cover_rescan(g))
 
 
 def test_build_graph_with_cover():
     g, cover, retries = build_graph_with_cover(5000, 800, 8, seed=4)
     assert retries == 0
-    assert cover.members.size <= 800
-    assert np.unique(g.columns[cover.members]).size == 800
+    assert cover.size <= 800
+    assert np.unique(g.columns[cover]).size == 800
 
 
 def test_save_load_round_trip(tmp_path):

@@ -9,7 +9,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.optimize
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flowsketch import (
@@ -32,7 +32,7 @@ from flowsketch import (
     sparse_poisson_solve,
 )
 from flowsketch import pmle as pmle_module
-from flowsketch.graph import BipartiteGraph, CoverSet
+from flowsketch.graph import BipartiteGraph
 from flowsketch.seeds import stable_seed
 
 from helpers import (
@@ -43,11 +43,13 @@ from helpers import (
     kraft_audit,
     l0_path_candidates,
     level_tuples_recursive,
+    local_index_unique,
     neg_log_likelihood,
     offset_rates,
     penalty,
     sparse_poisson_solve_full,
 )
+from test_graph import small_graphs
 
 CONST1 = Dist("constant", 1.0)
 ZERO = Dist("constant", 0.0)
@@ -113,6 +115,12 @@ def test_localize_validation():
         localize_whales(np.zeros(5), g, 1)
     with pytest.raises(ValueError):
         localize_whales(np.zeros(6), g, 0)
+    # the ranking is by magnitude, so counters must be finite and nonnegative
+    for bad in (-1.0, -np.inf, np.nan, np.inf):
+        y = np.zeros(6)
+        y[3] = bad
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            localize_whales(y, g, 1)
 
 
 def test_localize_full_scale_margin():
@@ -185,13 +193,13 @@ def test_nll_stationarity():
 def test_pmle_config_validation():
     cover = greedy_cover(hexad_graph())
     with pytest.raises(ValueError):
-        PmleConfig(l0=0.0, k=1, delta=1.0, c=0.1, cover=cover)
+        PmleConfig(l0=0.0, k=1, n_levels=4, c=0.1, cover=cover)
     with pytest.raises(ValueError):
-        PmleConfig(l0=4.0, k=0, delta=1.0, c=0.1, cover=cover)
+        PmleConfig(l0=4.0, k=0, n_levels=4, c=0.1, cover=cover)
     with pytest.raises(ValueError):
-        PmleConfig(l0=4.0, k=1, delta=0.9, c=0.1, cover=cover)
+        PmleConfig(l0=4.0, k=1, n_levels=0, c=0.1, cover=cover)
     with pytest.raises(ValueError):
-        PmleConfig(l0=4.0, k=1, delta=1.0, c=1.0, cover=cover)
+        PmleConfig(l0=4.0, k=1, n_levels=4, c=1.0, cover=cover)
     cfg = PmleConfig.from_problem(6, 2, 4.0, cover, gamma=0.5, levels=4)
     assert cfg.grid_step == 1.0 and cfg.n_levels == 4
     assert abs(cfg.c - 0.5 / (2 * math.log(3))) < 1e-12
@@ -220,7 +228,18 @@ def test_candidate_count_matches_enumeration():
         assert len(supp) == len(lv)
         assert all(1 <= m <= 3 for m in lv) and sum(lv) <= 3
         vec = cs.materialize(supp, lv, 5)
-        assert vec.sum() <= cs.l0 + 1e-12
+        assert vec.sum() <= cs.n_levels * cs.grid_step + 1e-12
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(1e-140, 1e140), st.integers(1, 10**6))
+def test_grid_step_is_the_step_that_delta_held(l0, levels):
+    # the grid used to be stored as delta = step**2 and read back by sqrt;
+    # the square root of a rounded square gives the step back exactly while
+    # the square neither underflows nor overflows, as on these steps
+    cfg = PmleConfig.from_problem(100, 1, l0, np.array([0]), levels=levels)
+    assert cfg.n_levels == levels
+    assert cfg.grid_step.hex() == math.sqrt((l0 / levels) ** 2).hex()
 
 
 @pytest.mark.parametrize("s, budget", [(s, g) for g in range(1, 11)
@@ -322,7 +341,7 @@ def _hexad_problem(c=0.0, gamma=0.5):
     scale = 5.0
     y = scale * apply_adjacency(g, truth)
     if c == 0.0:
-        cfg = PmleConfig(l0=4.0, k=2, delta=1.0, c=0.0, cover=cover)
+        cfg = PmleConfig(l0=4.0, k=2, n_levels=4, c=0.0, cover=cover)
     else:
         cfg = PmleConfig.from_problem(6, 2, 4.0, cover, gamma=gamma, levels=4)
     cs = CandidateSet(universe=np.arange(6), grid_step=1.0, n_levels=4,
@@ -350,7 +369,7 @@ def test_exhaustive_offset_perturbation():
 def test_exhaustive_singleton_universe():
     g = hexad_graph()
     cover = greedy_cover(g)
-    cfg = PmleConfig(l0=3.0, k=1, delta=1.0, c=0.0, cover=cover)
+    cfg = PmleConfig(l0=3.0, k=1, n_levels=3, c=0.0, cover=cover)
     cs = CandidateSet(universe=np.array([2]), grid_step=1.0, n_levels=3,
                       penalty_mode="uniform")
     truth = np.zeros(6)
@@ -401,9 +420,9 @@ def test_offset_means_match_csr_product(data):
     members = sorted(data.draw(st.sets(st.integers(0, g.n_left - 1))))
     step = data.draw(st.sampled_from([0.3, 0.5, 1.0, 2.5]))
     levels = data.draw(st.integers(1, 64))
-    cfg = PmleConfig(l0=levels * step, k=1, delta=step * step,
+    cfg = PmleConfig(l0=levels * step, k=1, n_levels=levels,
                      c=data.draw(st.floats(0.0, 0.99)),
-                     cover=CoverSet(members=np.array(members, dtype=np.int64)))
+                     cover=np.array(members, dtype=np.int64))
     scale = data.draw(st.sampled_from([0.1, 1.0, 3.0, 40.0]))
     want = scale * apply_adjacency(g, offset_rates(cfg, g.n_left))
     assert cfg.offset_means(g, scale).tobytes() == want.tobytes()
@@ -419,6 +438,24 @@ def test_offset_means_match_csr_product_greedy_cover(n, m, d):
 
 
 # ---------------------------------------------------------------- solver
+
+
+_DUPLICATED = BipartiteGraph(n_left=4, n_right=5, d=2, seed=0, columns=np.array(
+    [[1, 3], [0, 4], [1, 3], [0, 2]], dtype=np.int32))
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_graphs(), st.lists(st.integers(0, 59), max_size=12))
+@example(_DUPLICATED, [])
+@example(_DUPLICATED, [0, 2])
+@example(_DUPLICATED, [3, 0, 2, 0])
+def test_local_index_matches_unique_oracle(g, flows):
+    flows = [i % g.n_left for i in flows]
+    touched, hit, inv = pmle_module._local_index(g, flows)
+    want_touched, want_inv = local_index_unique(g, flows)
+    assert touched.tolist() == want_touched.tolist()
+    assert inv.tolist() == want_inv.tolist()
+    assert np.flatnonzero(hit).tolist() == touched.tolist()
 
 
 def test_sparse_solve_one_dimensional():
@@ -633,7 +670,7 @@ def test_reduced_empty_a1_warns():
     # continuous solve, even with exhaustive_cap=0
     g = hexad_graph()
     cover = greedy_cover(g)
-    cfg = PmleConfig(l0=4.0, k=1, delta=1.0, c=0.1, cover=cover)
+    cfg = PmleConfig(l0=4.0, k=1, n_levels=4, c=0.1, cover=cover)
     loc = WhaleLocalization(a1=np.empty(0, dtype=np.int64))
     y, scale = np.ones(4), 1.0
     for penalty_mode in ("l0-scaled", "uniform"):
@@ -752,8 +789,8 @@ def _check_against_scalar(columns, n_right, universe, n_levels, step, scale,
     columns = np.array(columns, dtype=np.int32)
     g = BipartiteGraph(n_left=len(columns), n_right=n_right,
                        d=columns.shape[1], columns=columns, seed=0)
-    cover = CoverSet(members=np.array(sorted(cover_members), dtype=np.int64))
-    cfg = PmleConfig(l0=n_levels * step, k=1, delta=step * step,
+    cover = np.array(sorted(cover_members), dtype=np.int64)
+    cfg = PmleConfig(l0=n_levels * step, k=1, n_levels=n_levels,
                      c=c, cover=cover)
     cs = CandidateSet(universe=np.array(sorted(universe), dtype=np.int64),
                       grid_step=step, n_levels=n_levels,
