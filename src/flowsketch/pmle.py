@@ -18,7 +18,9 @@ offset's own means mu0 = scale * A @ (c*L0 on the cover) come from
 Candidates are scored in blocks, as arrays over the few counters a
 block's flows touch: all level tuples of one support at a time when
 enumerating, and the whole l0 path of the reduced decoder as one block
-whose rows hold zero levels off each candidate's support. Near-ties of
+whose rows hold zero levels off each candidate's support. In a large
+block, the counters that one flow alone touches are read from per-flow
+tables over the levels, so a row costs one lookup per flow. Near-ties of
 the batched values are rescored exactly, candidate by candidate, so the
 argmin, its objective and the tie-break (the candidate enumerated first)
 are those of scoring every candidate on its own.
@@ -335,10 +337,9 @@ def pmle_exhaustive(
     return _argmin(y, g, cs, mu0, scale, cs.blocks(), exhaustive=True)
 
 
-# Rows of a level block scored per array operation, so the one scoring
-# buffer stays at most _CHUNK_ROWS * s * d floats however many tuples the
-# block has.
-_CHUNK_ROWS = 1024
+# A block is scored in row chunks whose per-row arrays hold at most this
+# many floats, however many level tuples the block has.
+_CHUNK_FLOATS = 2**18
 
 
 def _argmin(
@@ -355,17 +356,33 @@ def _argmin(
     counter means. Each row of a block's levels array is one candidate:
     the flows whose level in that row is nonzero, at those levels.
 
-    A block is scored as arrays, in row chunks. A candidate changes mu0
-    only on the counters T the block's flows touch, so its objective is
-    sum(mu0) + scale*step*d*sum(levels), minus the y*ln(mu) terms of the
-    untouched counters (summed once per call), minus those of T, plus the
-    penalty; a positive counter left at mean zero makes it +inf. These
-    sums are reassociated, so they only screen: each candidate whose
-    value is within a rounding-error bound of the running minimum is
-    rescored exactly by `_score`, in enumeration order, and the first
-    strict minimum wins. That is the candidate, objective and count a
-    one-by-one loop over `_score` returns. When every candidate is +inf
-    the first one is returned.
+    A candidate changes mu0 only on the counters T the block's flows
+    touch, so its objective is sum(mu0) minus the y*ln(mu) terms of the
+    untouched counters (summed once per call), plus scale*step*d*level
+    for each flow, minus the terms of T, plus the penalty. A positive
+    counter left at mean zero has the term -inf, which makes the
+    objective +inf.
+
+    A counter of T is private when exactly one flow of the block touches
+    it, and shared when two or more do. A private counter's term depends
+    on that flow's level alone. So a block with more rows than there are
+    levels 0..n_levels first tabulates, per flow and level, the flow's
+    mass minus its private terms, and its mass plus their magnitudes,
+    from one array of terms over (levels, private counters). Each row
+    then reads one entry per flow from each table, and only the shared
+    counters, usually none, are evaluated row by row. A smaller block
+    (the one-flow supports, the l0 path) evaluates all of T row by row,
+    which costs less than the tables would.
+
+    These sums are reassociated, so they only screen: each candidate
+    whose value is within a rounding-error bound of the running minimum
+    is rescored exactly by `_score`, in enumeration order, and the first
+    strict minimum wins. The bound is over the magnitudes of the same
+    terms the exact sum adds, however the screen groups them (by flow,
+    by row or by chunk), so it never drops a candidate that `_score`
+    would rank first: the support, levels, objective bits and count are
+    those of a one-by-one loop over `_score`. When every candidate is
+    +inf the first one is returned.
     """
     a = scale * cs.grid_step
     pos = y > 0
@@ -398,33 +415,61 @@ def _argmin(
         touched, _, inv = _local_index(g, list(flows))
         if dead[touched].sum() < n_dead:
             continue  # an untouched positive counter keeps mean zero
-        inc = np.zeros((s, touched.size))  # a flow's d counters are distinct
-        inc[np.repeat(np.arange(s), g.d), inv] = 1.0
-        keep = pos[touched]
-        inc = inc[:, keep]
-        y_t, mu0_t = y[touched[keep]], mu0[touched[keep]]
         rest = w_sum - float(w[touched].sum())
-        for lo in range(0, len(levels), _CHUNK_ROWS):
-            lv = levels[lo:lo + _CHUNK_ROWS]
-            lvf = lv.astype(np.float64)
+        flow_of = np.repeat(np.arange(s), g.d)  # the flow of each entry of inv
+        per_row = pos[touched]  # the counters scored row by row
+        table = None
+        if len(levels) > cs.n_levels + 1:
+            # the private counters' tables: flow i at level l is entry
+            # i*(n_levels+1) + l of each
+            lvl = np.arange(cs.n_levels + 1)
+            private = per_row & (np.bincount(inv, minlength=touched.size) == 1)
+            per_row &= ~private
+            on_p = private[inv]
+            t_p = touched[inv[on_p]]
+            with np.errstate(divide="ignore"):  # -inf at a mean of zero
+                term = y[t_p] * np.log(mu0[t_p] + a * lvl[:, None])
+            key = (flow_of[on_p] * lvl.size + lvl[:, None]).ravel()
+            n_tab = s * lvl.size
+            flow_mass = (a * g.d) * np.tile(lvl, s)
+            table = np.stack([
+                flow_mass - np.bincount(key, weights=term.ravel(), minlength=n_tab),
+                flow_mass + np.bincount(key, weights=np.abs(term).ravel(),
+                                        minlength=n_tab),
+            ])
+            offsets = (np.arange(s) * lvl.size)[:, None]
+        inc = np.zeros((s, touched.size))  # a flow's d counters are distinct
+        inc[flow_of, inv] = 1.0
+        inc = inc[:, per_row]
+        y_r, mu0_r = y[touched[per_row]], mu0[touched[per_row]]
+        step = max(1, _CHUNK_FLOATS // (3 * s + inc.shape[1] + 1))
+        for lo in range(0, len(levels), step):
+            lv = levels[lo:lo + step]
+            if table is None:
+                val = mag = (a * g.d) * lv.sum(axis=1, dtype=np.float64)
+            else:
+                idx = lv.T.astype(np.intp, order="C")  # flows by rows
+                idx += offsets
+                val, mag = table.take(idx, axis=1).sum(axis=1)
+            if inc.size:
+                # one (rows, counters) buffer, in place: mu, y*ln(mu), |y*ln(mu)|
+                buf = lv @ inc
+                buf *= a
+                buf += mu0_r
+                with np.errstate(divide="ignore"):
+                    np.log(buf, out=buf)
+                buf *= y_r
+                val = val - buf.sum(axis=1)
+                np.abs(buf, out=buf)
+                mag = mag + buf.sum(axis=1)
             size = np.count_nonzero(lv, axis=1) if ragged else s
             pen2_r = pen2_s[size]
-            mass = mu0_sum + (a * g.d) * lvf.sum(axis=1)
-            # one (rows, |T|) buffer, in place: mu, then y*ln(mu), then |y*ln(mu)|
-            buf = lvf @ inc
-            buf *= a
-            buf += mu0_t
-            bad = (buf <= 0).any(axis=1)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                np.log(buf, out=buf)
-            buf *= y_t
-            obj = mass - (rest + buf.sum(axis=1)) + pen2_r
-            np.abs(buf, out=buf)
+            obj = (mu0_sum - rest) + val + pen2_r
             # first-order rounding bound of either evaluation, per unit of
             # the summed term magnitudes (the objective itself can cancel)
             tol_k = 4.0 * (y.size + size * g.d + 8) * np.finfo(np.float64).eps
-            tol = tol_k * (mass + w_abs + buf.sum(axis=1) + y_sum + np.abs(pen2_r))
-            obj[bad], tol[bad] = math.inf, 0.0
+            tol = tol_k * (mu0_sum + w_abs + mag + y_sum + np.abs(pen2_r))
+            tol[obj == math.inf] = 0.0
             best_hi = min(best_hi, float((obj + tol).min()))
             if best_hi == math.inf:
                 continue

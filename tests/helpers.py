@@ -553,6 +553,83 @@ def argmin_scalar(y, g, cs, mu0, scale, candidates, exhaustive) -> PmleResult:
     )
 
 
+def argmin_chunked(y, g, cs, mu0, scale, blocks, exhaustive) -> PmleResult:
+    """`pmle._argmin` as it screened before per-flow level tables: each row
+    chunk of a block evaluates y*ln(mu) on every counter the block's flows
+    touch, as one (rows, |T|) buffer, and candidates within the rounding
+    bound of the running minimum are rescored exactly by `pmle._score`."""
+    chunk_rows = 1024
+    a = scale * cs.grid_step
+    pos = y > 0
+    live = pos & (mu0 > 0)
+    w = np.zeros_like(mu0)
+    w[live] = y[live] * np.log(mu0[live])
+    dead = pos & ~live
+    n_dead = int(dead.sum())
+    mu0_sum, w_sum, w_abs = float(mu0.sum()), float(w.sum()), float(np.abs(w).sum())
+    y_sum = float(y.sum())
+    pen2 = []
+    best = None
+    first = None
+    best_hi = math.inf
+    n_eval = 0
+
+    def candidate(flows, row):
+        nz = np.flatnonzero(row)
+        return tuple(flows[i] for i in nz), tuple(row[nz].tolist())
+
+    for flows, levels in blocks:
+        n_eval += len(levels)
+        if first is None:
+            first = candidate(flows, levels[0])
+        s = len(flows)
+        while len(pen2) <= s:
+            pen2.append(2.0 * cs.pen_of_size(len(pen2)))
+        pen2_s = np.array(pen2[:s + 1])
+        ragged = not levels.all()
+        touched, _, inv = pmle._local_index(g, list(flows))
+        if dead[touched].sum() < n_dead:
+            continue
+        inc = np.zeros((s, touched.size))
+        inc[np.repeat(np.arange(s), g.d), inv] = 1.0
+        keep = pos[touched]
+        inc = inc[:, keep]
+        y_t, mu0_t = y[touched[keep]], mu0[touched[keep]]
+        rest = w_sum - float(w[touched].sum())
+        for lo in range(0, len(levels), chunk_rows):
+            lv = levels[lo:lo + chunk_rows]
+            lvf = lv.astype(np.float64)
+            size = np.count_nonzero(lv, axis=1) if ragged else s
+            pen2_r = pen2_s[size]
+            mass = mu0_sum + (a * g.d) * lvf.sum(axis=1)
+            buf = lvf @ inc
+            buf *= a
+            buf += mu0_t
+            bad = (buf <= 0).any(axis=1)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                np.log(buf, out=buf)
+            buf *= y_t
+            obj = mass - (rest + buf.sum(axis=1)) + pen2_r
+            np.abs(buf, out=buf)
+            tol_k = 4.0 * (y.size + size * g.d + 8) * np.finfo(np.float64).eps
+            tol = tol_k * (mass + w_abs + buf.sum(axis=1) + y_sum + np.abs(pen2_r))
+            obj[bad], tol[bad] = math.inf, 0.0
+            best_hi = min(best_hi, float((obj + tol).min()))
+            if best_hi == math.inf:
+                continue
+            for j in np.nonzero(obj - tol <= best_hi)[0]:
+                supp, cand = candidate(flows, lv[j])
+                exact = pmle._score(y, g, cs, mu0, scale, supp, cand)
+                if best is None or exact < best[0]:
+                    best = (exact, supp, cand)
+    obj, supp, lv = best if best is not None else (math.inf, *first)
+    return PmleResult(
+        rates=cs.materialize(supp, lv, g.n_left),
+        support=supp, levels=lv, objective=obj,
+        n_evaluated=n_eval, exhaustive=exhaustive,
+    )
+
+
 def adjacency_copies(g: BipartiteGraph):
     """A and A^T as basis pursuit used to build them for every solve: a
     float copy of the graph's int8 `csr`, and a CSR copy of its

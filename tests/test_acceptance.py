@@ -16,6 +16,7 @@ import numpy as np
 
 from flowsketch import (
     CandidateSet,
+    GraphConstructionError,
     PmleConfig,
     SignalSpec,
     StreamState,
@@ -201,7 +202,10 @@ def test_ac7_oracle_equivalence():
         ts = stable_seed(707, s)
         s += 1
         g = build_random_expander(12, 8, 3, stable_seed(ts, "g"))
-        cover = greedy_cover(g)
+        try:
+            cover = greedy_cover(g)
+        except GraphConstructionError:
+            continue  # a counter no flow reaches: no cover, so no instance
         truth = gen_rates(SignalSpec(n_flows=12, k=2, whale_dist=CONST1,
                                      minnow_dist=ZERO,
                                      seed=stable_seed(ts, "s")))

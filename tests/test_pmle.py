@@ -37,6 +37,7 @@ from flowsketch.seeds import stable_seed
 
 from helpers import (
     apply_adjacency,
+    argmin_chunked,
     argmin_scalar,
     candidate_count,
     enumerate_candidates,
@@ -875,6 +876,26 @@ def test_batched_scoring_rounding_tie():
     assert res.objective.hex() == "0x1.0a3b8258c2ff8p+4"
 
 
+def test_table_screen_rounding_tie():
+    # The same mirror-image tie on disjoint columns, scored through the
+    # per-flow level tables: the block has five rows for three levels.
+    # _score puts flow 0 lower, the tables flow 1; a screen without its
+    # rounding tolerance never rescores flow 0 and returns flow 1.
+    g = BipartiteGraph(n_left=2, n_right=6, d=3, seed=0,
+                       columns=np.array([[0, 2, 4], [1, 3, 5]], dtype=np.int32))
+    cfg = PmleConfig(l0=5.0, k=1, n_levels=2, c=0.013, cover=np.array([0, 1]))
+    cs = CandidateSet(universe=np.array([0, 1]), grid_step=2.5, n_levels=2,
+                      penalty_mode="uniform", penalty_universe_size=2)
+    y = np.array([16.0, 6.0, 16.0, 16.0, 6.0, 16.0])
+    mu0 = cfg.offset_means(g, 3.0)
+    blocks = [((0, 1), np.array([[0, 0], [1, 0], [2, 0], [0, 1], [0, 2]]))]
+    got = pmle_module._argmin(y, g, cs, mu0, 3.0, blocks, exhaustive=False)
+    want = _scalar_argmin(y, g, cs, mu0, 3.0, blocks, exhaustive=False)
+    assert got.support == want.support == (0,) and got.levels == want.levels
+    assert got.objective.hex() == want.objective.hex() == "0x1.0f47c77b3e838p+3"
+    assert got.n_evaluated == want.n_evaluated == 5
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_batched_scoring_matches_scalar_oracle_5k(seed):
     # README size with k=3: |A1| = 3 and 47,905 candidates, enumerated
@@ -888,6 +909,63 @@ def test_batched_scoring_matches_scalar_oracle_5k(seed):
     loc = localize_whales(st_.y, g, 3)
     res = assert_matches_scalar(lambda: pmle_reduced(st_.y, g, loc, cfg, 40.0))
     assert res.exhaustive and res.n_evaluated == 47_905
+
+
+@st.composite
+def screen_instances(draw):
+    """Arguments of `pmle._argmin` over a bank of up to 8 flows on 3-10
+    counters, with columns from a small pool, so blocks share counters.
+    A counter that some flow touches is dead (a positive count, offset
+    mean zero). The blocks are every enumeration block of a universe, the
+    size-0 block first; the l0 path of drawn values (ragged, scored row
+    by row); and drawn ragged rows, enough of them to be scored through
+    the per-flow tables."""
+    n_right = draw(st.integers(3, 10))
+    d = draw(st.integers(1, min(4, n_right)))
+    column = st.permutations(range(n_right)).map(lambda p: sorted(p[:d]))
+    pool = draw(st.lists(column, min_size=1, max_size=5))
+    columns = draw(st.lists(st.sampled_from(pool), min_size=2, max_size=8))
+    g = BipartiteGraph(n_left=len(columns), n_right=n_right, d=d,
+                       columns=np.array(columns, dtype=np.int32), seed=0)
+    n_levels = draw(st.integers(1, 6))
+    step = draw(st.sampled_from([0.3, 0.5, 1.0, 2.5]))
+    y = np.array(draw(st.lists(st.integers(0, 8), min_size=n_right,
+                               max_size=n_right)), dtype=np.float64)
+    mu0 = np.array(draw(st.lists(st.sampled_from([0.0, 0.05, 0.7, 3.0]),
+                                 min_size=n_right, max_size=n_right)))
+    dead = draw(st.sampled_from(sorted(set(g.columns.ravel().tolist()))))
+    y[dead], mu0[dead] = max(y[dead], 1.0), 0.0
+    flows = st.integers(0, g.n_left - 1)
+    universe = np.array(sorted(draw(st.sets(flows, min_size=1, max_size=4))))
+    cs = CandidateSet(universe=universe, grid_step=step, n_levels=n_levels,
+                      penalty_mode=draw(st.sampled_from(["l0-scaled", "uniform"])),
+                      penalty_universe_size=g.n_left)
+    blocks = list(cs.blocks())
+    theta = np.array(draw(st.lists(st.floats(0.0, n_levels * step),
+                                   min_size=universe.size, max_size=universe.size)))
+    blocks.append(pmle_module._l0_path(theta, universe, step, n_levels,
+                                       min(universe.size, n_levels)))
+    ragged = sorted(draw(st.sets(flows, min_size=1, max_size=3)))
+    rows = draw(st.lists(st.lists(st.integers(0, n_levels), min_size=len(ragged),
+                                  max_size=len(ragged)),
+                         min_size=n_levels + 2, max_size=n_levels + 6))
+    blocks.append((tuple(ragged), np.array(rows, dtype=np.int64)))
+    scale = draw(st.sampled_from([1.0, 3.0, 40.0]))
+    return y, g, cs, mu0, scale, blocks
+
+
+@settings(max_examples=300, deadline=None)
+@given(screen_instances())
+def test_table_screen_matches_chunked_screen(inst):
+    # the per-flow level tables give the argmin, objective bits and count
+    # of the (rows, |T|) screen they replace
+    y, g, cs, mu0, scale, blocks = inst
+    got = pmle_module._argmin(y, g, cs, mu0, scale, blocks, exhaustive=True)
+    want = argmin_chunked(y, g, cs, mu0, scale, blocks, exhaustive=True)
+    assert got.support == want.support and got.levels == want.levels
+    assert got.objective.hex() == want.objective.hex()
+    assert got.n_evaluated == want.n_evaluated
+    assert np.array_equal(got.rates, want.rates)
 
 
 def test_exhaustive_scoring_memory_is_chunked():
