@@ -24,7 +24,9 @@ from .graph import (
     save_graph,
     verify_expansion,
 )
-from .stream import SignalSpec, StreamState, gen_rates, parse_dist, run_epochs
+from .pmle import PENALTY_MODES
+from .stream import (SignalSpec, StreamState, check_window, gen_rates,
+                     parse_dist, run_epochs)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -84,8 +86,7 @@ def _build_parser() -> _Parser:
     r.add_argument("--l0", type=float, help="rate budget (pmle decoders)")
     r.add_argument("--levels", type=int, default=64)
     r.add_argument("--gamma", type=float, default=1.0)
-    r.add_argument("--penalty-mode", default="l0-scaled",
-                   choices=["l0-scaled", "uniform"])
+    r.add_argument("--penalty-mode", default="l0-scaled", choices=PENALTY_MODES)
 
     w = sub.add_parser("sweep", help="run a config-driven experiment sweep")
     w.add_argument("--config", required=True)
@@ -180,9 +181,7 @@ def _cmd_verify_expander(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    if args.epochs < 0 or not 0 < args.tau < np.inf:
-        raise ValueError("need epochs >= 0 and 0 < tau < inf, "
-                         f"got epochs={args.epochs}, tau={args.tau}")
+    check_window(args.epochs, args.tau, least=0)
     g = load_graph(args.graph)
     spec = SignalSpec(
         n_flows=g.n_left, k=args.whales,

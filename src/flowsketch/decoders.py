@@ -12,6 +12,7 @@ import numpy as np
 
 from . import graph, lp, pmle
 from .graph import BipartiteGraph
+from .stream import check_window
 
 __all__ = ["DECODERS", "DecodeSpec", "Decoded", "decode"]
 
@@ -59,15 +60,12 @@ def decode(
 
     cover is the greedy cover of g, its sorted flows; the pmle decoders
     compute it when it is not given. Raises ValueError, before any solver
-    runs, unless y passes `pmle.checked_counters`, epochs >= 1 and tau is
-    finite and positive; and lp.NumericalError when basis pursuit finds y
+    runs, unless y passes `pmle.checked_counters` and (epochs, tau) passes
+    `stream.check_window`; and lp.NumericalError when basis pursuit finds y
     unreachable.
     """
     y = pmle.checked_counters(y, g)
-    if epochs < 1 or not 0 < tau < np.inf:
-        raise ValueError(
-            f"need epochs >= 1 and 0 < tau < inf, got epochs={epochs}, tau={tau}"
-        )
+    check_window(epochs, tau)
     if spec.decoder == "direct":
         sol = lp.basis_pursuit(g, y)
         if sol.status == "infeasible":

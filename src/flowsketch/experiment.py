@@ -13,6 +13,7 @@ import hashlib
 import json
 import math
 import numbers
+import operator
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields
@@ -25,7 +26,8 @@ from .graph import build_graph_with_cover
 from .metrics import relative_l1_error, support_recovery_success
 from .pmle import CandidateSet, PmleConfig
 from .seeds import stable_seed
-from .stream import Dist, RateVector, SignalSpec, StreamState, gen_rates, run_epochs
+from .stream import (Dist, RateVector, SignalSpec, StreamState, check_window,
+                     gen_rates, run_epochs)
 
 __all__ = [
     "AggregateRow",
@@ -41,17 +43,6 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
-
-_ROW_FIELDS = [
-    "k", "trial", "decoder", "success", "rel_l1_error", "rel_is_absolute",
-    "abs_l1_error", "a1_size", "whales_in_a1", "counter_hash", "note",
-]
-_TIMING_FIELDS = ["k", "trial", "decoder", "wall_time_s"]
-_AGG_FIELDS = [
-    "k", "decoder", "n_trials", "success_prob", "success_half_width",
-    "mean_rel_error", "rel_half_width", "mean_abs_error", "abs_half_width",
-    "mean_time_s", "time_half_width",
-]
 
 
 @dataclass(frozen=True)
@@ -157,11 +148,7 @@ class ExperimentConfig:
                 raise ValueError(f"unknown decoder {dec!r}; choose from {DECODERS}")
         if not self.decoders:
             raise ValueError("need at least one decoder")
-        if self.epochs < 1 or not (math.isfinite(self.tau) and self.tau > 0):
-            raise ValueError(
-                "need epochs >= 1 and 0 < tau < inf, "
-                f"got epochs={self.epochs}, tau={self.tau}"
-            )
+        check_window(self.epochs, self.tau)
         if set(self.decoders) - {"direct"}:
             _check_pmle_options(self)
 
@@ -220,6 +207,13 @@ class AggregateRow:
     abs_half_width: float
     mean_time_s: float
     time_half_width: float
+
+
+# the results file holds a TrialRow but its wall time, which varies run to
+# run and goes to the timings sidecar; the aggregate file an AggregateRow
+_ROW_FIELDS = [f.name for f in fields(TrialRow) if f.name != "wall_time_s"]
+_TIMING_FIELDS = ["k", "trial", "decoder", "wall_time_s"]
+_AGG_FIELDS = [f.name for f in fields(AggregateRow)]
 
 
 @dataclass
@@ -366,8 +360,14 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _parse_opt_bool(s: str) -> Optional[bool]:
-    return None if s == "" else s == "1"
+# the inverse of _fmt, by the annotation of a TrialRow field
+_PARSE = {
+    int: int,
+    float: lambda s: float(s) if s else math.nan,
+    bool: lambda s: s == "1",
+    Optional[bool]: lambda s: None if s == "" else s == "1",
+    str: str,
+}
 
 
 def _cells(x, names: list) -> list:
@@ -390,47 +390,46 @@ def emit_csv(res: ExperimentResult, path) -> None:
 
 
 def _sibling(path: str, tag: str) -> str:
-    if path.endswith(".csv"):
-        return path[:-4] + f".{tag}.csv"
-    return path + f".{tag}.csv"
+    return path.removesuffix(".csv") + f".{tag}.csv"
 
 
-def _float_or_nan(s: str) -> float:
-    return float(s) if s else math.nan
+def _read_table(path, names: list) -> list:
+    """The rows of the CSV file at path below its header, which must be
+    `names`, each row holding one cell per name. Raises ValueError naming
+    the file, and the line of a row of another length."""
+    with open(path, newline="") as f:
+        r = csv.reader(f)
+        header = next(r, None)
+        if header != names:
+            raise ValueError(f"{path}: unexpected header {header}")
+        rows = []
+        for row in r:
+            if len(row) != len(names):
+                raise ValueError(f"{path}: line {r.line_num} has {len(row)} "
+                                 f"fields, expected {len(names)}")
+            rows.append(row)
+    return rows
+
+
+def _parse_rows(path, names: list) -> list:
+    """_read_table(path, names), each row a dict of TrialRow field values."""
+    types = {f.name: f.type for f in fields(TrialRow)}
+    return [{n: _PARSE[types[n]](c) for n, c in zip(names, row)}
+            for row in _read_table(path, names)]
 
 
 def load_csv(path) -> ExperimentResult:
     """Read rows plus the timing sidecar, recompute aggregates, and verify
     they match the stored aggregate file value for value."""
     path = str(path)
-    with open(path, newline="") as f:
-        r = csv.reader(f)
-        header = next(r)
-        if header != _ROW_FIELDS:
-            raise ValueError(f"{path}: unexpected header {header}")
-        raw = list(r)
-    timings = {}
+    raw = _parse_rows(path, _ROW_FIELDS)
+    key = operator.itemgetter("k", "trial", "decoder")
     try:
-        with open(_sibling(path, "timings"), newline="") as f:
-            tr = csv.reader(f)
-            theader = next(tr)
-            if theader != _TIMING_FIELDS:
-                raise ValueError(f"{path}: unexpected timing header {theader}")
-            for row in tr:
-                timings[(int(row[0]), int(row[1]), row[2])] = float(row[3])
+        timings = {key(t): t["wall_time_s"]
+                   for t in _parse_rows(_sibling(path, "timings"), _TIMING_FIELDS)}
     except FileNotFoundError:
-        pass
-    rows = []
-    for row in raw:
-        k, trial, decoder = int(row[0]), int(row[1]), row[2]
-        rows.append(TrialRow(
-            k=k, trial=trial, decoder=decoder, success=row[3] == "1",
-            rel_l1_error=_float_or_nan(row[4]), rel_is_absolute=row[5] == "1",
-            abs_l1_error=_float_or_nan(row[6]),
-            wall_time_s=timings.get((k, trial, decoder), math.nan),
-            a1_size=int(row[7]), whales_in_a1=_parse_opt_bool(row[8]),
-            counter_hash=row[9], note=row[10],
-        ))
+        timings = {}
+    rows = [TrialRow(**r, wall_time_s=timings.get(key(r), math.nan)) for r in raw]
     res = ExperimentResult.from_rows(rows)
     _crosscheck_aggregates(res, _sibling(path, "agg"))
     return res
@@ -438,26 +437,16 @@ def load_csv(path) -> ExperimentResult:
 
 def _crosscheck_aggregates(res: ExperimentResult, agg_path: str) -> None:
     try:
-        f = open(agg_path, newline="")
+        stored = _read_table(agg_path, _AGG_FIELDS)
     except FileNotFoundError:
         return
-    with f:
-        r = csv.reader(f)
-        header = next(r)
-        if header != _AGG_FIELDS:
-            raise ValueError(f"{agg_path}: unexpected header {header}")
-        stored = list(r)
-    if len(stored) != len(res.aggregates):
+    want = [_cells(a, _AGG_FIELDS) for a in res.aggregates]
+    if len(stored) != len(want):
         raise ValueError(
-            f"{agg_path}: {len(stored)} aggregate rows, "
-            f"recomputed {len(res.aggregates)}"
-        )
-    for row, a in zip(stored, res.aggregates):
-        want = _cells(a, _AGG_FIELDS)
-        if row != want:
-            raise ValueError(
-                f"{agg_path}: stored aggregate {row} != recomputed {want}"
-            )
+            f"{agg_path}: {len(stored)} aggregate rows, recomputed {len(want)}")
+    for row, w in zip(stored, want):
+        if row != w:
+            raise ValueError(f"{agg_path}: stored aggregate {row} != recomputed {w}")
 
 
 def emit_plot_data(res: ExperimentResult, metric: str, path) -> None:

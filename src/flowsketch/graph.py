@@ -38,6 +38,15 @@ class EnumerationCapExceeded(ValueError):
     """Raised when expansion verification would enumerate too many subsets."""
 
 
+def _check_shape(n_left: int, n_right: int, d: int) -> None:
+    """A graph has at least one flow, and each flow d distinct counters."""
+    if n_left < 1 or not 1 <= d <= n_right:
+        raise GraphConstructionError(
+            f"need n_left >= 1 and 1 <= d <= n_right, got "
+            f"n_left={n_left}, d={d}, n_right={n_right}"
+        )
+
+
 @dataclass(frozen=True)
 class BipartiteGraph:
     """Immutable left-d-regular bipartite graph in column-major form.
@@ -55,11 +64,7 @@ class BipartiteGraph:
     seed: int
 
     def __post_init__(self):
-        if self.n_left < 1 or not (1 <= self.d <= self.n_right):
-            raise GraphConstructionError(
-                f"need n_left >= 1 and 1 <= d <= n_right, got "
-                f"n_left={self.n_left}, d={self.d}, n_right={self.n_right}"
-            )
+        _check_shape(self.n_left, self.n_right, self.d)
         cols = np.asarray(self.columns, dtype=np.int32)
         if cols.shape != (self.n_left, self.d):
             raise GraphConstructionError(
@@ -145,14 +150,7 @@ def build_random_expander(
     realistic sizes; use verify_expansion to certify small instances.
     Deterministic in seed.
     """
-    if d > n_right:
-        raise GraphConstructionError(
-            f"cannot pick {d} distinct neighbors among {n_right} counters"
-        )
-    if n_left < 1 or d < 1:
-        raise GraphConstructionError(
-            f"need n_left >= 1 and d >= 1, got n_left={n_left}, d={d}"
-        )
+    _check_shape(n_left, n_right, d)
     rng = np.random.default_rng(seed)
     cols = _sample_columns(rng, n_left, n_right, d)
     return BipartiteGraph(n_left, n_right, d, cols, seed)

@@ -51,6 +51,7 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .graph import BipartiteGraph
 from .metrics import positive_clip
+from .stream import check_window
 
 __all__ = [
     "LpSolution",
@@ -318,6 +319,5 @@ def basis_pursuit(
 def direct_estimate(sol: LpSolution, n_epochs: int, tau: float) -> np.ndarray:
     """Rate estimate from a basis-pursuit solution: clip negatives, divide
     by total observation time n_epochs*tau. No rounding."""
-    if n_epochs < 1 or not 0 < tau < np.inf:
-        raise ValueError("need n_epochs >= 1 and 0 < tau < inf")
+    check_window(n_epochs, tau)
     return positive_clip(sol.u) / (n_epochs * tau)

@@ -42,6 +42,7 @@ from .metrics import top_k_indices
 
 __all__ = [
     "KRAFT_CONSTANT",
+    "PENALTY_MODES",
     "CandidateCountError",
     "CandidateSet",
     "PmleConfig",
@@ -59,6 +60,9 @@ __all__ = [
 # pi^2/6 over s >= 0, so without this shift the zero candidate alone
 # already spends the whole Kraft budget.
 KRAFT_CONSTANT = math.log(math.pi**2 / 6.0)
+
+# code lengths a CandidateSet charges (see CandidateSet.pen_of_size)
+PENALTY_MODES = ("l0-scaled", "uniform")
 
 _EXHAUSTIVE_GUARD = 10**6
 _MU_FLOOR = 1e-12
@@ -164,7 +168,7 @@ class CandidateSet:
         u = np.unique(np.asarray(self.universe, dtype=np.int64))
         u.setflags(write=False)
         object.__setattr__(self, "universe", u)
-        if self.penalty_mode not in ("l0-scaled", "uniform"):
+        if self.penalty_mode not in PENALTY_MODES:
             raise ValueError(f"unknown penalty mode {self.penalty_mode!r}")
         if not self.grid_step > 0:
             raise ValueError("grid step must be positive")

@@ -26,6 +26,7 @@ flows fire every epoch is slower than one `rng.poisson` call.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -40,6 +41,7 @@ __all__ = [
     "SignalSpec",
     "StreamState",
     "advance_epoch",
+    "check_window",
     "gen_rates",
     "parse_dist",
     "run_epochs",
@@ -61,6 +63,16 @@ _LAM_MAX = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10)
 # np.exp may differ by an ulp from the libm exp that numpy's sampler calls;
 # a candidate bound this much lower than np.exp misses no flow that fires
 _LOOSEN = 1.0 - 2.0**-40
+
+
+def check_window(epochs, tau, least: int = 1) -> None:
+    """The one rule for a window of `epochs` epochs of length tau: epochs
+    is an integer (a numpy integer, not a bool or a float) of at least
+    `least`, and tau is finite and positive. Raises ValueError otherwise."""
+    if (isinstance(epochs, bool) or not isinstance(epochs, numbers.Integral)
+            or epochs < least or not 0 < tau < math.inf):
+        raise ValueError(f"need epochs >= {least} and 0 < tau < inf, "
+                         f"got epochs={epochs}, tau={tau}")
 
 
 @dataclass(frozen=True)
@@ -190,8 +202,7 @@ class StreamState:
             raise ValueError(
                 f"{self.rates.n_flows} rates for {self.graph.n_left} flows"
             )
-        if not (math.isfinite(self.tau) and self.tau > 0):
-            raise ValueError(f"tau must be finite and positive, got {self.tau}")
+        check_window(self.n_epochs, self.tau, least=0)
         self._plan = _DrawPlan.build(self.rates.rates, self.tau)
         if self.x is None:
             self.x = np.zeros(self.graph.n_left, dtype=np.int64)
@@ -310,8 +321,7 @@ def run_epochs(state: StreamState, count: int) -> StreamState:
     """Advance `count` epochs. Composition is exact: run_epochs(s, a+b)
     equals run_epochs(run_epochs(s, a), b) because each epoch draws from
     its own substream."""
-    if count < 0:
-        raise ValueError(f"epoch count must be >= 0, got {count}")
+    check_window(count, state.tau, least=0)
     for _ in range(count):
         advance_epoch(state)
     return state

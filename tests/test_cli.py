@@ -2,9 +2,11 @@
 
 import csv
 import json
+import math
 import tempfile
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,12 +15,17 @@ from hypothesis import strategies as st
 
 from flowsketch import (
     BipartiteGraph,
+    DecodeSpec,
+    RateVector,
+    StreamState,
     cli,
+    decode,
     experiment,
     graph,
     lp,
     pmle,
     relative_l1_error,
+    run_epochs,
     save_graph,
     support_recovery_success,
 )
@@ -307,6 +314,78 @@ def test_recover_bad_epochs_or_tau_fails_before_decoding(
     assert not est_path.exists()
 
 
+# (epochs, tau) windows that every boundary refuses, with its least epoch
+# count 0 or 1; (0, 1.0) is refused where the least is 1
+BAD_WINDOWS = [(-1, 1.0), (3, 0.0), (3, -1.5), (3, math.nan), (3, math.inf),
+               (1.5, 1.0), (True, 1.0), (np.float64(2.0), 1.0), (0, 1.0)]
+
+
+def _cli_refusal(ctx, argv):
+    ctx.capsys.readouterr()
+    assert main(argv) == 1
+    err = ctx.capsys.readouterr().err
+    assert err.startswith("invalid input: ")
+    return err[len("invalid input: "):].rstrip("\n")
+
+
+def _refusal(call, *args, **kwargs):
+    with pytest.raises(ValueError) as got:
+        call(*args, **kwargs)
+    return str(got.value)
+
+
+# boundary -> (least epoch count, whether it takes any epochs and tau, or
+# only integer epochs and tau 1.0, and the call that must refuse)
+WINDOW_BOUNDARIES = {
+    "simulate": (0, "cli", lambda ctx, e, t: _cli_refusal(ctx, [
+        "simulate", "--graph", str(ctx.graph_file), "--whales", "2",
+        "--epochs", str(e), "--tau", str(t), "--out-counters", str(ctx.out)])),
+    "recover": (1, "cli", lambda ctx, e, t: _cli_refusal(ctx, recover_argv(
+        ctx.graph_file, ctx.counters_file, ctx.out, "direct")
+        + ["--epochs", str(e), "--tau", str(t)])),
+    "decode": (1, "any", lambda ctx, e, t: _refusal(
+        decode, ctx.g, np.zeros(ctx.g.n_right), e, t, DecodeSpec("direct"))),
+    "ExperimentConfig": (1, "any", lambda ctx, e, t: _refusal(
+        ExperimentConfig, n_flows=10, n_counters=8, degree=2, epochs=e, tau=t,
+        sweep=(1,), trials=1, whale_dist=Dist("constant", 1.0),
+        minnow_dist=Dist("constant", 0.0), decoders=("direct",), root_seed=1)),
+    "StreamState": (0, "any", lambda ctx, e, t: _refusal(
+        StreamState, graph=ctx.g, rates=ctx.rates, tau=t, seed=0, n_epochs=e)),
+    "direct_estimate": (1, "any", lambda ctx, e, t: _refusal(
+        lp.direct_estimate, ctx.sol, e, t)),
+    "run_epochs": (0, "tau 1.0", lambda ctx, e, t: _refusal(
+        run_epochs, StreamState(graph=ctx.g, rates=ctx.rates, tau=t, seed=0), e)),
+}
+
+
+def _takes(kind, epochs, tau):
+    if kind == "cli":  # argparse refuses a non-integer --epochs itself
+        return type(epochs) is int
+    return kind == "any" or tau == 1.0
+
+
+@pytest.mark.parametrize("boundary,epochs,tau", [
+    (b, e, t) for b, (least, kind, _) in WINDOW_BOUNDARIES.items()
+    for e, t in BAD_WINDOWS
+    if _takes(kind, e, t) and not (least == 0 and (e, t) == (0, 1.0))
+])
+def test_every_window_boundary_refuses_alike(graph_file, counters_file, tmp_path,
+                                             capsys, boundary, epochs, tau):
+    least, _, refuse = WINDOW_BOUNDARIES[boundary]
+    g = graph.load_graph(graph_file)
+    ctx = SimpleNamespace(
+        graph_file=graph_file, counters_file=counters_file, capsys=capsys,
+        out=tmp_path / "out.csv", g=g,
+        rates=RateVector.from_rates(np.ones(g.n_left), 1),
+        sol=lp.LpSolution(u=np.ones(g.n_left), objective=0.0,
+                          primal_feasibility=0.0, duality_gap=0.0,
+                          iterations=0, status="optimal", solver="trivial"),
+    )
+    assert refuse(ctx, epochs, tau) == (f"need epochs >= {least} and 0 < tau < inf, "
+                                        f"got epochs={epochs}, tau={tau}")
+    assert not ctx.out.exists()
+
+
 def test_recover_reads_crlf_and_lf_counters(graph_file, counters_file, tmp_path):
     # simulate writes \r\n line ends; a hand-written \n file decodes the same
     assert counters_file.read_bytes().count(b"\r\n") == 21
@@ -401,6 +480,32 @@ def test_sweep_and_plot_data(tmp_path, capsys):
     assert lines[0] == "# metric: success"
     vals = [float(ln.split()[1]) for ln in lines[2:]]
     assert all(0.0 <= v <= 1.0 for v in vals)
+
+
+@pytest.mark.parametrize("sidecar", ["", ".timings"])
+@pytest.mark.parametrize("edit", ["short", "long"])
+def test_plot_data_refuses_a_row_of_another_length(tmp_path, capsys, sidecar,
+                                                    edit):
+    cfg = ExperimentConfig(
+        n_flows=10, n_counters=8, degree=2, epochs=4, tau=1.0, sweep=(1,),
+        trials=2, whale_dist=Dist("constant", 1.0),
+        minnow_dist=Dist("constant", 0.0), decoders=("direct",), root_seed=1,
+    )
+    results = tmp_path / "results.csv"
+    experiment.emit_csv(experiment.run_sweep(cfg), results)
+    path = tmp_path / f"results{sidecar}.csv"
+    lines = path.read_text().splitlines()
+    cells = lines[2].split(",")
+    lines[2] = ",".join(cells[:-1] if edit == "short" else cells + ["x"])
+    path.write_text("\n".join(lines) + "\n")
+    dat = tmp_path / "succ.dat"
+    capsys.readouterr()
+    assert main(["plot-data", "--results", str(results), "--metric",
+                 "success", "--out", str(dat)]) == 1
+    n = len(cells) + (-1 if edit == "short" else 1)
+    assert capsys.readouterr().err == (
+        f"invalid input: {path}: line 3 has {n} fields, expected {len(cells)}\n")
+    assert not dat.exists()
 
 
 def sweep_with_edited_config(tmp_path, edit):

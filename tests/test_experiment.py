@@ -123,6 +123,21 @@ def test_rerun_identical_row_bytes(tmp_path):
         assert f.readline().strip() == "k,trial,decoder,wall_time_s"
 
 
+def test_result_file_headers(tmp_path):
+    p = tmp_path / "res.csv"
+    emit_csv(run_sweep(tiny_cfg()), p)
+    heads = {tag: (tmp_path / f"res{tag}.csv").read_text().splitlines()[0]
+             for tag in ("", ".timings", ".agg")}
+    assert heads == {
+        "": "k,trial,decoder,success,rel_l1_error,rel_is_absolute,"
+            "abs_l1_error,a1_size,whales_in_a1,counter_hash,note",
+        ".timings": "k,trial,decoder,wall_time_s",
+        ".agg": "k,decoder,n_trials,success_prob,success_half_width,"
+                "mean_rel_error,rel_half_width,mean_abs_error,abs_half_width,"
+                "mean_time_s,time_half_width",
+    }
+
+
 def test_csv_round_trip(tmp_path):
     cfg = tiny_cfg(sweep=(1, 3), trials=2)
     res = run_sweep(cfg)

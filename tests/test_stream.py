@@ -187,6 +187,15 @@ def test_stream_state_validation():
             StreamState(graph=g, rates=rv8, tau=tau, seed=0)
 
 
+def test_stream_state_refuses_a_negative_epoch_count():
+    # epoch -1 would draw from Philox key 2^64 - 1
+    g = build_random_expander(8, 4, 2, seed=0)
+    rv = gen_rates(SignalSpec(8, 1, CONST1, MINNOW, seed=0))
+    with pytest.raises(ValueError, match="need epochs >= 0 and 0 < tau < inf, "
+                                         "got epochs=-1, tau=1.0"):
+        StreamState(graph=g, rates=rv, tau=1.0, seed=0, n_epochs=-1)
+
+
 @pytest.mark.parametrize("rate,tau", [(1e300, 1e10), (1.0, 1e308), (1.0, 1e19)])
 def test_mean_past_numpy_poisson_limit_is_refused(rate, tau):
     # rates * tau overflows to inf, or is finite but above the largest mean
