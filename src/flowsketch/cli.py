@@ -81,7 +81,8 @@ def _build_parser() -> _Parser:
     r.add_argument("--epochs", type=int, required=True)
     r.add_argument("--tau", type=float, default=1.0)
     r.add_argument("--out", required=True)
-    r.add_argument("--trace", help="dump LP iterations to this CSV")
+    r.add_argument("--trace",
+                   help="dump LP iterations to this CSV (--decoder direct)")
     r.add_argument("--k", type=int, help="whale count (pmle decoders)")
     r.add_argument("--l0", type=float, help="rate budget (pmle decoders)")
     r.add_argument("--levels", type=int, default=64)
@@ -203,6 +204,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_recover(args) -> int:
+    if args.trace and args.decoder != "direct":
+        raise UsageError("--trace dumps LP iterations; only --decoder direct has them")
     g = load_graph(args.graph)
     y = _read_counters_csv(args.counters, g.n_right)
     spec = DecodeSpec(

@@ -14,9 +14,16 @@ from . import graph, lp, pmle
 from .graph import BipartiteGraph
 from .stream import check_window
 
-__all__ = ["DECODERS", "DecodeSpec", "Decoded", "decode"]
+__all__ = ["DECODERS", "DecodeSpec", "Decoded", "check_decoder", "decode"]
 
 DECODERS = ("direct", "pmle-exhaustive", "pmle-reduced")
+
+
+def check_decoder(name) -> None:
+    """The one rule for a decoder name: one of DECODERS. Raises ValueError
+    otherwise."""
+    if name not in DECODERS:
+        raise ValueError(f"unknown decoder {name!r}; choose from {DECODERS}")
 
 
 @dataclass(frozen=True)
@@ -33,10 +40,7 @@ class DecodeSpec:
     penalty_mode: str = "l0-scaled"
 
     def __post_init__(self):
-        if self.decoder not in DECODERS:
-            raise ValueError(
-                f"unknown decoder {self.decoder!r}; choose from {DECODERS}"
-            )
+        check_decoder(self.decoder)
         if self.decoder != "direct" and (self.k is None or self.l0 is None):
             raise ValueError(f"decoder {self.decoder} requires k and l0")
 

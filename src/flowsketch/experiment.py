@@ -15,13 +15,12 @@ import math
 import numbers
 import operator
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields
 from typing import Optional
 
 import numpy as np
 
-from .decoders import DECODERS, DecodeSpec, decode
+from .decoders import DecodeSpec, check_decoder, decode
 from .graph import build_graph_with_cover
 from .metrics import relative_l1_error, support_recovery_success
 from .pmle import CandidateSet, PmleConfig
@@ -144,8 +143,7 @@ class ExperimentConfig:
         if not self.sweep:
             raise ValueError("sweep must contain at least one k")
         for dec in self.decoders:
-            if dec not in DECODERS:
-                raise ValueError(f"unknown decoder {dec!r}; choose from {DECODERS}")
+            check_decoder(dec)
         if not self.decoders:
             raise ValueError("need at least one decoder")
         check_window(self.epochs, self.tau)
@@ -343,6 +341,8 @@ def run_sweep(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
         for k, t in tasks:
             rows.extend(run_trial(cfg, k, t))
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         ks, ts = zip(*tasks)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for chunk in pool.map(run_trial, [cfg] * len(tasks), ks, ts):
@@ -360,14 +360,22 @@ def _fmt(v) -> str:
     return str(v)
 
 
+def _flag(s: str) -> bool:
+    """The inverse of _fmt on a bool."""
+    if s not in ("0", "1"):
+        raise ValueError(f"expected 0 or 1, got {s!r}")
+    return s == "1"
+
+
 # the inverse of _fmt, by the annotation of a TrialRow field
 _PARSE = {
     int: int,
     float: lambda s: float(s) if s else math.nan,
-    bool: lambda s: s == "1",
-    Optional[bool]: lambda s: None if s == "" else s == "1",
+    bool: _flag,
+    Optional[bool]: lambda s: None if s == "" else _flag(s),
     str: str,
 }
+_TYPES = {f.name: f.type for f in fields(TrialRow)}
 
 
 def _cells(x, names: list) -> list:
@@ -393,10 +401,12 @@ def _sibling(path: str, tag: str) -> str:
     return path.removesuffix(".csv") + f".{tag}.csv"
 
 
-def _read_table(path, names: list) -> list:
+def _read_table(path, names: list, parse: bool = False) -> list:
     """The rows of the CSV file at path below its header, which must be
-    `names`, each row holding one cell per name. Raises ValueError naming
-    the file, and the line of a row of another length."""
+    `names`, each row holding one cell per name. With parse, each row is a
+    dict of the TrialRow field values its cells spell (see _PARSE). Raises
+    ValueError naming the file, and the line of a row of another length or
+    of a cell that does not parse."""
     with open(path, newline="") as f:
         r = csv.reader(f)
         header = next(r, None)
@@ -407,26 +417,25 @@ def _read_table(path, names: list) -> list:
             if len(row) != len(names):
                 raise ValueError(f"{path}: line {r.line_num} has {len(row)} "
                                  f"fields, expected {len(names)}")
+            if parse:
+                try:
+                    row = {n: _PARSE[_TYPES[n]](c) for n, c in zip(names, row)}
+                except ValueError as e:
+                    raise ValueError(f"{path}: line {r.line_num}: {e}") from None
             rows.append(row)
     return rows
-
-
-def _parse_rows(path, names: list) -> list:
-    """_read_table(path, names), each row a dict of TrialRow field values."""
-    types = {f.name: f.type for f in fields(TrialRow)}
-    return [{n: _PARSE[types[n]](c) for n, c in zip(names, row)}
-            for row in _read_table(path, names)]
 
 
 def load_csv(path) -> ExperimentResult:
     """Read rows plus the timing sidecar, recompute aggregates, and verify
     they match the stored aggregate file value for value."""
     path = str(path)
-    raw = _parse_rows(path, _ROW_FIELDS)
+    raw = _read_table(path, _ROW_FIELDS, parse=True)
     key = operator.itemgetter("k", "trial", "decoder")
     try:
         timings = {key(t): t["wall_time_s"]
-                   for t in _parse_rows(_sibling(path, "timings"), _TIMING_FIELDS)}
+                   for t in _read_table(_sibling(path, "timings"), _TIMING_FIELDS,
+                                        parse=True)}
     except FileNotFoundError:
         timings = {}
     rows = [TrialRow(**r, wall_time_s=timings.get(key(r), math.nan)) for r in raw]

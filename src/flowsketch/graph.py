@@ -2,19 +2,17 @@
 
 A counter bank aggregates N flows into M counters (M <= N) through a
 sparse binary matrix: flow i increments the d counters listed in
-``columns[i]``. That (N, d) array is the graph; the one structure derived
-from it and cached is ``csr``, the flows of each counter. A counter cover
-is an array too: the sorted flows whose counters cover every counter.
-Construction is randomized but fully determined by an integer seed;
-expansion quality of small instances can be certified by brute force.
+``columns[i]``. That (N, d) array is the graph, and nothing derived from
+it is stored. A counter cover is an array too: the sorted flows whose
+counters cover every counter. Construction is randomized but fully
+determined by an integer seed; expansion quality of small instances can
+be certified by brute force.
 """
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 __all__ = [
     "BipartiteGraph",
@@ -53,8 +51,7 @@ class BipartiteGraph:
 
     columns[i] holds the sorted, distinct counter indices of flow i; it
     alone defines the graph, and it is A^T in CSR form, which
-    `lp.basis_pursuit` reads as is. `csr` is its one cached counter-major
-    index, read by `greedy_cover` alone. Nothing else is stored.
+    `lp.basis_pursuit` reads as is. Nothing else is stored.
     """
 
     n_left: int
@@ -81,18 +78,18 @@ class BipartiteGraph:
         cols.setflags(write=False)
         object.__setattr__(self, "columns", cols)
 
-    @cached_property
-    def csr(self) -> sp.csr_matrix:
-        """0/1 adjacency matrix, shape (n_right, n_left): row j lists the
-        flows incident to counter j, in increasing order. The ones are
-        int8; products with wider operands upcast them."""
-        n, d = self.n_left, self.d
-        indptr = np.arange(0, n * d + 1, d)
-        data = np.ones(n * d, dtype=np.int8)
-        csc = sp.csc_matrix(
-            (data, self.columns.ravel(), indptr), shape=(self.n_right, n)
-        )
-        return csc.tocsr()
+
+def _adjacency(g: BipartiteGraph):
+    """0/1 adjacency matrix as a scipy CSR, shape (n_right, n_left): row j
+    lists the flows incident to counter j, in increasing order. The ones
+    are int8; products with wider operands upcast them."""
+    import scipy.sparse as sp
+
+    n, d = g.n_left, g.d
+    indptr = np.arange(0, n * d + 1, d)
+    data = np.ones(n * d, dtype=np.int8)
+    csc = sp.csc_matrix((data, g.columns.ravel(), indptr), shape=(g.n_right, n))
+    return csc.tocsr()
 
 
 @dataclass(frozen=True)
@@ -215,14 +212,16 @@ def greedy_cover(g: BipartiteGraph) -> np.ndarray:
     fact), so the gains live in one length-N array of the smallest
     unsigned dtype that holds d (one byte for d <= 255): every flow starts
     at d, and each counter a pick newly covers takes 1 off the gain of
-    every flow incident to it, read from the cached adjacency g.csr. A
-    pick's decrements are one `np.subtract.at` over the concatenated csr
-    rows of the counters it newly covers, which counts a flow incident to
-    several of them once per counter. Each counter is retired once, so the
-    decrements cost O(N*d) in total, and each pick adds one argmax over
-    the one-byte array.
+    every flow incident to it, read from `_adjacency(g)`, which this call
+    builds and drops when it returns. A pick's decrements are one
+    `np.subtract.at` over the concatenated adjacency rows of the counters
+    it newly covers, which counts a flow incident to several of them once
+    per counter. Each counter is retired once, so the decrements cost
+    O(N*d) in total, and each pick adds one argmax over the one-byte
+    array.
     """
-    indptr, flows = g.csr.indptr, g.csr.indices
+    adj = _adjacency(g)
+    indptr, flows = adj.indptr, adj.indices
     isolated = np.flatnonzero(np.diff(indptr) == 0)
     if isolated.size:
         raise GraphConstructionError(

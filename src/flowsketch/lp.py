@@ -40,14 +40,16 @@ solve that misses its tolerance (it reaches its iteration cap, or breaks
 down on a singular system) returns its iterate of least residual and the
 method steps with that; "optimal" still needs the primal residual and the
 certified gap of the iterate itself within their tolerances.
+
+scipy is imported inside the functions that build its matrices, so that
+importing flowsketch, and every command that never solves, runs on numpy
+alone and does not pay scipy's import.
 """
 
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .graph import BipartiteGraph
 from .metrics import positive_clip
@@ -134,7 +136,7 @@ def _pcg(hmul, b: np.ndarray, pinv, rtol: float) -> np.ndarray:
     return best_x
 
 
-def _preconditioner(a: sp.csc_matrix, at: sp.csr_matrix, wcol: np.ndarray):
+def _preconditioner(a, at, wcol: np.ndarray):
     """Product with P^-1, P = diag(A W_N A^T) + A_B W_B A_B^T, by Woodbury:
     P^-1 = D^-1 - D^-1 A_B C^-1 A_B^T D^-1 with D the diagonal part and
     C = W_B^-1 + A_B^T D^-1 A_B, a |B| x |B| matrix factored once; A_B^T
@@ -142,6 +144,8 @@ def _preconditioner(a: sp.csc_matrix, at: sp.csr_matrix, wcol: np.ndarray):
     in N (or none at all) stay invertible. The floor also bounds D^-1 by
     1e12 / max(w), which keeps C's diagonal term W_B^-1 from vanishing
     next to the rest; should C still fail to factor, P is D alone."""
+    from scipy.linalg import LinAlgError, cho_factor, cho_solve
+
     big = wcol > _LOW_RANK_RATIO * float(np.median(wcol))
     diag = a @ np.where(big, 0.0, wcol)
     dinv = 1.0 / np.maximum(diag, 1e-12 * float((a @ wcol).max()))
@@ -290,6 +294,8 @@ def basis_pursuit(
     The status is "infeasible" when the residual ends far from feasibility
     after stalling, or after the iterates diverged (a slack reached zero).
     """
+    import scipy.sparse as sp
+
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (g.n_right,):
         raise ValueError(f"y has shape {y.shape}, expected ({g.n_right},)")

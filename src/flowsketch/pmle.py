@@ -35,7 +35,6 @@ from itertools import chain, combinations
 from typing import Iterable, Iterator, Optional, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from .graph import BipartiteGraph
 from .metrics import top_k_indices
@@ -550,6 +549,8 @@ def sparse_poisson_solve(
     constant to the objective, so `objective`, `trace` and the stop rule
     are over all counters.
     """
+    import scipy.sparse as sp
+
     support = np.asarray(support, dtype=np.int64)
     if support.size == 0:
         raise ValueError("support must be nonempty")

@@ -25,6 +25,7 @@ from flowsketch import (
 )
 from flowsketch import lp, pmle, stream
 from flowsketch.experiment import SCHEMA_VERSION
+from flowsketch.graph import _adjacency
 from flowsketch.lp import NumericalError, _default_tols, basis_pursuit
 
 
@@ -55,7 +56,7 @@ def apply_adjacency(g: BipartiteGraph, x: np.ndarray) -> np.ndarray:
     if x.shape != (g.n_left,):
         raise ValueError(f"x has shape {x.shape}, expected ({g.n_left},)")
     exact = np.issubdtype(x.dtype, np.integer)
-    return g.csr @ x.astype(np.int64 if exact else np.float64)
+    return _adjacency(g) @ x.astype(np.int64 if exact else np.float64)
 
 
 def counters_consistent(state) -> bool:
@@ -233,7 +234,7 @@ def oracle_2sparse(g: BipartiteGraph, y: np.ndarray):
     coefficients, and returns the one of minimum l1 norm (None if no pair
     fits). Vectorized over pairs; near-singular pairs fall back to lstsq.
     """
-    a = g.csr.toarray().astype(np.float64)
+    a = _adjacency(g).toarray().astype(np.float64)
     n = g.n_left
     gram = a.T @ a
     b = a.T @ y
@@ -372,7 +373,7 @@ def local_index_unique(g: BipartiteGraph, flows):
 def support_matrix_via_csc(g: BipartiteGraph, support: np.ndarray):
     """A[:, support] as float CSR by slicing a full float CSC copy of the
     adjacency, the construction the sparse Poisson solve used to read."""
-    return g.csr.astype(np.float64).tocsc()[:, support].tocsr()
+    return _adjacency(g).astype(np.float64).tocsc()[:, support].tocsr()
 
 
 def sparse_poisson_solve_full(y, g: BipartiteGraph, support, scale: float,
@@ -632,9 +633,9 @@ def argmin_chunked(y, g, cs, mu0, scale, blocks, exhaustive) -> PmleResult:
 
 def adjacency_copies(g: BipartiteGraph):
     """A and A^T as basis pursuit used to build them for every solve: a
-    float copy of the graph's int8 `csr`, and a CSR copy of its
+    float copy of the graph's int8 adjacency, and a CSR copy of its
     transpose."""
-    a = g.csr.astype(np.float64)
+    a = _adjacency(g).astype(np.float64)
     return a, a.T.tocsr()
 
 
@@ -799,7 +800,7 @@ def basis_pursuit_dense(g: BipartiteGraph, y, tol_feas=None, tol_obj=None,
     method that the matrix-free one replaced. The trivial cases (a
     nonzero counter with no flow, y = 0) are lp.basis_pursuit's own."""
     y = np.asarray(y, dtype=np.float64)
-    a = g.csr.astype(np.float64)
+    a = _adjacency(g).astype(np.float64)
     if y.shape != (g.n_right,) or not np.abs(y).max(initial=0.0) or (
             (np.diff(a.indptr) == 0) & (y != 0)).any():
         return basis_pursuit(g, y, tol_feas, tol_obj, iter_cap)

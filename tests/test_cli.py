@@ -3,6 +3,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -13,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import flowsketch
 from flowsketch import (
     BipartiteGraph,
     DecodeSpec,
@@ -172,6 +176,20 @@ def test_recover_pmle_reduced(graph_file, tmp_path, capsys):
     whales = set(np.argsort(read_vector(x_path))[-2:])
     assert (est >= 0).all()
     assert set(np.nonzero(est)[0]) == whales
+
+
+@pytest.mark.parametrize("decoder", ["pmle-reduced", "pmle-exhaustive"])
+def test_recover_trace_with_a_pmle_decoder_is_usage_error(tmp_path, capsys,
+                                                          decoder):
+    # refused before the graph is read: the missing graph would exit 3
+    trace_path = tmp_path / "trace.csv"
+    rc = main(["recover", "--graph", str(tmp_path / "missing.txt"),
+               "--counters", str(tmp_path / "y.csv"), "--decoder", decoder,
+               "--k", "3", "--l0", "4.0", "--epochs", "10",
+               "--out", str(tmp_path / "e.csv"), "--trace", str(trace_path)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("usage error: --trace")
+    assert not trace_path.exists() and not (tmp_path / "e.csv").exists()
 
 
 def test_recover_pmle_without_k_is_usage_error(graph_file, tmp_path, capsys):
@@ -482,10 +500,9 @@ def test_sweep_and_plot_data(tmp_path, capsys):
     assert all(0.0 <= v <= 1.0 for v in vals)
 
 
-@pytest.mark.parametrize("sidecar", ["", ".timings"])
-@pytest.mark.parametrize("edit", ["short", "long"])
-def test_plot_data_refuses_a_row_of_another_length(tmp_path, capsys, sidecar,
-                                                    edit):
+def write_small_results(tmp_path) -> Path:
+    """The three result files of a two-trial direct sweep; the results
+    file's path."""
     cfg = ExperimentConfig(
         n_flows=10, n_counters=8, degree=2, epochs=4, tau=1.0, sweep=(1,),
         trials=2, whale_dist=Dist("constant", 1.0),
@@ -493,6 +510,14 @@ def test_plot_data_refuses_a_row_of_another_length(tmp_path, capsys, sidecar,
     )
     results = tmp_path / "results.csv"
     experiment.emit_csv(experiment.run_sweep(cfg), results)
+    return results
+
+
+@pytest.mark.parametrize("sidecar", ["", ".timings"])
+@pytest.mark.parametrize("edit", ["short", "long"])
+def test_plot_data_refuses_a_row_of_another_length(tmp_path, capsys, sidecar,
+                                                    edit):
+    results = write_small_results(tmp_path)
     path = tmp_path / f"results{sidecar}.csv"
     lines = path.read_text().splitlines()
     cells = lines[2].split(",")
@@ -506,6 +531,71 @@ def test_plot_data_refuses_a_row_of_another_length(tmp_path, capsys, sidecar,
     assert capsys.readouterr().err == (
         f"invalid input: {path}: line 3 has {n} fields, expected {len(cells)}\n")
     assert not dat.exists()
+
+
+@pytest.mark.parametrize("sidecar,column,cell,message", [
+    ("", "k", "x0", "invalid literal for int() with base 10: 'x0'"),
+    (".timings", "k", "x0", "invalid literal for int() with base 10: 'x0'"),
+    ("", "success", "yes", "expected 0 or 1, got 'yes'"),
+    ("", "whales_in_a1", "2", "expected 0 or 1, got '2'"),
+], ids=["k", "timings-k", "success", "whales_in_a1"])
+def test_plot_data_names_the_line_of_a_cell_that_does_not_parse(
+        tmp_path, capsys, sidecar, column, cell, message):
+    results = write_small_results(tmp_path)
+    path = tmp_path / f"results{sidecar}.csv"
+    with path.open(newline="") as f:
+        rows = list(csv.reader(f))
+    rows[2][rows[0].index(column)] = cell
+    with path.open("w", newline="") as f:
+        csv.writer(f).writerows(rows)
+    dat = tmp_path / "succ.dat"
+    capsys.readouterr()
+    assert main(["plot-data", "--results", str(results), "--metric",
+                 "success", "--out", str(dat)]) == 1
+    assert capsys.readouterr().err == (
+        f"invalid input: {path}: line 3: {message}\n")
+    assert not dat.exists()
+
+
+# Runs in a fresh interpreter: the commands that never cover or solve
+# leave scipy unloaded, and a direct recover loads it.
+_SCIPY_PROBE = """
+import sys
+
+import flowsketch, flowsketch.cli, flowsketch.experiment
+
+def scipy_loaded():
+    return any(m.split(".")[0] == "scipy" for m in sys.modules)
+
+graph, results, out = sys.argv[1:]
+assert not scipy_loaded(), "import"
+for argv in (
+    ["gen-graph", "--flows", "60", "--counters", "20", "--degree", "4",
+     "--out", out + "/g2.txt"],
+    ["verify-expander", "--graph", graph, "--k", "2", "--epsilon", "0.375"],
+    ["simulate", "--graph", graph, "--whales", "2", "--epochs", "10",
+     "--out-counters", out + "/y.csv"],
+    ["plot-data", "--results", results, "--metric", "success",
+     "--out", out + "/s.dat"],
+):
+    assert flowsketch.cli.main(argv) == 0, argv
+    assert not scipy_loaded(), argv[0]
+assert flowsketch.cli.main(["recover", "--graph", graph, "--counters",
+                            out + "/y.csv", "--epochs", "10", "--decoder",
+                            "direct", "--out", out + "/e.csv"]) == 0
+assert scipy_loaded(), "recover"
+"""
+
+
+def test_commands_that_never_solve_leave_scipy_unloaded(graph_file, tmp_path):
+    results = write_small_results(tmp_path)
+    env = dict(os.environ, PYTHONPATH=str(Path(flowsketch.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, str(graph_file), str(results),
+         str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def sweep_with_edited_config(tmp_path, edit):

@@ -20,7 +20,7 @@ from flowsketch import (
     verify_expansion,
 )
 
-from flowsketch.graph import _sample_columns
+from flowsketch.graph import _adjacency, _sample_columns
 
 from helpers import (
     apply_adjacency,
@@ -105,7 +105,7 @@ def test_raw_columns_validation():
 
 def test_adjacency_matrix_matches_columns():
     g = build_random_expander(30, 10, 3, seed=11)
-    dense = g.csr.toarray()
+    dense = _adjacency(g).toarray()
     ref = np.zeros((10, 30), dtype=np.int64)
     for i, col in enumerate(g.columns):
         ref[col, i] = 1
@@ -347,7 +347,7 @@ adjacency_graphs = st.one_of(st.sampled_from([
 @settings(max_examples=200, deadline=None)
 @given(adjacency_graphs)
 def test_csr_is_dense_incidence_with_sorted_rows(g):
-    a = g.csr
+    a = _adjacency(g)
     assert a.shape == (g.n_right, g.n_left) and a.dtype == np.int8
     assert np.array_equal(a.toarray(), _dense(g))
     for j in range(g.n_right):

@@ -32,7 +32,7 @@ from flowsketch import (
     sparse_poisson_solve,
 )
 from flowsketch import pmle as pmle_module
-from flowsketch.graph import BipartiteGraph
+from flowsketch.graph import BipartiteGraph, _adjacency
 from flowsketch.seeds import stable_seed
 
 from helpers import (
@@ -507,7 +507,7 @@ def test_sparse_solve_matches_oracle():
     rel = np.abs(res.theta - theta_true).sum() / theta_true.sum()
     assert rel <= 1e-4
 
-    a_s = g.csr[:, support].toarray()
+    a_s = _adjacency(g)[:, support].toarray()
     pos = y > 0
 
     def nll(t):
