@@ -2,7 +2,8 @@
 
 Subcommands: gen-graph, verify-expander, simulate, recover, sweep,
 plot-data. Exit codes: 0 success, 1 usage error, 2 numerical failure,
-3 I/O failure.
+3 I/O failure. Each command imports the modules it runs beyond `graph`
+and `decoders` when it starts.
 """
 
 import argparse
@@ -13,8 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import experiment, lp
-from .decoders import DECODERS, DecodeSpec, decode
+from .decoders import DECODERS, PENALTY_MODES, DecodeSpec, decode
 from .graph import (
     EnumerationCapExceeded,
     GraphConstructionError,
@@ -24,9 +24,6 @@ from .graph import (
     save_graph,
     verify_expansion,
 )
-from .pmle import PENALTY_MODES
-from .stream import (SignalSpec, StreamState, check_window, gen_rates,
-                     parse_dist, run_epochs)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -182,6 +179,9 @@ def _cmd_verify_expander(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from .stream import (SignalSpec, StreamState, check_window, gen_rates,
+                         parse_dist, run_epochs)
+
     check_window(args.epochs, args.tau, least=0)
     g = load_graph(args.graph)
     spec = SignalSpec(
@@ -204,6 +204,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_recover(args) -> int:
+    from . import lp
+
     if args.trace and args.decoder != "direct":
         raise UsageError("--trace dumps LP iterations; only --decoder direct has them")
     g = load_graph(args.graph)
@@ -212,7 +214,10 @@ def _cmd_recover(args) -> int:
         decoder=args.decoder, k=args.k, l0=args.l0, gamma=args.gamma,
         levels=args.levels, penalty_mode=args.penalty_mode,
     )
-    dec = decode(g, y, args.epochs, args.tau, spec)
+    try:
+        dec = decode(g, y, args.epochs, args.tau, spec)
+    except lp.NumericalError as e:  # main maps ArithmeticError to exit 2
+        raise ArithmeticError(str(e)) from e
     res = dec.result
     if isinstance(res, lp.LpSolution):
         if args.trace:
@@ -238,6 +243,8 @@ def _cmd_recover(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    from . import experiment
+
     cfg = experiment.load_config(args.config)
     out_dir = args.out_dir if args.out_dir is not None else cfg.out_dir
     os.makedirs(out_dir, exist_ok=True)
@@ -254,6 +261,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_plot_data(args) -> int:
+    from . import experiment
+
     res = experiment.load_csv(args.results)
     experiment.emit_plot_data(res, args.metric, args.out)
     print(f"{args.metric} -> {args.out}")
@@ -278,7 +287,7 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (lp.NumericalError, ArithmeticError) as e:
+    except ArithmeticError as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (GraphConstructionError, EnumerationCapExceeded, ValueError) as e:

@@ -3,20 +3,30 @@
 `decode` turns a counter vector into a rate estimate with one of the three
 decoders and hands back the solver's own result next to the estimate, so
 callers print or score from it without knowing how the decoder is wired.
+The names and modes a command line checks live here at module scope;
+`decode` imports the solvers when it first runs, so a command that never
+decodes does not load them.
 """
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from . import graph, lp, pmle
+from . import graph
 from .graph import BipartiteGraph
-from .stream import check_window
 
-__all__ = ["DECODERS", "DecodeSpec", "Decoded", "check_decoder", "decode"]
+if TYPE_CHECKING:
+    from .lp import LpSolution
+    from .pmle import PmleResult
+
+__all__ = ["DECODERS", "PENALTY_MODES", "DecodeSpec", "Decoded",
+           "check_decoder", "decode"]
 
 DECODERS = ("direct", "pmle-exhaustive", "pmle-reduced")
+
+# code lengths a pmle CandidateSet charges (see CandidateSet.pen_of_size)
+PENALTY_MODES = ("l0-scaled", "uniform")
 
 
 def check_decoder(name) -> None:
@@ -48,7 +58,7 @@ class DecodeSpec:
 @dataclass
 class Decoded:
     estimate: np.ndarray  # rates, length n_flows
-    result: Union[lp.LpSolution, pmle.PmleResult]
+    result: "LpSolution | PmleResult"
 
 
 def decode(
@@ -68,6 +78,9 @@ def decode(
     `stream.check_window`; and lp.NumericalError when basis pursuit finds y
     unreachable.
     """
+    from . import lp, pmle
+    from .stream import check_window
+
     y = pmle.checked_counters(y, g)
     check_window(epochs, tau)
     if spec.decoder == "direct":

@@ -11,6 +11,7 @@ be certified by brute force.
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -36,12 +37,21 @@ class EnumerationCapExceeded(ValueError):
     """Raised when expansion verification would enumerate too many subsets."""
 
 
+# rows that save_graph formats per write
+_SAVE_CHUNK = 1 << 15
+
+
 def _check_shape(n_left: int, n_right: int, d: int) -> None:
-    """A graph has at least one flow, and each flow d distinct counters."""
+    """A graph has at least one flow, each flow d distinct counters, and
+    every counter an int32 index."""
     if n_left < 1 or not 1 <= d <= n_right:
         raise GraphConstructionError(
             f"need n_left >= 1 and 1 <= d <= n_right, got "
             f"n_left={n_left}, d={d}, n_right={n_right}"
+        )
+    if n_right > 2**31 - 1:
+        raise GraphConstructionError(
+            f"need n_right <= 2^31 - 1, the int32 index range, got {n_right}"
         )
 
 
@@ -121,13 +131,16 @@ def _sample_columns(rng: np.random.Generator, n: int, m: int, d: int) -> np.ndar
         return out
 
     def draw_sorted(rows: int) -> np.ndarray:
-        out = rng.integers(0, m, size=(rows, d), dtype=np.int64).astype(np.int32)
+        out = rng.integers(0, m, size=(rows, d), dtype=np.int32)
         out.sort(axis=1)
         return out
 
     def repeats(rows: np.ndarray) -> np.ndarray:
-        """Indices of the sorted rows that hold a counter twice."""
-        return np.unique(np.flatnonzero(rows[:, 1:] == rows[:, :-1]) // (d - 1))
+        """Indices of the sorted rows that hold a counter twice. The hits
+        come in row order, so a row hit twice is hit in a run; dropping
+        the runs' repeats spares np.unique, which imports numpy.ma."""
+        hits = np.flatnonzero(rows[:, 1:] == rows[:, :-1]) // (d - 1)
+        return hits[np.diff(hits, prepend=-1) > 0]
 
     cols = draw_sorted(n)
     bad = repeats(cols)
@@ -280,20 +293,32 @@ def build_graph_with_cover(
 
 def save_graph(g: BipartiteGraph, path) -> None:
     """Plain text sidecar: header 'N M d seed', then one line of d
-    space-separated counter indices per flow."""
+    space-separated counter indices per flow. Rows are formatted
+    _SAVE_CHUNK at a time, by one %-format of the chunk's indices."""
+    line = " ".join(["%d"] * g.d) + "\n"
     with open(path, "w") as f:
         f.write(f"{g.n_left} {g.n_right} {g.d} {g.seed}\n")
-        for row in g.columns:
-            f.write(" ".join(str(int(j)) for j in row) + "\n")
+        for start in range(0, g.n_left, _SAVE_CHUNK):
+            rows = g.columns[start:start + _SAVE_CHUNK]
+            f.write(line * len(rows) % tuple(rows.ravel().tolist()))
 
 
 def load_graph(path) -> BipartiteGraph:
+    """The graph save_graph wrote. The header must pass the graph-shape
+    rule before any row is read, and the body must hold its n rows of d
+    indices. Raises ValueError (GraphConstructionError for the shape)."""
     with open(path) as f:
         header = f.readline().split()
         if len(header) != 4:
             raise ValueError(f"{path}: malformed header {header!r}")
         n, m, d, seed = (int(t) for t in header)
-        cols = np.loadtxt(f, dtype=np.int32, ndmin=2)
+        _check_shape(n, m, d)
+        for first in f:  # np.loadtxt warns on a body without data
+            if first.strip():
+                break
+        else:
+            raise ValueError(f"{path}: expected {n} rows of {d} indices, got 0 rows")
+        cols = np.loadtxt(chain([first], f), dtype=np.int32, ndmin=2)
     if cols.shape != (n, d):
         raise ValueError(
             f"{path}: expected {n} rows of {d} indices, got shape {cols.shape}"

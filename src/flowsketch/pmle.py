@@ -36,12 +36,12 @@ from typing import Iterable, Iterator, Optional, Tuple
 
 import numpy as np
 
+from .decoders import PENALTY_MODES
 from .graph import BipartiteGraph
 from .metrics import top_k_indices
 
 __all__ = [
     "KRAFT_CONSTANT",
-    "PENALTY_MODES",
     "CandidateCountError",
     "CandidateSet",
     "PmleConfig",
@@ -59,9 +59,6 @@ __all__ = [
 # pi^2/6 over s >= 0, so without this shift the zero candidate alone
 # already spends the whole Kraft budget.
 KRAFT_CONSTANT = math.log(math.pi**2 / 6.0)
-
-# code lengths a CandidateSet charges (see CandidateSet.pen_of_size)
-PENALTY_MODES = ("l0-scaled", "uniform")
 
 _EXHAUSTIVE_GUARD = 10**6
 _MU_FLOOR = 1e-12

@@ -353,6 +353,15 @@ def sample_columns_resort(rng: np.random.Generator, n: int, m: int,
     return np.sort(cols, axis=1).astype(np.int32)
 
 
+def save_graph_rows(g: BipartiteGraph, path) -> None:
+    """graph.save_graph as it was before it formatted rows in chunks: one
+    str() per counter index and one write per row."""
+    with open(path, "w") as f:
+        f.write(f"{g.n_left} {g.n_right} {g.d} {g.seed}\n")
+        for row in g.columns:
+            f.write(" ".join(str(int(j)) for j in row) + "\n")
+
+
 def top_k_indices_argsort(u: np.ndarray, k: int) -> np.ndarray:
     """metrics.top_k_indices by a stable argsort of -|u|: the first k in
     that order, ascending."""

@@ -1,6 +1,7 @@
 """End-to-end command-line checks, all through main(argv)."""
 
 import csv
+import importlib
 import json
 import math
 import os
@@ -235,6 +236,26 @@ def test_recover_unreachable_counters_is_numerical_error(tmp_path, capsys):
     assert "numerical failure: basis pursuit reported infeasible" in \
         capsys.readouterr().err
     assert not est_path.exists()
+
+
+@pytest.mark.parametrize("text,message", [
+    ("3 20 4 0\n", "expected 3 rows of 4 indices, got 0 rows"),
+    ("3 20 4 0\n\n  \n", "expected 3 rows of 4 indices, got 0 rows"),
+    ("0 4 2 0\n", "need n_left >= 1 and 1 <= d <= n_right"),
+    # rows that do not parse: the shape rule refuses before they are read
+    ("2 3 5 0\nx y\nx y\n", "need n_left >= 1 and 1 <= d <= n_right"),
+])
+def test_graph_header_is_checked_before_its_rows(tmp_path, capsys, text, message):
+    g_path = tmp_path / "g.txt"
+    g_path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["verify-expander", "--graph", str(g_path), "--k", "1",
+                   "--epsilon", "0.5"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input: ") and message in err
+    assert "UserWarning" not in err
 
 
 def test_recover_bad_counter_header_is_usage_error(graph_file, tmp_path):
@@ -596,6 +617,57 @@ def test_commands_that_never_solve_leave_scipy_unloaded(graph_file, tmp_path):
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+_MODULES_PROBE = """
+import sys
+
+def loaded():
+    return sorted(m for m in sys.modules
+                  if m == "flowsketch" or m.startswith("flowsketch."))
+
+graph, out = sys.argv[1:]
+import flowsketch
+assert loaded() == ["flowsketch"], loaded()
+import flowsketch.cli
+for argv in (
+    ["gen-graph", "--flows", "60", "--counters", "20", "--degree", "4",
+     "--out", out + "/g2.txt"],
+    ["verify-expander", "--graph", graph, "--k", "2", "--epsilon", "0.375"],
+):
+    assert flowsketch.cli.main(argv) == 0, argv
+base = ["flowsketch", "flowsketch.cli", "flowsketch.decoders", "flowsketch.graph"]
+assert loaded() == base, loaded()
+assert flowsketch.cli.main(["simulate", "--graph", graph, "--whales", "2",
+                            "--epochs", "10", "--out-counters", out + "/y.csv"]) == 0
+assert loaded() == sorted(base + ["flowsketch.metrics", "flowsketch.stream"]), loaded()
+# a bare import still reaches every submodule as an attribute
+assert flowsketch.lp.basis_pursuit is flowsketch.basis_pursuit
+assert flowsketch.experiment.__name__ == "flowsketch.experiment"
+"""
+
+
+def test_each_command_loads_only_the_modules_it_runs(graph_file, tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(flowsketch.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _MODULES_PROBE, str(graph_file), str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_package_names_are_their_home_modules_objects():
+    assert list(flowsketch._HOME) == flowsketch.__all__
+    for name, home in flowsketch._HOME.items():
+        module = importlib.import_module(f"flowsketch.{home}")
+        assert getattr(flowsketch, name) is getattr(module, name), name
+    assert set(flowsketch.__all__) | {"lp", "cli", "__version__"} <= set(dir(flowsketch))
+    namespace = {}
+    exec("from flowsketch import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(flowsketch.__all__)
+    assert namespace["decode"] is decode
+    with pytest.raises(AttributeError, match="no_such_name"):
+        flowsketch.no_such_name
 
 
 def sweep_with_edited_config(tmp_path, edit):

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flowsketch import (
@@ -20,13 +20,15 @@ from flowsketch import (
     verify_expansion,
 )
 
-from flowsketch.graph import _adjacency, _sample_columns
+from flowsketch import graph as graph_module
+from flowsketch.graph import _SAVE_CHUNK, _adjacency, _sample_columns
 
 from helpers import (
     apply_adjacency,
     brute_expansion_ratio,
     greedy_cover_rescan,
     sample_columns_resort,
+    save_graph_rows,
 )
 
 
@@ -80,6 +82,38 @@ def test_sample_columns_matches_resort_oracle(shape, seed):
     assert np.array_equal(got, sample_columns_resort(rng_want, *shape))
     # the same draws, so the generators end in the same state
     assert rng.bit_generator.state == rng_want.bit_generator.state
+
+
+# shapes of the with-replacement sampler, d(d-1) < m, the only one that
+# draws integers
+INT_DRAW_SHAPES = [(n, m, d)
+                   for m in (2, 3, 255, 256, 257, 800, 3000, 20000, 65536, 65537,
+                             2**31 - 1)
+                   for n, d in ((1, 1), (7, 2), (300, 5), (2000, 8))
+                   if d * (d - 1) < m and d < m]
+
+
+@pytest.mark.parametrize("n,m,d", INT_DRAW_SHAPES)
+@pytest.mark.parametrize("seed", [0, 1, 2**63 + 5])
+def test_int32_draw_matches_int64_draw(n, m, d, seed):
+    # sample_columns_resort draws int64 and casts; _sample_columns draws
+    # int32: the same columns, and the generator left in the same state
+    rng, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = _sample_columns(rng, n, m, d)
+    assert np.array_equal(got, sample_columns_resort(rng_want, n, m, d))
+    assert rng.bit_generator.state == rng_want.bit_generator.state
+    assert rng.random() == rng_want.random()
+
+
+def test_counters_beyond_int32_refused_before_any_draw(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("columns were drawn for a bank int32 cannot index")
+
+    monkeypatch.setattr(graph_module, "_sample_columns", never)
+    with pytest.raises(GraphConstructionError, match="n_right <= 2"):
+        build_random_expander(3, 2**31, 4, seed=0)
+    with pytest.raises(GraphConstructionError, match="n_right <= 2"):
+        BipartiteGraph(1, 2**31, 1, np.array([[0]], dtype=np.int32), seed=0)
 
 
 def test_invalid_shapes_rejected():
@@ -386,3 +420,31 @@ def test_save_load_round_trip_property(g, seed):
         again = Path(tmp) / "again.txt"
         save_graph(back, again)
         assert again.read_bytes() == path.read_bytes()
+
+
+@st.composite
+def saved_graphs(draw):
+    """Graphs with n on either side of save_graph's chunk edges, d = 1 and
+    n = 1 among them, and counter indices of up to 10 digits."""
+    n = draw(st.one_of(
+        st.sampled_from([1, _SAVE_CHUNK - 1, _SAVE_CHUNK, _SAVE_CHUNK + 1,
+                         2 * _SAVE_CHUNK + 3]),
+        st.integers(1, 50)))
+    d = draw(st.integers(1, 6))
+    m = draw(st.one_of(st.integers(d, 40), st.integers(d, 2**31 - 1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    # d sorted draws from [0, m - d], lifted by 0..d-1: distinct and sorted
+    cols = np.sort(rng.integers(0, m - d + 1, size=(n, d)), axis=1) + np.arange(d)
+    return BipartiteGraph(n, m, d, cols, draw(st.integers(-2**63, 2**63 - 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(saved_graphs())
+@example(BipartiteGraph(3, 2**31 - 1, 2, np.array(
+    [[0, 2**31 - 2], [999_999_999, 1_000_000_000], [9, 10]]), seed=-1))
+def test_save_graph_matches_row_writer(g):
+    with tempfile.TemporaryDirectory() as tmp:
+        got, want = Path(tmp) / "got.txt", Path(tmp) / "want.txt"
+        save_graph(g, got)
+        save_graph_rows(g, want)
+        assert got.read_bytes() == want.read_bytes()
