@@ -14,24 +14,7 @@ the module that defines it.
 
 import importlib
 
-__all__ = [
-    "DecodeSpec", "Decoded", "decode",
-    "BipartiteGraph", "EnumerationCapExceeded", "ExpansionReport",
-    "GraphConstructionError", "build_graph_with_cover",
-    "build_random_expander", "greedy_cover", "load_graph", "save_graph",
-    "verify_expansion",
-    "LpSolution", "NumericalError", "basis_pursuit", "direct_estimate",
-    "RelativeError", "best_k_term", "positive_clip", "relative_l1_error",
-    "support_recovery_success", "top_k_indices",
-    "KRAFT_CONSTANT", "CandidateCountError", "CandidateSet", "PmleConfig",
-    "PmleResult", "SparseSolveResult", "WhaleLocalization",
-    "localize_whales", "pmle_exhaustive", "pmle_reduced",
-    "sparse_poisson_solve",
-    "Dist", "RateVector", "SignalSpec", "StreamState", "advance_epoch",
-    "gen_rates", "parse_dist", "run_epochs",
-]
-
-# the module each name of __all__ is read from, in the order listed there
+# the module each public name is read from
 _HOME = {
     **dict.fromkeys(("DecodeSpec", "Decoded", "decode"), "decoders"),
     **dict.fromkeys((
@@ -53,6 +36,7 @@ _HOME = {
         "Dist", "RateVector", "SignalSpec", "StreamState", "advance_epoch",
         "gen_rates", "parse_dist", "run_epochs"), "stream"),
 }
+__all__ = list(_HOME)
 _SUBMODULES = ("cli", "decoders", "experiment", "graph", "lp", "metrics",
                "pmle", "seeds", "stream")
 

@@ -16,8 +16,6 @@ import numpy as np
 
 from .decoders import DECODERS, PENALTY_MODES, DecodeSpec, decode
 from .graph import (
-    EnumerationCapExceeded,
-    GraphConstructionError,
     build_random_expander,
     greedy_cover,  # noqa: F401 - the benchmark's spans wrap cli.greedy_cover
     load_graph,
@@ -82,9 +80,10 @@ def _build_parser() -> _Parser:
                    help="dump LP iterations to this CSV (--decoder direct)")
     r.add_argument("--k", type=int, help="whale count (pmle decoders)")
     r.add_argument("--l0", type=float, help="rate budget (pmle decoders)")
-    r.add_argument("--levels", type=int, default=64)
-    r.add_argument("--gamma", type=float, default=1.0)
-    r.add_argument("--penalty-mode", default="l0-scaled", choices=PENALTY_MODES)
+    r.add_argument("--levels", type=int, default=DecodeSpec.levels)
+    r.add_argument("--gamma", type=float, default=DecodeSpec.gamma)
+    r.add_argument("--penalty-mode", default=DecodeSpec.penalty_mode,
+                   choices=PENALTY_MODES)
 
     w = sub.add_parser("sweep", help="run a config-driven experiment sweep")
     w.add_argument("--config", required=True)
@@ -214,10 +213,7 @@ def _cmd_recover(args) -> int:
         decoder=args.decoder, k=args.k, l0=args.l0, gamma=args.gamma,
         levels=args.levels, penalty_mode=args.penalty_mode,
     )
-    try:
-        dec = decode(g, y, args.epochs, args.tau, spec)
-    except lp.NumericalError as e:  # main maps ArithmeticError to exit 2
-        raise ArithmeticError(str(e)) from e
+    dec = decode(g, y, args.epochs, args.tau, spec)
     res = dec.result
     if isinstance(res, lp.LpSolution):
         if args.trace:
@@ -290,7 +286,7 @@ def main(argv=None) -> int:
     except ArithmeticError as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (GraphConstructionError, EnumerationCapExceeded, ValueError) as e:
+    except ValueError as e:
         print(f"invalid input: {e}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as e:

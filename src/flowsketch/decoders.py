@@ -38,9 +38,9 @@ def check_decoder(name) -> None:
 
 @dataclass(frozen=True)
 class DecodeSpec:
-    """What to decode with. The pmle decoders need the whale count k and
-    the l1 budget l0 of their candidates; basis pursuit runs at its
-    data-scaled default tolerances."""
+    """What to decode with; the pmle defaults of every entry point are read
+    from here. The pmle decoders need the whale count k and the l1 budget
+    l0; basis pursuit runs at its data-scaled default tolerances."""
 
     decoder: str = "direct"
     k: Optional[int] = None

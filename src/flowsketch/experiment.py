@@ -14,6 +14,7 @@ import json
 import math
 import numbers
 import operator
+import sys
 import time
 from dataclasses import MISSING, dataclass, field, fields
 from typing import Optional
@@ -49,9 +50,9 @@ class PmleOptions:
     """pMLE knobs. l0=None derives the budget per trial as
     (1+l0_margin)*||true rates||_1 (the class bound is assumed known)."""
 
-    gamma: float = 1.0
-    levels: int = 64
-    penalty_mode: str = "l0-scaled"
+    gamma: float = DecodeSpec.gamma
+    levels: int = DecodeSpec.levels
+    penalty_mode: str = DecodeSpec.penalty_mode
     l0: Optional[float] = None
     l0_margin: float = 0.25
 
@@ -67,23 +68,30 @@ _JSON_TYPES = {
 }
 
 
-def _check_pmle_options(cfg) -> None:
-    """Refuse, naming its key, a pmle knob that would fail every pmle
-    trial, by the rules decoding applies: the budget is l0, or 1 + l0_margin
-    per unit of true l1 mass, and gamma must give c in (0,1) at every k."""
-    o = cfg.pmle
-    budget = ("l0", o.l0) if o.l0 is not None else ("l0_margin", 1.0 + o.l0_margin)
-    rules = [("pmle.penalty_mode", lambda: CandidateSet((), 1.0, 1, o.penalty_mode)),
-             ("pmle.levels", lambda: PmleConfig(1.0, 1, o.levels, 0.0, ())),
-             ("pmle." + budget[0], lambda: PmleConfig(budget[1], 1, 1, 0.0, ()))]
-    rules += [("pmle.gamma" if 1 <= k < cfg.n_flows else "sweep",  # k out of range
-               lambda k=k: PmleConfig.from_problem(cfg.n_flows, k, 1.0, (), o.gamma))
-              for k in cfg.sweep]
-    for key, rule in rules:
+def _check_trial_inputs(cfg) -> None:
+    """Refuse, naming its key, an input that would fail trials, before any
+    runs: by SignalSpec's rule, the whale distribution and each k; with a
+    pmle decoder, by decoding's rules, each pmle knob. The budget is l0, or
+    1 + l0_margin per unit of true l1 mass; c must be in (0,1) at every k."""
+    def check(key, rule, *args):
         try:
-            rule()
+            rule(*args)
         except ValueError as e:
             raise ValueError(f"key {key!r}: {e}") from None
+
+    check("whale_dist", SignalSpec, 0, 0, cfg.whale_dist, cfg.minnow_dist, 0)
+    for k in cfg.sweep:
+        check("sweep", SignalSpec, cfg.n_flows, k, cfg.whale_dist, cfg.minnow_dist, 0)
+    if not set(cfg.decoders) - {"direct"}:
+        return
+    o = cfg.pmle
+    budget = ("l0", o.l0) if o.l0 is not None else ("l0_margin", 1.0 + o.l0_margin)
+    check("pmle.penalty_mode", CandidateSet, (), 1.0, 1, o.penalty_mode)
+    check("pmle.levels", PmleConfig, 1.0, 1, o.levels, 0.0, ())
+    check("pmle." + budget[0], PmleConfig, budget[1], 1, 1, 0.0, ())
+    for k in cfg.sweep:  # k = 0 or N leaves no whale or no minnow
+        check("pmle.gamma" if 0 < k < cfg.n_flows else "sweep",
+              PmleConfig.from_problem, cfg.n_flows, k, 1.0, (), o.gamma)
 
 
 def _from_keys(cls, d: dict, where: str = ""):
@@ -147,8 +155,7 @@ class ExperimentConfig:
         if not self.decoders:
             raise ValueError("need at least one decoder")
         check_window(self.epochs, self.tau)
-        if set(self.decoders) - {"direct"}:
-            _check_pmle_options(self)
+        _check_trial_inputs(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -283,7 +290,24 @@ def _failure_row(k, trial, decoder, counter_hash, dt, exc) -> TrialRow:
 
 def run_trial(cfg: ExperimentConfig, k: int, trial: int) -> list:
     """All decoder rows for one (k, trial) cell. Never raises on decoder
-    failure; the row records the exception instead."""
+    failure; the row records the exception instead.
+
+    Under glibc, the heap pages the cell freed go back to the OS before it
+    returns. glibc keeps freed pages resident while a small live block
+    sits above them, and where such blocks land varies with address
+    randomization, so without the trim the resident size after a cell at
+    N = 10^5 differed by ~9 MB between runs of one seed."""
+    rows = _cell_rows(cfg, k, trial)
+    if sys.platform == "linux":
+        import ctypes
+
+        trim = getattr(ctypes.CDLL(None), "malloc_trim", None)  # glibc only
+        if trim is not None:
+            trim(0)
+    return rows
+
+
+def _cell_rows(cfg: ExperimentConfig, k: int, trial: int) -> list:
     ts = stable_seed(cfg.root_seed, "trial", k, trial)
     g, cover, _ = build_graph_with_cover(
         cfg.n_flows, cfg.n_counters, cfg.degree, stable_seed(ts, "graph")

@@ -79,12 +79,10 @@ class BipartiteGraph:
             )
         if cols.size and (cols.min() < 0 or cols.max() >= self.n_right):
             raise GraphConstructionError("column entry out of [0, n_right)")
-        if self.d > 1:
-            diffs = np.diff(cols, axis=1)
-            if (diffs <= 0).any():
-                raise GraphConstructionError(
-                    "each column must list d distinct sorted counter indices"
-                )
+        if (cols[:, 1:] <= cols[:, :-1]).any():
+            raise GraphConstructionError(
+                "each column must list d distinct sorted counter indices"
+            )
         cols.setflags(write=False)
         object.__setattr__(self, "columns", cols)
 
@@ -318,7 +316,7 @@ def load_graph(path) -> BipartiteGraph:
                 break
         else:
             raise ValueError(f"{path}: expected {n} rows of {d} indices, got 0 rows")
-        cols = np.loadtxt(chain([first], f), dtype=np.int32, ndmin=2)
+        cols = np.loadtxt(chain([first], f), dtype=np.int32, ndmin=2, comments=None)
     if cols.shape != (n, d):
         raise ValueError(
             f"{path}: expected {n} rows of {d} indices, got shape {cols.shape}"

@@ -74,8 +74,8 @@ _CG_MAX_ITER = 500
 _LOW_RANK_RATIO = 1e3
 
 
-class NumericalError(RuntimeError):
-    """Raised when a linear algebra step cannot be completed."""
+class NumericalError(RuntimeError, ArithmeticError):
+    """Raised when a linear algebra step cannot be completed (exit 2)."""
 
 
 @dataclass

@@ -36,7 +36,7 @@ from typing import Iterable, Iterator, Optional, Tuple
 
 import numpy as np
 
-from .decoders import PENALTY_MODES
+from .decoders import PENALTY_MODES, DecodeSpec
 from .graph import BipartiteGraph
 from .metrics import top_k_indices
 
@@ -72,6 +72,15 @@ class CandidateCountError(ValueError):
     """Raised when an enumeration would exceed the exhaustive guard."""
 
 
+def _check_grid(size_name: str, size, n_levels) -> None:
+    """The one grid rule: the size (l0 or grid_step) is finite and positive,
+    and n_levels is an integer, not a bool or a float, of at least 1."""
+    if (not 0 < size < math.inf or isinstance(n_levels, bool)
+            or not isinstance(n_levels, numbers.Integral) or n_levels < 1):
+        raise ValueError(f"need 0 < {size_name} < inf and an integer n_levels >= 1, "
+                         f"got {size_name}={size}, n_levels={n_levels!r}")
+
+
 @dataclass(frozen=True)
 class PmleConfig:
     """Grid geometry and offset for the penalized-MLE objective.
@@ -88,12 +97,9 @@ class PmleConfig:
     cover: np.ndarray
 
     def __post_init__(self):
-        if not self.l0 > 0:
-            raise ValueError(f"l0 must be positive, got {self.l0}")
+        _check_grid("l0", self.l0, self.n_levels)
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
-        if not (isinstance(self.n_levels, numbers.Integral) and self.n_levels >= 1):
-            raise ValueError(f"need an integer n_levels >= 1, got {self.n_levels!r}")
         if not (0 <= self.c < 1):
             raise ValueError(f"offset coefficient c must be in [0,1), got {self.c}")
         cover = np.array(self.cover, dtype=np.int64)
@@ -107,16 +113,13 @@ class PmleConfig:
         k: int,
         l0: float,
         cover: np.ndarray,
-        gamma: float = 1.0,
-        levels: int = 64,
+        gamma: float = DecodeSpec.gamma,
+        levels: int = DecodeSpec.levels,
     ) -> "PmleConfig":
         """Derive c = gamma/(k*ln(N/k)) and the grid from a level count."""
         if not 1 <= k < n_flows:
             raise ValueError(f"need 1 <= k < n_flows, got k={k}, N={n_flows}")
-        log_ratio = math.log(n_flows / k)
-        if log_ratio <= 0:
-            raise ValueError(f"ln(N/k) must be positive, got N={n_flows}, k={k}")
-        c = gamma / (k * log_ratio)
+        c = gamma / (k * math.log(n_flows / k))
         if not 0 < c < 1:  # so gamma must be positive
             raise ValueError(f"derived c = gamma/(k*ln(N/k)) = {c:.4g} outside (0,1)")
         return cls(l0=l0, k=k, n_levels=levels, c=c, cover=cover)
@@ -157,7 +160,7 @@ class CandidateSet:
     universe: np.ndarray  # sorted flow indices allowed in supports
     grid_step: float
     n_levels: int
-    penalty_mode: str = "l0-scaled"
+    penalty_mode: str = DecodeSpec.penalty_mode
     penalty_universe_size: Optional[int] = None
 
     def __post_init__(self):
@@ -166,10 +169,7 @@ class CandidateSet:
         object.__setattr__(self, "universe", u)
         if self.penalty_mode not in PENALTY_MODES:
             raise ValueError(f"unknown penalty mode {self.penalty_mode!r}")
-        if not self.grid_step > 0:
-            raise ValueError("grid step must be positive")
-        if self.n_levels < 1:
-            raise ValueError("need at least one grid level")
+        _check_grid("grid_step", self.grid_step, self.n_levels)
         if self.penalty_universe_size is None:
             object.__setattr__(self, "penalty_universe_size", u.size)
         if self.penalty_universe_size < u.size:
@@ -540,11 +540,10 @@ def sparse_poisson_solve(
     1e-12 so a stray zero mean cannot produce NaN.
 
     Only the counters T that the support touches (`_local_index`) depend
-    on theta, so every array of the solve is over T: the incidence
-    A[T, support] is one CSR built once, next to a CSR copy of its
-    transpose. The other counters keep their mu_base means and add one
-    constant to the objective, so `objective`, `trace` and the stop rule
-    are over all counters.
+    on theta, so every array of the solve is over T: A[T, support] is the
+    transpose view of one CSR. The other counters keep their mu_base means
+    and add one constant to the objective, so `objective`, `trace` and the
+    stop rule are over all counters.
     """
     import scipy.sparse as sp
 
@@ -571,7 +570,7 @@ def sparse_poisson_solve(
     const = float(mu_r.sum() - (y_r * np.log(np.maximum(mu_r, _MU_FLOOR))).sum())
     a_t = sp.csr_matrix((np.ones(n * d), inv, np.arange(0, n * d + 1, d)),
                         shape=(n, touched.size))
-    a = a_t.T.tocsr()
+    a = a_t.T
     base = mu_base[touched]
     pos = y[touched] > 0
     ypos = y[touched][pos]
@@ -706,7 +705,7 @@ def pmle_reduced(
     cfg: PmleConfig,
     scale: float,
     exhaustive_cap: int = _EXHAUSTIVE_GUARD,
-    penalty_mode: str = "l0-scaled",
+    penalty_mode: str = DecodeSpec.penalty_mode,
 ) -> PmleResult:
     """Penalized MLE restricted to supports inside the localized set A1.
 

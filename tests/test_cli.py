@@ -193,6 +193,18 @@ def test_recover_trace_with_a_pmle_decoder_is_usage_error(tmp_path, capsys,
     assert not trace_path.exists() and not (tmp_path / "e.csv").exists()
 
 
+def test_recover_pmle_infinite_l0_is_usage_error(counters_file, graph_file,
+                                                 tmp_path, capsys):
+    # an infinite budget gives an infinite grid step: every candidate
+    # would score nan and the estimate would be all zeros
+    est_path = tmp_path / "e.csv"
+    argv = recover_argv(graph_file, counters_file, est_path, "pmle-reduced")
+    argv[argv.index("--l0") + 1] = "inf"
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("invalid input: need 0 < l0 < inf")
+    assert not est_path.exists()
+
+
 def test_recover_pmle_without_k_is_usage_error(graph_file, tmp_path, capsys):
     y_path = tmp_path / "y.csv"
     main(["simulate", "--graph", str(graph_file), "--whales", "1",
@@ -256,6 +268,24 @@ def test_graph_header_is_checked_before_its_rows(tmp_path, capsys, text, message
     err = capsys.readouterr().err
     assert err.startswith("invalid input: ") and message in err
     assert "UserWarning" not in err
+
+
+@pytest.mark.parametrize("text", [
+    "3 20 4 0\n# a comment\n",
+    "3 20 4 0\n0 1 2 3 # c\n4 5 6 7\n8 9 10 11\n",
+    "3 20 4 0\n0 1 2 3\n# a comment\n4 5 6 7\n8 9 10 11\n",
+], ids=["only-a-comment", "row-ending-in-a-comment", "comment-line"])
+def test_graph_file_comments_are_refused(tmp_path, capsys, text):
+    # save_graph writes none, and numpy would skip them or warn on them
+    g_path = tmp_path / "g.txt"
+    g_path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["verify-expander", "--graph", str(g_path), "--k", "1",
+                   "--epsilon", "0.5"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input: ") and "UserWarning" not in err
 
 
 def test_recover_bad_counter_header_is_usage_error(graph_file, tmp_path):
@@ -657,9 +687,9 @@ def test_each_command_loads_only_the_modules_it_runs(graph_file, tmp_path):
 
 
 def test_package_names_are_their_home_modules_objects():
-    assert list(flowsketch._HOME) == flowsketch.__all__
     for name, home in flowsketch._HOME.items():
         module = importlib.import_module(f"flowsketch.{home}")
+        assert name in module.__all__, name
         assert getattr(flowsketch, name) is getattr(module, name), name
     assert set(flowsketch.__all__) | {"lp", "cli", "__version__"} <= set(dir(flowsketch))
     namespace = {}
@@ -748,7 +778,7 @@ def test_sweep_config_tau_not_finite_is_invalid_input(tmp_path, capsys, tau):
 @pytest.mark.parametrize("key,value", [
     ("levels", 0), ("penalty_mode", "huffman"), ("gamma", -1),
     ("gamma", 50),  # c = 50/(2 ln 100) = 5.43
-    ("l0", -3), ("l0_margin", -1.5),
+    ("l0", -3), ("l0", math.inf), ("l0_margin", -1.5),
 ])
 def test_sweep_config_pmle_knob_failing_every_trial_is_invalid_input(
         tmp_path, capsys, key, value):
@@ -759,6 +789,26 @@ def test_sweep_config_pmle_knob_failing_every_trial_is_invalid_input(
     assert sweep_with_edited_config(tmp_path, edit) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"invalid input: key 'pmle.{key}': ")
+    assert not (tmp_path / "results.csv").exists()
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("sweep", [2, 60], "key 'sweep': need 0 <= k <= n_flows, got k=60"),
+    ("whale_dist", {"kind": "constant", "value": 0.0},
+     "key 'whale_dist': constant whale magnitude must be positive"),
+], ids=["k-above-n_flows", "whale-dist-constant-0"])
+def test_sweep_point_no_trial_can_run_is_refused_before_any_trial(
+        tmp_path, capsys, monkeypatch, key, value, message):
+    calls = []
+    monkeypatch.setattr(experiment, "run_trial",
+                        lambda *a: calls.append(a) or [])
+
+    def edit(d):
+        d.update(n_flows=50, n_counters=20, degree=3, trials=3)
+        d[key] = value
+    assert sweep_with_edited_config(tmp_path, edit) == 1
+    assert capsys.readouterr().err.startswith(f"invalid input: {message}")
+    assert calls == []
     assert not (tmp_path / "results.csv").exists()
 
 

@@ -195,6 +195,9 @@ def test_pmle_config_validation():
     cover = greedy_cover(hexad_graph())
     with pytest.raises(ValueError):
         PmleConfig(l0=0.0, k=1, n_levels=4, c=0.1, cover=cover)
+    for l0, n_levels in [(math.inf, 4), (4.0, 2.5), (4.0, True)]:
+        with pytest.raises(ValueError, match="need 0 < l0 < inf and an integer"):
+            PmleConfig(l0=l0, k=1, n_levels=n_levels, c=0.1, cover=cover)
     with pytest.raises(ValueError):
         PmleConfig(l0=4.0, k=0, n_levels=4, c=0.1, cover=cover)
     with pytest.raises(ValueError):
@@ -273,6 +276,10 @@ def test_candidate_set_validation():
         CandidateSet(universe=np.arange(3), grid_step=0.0, n_levels=2)
     with pytest.raises(ValueError):
         CandidateSet(universe=np.arange(3), grid_step=1.0, n_levels=0)
+    for grid_step, n_levels in [(math.inf, 2), (1.0, 2.5)]:
+        with pytest.raises(ValueError, match="need 0 < grid_step < inf and an"):
+            CandidateSet(universe=np.arange(3), grid_step=grid_step,
+                         n_levels=n_levels)
     with pytest.raises(ValueError):
         CandidateSet(universe=np.arange(3), grid_step=1.0, n_levels=2,
                      penalty_mode="huffman")
