@@ -8,6 +8,7 @@ and `decoders` when it starts.
 
 import argparse
 import csv
+import functools
 import os
 import sys
 from typing import Optional
@@ -38,6 +39,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache  # one parser per process; parse_args leaves it as it was
 def _build_parser() -> _Parser:
     p = _Parser(prog="flowsketch", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)

@@ -73,10 +73,10 @@ def decode(
     epochs of length tau.
 
     cover is the greedy cover of g, its sorted flows; the pmle decoders
-    compute it when it is not given. Raises ValueError, before any solver
-    runs, unless y passes `pmle.checked_counters` and (epochs, tau) passes
-    `stream.check_window`; and lp.NumericalError when basis pursuit finds y
-    unreachable.
+    compute it when it is not given. Raises ValueError, before any cover
+    or solver runs, unless y passes `pmle.checked_counters`, then (epochs,
+    tau) `stream.check_window`, then a pmle spec `PmleConfig.from_problem`;
+    and lp.NumericalError when basis pursuit finds y unreachable.
     """
     from . import lp, pmle
     from .stream import check_window
@@ -88,21 +88,20 @@ def decode(
         if sol.status == "infeasible":
             raise lp.NumericalError("basis pursuit reported infeasible")
         return Decoded(lp.direct_estimate(sol, epochs, tau), sol)
+    cfg = pmle.PmleConfig.from_problem(
+        n_flows=g.n_left, k=spec.k, l0=spec.l0, gamma=spec.gamma,
+        levels=spec.levels, penalty_mode=spec.penalty_mode,
+    )
     if cover is None:
         cover = graph.greedy_cover(g)
-    cfg = pmle.PmleConfig.from_problem(
-        n_flows=g.n_left, k=spec.k, l0=spec.l0, cover=cover,
-        gamma=spec.gamma, levels=spec.levels,
-    )
     scale = epochs * tau
     if spec.decoder == "pmle-exhaustive":
         cs = pmle.CandidateSet(
             universe=np.arange(g.n_left), grid_step=cfg.grid_step,
-            n_levels=cfg.n_levels, penalty_mode=spec.penalty_mode,
+            n_levels=cfg.n_levels, penalty_mode=cfg.penalty_mode,
         )
-        res = pmle.pmle_exhaustive(y, g, cs, cfg, scale)
+        res = pmle.pmle_exhaustive(y, g, cs, cfg, cover, scale)
     else:
         loc = pmle.localize_whales(y, g, spec.k)
-        res = pmle.pmle_reduced(y, g, loc, cfg, scale,
-                                penalty_mode=spec.penalty_mode)
+        res = pmle.pmle_reduced(y, g, loc, cfg, cover, scale)
     return Decoded(res.rates, res)

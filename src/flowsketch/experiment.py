@@ -24,7 +24,7 @@ import numpy as np
 from .decoders import DecodeSpec, check_decoder, decode
 from .graph import build_graph_with_cover
 from .metrics import relative_l1_error, support_recovery_success
-from .pmle import CandidateSet, PmleConfig
+from .pmle import PmleConfig
 from .seeds import stable_seed
 from .stream import (Dist, RateVector, SignalSpec, StreamState, check_window,
                      gen_rates, run_epochs)
@@ -71,8 +71,9 @@ _JSON_TYPES = {
 def _check_trial_inputs(cfg) -> None:
     """Refuse, naming its key, an input that would fail trials, before any
     runs: by SignalSpec's rule, the whale distribution and each k; with a
-    pmle decoder, by decoding's rules, each pmle knob. The budget is l0, or
-    1 + l0_margin per unit of true l1 mass; c must be in (0,1) at every k."""
+    pmle decoder, by decoding's rules, each pmle knob. The budget is l0,
+    with levels (for the step l0/levels), or 1 + l0_margin per unit of
+    true l1 mass; c must be in (0,1) at every k."""
     def check(key, rule, *args):
         try:
             rule(*args)
@@ -85,13 +86,15 @@ def _check_trial_inputs(cfg) -> None:
     if not set(cfg.decoders) - {"direct"}:
         return
     o = cfg.pmle
-    budget = ("l0", o.l0) if o.l0 is not None else ("l0_margin", 1.0 + o.l0_margin)
-    check("pmle.penalty_mode", CandidateSet, (), 1.0, 1, o.penalty_mode)
-    check("pmle.levels", PmleConfig, 1.0, 1, o.levels, 0.0, ())
-    check("pmle." + budget[0], PmleConfig, budget[1], 1, 1, 0.0, ())
+    check("pmle.penalty_mode", PmleConfig, 1.0, 1, 1, 0.0, o.penalty_mode)
+    check("pmle.levels", PmleConfig, 1.0, 1, o.levels, 0.0)
+    if o.l0 is not None:
+        check("pmle.l0", PmleConfig, o.l0, 1, o.levels, 0.0)
+    else:
+        check("pmle.l0_margin", PmleConfig, 1.0 + o.l0_margin, 1, 1, 0.0)
     for k in cfg.sweep:  # k = 0 or N leaves no whale or no minnow
         check("pmle.gamma" if 0 < k < cfg.n_flows else "sweep",
-              PmleConfig.from_problem, cfg.n_flows, k, 1.0, (), o.gamma)
+              PmleConfig.from_problem, cfg.n_flows, k, 1.0, o.gamma)
 
 
 def _from_keys(cls, d: dict, where: str = ""):
@@ -233,6 +236,8 @@ class ExperimentResult:
 
 
 def _mean_hw(values: np.ndarray) -> tuple[float, float]:
+    """Mean and 95% half-width of the finite values."""
+    values = values[np.isfinite(values)]
     if values.size == 0:
         return math.nan, math.nan
     if values.size == 1:
@@ -252,15 +257,9 @@ def compute_aggregates(rows: list) -> list:
         succ = np.array([1.0 if r.success else 0.0 for r in rs])
         p = float(succ.mean())
         p_hw = 1.96 * math.sqrt(p * (1 - p) / n)
-        rel = np.array([r.rel_l1_error for r in rs])
-        rel = rel[np.isfinite(rel)]
-        ab = np.array([r.abs_l1_error for r in rs])
-        ab = ab[np.isfinite(ab)]
-        t = np.array([r.wall_time_s for r in rs])
-        t = t[np.isfinite(t)]
-        mr, mr_hw = _mean_hw(rel)
-        ma, ma_hw = _mean_hw(ab)
-        mt, mt_hw = _mean_hw(t)
+        mr, mr_hw = _mean_hw(np.array([r.rel_l1_error for r in rs]))
+        ma, ma_hw = _mean_hw(np.array([r.abs_l1_error for r in rs]))
+        mt, mt_hw = _mean_hw(np.array([r.wall_time_s for r in rs]))
         out.append(AggregateRow(
             k=k, decoder=dec, n_trials=n, success_prob=p, success_half_width=p_hw,
             mean_rel_error=mr, rel_half_width=mr_hw, mean_abs_error=ma,

@@ -316,9 +316,33 @@ def load_graph(path) -> BipartiteGraph:
                 break
         else:
             raise ValueError(f"{path}: expected {n} rows of {d} indices, got 0 rows")
-        cols = np.loadtxt(chain([first], f), dtype=np.int32, ndmin=2, comments=None)
+        try:
+            cols = np.loadtxt(chain([first], f), dtype=np.int32, ndmin=2,
+                              comments=None)
+        except ValueError as e:
+            raise ValueError(_bad_row(path, d, e)) from None
     if cols.shape != (n, d):
         raise ValueError(
             f"{path}: expected {n} rows of {d} indices, got shape {cols.shape}"
         )
     return BipartiteGraph(n, m, d, cols, seed)
+
+
+def _bad_row(path, d: int, error: ValueError) -> str:
+    """The refusal of a graph body that np.loadtxt could not read: it names
+    the path and the 1-based line of the first nonblank row that is not d
+    int32 indices, as np.loadtxt reads that row alone. Reads the file again,
+    so only a failed load pays for it."""
+    with open(path) as f:
+        for lineno, line in enumerate(f, 1):
+            if lineno == 1 or not line.strip():
+                continue
+            try:
+                ok = np.loadtxt([line], dtype=np.int32, ndmin=2,
+                                comments=None).shape == (1, d)
+            except ValueError:
+                ok = False
+            if not ok:
+                return (f"{path}: line {lineno} is not a row of {d} int32 "
+                        f"indices: {line.strip()!r}")
+    return f"{path}: {error}"

@@ -72,9 +72,12 @@ class CandidateCountError(ValueError):
     """Raised when an enumeration would exceed the exhaustive guard."""
 
 
-def _check_grid(size_name: str, size, n_levels) -> None:
-    """The one grid rule: the size (l0 or grid_step) is finite and positive,
-    and n_levels is an integer, not a bool or a float, of at least 1."""
+def _check_grid(size_name: str, size, n_levels, penalty_mode) -> None:
+    """The one grid rule: a penalty mode of PENALTY_MODES, the size (l0 or
+    grid_step) finite and positive, and n_levels an integer (not a bool or
+    a float) of at least 1."""
+    if penalty_mode not in PENALTY_MODES:
+        raise ValueError(f"unknown penalty mode {penalty_mode!r}")
     if (not 0 < size < math.inf or isinstance(n_levels, bool)
             or not isinstance(n_levels, numbers.Integral) or n_levels < 1):
         raise ValueError(f"need 0 < {size_name} < inf and an integer n_levels >= 1, "
@@ -83,28 +86,28 @@ def _check_grid(size_name: str, size, n_levels) -> None:
 
 @dataclass(frozen=True)
 class PmleConfig:
-    """Grid geometry and offset for the penalized-MLE objective.
+    """Every setting of the penalized-MLE objective, held to each rule a
+    decode's CandidateSet applies, so a decode refuses before any work.
 
     l0 bounds the l1 mass of every candidate, split into n_levels levels of
     grid_step = l0/n_levels (the paper's delta is grid_step**2). c scales
-    the offset c*l0 on the cover flows, a read-only int64 array.
+    the offset c*l0 on the cover flows, and penalty_mode picks the code
+    lengths (see CandidateSet.pen_of_size).
     """
 
     l0: float
     k: int
     n_levels: int
     c: float
-    cover: np.ndarray
+    penalty_mode: str = DecodeSpec.penalty_mode
 
     def __post_init__(self):
-        _check_grid("l0", self.l0, self.n_levels)
+        _check_grid("l0", self.l0, self.n_levels, self.penalty_mode)
+        _check_grid("grid_step", self.grid_step, self.n_levels, self.penalty_mode)
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if not (0 <= self.c < 1):
             raise ValueError(f"offset coefficient c must be in [0,1), got {self.c}")
-        cover = np.array(self.cover, dtype=np.int64)
-        cover.setflags(write=False)
-        object.__setattr__(self, "cover", cover)
 
     @classmethod
     def from_problem(
@@ -112,9 +115,9 @@ class PmleConfig:
         n_flows: int,
         k: int,
         l0: float,
-        cover: np.ndarray,
         gamma: float = DecodeSpec.gamma,
         levels: int = DecodeSpec.levels,
+        penalty_mode: str = DecodeSpec.penalty_mode,
     ) -> "PmleConfig":
         """Derive c = gamma/(k*ln(N/k)) and the grid from a level count."""
         if not 1 <= k < n_flows:
@@ -122,17 +125,18 @@ class PmleConfig:
         c = gamma / (k * math.log(n_flows / k))
         if not 0 < c < 1:  # so gamma must be positive
             raise ValueError(f"derived c = gamma/(k*ln(N/k)) = {c:.4g} outside (0,1)")
-        return cls(l0=l0, k=k, n_levels=levels, c=c, cover=cover)
+        return cls(l0=l0, k=k, n_levels=levels, c=c, penalty_mode=penalty_mode)
 
     @property
     def grid_step(self) -> float:
         return self.l0 / self.n_levels
 
-    def offset_means(self, g: BipartiteGraph, scale: float) -> np.ndarray:
+    def offset_means(self, g: BipartiteGraph, cover: np.ndarray,
+                     scale: float) -> np.ndarray:
         """Counter means of the offset alone: scale * A @ (c*l0 on the cover
         flows). Each counter adds c*l0 once per incident cover flow, the
         nonzero terms of its row of that product, so the bits agree."""
-        cover = self.cover
+        cover = np.asarray(cover, dtype=np.int64)
         if cover.size and cover.max() >= g.n_left:
             raise ValueError(
                 f"cover flow {int(cover.max())} outside a graph of "
@@ -167,9 +171,7 @@ class CandidateSet:
         u = np.unique(np.asarray(self.universe, dtype=np.int64))
         u.setflags(write=False)
         object.__setattr__(self, "universe", u)
-        if self.penalty_mode not in PENALTY_MODES:
-            raise ValueError(f"unknown penalty mode {self.penalty_mode!r}")
-        _check_grid("grid_step", self.grid_step, self.n_levels)
+        _check_grid("grid_step", self.grid_step, self.n_levels, self.penalty_mode)
         if self.penalty_universe_size is None:
             object.__setattr__(self, "penalty_universe_size", u.size)
         if self.penalty_universe_size < u.size:
@@ -194,19 +196,16 @@ class CandidateSet:
         needs only its first few terms."""
         return self._count_sum(self.universe.size, cap=cap) > cap
 
+    @functools.cached_property
     def _penalty_count(self) -> int:
-        memo = self.__dict__.get("_penalty_count_memo")
-        if memo is None:
-            memo = self._count_sum(self.penalty_universe_size)
-            object.__setattr__(self, "_penalty_count_memo", memo)
-        return memo
+        return self._count_sum(self.penalty_universe_size)
 
     def pen_of_size(self, s: int) -> float:
         """Code length of any candidate with s nonzero entries."""
         if s < 0:
             raise ValueError("support size cannot be negative")
         if self.penalty_mode == "uniform":
-            return math.log(self._penalty_count())
+            return math.log(self._penalty_count)
         u = self.penalty_universe_size
         return (
             s * (math.log(u) + math.log(1 + self.n_levels))
@@ -316,6 +315,7 @@ def pmle_exhaustive(
     g: BipartiteGraph,
     cs: CandidateSet,
     cfg: PmleConfig,
+    cover: np.ndarray,
     scale: float,
 ) -> PmleResult:
     """Exact penalized-MLE argmin by full enumeration of the candidate set.
@@ -333,7 +333,7 @@ def pmle_exhaustive(
     y = checked_counters(y, g)
     if not scale > 0:
         raise ValueError(f"scale must be positive, got {scale}")
-    mu0 = cfg.offset_means(g, scale)
+    mu0 = cfg.offset_means(g, cover, scale)
     return _argmin(y, g, cs, mu0, scale, cs.blocks(), exhaustive=True)
 
 
@@ -703,9 +703,9 @@ def pmle_reduced(
     g: BipartiteGraph,
     loc: WhaleLocalization,
     cfg: PmleConfig,
+    cover: np.ndarray,
     scale: float,
     exhaustive_cap: int = _EXHAUSTIVE_GUARD,
-    penalty_mode: str = DecodeSpec.penalty_mode,
 ) -> PmleResult:
     """Penalized MLE restricted to supports inside the localized set A1.
 
@@ -727,18 +727,16 @@ def pmle_reduced(
         universe=loc.a1,
         grid_step=cfg.grid_step,
         n_levels=cfg.n_levels,
-        penalty_mode=penalty_mode,
+        penalty_mode=cfg.penalty_mode,
         penalty_universe_size=g.n_left,
     )
     if loc.a1.size == 0 or not cs.count_exceeds(exhaustive_cap):
-        res = pmle_exhaustive(y, g, cs, cfg, scale)
-        res.localization = loc
-        return res
-
-    mu0 = cfg.offset_means(g, scale)
-    solve = sparse_poisson_solve(y, g, loc.a1, scale, mu_base=mu0)
-    s_max = min(loc.a1.size, cs.n_levels, max(2 * cfg.k, 32))
-    block = _l0_path(solve.theta, loc.a1, cs.grid_step, cs.n_levels, s_max)
-    res = _argmin(y, g, cs, mu0, scale, [block], exhaustive=False)
+        res = pmle_exhaustive(y, g, cs, cfg, cover, scale)
+    else:
+        mu0 = cfg.offset_means(g, cover, scale)
+        solve = sparse_poisson_solve(y, g, loc.a1, scale, mu_base=mu0)
+        s_max = min(loc.a1.size, cs.n_levels, max(2 * cfg.k, 32))
+        block = _l0_path(solve.theta, loc.a1, cs.grid_step, cs.n_levels, s_max)
+        res = _argmin(y, g, cs, mu0, scale, [block], exhaustive=False)
     res.localization = loc
     return res

@@ -100,11 +100,11 @@ def check_heavy_tail(rates: np.ndarray, params: HeavyTailParams) -> HeavyTailChe
     return HeavyTailCheck(ok=True, first_violation=None)
 
 
-def offset_rates(cfg, n_flows: int) -> np.ndarray:
-    """The additive rate offset c*l0 of a PmleConfig on its cover flows,
+def offset_rates(cfg, cover: np.ndarray, n_flows: int) -> np.ndarray:
+    """The additive rate offset c*l0 of a PmleConfig on the cover flows,
     zero elsewhere."""
     on_cover = np.zeros(n_flows)
-    on_cover[cfg.cover] = 1.0
+    on_cover[cover] = 1.0
     return cfg.c * cfg.l0 * on_cover
 
 

@@ -213,17 +213,17 @@ def test_ac7_oracle_equivalence():
                          seed=stable_seed(ts, "st"))
         run_epochs(st, 60)
         cfg = dataclasses.replace(
-            PmleConfig.from_problem(12, 2, l0=2.5, cover=cover, levels=5), c=0.01)
+            PmleConfig.from_problem(12, 2, l0=2.5, levels=5), c=0.01)
         cs = CandidateSet(universe=np.arange(12), grid_step=cfg.grid_step,
                           n_levels=cfg.n_levels)
-        full = pmle_exhaustive(st.y, g, cs, cfg, 60.0)
+        full = pmle_exhaustive(st.y, g, cs, cfg, cover, 60.0)
         loc = localize_whales(st.y, g, 2)
         if not np.isin(truth.whale_support, loc.a1).all():
             continue
         if full.support and not np.isin(np.array(full.support), loc.a1).all():
             continue
         qualified += 1
-        red = pmle_reduced(st.y, g, loc, cfg, 60.0)
+        red = pmle_reduced(st.y, g, loc, cfg, cover, 60.0)
         matched += red.support == full.support and red.levels == full.levels
     ok = qualified == 100 and matched == 100
     assert record_gate(
@@ -241,14 +241,13 @@ def test_ac8_speed_separation():
                                   minnow_dist=TINY, seed=stable_seed(ts, "s")))
         st = StreamState(graph=g, rates=rv, tau=1.0, seed=stable_seed(ts, "st"))
         run_epochs(st, 40)
-        cfg = PmleConfig.from_problem(5000, 10, l0=1.25 * rv.l1(), cover=cover,
-                                      levels=64)
+        cfg = PmleConfig.from_problem(5000, 10, l0=1.25 * rv.l1(), levels=64)
         t0 = time.perf_counter()
         direct_estimate(basis_pursuit(g, st.y), 40, 1.0)
         t_direct.append(time.perf_counter() - t0)
         t0 = time.perf_counter()
         loc = localize_whales(st.y, g, 10)
-        pmle_reduced(st.y, g, loc, cfg, 40.0)
+        pmle_reduced(st.y, g, loc, cfg, cover, 40.0)
         t_reduced.append(time.perf_counter() - t0)
     md, mr = float(np.mean(t_direct)), float(np.mean(t_reduced))
     ratio = mr / md

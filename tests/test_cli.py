@@ -270,13 +270,19 @@ def test_graph_header_is_checked_before_its_rows(tmp_path, capsys, text, message
     assert "UserWarning" not in err
 
 
-@pytest.mark.parametrize("text", [
-    "3 20 4 0\n# a comment\n",
-    "3 20 4 0\n0 1 2 3 # c\n4 5 6 7\n8 9 10 11\n",
-    "3 20 4 0\n0 1 2 3\n# a comment\n4 5 6 7\n8 9 10 11\n",
-], ids=["only-a-comment", "row-ending-in-a-comment", "comment-line"])
-def test_graph_file_comments_are_refused(tmp_path, capsys, text):
-    # save_graph writes none, and numpy would skip them or warn on them
+@pytest.mark.parametrize("text,line", [
+    ("3 20 4 0\n# a comment\n", 2),
+    ("3 20 4 0\n0 1 2 3 # c\n4 5 6 7\n8 9 10 11\n", 2),
+    ("3 20 4 0\n0 1 2 3\n# a comment\n4 5 6 7\n8 9 10 11\n", 3),
+    # numpy would name "row 1, column 2": it counts rows from the first
+    # nonblank body line and skips blank ones
+    ("3 20 4 0\n0 1 2 3\n\n4 x 6 7\n8 9 10 11\n", 4),
+    ("3 20 4 0\n0 1 2 3\n4 5 6\n8 9 10 11\n", 3),
+], ids=["only-a-comment", "row-ending-in-a-comment", "comment-line",
+        "bad-token-after-a-blank-line", "short-row"])
+def test_graph_file_comments_are_refused(tmp_path, capsys, text, line):
+    # save_graph writes none, and numpy would skip them or warn on them; a
+    # row that does not parse is refused naming the file and its line
     g_path = tmp_path / "g.txt"
     g_path.write_text(text)
     with warnings.catch_warnings():
@@ -285,7 +291,9 @@ def test_graph_file_comments_are_refused(tmp_path, capsys, text):
                    "--epsilon", "0.5"])
     assert rc == 1
     err = capsys.readouterr().err
-    assert err.startswith("invalid input: ") and "UserWarning" not in err
+    assert err.startswith(f"invalid input: {g_path}: line {line} is not a row "
+                          "of 4 int32 indices: ")
+    assert "UserWarning" not in err
 
 
 def test_recover_bad_counter_header_is_usage_error(graph_file, tmp_path):
@@ -383,6 +391,61 @@ def test_recover_bad_epochs_or_tau_fails_before_decoding(
     assert not est_path.exists()
 
 
+# pmle settings that PmleConfig refuses, as edits of recover_argv's k=2,
+# l0=8.0, levels=8 on the 50-flow graph_file, with the start of each
+# refusal; recover's parser itself refuses the library-only ones
+BAD_PMLE = [
+    pytest.param({"l0": math.inf}, "need 0 < l0 < inf", id="l0-inf"),
+    pytest.param({"l0": 0.0}, "need 0 < l0 < inf", id="l0-0"),
+    pytest.param({"l0": 1e-320, "levels": 10**6}, "need 0 < grid_step < inf",
+                 id="l0-1e-320-levels-1e6"),
+    pytest.param({"levels": 0}, "need 0 < l0 < inf", id="levels-0"),
+    pytest.param({"levels": 2.5}, "need 0 < l0 < inf", id="levels-2.5"),
+    pytest.param({"k": 0}, "need 1 <= k < n_flows", id="k-0"),
+    pytest.param({"k": 50}, "need 1 <= k < n_flows", id="k-N"),
+    pytest.param({"gamma": 0.0}, "derived c = gamma/(k*ln(N/k)) = 0 ", id="gamma-0"),
+    pytest.param({"gamma": 10.0}, "derived c = gamma/(k*ln(N/k)) = 1.553 ",
+                 id="gamma-c-above-1"),
+    pytest.param({"penalty_mode": "huffman"}, "unknown penalty mode 'huffman'",
+                 id="penalty-huffman"),
+]
+LIBRARY_ONLY = ("levels-2.5", "penalty-huffman")
+
+
+@pytest.mark.parametrize("decoder", ["pmle-exhaustive", "pmle-reduced"])
+@pytest.mark.parametrize("via,edit,message", [
+    pytest.param(via, *case.values, id=f"{via}-{case.id}")
+    for case in BAD_PMLE for via in ("decode", "recover")
+    if via == "decode" or case.id not in LIBRARY_ONLY
+])
+def test_refused_pmle_settings_do_no_work(graph_file, counters_file, tmp_path,
+                                          capsys, monkeypatch, via, decoder,
+                                          edit, message):
+    def never(*args, **kwargs):
+        raise AssertionError("a cover or a solver ran on refused pmle settings")
+
+    for module, name in ((graph, "greedy_cover"), (pmle, "localize_whales"),
+                         (pmle, "pmle_reduced"), (pmle, "pmle_exhaustive"),
+                         (pmle, "sparse_poisson_solve")):
+        monkeypatch.setattr(module, name, never)
+    if via == "decode":
+        g = graph.load_graph(graph_file)
+        y = _read_counters_csv(counters_file, g.n_right)
+        spec = DecodeSpec(decoder, **{"k": 2, "l0": 8.0, "levels": 8, **edit})
+        with pytest.raises(ValueError) as got:
+            decode(g, y, 30, 1.0, spec)
+        assert str(got.value).startswith(message)
+        return
+    est_path = tmp_path / "est.csv"
+    argv = recover_argv(graph_file, counters_file, est_path, decoder)
+    for key, value in edit.items():  # the last flag given wins
+        argv += [f"--{key.replace('_', '-')}", str(value)]
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith(f"invalid input: {message}")
+    assert not est_path.exists()
+
+
 # (epochs, tau) windows that every boundary refuses, with its least epoch
 # count 0 or 1; (0, 1.0) is refused where the least is 1
 BAD_WINDOWS = [(-1, 1.0), (3, 0.0), (3, -1.5), (3, math.nan), (3, math.inf),
@@ -453,6 +516,15 @@ def test_every_window_boundary_refuses_alike(graph_file, counters_file, tmp_path
     assert refuse(ctx, epochs, tau) == (f"need epochs >= {least} and 0 < tau < inf, "
                                         f"got epochs={epochs}, tau={tau}")
     assert not ctx.out.exists()
+
+
+def test_main_builds_its_parser_once_per_process(graph_file, capsys):
+    cli._build_parser.cache_clear()
+    assert main(["verify-expander", "--graph", str(graph_file), "--k", "1",
+                 "--epsilon", "0.5"]) == 0
+    assert main(["plot-data"]) == 1  # a usage error reads the same parser
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def test_recover_reads_crlf_and_lf_counters(graph_file, counters_file, tmp_path):
@@ -779,13 +851,16 @@ def test_sweep_config_tau_not_finite_is_invalid_input(tmp_path, capsys, tau):
     ("levels", 0), ("penalty_mode", "huffman"), ("gamma", -1),
     ("gamma", 50),  # c = 50/(2 ln 100) = 5.43
     ("l0", -3), ("l0", math.inf), ("l0_margin", -1.5),
+    # each knob passes alone, but the grid step l0/levels underflows to 0
+    pytest.param("l0", {"l0": 1e-320, "levels": 1000000},
+                 id="l0-1e-320-levels-1000000"),
 ])
 def test_sweep_config_pmle_knob_failing_every_trial_is_invalid_input(
         tmp_path, capsys, key, value):
     def edit(d):
         d.update(n_flows=200, n_counters=60, degree=6, sweep=[2],
                  decoders=["direct", "pmle-reduced"])
-        d["pmle"][key] = value
+        d["pmle"].update(value if isinstance(value, dict) else {key: value})
     assert sweep_with_edited_config(tmp_path, edit) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"invalid input: key 'pmle.{key}': ")

@@ -16,6 +16,7 @@ from flowsketch import (
     KRAFT_CONSTANT,
     CandidateCountError,
     CandidateSet,
+    DecodeSpec,
     Dist,
     PmleConfig,
     SignalSpec,
@@ -194,25 +195,31 @@ def test_nll_stationarity():
 def test_pmle_config_validation():
     cover = greedy_cover(hexad_graph())
     with pytest.raises(ValueError):
-        PmleConfig(l0=0.0, k=1, n_levels=4, c=0.1, cover=cover)
+        PmleConfig(l0=0.0, k=1, n_levels=4, c=0.1)
     for l0, n_levels in [(math.inf, 4), (4.0, 2.5), (4.0, True)]:
         with pytest.raises(ValueError, match="need 0 < l0 < inf and an integer"):
-            PmleConfig(l0=l0, k=1, n_levels=n_levels, c=0.1, cover=cover)
+            PmleConfig(l0=l0, k=1, n_levels=n_levels, c=0.1)
+    # l0 passes on its own, but its grid step l0/n_levels underflows to 0
+    with pytest.raises(ValueError, match="need 0 < grid_step < inf and an integer"):
+        PmleConfig(l0=1e-320, k=1, n_levels=10**6, c=0.1)
+    with pytest.raises(ValueError, match="unknown penalty mode 'huffman'"):
+        PmleConfig(l0=4.0, k=1, n_levels=4, c=0.1, penalty_mode="huffman")
     with pytest.raises(ValueError):
-        PmleConfig(l0=4.0, k=0, n_levels=4, c=0.1, cover=cover)
+        PmleConfig(l0=4.0, k=0, n_levels=4, c=0.1)
     with pytest.raises(ValueError):
-        PmleConfig(l0=4.0, k=1, n_levels=0, c=0.1, cover=cover)
+        PmleConfig(l0=4.0, k=1, n_levels=0, c=0.1)
     with pytest.raises(ValueError):
-        PmleConfig(l0=4.0, k=1, n_levels=4, c=1.0, cover=cover)
-    cfg = PmleConfig.from_problem(6, 2, 4.0, cover, gamma=0.5, levels=4)
+        PmleConfig(l0=4.0, k=1, n_levels=4, c=1.0)
+    cfg = PmleConfig.from_problem(6, 2, 4.0, gamma=0.5, levels=4)
     assert cfg.grid_step == 1.0 and cfg.n_levels == 4
+    assert cfg.penalty_mode == DecodeSpec.penalty_mode
     assert abs(cfg.c - 0.5 / (2 * math.log(3))) < 1e-12
     with pytest.raises(ValueError):
-        PmleConfig.from_problem(6, 6, 4.0, cover)  # k = N
+        PmleConfig.from_problem(6, 6, 4.0)  # k = N
     with pytest.raises(ValueError):
-        PmleConfig.from_problem(6, 2, 4.0, cover, gamma=4.0)  # c >= 1
+        PmleConfig.from_problem(6, 2, 4.0, gamma=4.0)  # c >= 1
     with pytest.raises(ValueError):  # cover flow 5 is not in a 5-flow graph
-        cfg.offset_means(build_random_expander(5, 4, 2, seed=0), 1.0)
+        cfg.offset_means(build_random_expander(5, 4, 2, seed=0), cover, 1.0)
 
 
 # ---------------------------------------------------------------- candidates
@@ -241,7 +248,7 @@ def test_grid_step_is_the_step_that_delta_held(l0, levels):
     # the grid used to be stored as delta = step**2 and read back by sqrt;
     # the square root of a rounded square gives the step back exactly while
     # the square neither underflows nor overflows, as on these steps
-    cfg = PmleConfig.from_problem(100, 1, l0, np.array([0]), levels=levels)
+    cfg = PmleConfig.from_problem(100, 1, l0, levels=levels)
     assert cfg.n_levels == levels
     assert cfg.grid_step.hex() == math.sqrt((l0 / levels) ** 2).hex()
 
@@ -349,19 +356,19 @@ def _hexad_problem(c=0.0, gamma=0.5):
     scale = 5.0
     y = scale * apply_adjacency(g, truth)
     if c == 0.0:
-        cfg = PmleConfig(l0=4.0, k=2, n_levels=4, c=0.0, cover=cover)
+        cfg = PmleConfig(l0=4.0, k=2, n_levels=4, c=0.0)
     else:
-        cfg = PmleConfig.from_problem(6, 2, 4.0, cover, gamma=gamma, levels=4)
+        cfg = PmleConfig.from_problem(6, 2, 4.0, gamma=gamma, levels=4)
     cs = CandidateSet(universe=np.arange(6), grid_step=1.0, n_levels=4,
                       penalty_mode="uniform")
-    return g, cfg, cs, truth, y, scale
+    return g, cover, cfg, cs, truth, y, scale
 
 
 def test_exhaustive_noiseless_uniform():
     # injective instance: counter 3 is empty so flows 2,4,5 are pinned to
     # zero and the remaining 3x3 system is invertible; argmin is the truth
-    g, cfg, cs, truth, y, scale = _hexad_problem(c=0.0)
-    res = pmle_exhaustive(y, g, cs, cfg, scale)
+    g, cover, cfg, cs, truth, y, scale = _hexad_problem(c=0.0)
+    res = pmle_exhaustive(y, g, cs, cfg, cover, scale)
     assert res.support == (0, 3) and res.levels == (2, 1)
     assert np.array_equal(res.rates, truth)
     assert res.exhaustive and res.n_evaluated == candidate_count(cs)
@@ -369,47 +376,47 @@ def test_exhaustive_noiseless_uniform():
 
 def test_exhaustive_offset_perturbation():
     # with c > 0 the offset shifts the optimum by at most one grid step
-    g, cfg, cs, truth, y, scale = _hexad_problem(c=None or 0.22)
-    res = pmle_exhaustive(y, g, cs, cfg, scale)
+    g, cover, cfg, cs, truth, y, scale = _hexad_problem(c=None or 0.22)
+    res = pmle_exhaustive(y, g, cs, cfg, cover, scale)
     assert np.abs(res.rates - truth).max() <= cfg.grid_step + 1e-12
 
 
 def test_exhaustive_singleton_universe():
     g = hexad_graph()
     cover = greedy_cover(g)
-    cfg = PmleConfig(l0=3.0, k=1, n_levels=3, c=0.0, cover=cover)
+    cfg = PmleConfig(l0=3.0, k=1, n_levels=3, c=0.0)
     cs = CandidateSet(universe=np.array([2]), grid_step=1.0, n_levels=3,
                       penalty_mode="uniform")
     truth = np.zeros(6)
     truth[2] = 2.0
     y = 4.0 * apply_adjacency(g, truth)
-    res = pmle_exhaustive(y, g, cs, cfg, 4.0)
+    res = pmle_exhaustive(y, g, cs, cfg, cover, 4.0)
     assert res.support == (2,) and res.levels == (2,)
 
 
 def test_exhaustive_guard():
     g = build_random_expander(5000, 800, 8, seed=1)
     cover = greedy_cover(g)
-    cfg = PmleConfig.from_problem(5000, 10, 64.0, cover, levels=64)
+    cfg = PmleConfig.from_problem(5000, 10, 64.0, levels=64)
     cs = CandidateSet(universe=np.arange(5000), grid_step=cfg.grid_step,
                       n_levels=cfg.n_levels)
     with pytest.raises(CandidateCountError):
-        pmle_exhaustive(np.zeros(800), g, cs, cfg, 1.0)
+        pmle_exhaustive(np.zeros(800), g, cs, cfg, cover, 1.0)
 
 
 def test_scale_equivariance_uniform():
     # integer rescale of (y, scale) preserves the argmin candidate
-    g, cfg, cs, truth, y, scale = _hexad_problem(c=0.22)
-    base = pmle_exhaustive(y, g, cs, cfg, scale)
+    g, cover, cfg, cs, truth, y, scale = _hexad_problem(c=0.22)
+    base = pmle_exhaustive(y, g, cs, cfg, cover, scale)
     for factor in (2, 3, 7):
-        res = pmle_exhaustive(factor * y, g, cs, cfg, factor * scale)
+        res = pmle_exhaustive(factor * y, g, cs, cfg, cover, factor * scale)
         assert res.support == base.support and res.levels == base.levels
 
 
 def test_offset_positivity():
     g, cover, _ = build_graph_with_cover(200, 40, 4, seed=12)
-    cfg = PmleConfig.from_problem(200, 3, 8.0, cover, levels=16)
-    mu0 = cfg.offset_means(g, 1.0)  # any candidate only adds to this
+    cfg = PmleConfig.from_problem(200, 3, 8.0, levels=16)
+    mu0 = cfg.offset_means(g, cover, 1.0)  # any candidate only adds to this
     floor = cfg.c * cfg.l0 / g.d
     assert (mu0 / g.d >= floor - 1e-12).all()
 
@@ -429,20 +436,20 @@ def test_offset_means_match_csr_product(data):
     step = data.draw(st.sampled_from([0.3, 0.5, 1.0, 2.5]))
     levels = data.draw(st.integers(1, 64))
     cfg = PmleConfig(l0=levels * step, k=1, n_levels=levels,
-                     c=data.draw(st.floats(0.0, 0.99)),
-                     cover=np.array(members, dtype=np.int64))
+                     c=data.draw(st.floats(0.0, 0.99)))
+    cover = np.array(members, dtype=np.int64)
     scale = data.draw(st.sampled_from([0.1, 1.0, 3.0, 40.0]))
-    want = scale * apply_adjacency(g, offset_rates(cfg, g.n_left))
-    assert cfg.offset_means(g, scale).tobytes() == want.tobytes()
+    want = scale * apply_adjacency(g, offset_rates(cfg, cover, g.n_left))
+    assert cfg.offset_means(g, cover, scale).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("n, m, d", [(5000, 800, 8), (20000, 2500, 10)])
 def test_offset_means_match_csr_product_greedy_cover(n, m, d):
     g, cover, _ = build_graph_with_cover(n, m, d, stable_seed(n, "offset"))
-    cfg = PmleConfig.from_problem(n, 10, 12.5, cover, levels=64)
+    cfg = PmleConfig.from_problem(n, 10, 12.5, levels=64)
     for scale in (1.0, 40.0):
-        want = scale * apply_adjacency(g, offset_rates(cfg, n))
-        assert cfg.offset_means(g, scale).tobytes() == want.tobytes()
+        want = scale * apply_adjacency(g, offset_rates(cfg, cover, n))
+        assert cfg.offset_means(g, cover, scale).tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------- solver
@@ -606,10 +613,9 @@ def test_sparse_solve_matches_full_counter_oracle_5k(k):
                               seed=stable_seed(ts, "s")))
     st_ = StreamState(graph=g, rates=rv, tau=1.0, seed=stable_seed(ts, "st"))
     run_epochs(st_, 40)
-    cfg = PmleConfig.from_problem(5000, k, l0=1.25 * rv.l1(), cover=cover,
-                                  levels=64)
+    cfg = PmleConfig.from_problem(5000, k, l0=1.25 * rv.l1(), levels=64)
     a1 = localize_whales(st_.y, g, k).a1
-    mu0 = cfg.offset_means(g, 40.0)
+    mu0 = cfg.offset_means(g, cover, 40.0)
     want = sparse_poisson_solve_full(st_.y, g, a1, 40.0, mu_base=mu0)
     got = sparse_poisson_solve(st_.y, g, a1, 40.0, mu_base=mu0)
     _assert_same_solve(got, want, st_.y, g, a1, 40.0, mu0)
@@ -657,11 +663,10 @@ def test_reduced_path_levels_within_budget_below_fitted_mass(small_expander):
     scale = 50.0
     y = scale * apply_adjacency(g, truth)
     loc = localize_whales(y, g, 2)
-    cfg = PmleConfig.from_problem(g.n_left, 2, 2.0, greedy_cover(g),
-                                  gamma=0.1, levels=4)
+    cfg = PmleConfig.from_problem(g.n_left, 2, 2.0, gamma=0.1, levels=4)
     with mock.patch.object(pmle_module, "_grid_project",
                            wraps=pmle_module._grid_project) as proj:
-        res = pmle_reduced(y, g, loc, cfg, scale, exhaustive_cap=0)
+        res = pmle_reduced(y, g, loc, cfg, greedy_cover(g), scale, exhaustive_cap=0)
     assert not res.exhaustive
     assert any(np.clip(np.rint(v / step), 0, budget).sum() > budget
                for v, step, budget in (c.args for c in proj.call_args_list))
@@ -678,19 +683,18 @@ def test_reduced_empty_a1_warns():
     # continuous solve, even with exhaustive_cap=0
     g = hexad_graph()
     cover = greedy_cover(g)
-    cfg = PmleConfig(l0=4.0, k=1, n_levels=4, c=0.1, cover=cover)
     loc = WhaleLocalization(a1=np.empty(0, dtype=np.int64))
     y, scale = np.ones(4), 1.0
     for penalty_mode in ("l0-scaled", "uniform"):
+        cfg = PmleConfig(l0=4.0, k=1, n_levels=4, c=0.1, penalty_mode=penalty_mode)
         cs_full = CandidateSet(universe=np.arange(g.n_left),
                                grid_step=cfg.grid_step, n_levels=cfg.n_levels,
                                penalty_mode=penalty_mode)
-        want = (neg_log_likelihood(offset_rates(cfg, g.n_left), g, y, scale)
+        want = (neg_log_likelihood(offset_rates(cfg, cover, g.n_left), g, y, scale)
                 + 2.0 * cs_full.pen_of_size(0))
         for cap in (10**6, 0):
             with pytest.warns(UserWarning):
-                res = pmle_reduced(y, g, loc, cfg, scale, exhaustive_cap=cap,
-                                   penalty_mode=penalty_mode)
+                res = pmle_reduced(y, g, loc, cfg, cover, scale, exhaustive_cap=cap)
             assert not res.rates.any() and res.support == ()
             assert res.objective == want
             assert res.n_evaluated == 1 and res.exhaustive
@@ -709,8 +713,8 @@ def test_reduced_path_branch_exact_recovery(small_expander):
     assert np.isin([11, 37], loc.a1).all()
     cover = greedy_cover(g)
     # gamma keeps the offset mass c*l0 well under the smallest whale
-    cfg = PmleConfig.from_problem(g.n_left, 2, 8.0, cover, gamma=0.1, levels=8)
-    res = pmle_reduced(y, g, loc, cfg, scale, exhaustive_cap=0)
+    cfg = PmleConfig.from_problem(g.n_left, 2, 8.0, gamma=0.1, levels=8)
+    res = pmle_reduced(y, g, loc, cfg, cover, scale, exhaustive_cap=0)
     assert not res.exhaustive
     assert np.array_equal(res.rates, truth)
     assert np.isin(np.array(res.support), loc.a1).all()
@@ -739,17 +743,17 @@ def test_reduced_matches_exhaustive_small():
                          seed=stable_seed(ts, "st"))
         run_epochs(st, 60)
         cfg = dataclasses.replace(
-            PmleConfig.from_problem(12, 2, l0=2.5, cover=cover, levels=5), c=0.01)
+            PmleConfig.from_problem(12, 2, l0=2.5, levels=5), c=0.01)
         cs = CandidateSet(universe=np.arange(12), grid_step=cfg.grid_step,
                           n_levels=cfg.n_levels)
-        full = pmle_exhaustive(st.y, g, cs, cfg, 60.0)
+        full = pmle_exhaustive(st.y, g, cs, cfg, cover, 60.0)
         loc = localize_whales(st.y, g, 2)
         if not np.isin(truth.whale_support, loc.a1).all():
             continue
         if full.support and not np.isin(np.array(full.support), loc.a1).all():
             continue
         qualified += 1
-        red = pmle_reduced(st.y, g, loc, cfg, 60.0)
+        red = pmle_reduced(st.y, g, loc, cfg, cover, 60.0)
         if red.support == full.support and red.levels == full.levels:
             matched += 1
         assert not red.support or np.isin(np.array(red.support), loc.a1).all()
@@ -799,18 +803,17 @@ def _check_against_scalar(columns, n_right, universe, n_levels, step, scale,
                        d=columns.shape[1], columns=columns, seed=0)
     cover = np.array(sorted(cover_members), dtype=np.int64)
     cfg = PmleConfig(l0=n_levels * step, k=1, n_levels=n_levels,
-                     c=c, cover=cover)
+                     c=c, penalty_mode=penalty_mode)
     cs = CandidateSet(universe=np.array(sorted(universe), dtype=np.int64),
                       grid_step=step, n_levels=n_levels,
                       penalty_mode=penalty_mode, penalty_universe_size=g.n_left)
     y = np.array(y, dtype=np.float64)
-    full = assert_matches_scalar(lambda: pmle_exhaustive(y, g, cs, cfg, scale))
+    full = assert_matches_scalar(lambda: pmle_exhaustive(y, g, cs, cfg, cover, scale))
     assert full.n_evaluated == candidate_count(cs)
     a1 = cs.universe
     loc = WhaleLocalization(a1=a1)
-    assert_matches_scalar(lambda: pmle_reduced(y, g, loc, cfg, scale,
-                                               exhaustive_cap=0,
-                                               penalty_mode=penalty_mode))
+    assert_matches_scalar(lambda: pmle_reduced(y, g, loc, cfg, cover, scale,
+                                               exhaustive_cap=0))
     return full
 
 
@@ -890,11 +893,11 @@ def test_table_screen_rounding_tie():
     # rounding tolerance never rescores flow 0 and returns flow 1.
     g = BipartiteGraph(n_left=2, n_right=6, d=3, seed=0,
                        columns=np.array([[0, 2, 4], [1, 3, 5]], dtype=np.int32))
-    cfg = PmleConfig(l0=5.0, k=1, n_levels=2, c=0.013, cover=np.array([0, 1]))
+    cfg = PmleConfig(l0=5.0, k=1, n_levels=2, c=0.013)
     cs = CandidateSet(universe=np.array([0, 1]), grid_step=2.5, n_levels=2,
                       penalty_mode="uniform", penalty_universe_size=2)
     y = np.array([16.0, 6.0, 16.0, 16.0, 6.0, 16.0])
-    mu0 = cfg.offset_means(g, 3.0)
+    mu0 = cfg.offset_means(g, np.array([0, 1]), 3.0)
     blocks = [((0, 1), np.array([[0, 0], [1, 0], [2, 0], [0, 1], [0, 2]]))]
     got = pmle_module._argmin(y, g, cs, mu0, 3.0, blocks, exhaustive=False)
     want = _scalar_argmin(y, g, cs, mu0, 3.0, blocks, exhaustive=False)
@@ -911,10 +914,9 @@ def test_batched_scoring_matches_scalar_oracle_5k(seed):
                                  seed=stable_seed(seed, "s")))
     st_ = StreamState(graph=g, rates=truth, tau=1.0, seed=stable_seed(seed, "st"))
     run_epochs(st_, 40)
-    cfg = PmleConfig.from_problem(5000, 3, l0=1.25 * truth.l1(), cover=cover,
-                                  levels=64)
+    cfg = PmleConfig.from_problem(5000, 3, l0=1.25 * truth.l1(), levels=64)
     loc = localize_whales(st_.y, g, 3)
-    res = assert_matches_scalar(lambda: pmle_reduced(st_.y, g, loc, cfg, 40.0))
+    res = assert_matches_scalar(lambda: pmle_reduced(st_.y, g, loc, cfg, cover, 40.0))
     assert res.exhaustive and res.n_evaluated == 47_905
 
 
@@ -984,12 +986,12 @@ def test_exhaustive_scoring_memory_is_chunked():
     truth = np.zeros(40)
     truth[[3, 30]] = 2.0
     y = 40.0 * apply_adjacency(g, truth)
-    cfg = PmleConfig.from_problem(40, 2, 8.0, cover, gamma=0.05, levels=64)
+    cfg = PmleConfig.from_problem(40, 2, 8.0, gamma=0.05, levels=64)
     cs = CandidateSet(universe=np.array([3, 9, 17, 30]), grid_step=cfg.grid_step,
                       n_levels=cfg.n_levels, penalty_universe_size=40)
     tracemalloc.start()
     try:
-        res = pmle_exhaustive(y, g, cs, cfg, 40.0)
+        res = pmle_exhaustive(y, g, cs, cfg, cover, 40.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
