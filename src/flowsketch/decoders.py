@@ -25,7 +25,7 @@ __all__ = ["DECODERS", "PENALTY_MODES", "DecodeSpec", "Decoded",
 
 DECODERS = ("direct", "pmle-exhaustive", "pmle-reduced")
 
-# code lengths a pmle CandidateSet charges (see CandidateSet.pen_of_size)
+# the code lengths PmleConfig accepts and CandidateSet.pen_of_size charges
 PENALTY_MODES = ("l0-scaled", "uniform")
 
 
@@ -75,8 +75,10 @@ def decode(
     cover is the greedy cover of g, its sorted flows; the pmle decoders
     compute it when it is not given. Raises ValueError, before any cover
     or solver runs, unless y passes `pmle.checked_counters`, then (epochs,
-    tau) `stream.check_window`, then a pmle spec `PmleConfig.from_problem`;
-    and lp.NumericalError when basis pursuit finds y unreachable.
+    tau) `stream.check_window`, then a pmle spec `PmleConfig.from_problem`,
+    then, for pmle-exhaustive, the exhaustive guard
+    `CandidateSet.check_exhaustive` (a CandidateCountError); and
+    lp.NumericalError when basis pursuit finds y unreachable.
     """
     from . import lp, pmle
     from .stream import check_window
@@ -92,15 +94,14 @@ def decode(
         n_flows=g.n_left, k=spec.k, l0=spec.l0, gamma=spec.gamma,
         levels=spec.levels, penalty_mode=spec.penalty_mode,
     )
+    if spec.decoder == "pmle-exhaustive":
+        cs = pmle.CandidateSet(cfg, np.arange(g.n_left), g.n_left)
+        cs.check_exhaustive()
     if cover is None:
         cover = graph.greedy_cover(g)
     scale = epochs * tau
     if spec.decoder == "pmle-exhaustive":
-        cs = pmle.CandidateSet(
-            universe=np.arange(g.n_left), grid_step=cfg.grid_step,
-            n_levels=cfg.n_levels, penalty_mode=cfg.penalty_mode,
-        )
-        res = pmle.pmle_exhaustive(y, g, cs, cfg, cover, scale)
+        res = pmle.pmle_exhaustive(y, g, cs, cover, scale)
     else:
         loc = pmle.localize_whales(y, g, spec.k)
         res = pmle.pmle_reduced(y, g, loc, cfg, cover, scale)

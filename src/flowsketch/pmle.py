@@ -72,22 +72,11 @@ class CandidateCountError(ValueError):
     """Raised when an enumeration would exceed the exhaustive guard."""
 
 
-def _check_grid(size_name: str, size, n_levels, penalty_mode) -> None:
-    """The one grid rule: a penalty mode of PENALTY_MODES, the size (l0 or
-    grid_step) finite and positive, and n_levels an integer (not a bool or
-    a float) of at least 1."""
-    if penalty_mode not in PENALTY_MODES:
-        raise ValueError(f"unknown penalty mode {penalty_mode!r}")
-    if (not 0 < size < math.inf or isinstance(n_levels, bool)
-            or not isinstance(n_levels, numbers.Integral) or n_levels < 1):
-        raise ValueError(f"need 0 < {size_name} < inf and an integer n_levels >= 1, "
-                         f"got {size_name}={size}, n_levels={n_levels!r}")
-
-
 @dataclass(frozen=True)
 class PmleConfig:
-    """Every setting of the penalized-MLE objective, held to each rule a
-    decode's CandidateSet applies, so a decode refuses before any work.
+    """Every setting of the penalized-MLE objective, each held to its rule
+    here, so a decode refuses before any work. It is the one record of the
+    candidate grid and the penalty mode, which a CandidateSet reads.
 
     l0 bounds the l1 mass of every candidate, split into n_levels levels of
     grid_step = l0/n_levels (the paper's delta is grid_step**2). c scales
@@ -102,10 +91,21 @@ class PmleConfig:
     penalty_mode: str = DecodeSpec.penalty_mode
 
     def __post_init__(self):
-        _check_grid("l0", self.l0, self.n_levels, self.penalty_mode)
-        _check_grid("grid_step", self.grid_step, self.n_levels, self.penalty_mode)
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
+        if self.penalty_mode not in PENALTY_MODES:
+            raise ValueError(f"unknown penalty mode {self.penalty_mode!r}")
+        n = self.n_levels
+        for name in ("l0", "grid_step"):  # the grid rule; l0 first
+            try:
+                size = getattr(self, name)
+            except OverflowError:  # l0 or n_levels past the float range
+                size = math.nan
+            if (not 0 < size < math.inf or isinstance(n, bool)
+                    or not isinstance(n, numbers.Integral) or n < 1):
+                raise ValueError(f"need 0 < {name} < inf and an integer n_levels >= 1, "
+                                 f"got {name}={size}, n_levels={n!r}")
+        if (isinstance(self.k, bool) or not isinstance(self.k, numbers.Integral)
+                or self.k < 1):
+            raise ValueError(f"k must be an integer >= 1, got {self.k!r}")
         if not (0 <= self.c < 1):
             raise ValueError(f"offset coefficient c must be in [0,1), got {self.c}")
 
@@ -149,32 +149,28 @@ class PmleConfig:
 
 @dataclass(frozen=True)
 class CandidateSet:
-    """Lazy family of grid rate vectors with a Kraft code length.
+    """Lazy family of grid rate vectors with a Kraft code length, on the
+    grid and penalty mode of cfg.
 
     Candidates are the vectors supported in `universe` whose nonzero
     entries are m*grid_step for integer levels 1 <= m <= n_levels summing
     to at most n_levels (that is ||lam||_1 <= l0). Never materialized:
     enumeration is a generator and the size comes from a counting formula.
 
-    penalty_universe_size decouples the code length from the enumeration
-    universe: a set restricted to A1 keeps the full-universe penalties so
+    n_flows, the flows of the graph, is the penalty universe: a set
+    restricted to A1 keeps the code lengths of all n_flows flows, so
     restricted and unrestricted searches minimize the same objective.
     """
 
+    cfg: PmleConfig
     universe: np.ndarray  # sorted flow indices allowed in supports
-    grid_step: float
-    n_levels: int
-    penalty_mode: str = DecodeSpec.penalty_mode
-    penalty_universe_size: Optional[int] = None
+    n_flows: int  # the penalty universe and the length of a candidate
 
     def __post_init__(self):
         u = np.unique(np.asarray(self.universe, dtype=np.int64))
         u.setflags(write=False)
         object.__setattr__(self, "universe", u)
-        _check_grid("grid_step", self.grid_step, self.n_levels, self.penalty_mode)
-        if self.penalty_universe_size is None:
-            object.__setattr__(self, "penalty_universe_size", u.size)
-        if self.penalty_universe_size < u.size:
+        if self.n_flows < u.size:
             raise ValueError("penalty universe cannot be smaller than universe")
 
     def _count_sum(self, universe_size: int, cap: Optional[int] = None) -> int:
@@ -182,7 +178,7 @@ class CandidateSet:
         supports times level tuples, stopping once past cap. A tuple of s
         levels in [1,G] summing to at most G is fixed by its prefix sums,
         s distinct values in [1,G]: C(G,s) of them."""
-        g = self.n_levels
+        g = self.cfg.n_levels
         total = 0
         for s in range(min(universe_size, g) + 1):
             total += math.comb(universe_size, s) * math.comb(g, s)
@@ -196,19 +192,27 @@ class CandidateSet:
         needs only its first few terms."""
         return self._count_sum(self.universe.size, cap=cap) > cap
 
+    def check_exhaustive(self) -> None:
+        """The exhaustive guard: CandidateCountError when the set has more
+        than 10^6 candidates to enumerate."""
+        if self.count_exceeds(_EXHAUSTIVE_GUARD):
+            raise CandidateCountError(
+                f"candidate count exceeds the exhaustive guard "
+                f"{_EXHAUSTIVE_GUARD}; use pmle_reduced"
+            )
+
     @functools.cached_property
     def _penalty_count(self) -> int:
-        return self._count_sum(self.penalty_universe_size)
+        return self._count_sum(self.n_flows)
 
     def pen_of_size(self, s: int) -> float:
         """Code length of any candidate with s nonzero entries."""
         if s < 0:
             raise ValueError("support size cannot be negative")
-        if self.penalty_mode == "uniform":
+        if self.cfg.penalty_mode == "uniform":
             return math.log(self._penalty_count)
-        u = self.penalty_universe_size
         return (
-            s * (math.log(u) + math.log(1 + self.n_levels))
+            s * (math.log(self.n_flows) + math.log(1 + self.cfg.n_levels))
             + 2.0 * math.log(1 + s)
             + KRAFT_CONSTANT
         )
@@ -220,15 +224,15 @@ class CandidateSet:
         support in lexicographic order. Supports of one size share one
         read-only levels array."""
         universe = [int(i) for i in self.universe]
-        for s in range(min(len(universe), self.n_levels) + 1):
-            levels = _level_tuples(s, self.n_levels)
+        for s in range(min(len(universe), self.cfg.n_levels) + 1):
+            levels = _level_tuples(s, self.cfg.n_levels)
             for supp in combinations(universe, s):
                 yield supp, levels
 
-    def materialize(self, support: tuple, levels: tuple, n_flows: int) -> np.ndarray:
-        out = np.zeros(n_flows, dtype=np.float64)
+    def materialize(self, support: tuple, levels: tuple) -> np.ndarray:
+        out = np.zeros(self.n_flows, dtype=np.float64)
         if support:
-            out[list(support)] = np.asarray(levels, dtype=np.float64) * self.grid_step
+            out[list(support)] = np.asarray(levels, float) * self.cfg.grid_step
         return out
 
 
@@ -314,26 +318,22 @@ def pmle_exhaustive(
     y: np.ndarray,
     g: BipartiteGraph,
     cs: CandidateSet,
-    cfg: PmleConfig,
     cover: np.ndarray,
     scale: float,
 ) -> PmleResult:
-    """Exact penalized-MLE argmin by full enumeration of the candidate set.
+    """Exact penalized-MLE argmin by full enumeration of the candidate set,
+    with the offset of cs.cfg on the cover flows.
 
-    Guarded: refuses more than 10^6 candidates. Scoring is batched: all
-    level tuples of one support are scored as one array, and candidates
-    within rounding error of the minimum are rescored exactly, so ties
-    still go to the candidate enumerated first.
+    Guarded: refuses more than 10^6 candidates (`cs.check_exhaustive`).
+    Scoring is batched: all level tuples of one support are scored as one
+    array, and candidates within rounding error of the minimum are
+    rescored exactly, so ties still go to the candidate enumerated first.
     """
-    if cs.count_exceeds(_EXHAUSTIVE_GUARD):
-        raise CandidateCountError(
-            f"candidate count exceeds the exhaustive guard "
-            f"{_EXHAUSTIVE_GUARD}; use pmle_reduced"
-        )
+    cs.check_exhaustive()
     y = checked_counters(y, g)
     if not scale > 0:
         raise ValueError(f"scale must be positive, got {scale}")
-    mu0 = cfg.offset_means(g, cover, scale)
+    mu0 = cs.cfg.offset_means(g, cover, scale)
     return _argmin(y, g, cs, mu0, scale, cs.blocks(), exhaustive=True)
 
 
@@ -384,7 +384,7 @@ def _argmin(
     those of a one-by-one loop over `_score`. When every candidate is
     +inf the first one is returned.
     """
-    a = scale * cs.grid_step
+    a = scale * cs.cfg.grid_step
     pos = y > 0
     live = pos & (mu0 > 0)
     w = np.zeros_like(mu0)
@@ -419,10 +419,10 @@ def _argmin(
         flow_of = np.repeat(np.arange(s), g.d)  # the flow of each entry of inv
         per_row = pos[touched]  # the counters scored row by row
         table = None
-        if len(levels) > cs.n_levels + 1:
+        if len(levels) > cs.cfg.n_levels + 1:
             # the private counters' tables: flow i at level l is entry
             # i*(n_levels+1) + l of each
-            lvl = np.arange(cs.n_levels + 1)
+            lvl = np.arange(cs.cfg.n_levels + 1)
             private = per_row & (np.bincount(inv, minlength=touched.size) == 1)
             per_row &= ~private
             on_p = private[inv]
@@ -480,7 +480,7 @@ def _argmin(
                     best = (exact, supp, cand)
     obj, supp, lv = best if best is not None else (math.inf, *first)
     return PmleResult(
-        rates=cs.materialize(supp, lv, g.n_left),
+        rates=cs.materialize(supp, lv),
         support=supp, levels=lv, objective=obj,
         n_evaluated=n_eval, exhaustive=exhaustive,
     )
@@ -500,7 +500,8 @@ def _score(
     mu = mu0.copy()
     if supp:
         cols = g.columns[list(supp)].ravel()
-        np.add.at(mu, cols, np.repeat(scale * cs.grid_step * np.asarray(lv, float), g.d))
+        a = scale * cs.cfg.grid_step
+        np.add.at(mu, cols, np.repeat(a * np.asarray(lv, float), g.d))
     return _nll_from_mu(mu, y) + 2.0 * cs.pen_of_size(len(supp))
 
 
@@ -723,20 +724,14 @@ def pmle_reduced(
     y = checked_counters(y, g)
     if loc.a1.size == 0:
         warnings.warn("localization produced an empty support; returning zeros")
-    cs = CandidateSet(
-        universe=loc.a1,
-        grid_step=cfg.grid_step,
-        n_levels=cfg.n_levels,
-        penalty_mode=cfg.penalty_mode,
-        penalty_universe_size=g.n_left,
-    )
+    cs = CandidateSet(cfg, loc.a1, g.n_left)
     if loc.a1.size == 0 or not cs.count_exceeds(exhaustive_cap):
-        res = pmle_exhaustive(y, g, cs, cfg, cover, scale)
+        res = pmle_exhaustive(y, g, cs, cover, scale)
     else:
         mu0 = cfg.offset_means(g, cover, scale)
         solve = sparse_poisson_solve(y, g, loc.a1, scale, mu_base=mu0)
-        s_max = min(loc.a1.size, cs.n_levels, max(2 * cfg.k, 32))
-        block = _l0_path(solve.theta, loc.a1, cs.grid_step, cs.n_levels, s_max)
+        s_max = min(loc.a1.size, cfg.n_levels, max(2 * cfg.k, 32))
+        block = _l0_path(solve.theta, loc.a1, cfg.grid_step, cfg.n_levels, s_max)
         res = _argmin(y, g, cs, mu0, scale, [block], exhaustive=False)
     res.localization = loc
     return res

@@ -19,7 +19,9 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from flowsketch import (
     LpSolution,
     BipartiteGraph,
+    DecodeSpec,
     GraphConstructionError,
+    PmleConfig,
     PmleResult,
     SparseSolveResult,
 )
@@ -126,17 +128,27 @@ def neg_log_likelihood(theta: np.ndarray, g: BipartiteGraph, y: np.ndarray,
     return _nll_from_mu(scale * apply_adjacency(g, theta), y)
 
 
+def grid_config(step: float, levels: int,
+                penalty_mode: str = DecodeSpec.penalty_mode) -> PmleConfig:
+    """A PmleConfig of no offset whose grid is `levels` levels of `step`:
+    l0 = step*levels, checked to give the step back exactly."""
+    cfg = PmleConfig(l0=step * levels, k=1, n_levels=levels, c=0.0,
+                     penalty_mode=penalty_mode)
+    assert cfg.grid_step == step
+    return cfg
+
+
 def _support_sizes(cs, max_support: Optional[int] = None) -> range:
     """Support sizes of a pmle.CandidateSet's candidates, optionally only
     those of at most max_support flows."""
-    smax = min(cs.universe.size, cs.n_levels)
+    smax = min(cs.universe.size, cs.cfg.n_levels)
     return range((smax if max_support is None else min(smax, max_support)) + 1)
 
 
 def candidate_count(cs, max_support: Optional[int] = None) -> int:
     """|Lambda| of a pmle.CandidateSet: C(U,s) supports times C(G,s)
     level tuples, summed over the support sizes s."""
-    u, g = cs.universe.size, cs.n_levels
+    u, g = cs.universe.size, cs.cfg.n_levels
     return sum(math.comb(u, s) * math.comb(g, s)
                for s in _support_sizes(cs, max_support))
 
@@ -165,11 +177,11 @@ def penalty(candidate: np.ndarray, cs) -> float:
         raise ValueError("candidate support lies outside the universe")
     if (candidate[nz] < 0).any():
         raise ValueError("candidate entries must be nonnegative")
-    levels = candidate[nz] / cs.grid_step
+    levels = candidate[nz] / cs.cfg.grid_step
     rounded = np.rint(levels)
     if (np.abs(levels - rounded) > 1e-9 * np.maximum(1.0, levels)).any():
         raise ValueError("candidate entry off the grid")
-    if (rounded > cs.n_levels).any() or rounded.sum() > cs.n_levels:
+    if (rounded > cs.cfg.n_levels).any() or rounded.sum() > cs.cfg.n_levels:
         raise ValueError("candidate exceeds the l1 budget")
     return cs.pen_of_size(int(nz.size))
 
@@ -194,7 +206,7 @@ def kraft_audit(cs, max_support: Optional[int] = None,
         for supp, _levels in enumerate_candidates(cs, max_support):
             total += math.exp(-cs.pen_of_size(len(supp)))
         return KraftAudit(total=total, exhaustive=True, ok=total <= 1.0 + 1e-9)
-    g = cs.n_levels
+    g = cs.cfg.n_levels
     u = cs.universe.size
     total = 0.0
     for s in _support_sizes(cs, max_support):
@@ -543,7 +555,7 @@ def argmin_scalar(y, g, cs, mu0, scale, candidates, exhaustive) -> PmleResult:
     """Score each (support, levels) candidate as NLL(candidate + offset) +
     2*pen(candidate) over all counters, one candidate at a time, and keep
     the first minimum."""
-    step = cs.grid_step
+    step = cs.cfg.grid_step
     best = None
     n_eval = 0
     for supp, lv in candidates:
@@ -557,7 +569,7 @@ def argmin_scalar(y, g, cs, mu0, scale, candidates, exhaustive) -> PmleResult:
             best = (obj, supp, lv)
     obj, supp, lv = best
     return PmleResult(
-        rates=cs.materialize(supp, lv, g.n_left),
+        rates=cs.materialize(supp, lv),
         support=supp, levels=lv, objective=obj,
         n_evaluated=n_eval, exhaustive=exhaustive,
     )
@@ -569,7 +581,7 @@ def argmin_chunked(y, g, cs, mu0, scale, blocks, exhaustive) -> PmleResult:
     touch, as one (rows, |T|) buffer, and candidates within the rounding
     bound of the running minimum are rescored exactly by `pmle._score`."""
     chunk_rows = 1024
-    a = scale * cs.grid_step
+    a = scale * cs.cfg.grid_step
     pos = y > 0
     live = pos & (mu0 > 0)
     w = np.zeros_like(mu0)
@@ -634,7 +646,7 @@ def argmin_chunked(y, g, cs, mu0, scale, blocks, exhaustive) -> PmleResult:
                     best = (exact, supp, cand)
     obj, supp, lv = best if best is not None else (math.inf, *first)
     return PmleResult(
-        rates=cs.materialize(supp, lv, g.n_left),
+        rates=cs.materialize(supp, lv),
         support=supp, levels=lv, objective=obj,
         n_evaluated=n_eval, exhaustive=exhaustive,
     )

@@ -37,7 +37,8 @@ from flowsketch.seeds import stable_seed
 from flowsketch.stream import Dist
 
 from conftest import EXPANDER_SEEDS_200_60_6, record_gate
-from helpers import apply_adjacency, counters_consistent, kraft_audit, oracle_2sparse
+from helpers import (apply_adjacency, counters_consistent, grid_config, kraft_audit,
+                     oracle_2sparse)
 
 CONST1 = Dist("constant", 1.0)
 ZERO = Dist("constant", 0.0)
@@ -171,19 +172,17 @@ def test_ac5_localization():
 
 def test_ac6_kraft_audit():
     small = [  # (candidate set, largest support audited)
-        (CandidateSet(universe=np.array([0]), grid_step=1.0, n_levels=99,
-                      penalty_mode="uniform"), None),
-        (CandidateSet(universe=np.arange(20), grid_step=0.5, n_levels=4), 2),
-        (CandidateSet(universe=np.arange(12), grid_step=0.5, n_levels=5), None),
+        (CandidateSet(grid_config(1.0, 99, "uniform"), np.array([0]), 1), None),
+        (CandidateSet(grid_config(0.5, 4), np.arange(20), 20), 2),
+        (CandidateSet(grid_config(0.5, 5), np.arange(12), 12), None),
     ]
     audits = []
     for cs, max_support in small:
         audits.append(kraft_audit(cs, max_support))  # candidate-by-candidate
         audits.append(kraft_audit(cs, max_support, exhaustive_cap=0))  # counting formula
     large = [
-        CandidateSet(universe=np.arange(5000), grid_step=0.25, n_levels=64),
-        CandidateSet(universe=np.arange(5000), grid_step=0.05, n_levels=1024,
-                     penalty_mode="uniform"),
+        CandidateSet(grid_config(0.25, 64), np.arange(5000), 5000),
+        CandidateSet(grid_config(0.05, 1024, "uniform"), np.arange(5000), 5000),
     ]
     audits.extend(kraft_audit(cs) for cs in large)
     exhaustive_used = sum(a.exhaustive for a in audits)
@@ -214,9 +213,8 @@ def test_ac7_oracle_equivalence():
         run_epochs(st, 60)
         cfg = dataclasses.replace(
             PmleConfig.from_problem(12, 2, l0=2.5, levels=5), c=0.01)
-        cs = CandidateSet(universe=np.arange(12), grid_step=cfg.grid_step,
-                          n_levels=cfg.n_levels)
-        full = pmle_exhaustive(st.y, g, cs, cfg, cover, 60.0)
+        cs = CandidateSet(cfg, np.arange(12), 12)
+        full = pmle_exhaustive(st.y, g, cs, cover, 60.0)
         loc = localize_whales(st.y, g, 2)
         if not np.isin(truth.whale_support, loc.a1).all():
             continue

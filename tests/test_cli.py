@@ -401,22 +401,31 @@ BAD_PMLE = [
                  id="l0-1e-320-levels-1e6"),
     pytest.param({"levels": 0}, "need 0 < l0 < inf", id="levels-0"),
     pytest.param({"levels": 2.5}, "need 0 < l0 < inf", id="levels-2.5"),
+    # more levels than a float holds: l0/levels has no float value
+    pytest.param({"levels": 10**400}, "need 0 < grid_step < inf", id="levels-1e400"),
     pytest.param({"k": 0}, "need 1 <= k < n_flows", id="k-0"),
     pytest.param({"k": 50}, "need 1 <= k < n_flows", id="k-N"),
+    pytest.param({"k": 2.5}, "k must be an integer >= 1", id="k-2.5"),
+    pytest.param({"k": True}, "k must be an integer >= 1", id="k-True"),
     pytest.param({"gamma": 0.0}, "derived c = gamma/(k*ln(N/k)) = 0 ", id="gamma-0"),
     pytest.param({"gamma": 10.0}, "derived c = gamma/(k*ln(N/k)) = 1.553 ",
                  id="gamma-c-above-1"),
     pytest.param({"penalty_mode": "huffman"}, "unknown penalty mode 'huffman'",
                  id="penalty-huffman"),
 ]
-LIBRARY_ONLY = ("levels-2.5", "penalty-huffman")
+LIBRARY_ONLY = ("levels-2.5", "k-2.5", "k-True", "penalty-huffman")
+# settings that only the exhaustive guard refuses: 50 flows at 64 levels
+# have more than 10^6 candidates
+TOO_MANY = pytest.param({"levels": 64}, "candidate count exceeds the exhaustive guard",
+                        id="exhaustive-guard")
 
 
-@pytest.mark.parametrize("decoder", ["pmle-exhaustive", "pmle-reduced"])
-@pytest.mark.parametrize("via,edit,message", [
-    pytest.param(via, *case.values, id=f"{via}-{case.id}")
-    for case in BAD_PMLE for via in ("decode", "recover")
-    if via == "decode" or case.id not in LIBRARY_ONLY
+@pytest.mark.parametrize("via,edit,message,decoder", [
+    pytest.param(via, *case.values, decoder, id=f"{via}-{case.id}-{decoder}")
+    for case in BAD_PMLE + [TOO_MANY] for via in ("decode", "recover")
+    for decoder in ("pmle-exhaustive", "pmle-reduced")
+    if (via == "decode" or case.id not in LIBRARY_ONLY)
+    and (decoder == "pmle-exhaustive" or case is not TOO_MANY)
 ])
 def test_refused_pmle_settings_do_no_work(graph_file, counters_file, tmp_path,
                                           capsys, monkeypatch, via, decoder,
@@ -854,6 +863,8 @@ def test_sweep_config_tau_not_finite_is_invalid_input(tmp_path, capsys, tau):
     # each knob passes alone, but the grid step l0/levels underflows to 0
     pytest.param("l0", {"l0": 1e-320, "levels": 1000000},
                  id="l0-1e-320-levels-1000000"),
+    # more levels than a float holds: l0/levels has no float value
+    pytest.param("levels", 10**400, id="levels-1e400"),
 ])
 def test_sweep_config_pmle_knob_failing_every_trial_is_invalid_input(
         tmp_path, capsys, key, value):

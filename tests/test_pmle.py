@@ -42,6 +42,7 @@ from helpers import (
     argmin_scalar,
     candidate_count,
     enumerate_candidates,
+    grid_config,
     kraft_audit,
     l0_path_candidates,
     level_tuples_recursive,
@@ -199,9 +200,16 @@ def test_pmle_config_validation():
     for l0, n_levels in [(math.inf, 4), (4.0, 2.5), (4.0, True)]:
         with pytest.raises(ValueError, match="need 0 < l0 < inf and an integer"):
             PmleConfig(l0=l0, k=1, n_levels=n_levels, c=0.1)
-    # l0 passes on its own, but its grid step l0/n_levels underflows to 0
-    with pytest.raises(ValueError, match="need 0 < grid_step < inf and an integer"):
-        PmleConfig(l0=1e-320, k=1, n_levels=10**6, c=0.1)
+    # l0 passes on its own, but its grid step l0/n_levels underflows to 0,
+    # or has no float value at more levels than a float holds
+    for l0, n_levels in [(1e-320, 10**6), (4.0, 10**400)]:
+        with pytest.raises(ValueError, match="need 0 < grid_step < inf and an integer"):
+            PmleConfig(l0=l0, k=1, n_levels=n_levels, c=0.1)
+    for k in (2.5, True):
+        with pytest.raises(ValueError, match="k must be an integer >= 1"):
+            PmleConfig(l0=4.0, k=k, n_levels=4, c=0.1)
+    cfg = PmleConfig(l0=4.0, k=np.int64(2), n_levels=np.int64(4), c=0.1)
+    assert cfg.grid_step == 1.0
     with pytest.raises(ValueError, match="unknown penalty mode 'huffman'"):
         PmleConfig(l0=4.0, k=1, n_levels=4, c=0.1, penalty_mode="huffman")
     with pytest.raises(ValueError):
@@ -226,7 +234,7 @@ def test_pmle_config_validation():
 
 
 def test_candidate_count_matches_enumeration():
-    cs = CandidateSet(universe=np.arange(5), grid_step=0.5, n_levels=3)
+    cs = CandidateSet(grid_config(0.5, 3), np.arange(5), 5)
     cands = list(enumerate_candidates(cs))
     assert len(cands) == candidate_count(cs) == sum(
         math.comb(5, s) * math.comb(3, s) for s in range(4)
@@ -238,8 +246,8 @@ def test_candidate_count_matches_enumeration():
     for supp, lv in cands:
         assert len(supp) == len(lv)
         assert all(1 <= m <= 3 for m in lv) and sum(lv) <= 3
-        vec = cs.materialize(supp, lv, 5)
-        assert vec.sum() <= cs.n_levels * cs.grid_step + 1e-12
+        vec = cs.materialize(supp, lv)
+        assert vec.sum() <= cs.cfg.n_levels * cs.cfg.grid_step + 1e-12
 
 
 @settings(max_examples=300, deadline=None)
@@ -270,29 +278,18 @@ def test_level_tuples_cached_read_only():
 
 
 def test_candidate_count_exceeds():
-    cs = CandidateSet(universe=np.arange(5), grid_step=0.5, n_levels=3)
+    cs = CandidateSet(grid_config(0.5, 3), np.arange(5), 5)
     n = candidate_count(cs)
     assert cs.count_exceeds(n - 1)
     assert not cs.count_exceeds(n)
-    big = CandidateSet(universe=np.arange(5000), grid_step=0.1, n_levels=2048)
+    big = CandidateSet(grid_config(0.1, 2048), np.arange(5000), 5000)
     assert big.count_exceeds(10**6)  # early exit, no bigint blowup
 
 
 def test_candidate_set_validation():
-    with pytest.raises(ValueError):
-        CandidateSet(universe=np.arange(3), grid_step=0.0, n_levels=2)
-    with pytest.raises(ValueError):
-        CandidateSet(universe=np.arange(3), grid_step=1.0, n_levels=0)
-    for grid_step, n_levels in [(math.inf, 2), (1.0, 2.5)]:
-        with pytest.raises(ValueError, match="need 0 < grid_step < inf and an"):
-            CandidateSet(universe=np.arange(3), grid_step=grid_step,
-                         n_levels=n_levels)
-    with pytest.raises(ValueError):
-        CandidateSet(universe=np.arange(3), grid_step=1.0, n_levels=2,
-                     penalty_mode="huffman")
-    with pytest.raises(ValueError):
-        CandidateSet(universe=np.arange(3), grid_step=1.0, n_levels=2,
-                     penalty_universe_size=2)
+    # the grid and penalty mode are PmleConfig's (test_pmle_config_validation)
+    with pytest.raises(ValueError, match="penalty universe cannot be smaller"):
+        CandidateSet(grid_config(1.0, 2), np.arange(3), 2)
 
 
 # ---------------------------------------------------------------- penalties
@@ -300,8 +297,7 @@ def test_candidate_set_validation():
 
 def test_uniform_penalty_kraft_exact():
     # |Lambda| = 1 + 99 = 100; every candidate pays ln 100
-    cs = CandidateSet(universe=np.array([0]), grid_step=0.25, n_levels=99,
-                      penalty_mode="uniform")
+    cs = CandidateSet(grid_config(0.25, 99, "uniform"), np.array([0]), 1)
     assert candidate_count(cs) == 100
     assert cs.pen_of_size(0) == cs.pen_of_size(1) == math.log(100)
     audit = kraft_audit(cs)
@@ -310,7 +306,7 @@ def test_uniform_penalty_kraft_exact():
 
 
 def test_l0_scaled_penalty_values():
-    cs = CandidateSet(universe=np.arange(20), grid_step=1.0, n_levels=4)
+    cs = CandidateSet(grid_config(1.0, 4), np.arange(20), 20)
     assert penalty(np.zeros(20), cs) == KRAFT_CONSTANT
     assert KRAFT_CONSTANT == math.log(math.pi**2 / 6)
     lam = np.zeros(20)
@@ -320,7 +316,7 @@ def test_l0_scaled_penalty_values():
 
 
 def test_penalty_rejects_bad_candidates():
-    cs = CandidateSet(universe=np.arange(4), grid_step=0.5, n_levels=4)
+    cs = CandidateSet(grid_config(0.5, 4), np.arange(4), 4)
     bad_univ = np.zeros(6)
     bad_univ[5] = 0.5
     with pytest.raises(ValueError):
@@ -334,14 +330,14 @@ def test_penalty_rejects_bad_candidates():
 
 
 def test_kraft_audit_l0_scaled():
-    cs = CandidateSet(universe=np.arange(20), grid_step=1.0, n_levels=4)
+    cs = CandidateSet(grid_config(1.0, 4), np.arange(20), 20)
     brute = kraft_audit(cs, max_support=2, exhaustive_cap=10**5)
     formula = kraft_audit(cs, max_support=2, exhaustive_cap=100)
     assert brute.exhaustive and not formula.exhaustive
     assert brute.ok and formula.ok
     assert abs(brute.total - formula.total) < 1e-9
     # full-scale set stays within the Kraft budget via the closed form
-    big = CandidateSet(universe=np.arange(5000), grid_step=1.0, n_levels=64)
+    big = CandidateSet(grid_config(1.0, 64), np.arange(5000), 5000)
     audit = kraft_audit(big)
     assert not audit.exhaustive and audit.ok
 
@@ -356,11 +352,11 @@ def _hexad_problem(c=0.0, gamma=0.5):
     scale = 5.0
     y = scale * apply_adjacency(g, truth)
     if c == 0.0:
-        cfg = PmleConfig(l0=4.0, k=2, n_levels=4, c=0.0)
+        cfg = PmleConfig(l0=4.0, k=2, n_levels=4, c=0.0, penalty_mode="uniform")
     else:
-        cfg = PmleConfig.from_problem(6, 2, 4.0, gamma=gamma, levels=4)
-    cs = CandidateSet(universe=np.arange(6), grid_step=1.0, n_levels=4,
-                      penalty_mode="uniform")
+        cfg = PmleConfig.from_problem(6, 2, 4.0, gamma=gamma, levels=4,
+                                      penalty_mode="uniform")
+    cs = CandidateSet(cfg, np.arange(6), 6)
     return g, cover, cfg, cs, truth, y, scale
 
 
@@ -368,7 +364,7 @@ def test_exhaustive_noiseless_uniform():
     # injective instance: counter 3 is empty so flows 2,4,5 are pinned to
     # zero and the remaining 3x3 system is invertible; argmin is the truth
     g, cover, cfg, cs, truth, y, scale = _hexad_problem(c=0.0)
-    res = pmle_exhaustive(y, g, cs, cfg, cover, scale)
+    res = pmle_exhaustive(y, g, cs, cover, scale)
     assert res.support == (0, 3) and res.levels == (2, 1)
     assert np.array_equal(res.rates, truth)
     assert res.exhaustive and res.n_evaluated == candidate_count(cs)
@@ -377,20 +373,19 @@ def test_exhaustive_noiseless_uniform():
 def test_exhaustive_offset_perturbation():
     # with c > 0 the offset shifts the optimum by at most one grid step
     g, cover, cfg, cs, truth, y, scale = _hexad_problem(c=None or 0.22)
-    res = pmle_exhaustive(y, g, cs, cfg, cover, scale)
+    res = pmle_exhaustive(y, g, cs, cover, scale)
     assert np.abs(res.rates - truth).max() <= cfg.grid_step + 1e-12
 
 
 def test_exhaustive_singleton_universe():
     g = hexad_graph()
     cover = greedy_cover(g)
-    cfg = PmleConfig(l0=3.0, k=1, n_levels=3, c=0.0)
-    cs = CandidateSet(universe=np.array([2]), grid_step=1.0, n_levels=3,
-                      penalty_mode="uniform")
+    cfg = PmleConfig(l0=3.0, k=1, n_levels=3, c=0.0, penalty_mode="uniform")
+    cs = CandidateSet(cfg, np.array([2]), 6)
     truth = np.zeros(6)
     truth[2] = 2.0
     y = 4.0 * apply_adjacency(g, truth)
-    res = pmle_exhaustive(y, g, cs, cfg, cover, 4.0)
+    res = pmle_exhaustive(y, g, cs, cover, 4.0)
     assert res.support == (2,) and res.levels == (2,)
 
 
@@ -398,18 +393,17 @@ def test_exhaustive_guard():
     g = build_random_expander(5000, 800, 8, seed=1)
     cover = greedy_cover(g)
     cfg = PmleConfig.from_problem(5000, 10, 64.0, levels=64)
-    cs = CandidateSet(universe=np.arange(5000), grid_step=cfg.grid_step,
-                      n_levels=cfg.n_levels)
+    cs = CandidateSet(cfg, np.arange(5000), 5000)
     with pytest.raises(CandidateCountError):
-        pmle_exhaustive(np.zeros(800), g, cs, cfg, cover, 1.0)
+        pmle_exhaustive(np.zeros(800), g, cs, cover, 1.0)
 
 
 def test_scale_equivariance_uniform():
     # integer rescale of (y, scale) preserves the argmin candidate
     g, cover, cfg, cs, truth, y, scale = _hexad_problem(c=0.22)
-    base = pmle_exhaustive(y, g, cs, cfg, cover, scale)
+    base = pmle_exhaustive(y, g, cs, cover, scale)
     for factor in (2, 3, 7):
-        res = pmle_exhaustive(factor * y, g, cs, cfg, cover, factor * scale)
+        res = pmle_exhaustive(factor * y, g, cs, cover, factor * scale)
         assert res.support == base.support and res.levels == base.levels
 
 
@@ -687,9 +681,7 @@ def test_reduced_empty_a1_warns():
     y, scale = np.ones(4), 1.0
     for penalty_mode in ("l0-scaled", "uniform"):
         cfg = PmleConfig(l0=4.0, k=1, n_levels=4, c=0.1, penalty_mode=penalty_mode)
-        cs_full = CandidateSet(universe=np.arange(g.n_left),
-                               grid_step=cfg.grid_step, n_levels=cfg.n_levels,
-                               penalty_mode=penalty_mode)
+        cs_full = CandidateSet(cfg, np.arange(g.n_left), g.n_left)
         want = (neg_log_likelihood(offset_rates(cfg, cover, g.n_left), g, y, scale)
                 + 2.0 * cs_full.pen_of_size(0))
         for cap in (10**6, 0):
@@ -721,9 +713,8 @@ def test_reduced_path_branch_exact_recovery(small_expander):
 
 
 def test_reduced_penalty_inheritance():
-    cs_full = CandidateSet(universe=np.arange(12), grid_step=0.5, n_levels=5)
-    cs_sub = CandidateSet(universe=np.array([1, 4, 7]), grid_step=0.5,
-                          n_levels=5, penalty_universe_size=12)
+    cs_full = CandidateSet(grid_config(0.5, 5), np.arange(12), 12)
+    cs_sub = CandidateSet(grid_config(0.5, 5), np.array([1, 4, 7]), 12)
     for s in range(4):
         assert cs_sub.pen_of_size(s) == cs_full.pen_of_size(s)
 
@@ -744,9 +735,8 @@ def test_reduced_matches_exhaustive_small():
         run_epochs(st, 60)
         cfg = dataclasses.replace(
             PmleConfig.from_problem(12, 2, l0=2.5, levels=5), c=0.01)
-        cs = CandidateSet(universe=np.arange(12), grid_step=cfg.grid_step,
-                          n_levels=cfg.n_levels)
-        full = pmle_exhaustive(st.y, g, cs, cfg, cover, 60.0)
+        cs = CandidateSet(cfg, np.arange(12), 12)
+        full = pmle_exhaustive(st.y, g, cs, cover, 60.0)
         loc = localize_whales(st.y, g, 2)
         if not np.isin(truth.whale_support, loc.a1).all():
             continue
@@ -804,11 +794,9 @@ def _check_against_scalar(columns, n_right, universe, n_levels, step, scale,
     cover = np.array(sorted(cover_members), dtype=np.int64)
     cfg = PmleConfig(l0=n_levels * step, k=1, n_levels=n_levels,
                      c=c, penalty_mode=penalty_mode)
-    cs = CandidateSet(universe=np.array(sorted(universe), dtype=np.int64),
-                      grid_step=step, n_levels=n_levels,
-                      penalty_mode=penalty_mode, penalty_universe_size=g.n_left)
+    cs = CandidateSet(cfg, np.array(sorted(universe), dtype=np.int64), g.n_left)
     y = np.array(y, dtype=np.float64)
-    full = assert_matches_scalar(lambda: pmle_exhaustive(y, g, cs, cfg, cover, scale))
+    full = assert_matches_scalar(lambda: pmle_exhaustive(y, g, cs, cover, scale))
     assert full.n_evaluated == candidate_count(cs)
     a1 = cs.universe
     loc = WhaleLocalization(a1=a1)
@@ -893,9 +881,8 @@ def test_table_screen_rounding_tie():
     # rounding tolerance never rescores flow 0 and returns flow 1.
     g = BipartiteGraph(n_left=2, n_right=6, d=3, seed=0,
                        columns=np.array([[0, 2, 4], [1, 3, 5]], dtype=np.int32))
-    cfg = PmleConfig(l0=5.0, k=1, n_levels=2, c=0.013)
-    cs = CandidateSet(universe=np.array([0, 1]), grid_step=2.5, n_levels=2,
-                      penalty_mode="uniform", penalty_universe_size=2)
+    cfg = PmleConfig(l0=5.0, k=1, n_levels=2, c=0.013, penalty_mode="uniform")
+    cs = CandidateSet(cfg, np.array([0, 1]), 2)
     y = np.array([16.0, 6.0, 16.0, 16.0, 6.0, 16.0])
     mu0 = cfg.offset_means(g, np.array([0, 1]), 3.0)
     blocks = [((0, 1), np.array([[0, 0], [1, 0], [2, 0], [0, 1], [0, 2]]))]
@@ -946,9 +933,8 @@ def screen_instances(draw):
     y[dead], mu0[dead] = max(y[dead], 1.0), 0.0
     flows = st.integers(0, g.n_left - 1)
     universe = np.array(sorted(draw(st.sets(flows, min_size=1, max_size=4))))
-    cs = CandidateSet(universe=universe, grid_step=step, n_levels=n_levels,
-                      penalty_mode=draw(st.sampled_from(["l0-scaled", "uniform"])),
-                      penalty_universe_size=g.n_left)
+    penalty_mode = draw(st.sampled_from(["l0-scaled", "uniform"]))
+    cs = CandidateSet(grid_config(step, n_levels, penalty_mode), universe, g.n_left)
     blocks = list(cs.blocks())
     theta = np.array(draw(st.lists(st.floats(0.0, n_levels * step),
                                    min_size=universe.size, max_size=universe.size)))
@@ -987,11 +973,10 @@ def test_exhaustive_scoring_memory_is_chunked():
     truth[[3, 30]] = 2.0
     y = 40.0 * apply_adjacency(g, truth)
     cfg = PmleConfig.from_problem(40, 2, 8.0, gamma=0.05, levels=64)
-    cs = CandidateSet(universe=np.array([3, 9, 17, 30]), grid_step=cfg.grid_step,
-                      n_levels=cfg.n_levels, penalty_universe_size=40)
+    cs = CandidateSet(cfg, np.array([3, 9, 17, 30]), 40)
     tracemalloc.start()
     try:
-        res = pmle_exhaustive(y, g, cs, cfg, cover, 40.0)
+        res = pmle_exhaustive(y, g, cs, cover, 40.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
