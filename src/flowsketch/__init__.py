@@ -28,10 +28,9 @@ _HOME = {
         "RelativeError", "best_k_term", "positive_clip", "relative_l1_error",
         "support_recovery_success", "top_k_indices"), "metrics"),
     **dict.fromkeys((
-        "KRAFT_CONSTANT", "CandidateCountError", "CandidateSet", "PmleConfig",
-        "PmleResult", "SparseSolveResult", "WhaleLocalization",
-        "localize_whales", "pmle_exhaustive", "pmle_reduced",
-        "sparse_poisson_solve"), "pmle"),
+        "KRAFT_CONSTANT", "CandidateCountError", "PmleConfig", "PmleResult",
+        "SparseSolveResult", "WhaleLocalization", "localize_whales",
+        "pmle_exhaustive", "pmle_reduced", "sparse_poisson_solve"), "pmle"),
     **dict.fromkeys((
         "Dist", "RateVector", "SignalSpec", "StreamState", "advance_epoch",
         "gen_rates", "parse_dist", "run_epochs"), "stream"),

@@ -25,7 +25,7 @@ __all__ = ["DECODERS", "PENALTY_MODES", "DecodeSpec", "Decoded",
 
 DECODERS = ("direct", "pmle-exhaustive", "pmle-reduced")
 
-# the code lengths PmleConfig accepts and CandidateSet.pen_of_size charges
+# the code lengths PmleConfig accepts and its pen_of_size charges
 PENALTY_MODES = ("l0-scaled", "uniform")
 
 
@@ -73,12 +73,14 @@ def decode(
     epochs of length tau.
 
     cover is the greedy cover of g, its sorted flows; the pmle decoders
-    compute it when it is not given. Raises ValueError, before any cover
-    or solver runs, unless y passes `pmle.checked_counters`, then (epochs,
-    tau) `stream.check_window`, then a pmle spec `PmleConfig.from_problem`,
-    then, for pmle-exhaustive, the exhaustive guard
-    `CandidateSet.check_exhaustive` (a CandidateCountError); and
-    lp.NumericalError when basis pursuit finds y unreachable.
+    compute it when it is not given, and refuse one that is not sorted,
+    distinct flows of g before any solve. Raises ValueError, before any
+    cover or solver runs, unless y passes `pmle.checked_counters`, then
+    (epochs, tau) `stream.check_window`, then a pmle spec
+    `PmleConfig.from_problem`, then, for pmle-exhaustive, the exhaustive
+    guard `PmleConfig.check_exhaustive` over all N flows (a
+    CandidateCountError); and lp.NumericalError when basis pursuit finds y
+    unreachable.
     """
     from . import lp, pmle
     from .stream import check_window
@@ -95,13 +97,12 @@ def decode(
         levels=spec.levels, penalty_mode=spec.penalty_mode,
     )
     if spec.decoder == "pmle-exhaustive":
-        cs = pmle.CandidateSet(cfg, np.arange(g.n_left), g.n_left)
-        cs.check_exhaustive()
+        cfg.check_exhaustive(g.n_left)
     if cover is None:
         cover = graph.greedy_cover(g)
     scale = epochs * tau
     if spec.decoder == "pmle-exhaustive":
-        res = pmle.pmle_exhaustive(y, g, cs, cover, scale)
+        res = pmle.pmle_exhaustive(y, g, cfg, np.arange(g.n_left), cover, scale)
     else:
         loc = pmle.localize_whales(y, g, spec.k)
         res = pmle.pmle_reduced(y, g, loc, cfg, cover, scale)

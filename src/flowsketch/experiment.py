@@ -73,7 +73,8 @@ def _check_trial_inputs(cfg) -> None:
     runs: by SignalSpec's rule, the whale distribution and each k; with a
     pmle decoder, by decoding's rules, each pmle knob. The budget is l0,
     with levels (for the step l0/levels), or 1 + l0_margin per unit of
-    true l1 mass; c must be in (0,1) at every k."""
+    true l1 mass; c must be in (0,1) at every k; pmle-exhaustive must pass
+    the exhaustive guard over n_flows flows at that many levels."""
     def check(key, rule, *args):
         try:
             rule(*args)
@@ -86,15 +87,18 @@ def _check_trial_inputs(cfg) -> None:
     if not set(cfg.decoders) - {"direct"}:
         return
     o = cfg.pmle
-    check("pmle.penalty_mode", PmleConfig, 1.0, 1, 1, 0.0, o.penalty_mode)
-    check("pmle.levels", PmleConfig, 1.0, 1, o.levels, 0.0)
+    check("pmle.penalty_mode", PmleConfig, 1.0, 1, 1, 0.0, 1, o.penalty_mode)
+    check("pmle.levels", PmleConfig, 1.0, 1, o.levels, 0.0, 1)
     if o.l0 is not None:
-        check("pmle.l0", PmleConfig, o.l0, 1, o.levels, 0.0)
+        check("pmle.l0", PmleConfig, o.l0, 1, o.levels, 0.0, 1)
     else:
-        check("pmle.l0_margin", PmleConfig, 1.0 + o.l0_margin, 1, 1, 0.0)
+        check("pmle.l0_margin", PmleConfig, 1.0 + o.l0_margin, 1, 1, 0.0, 1)
     for k in cfg.sweep:  # k = 0 or N leaves no whale or no minnow
         check("pmle.gamma" if 0 < k < cfg.n_flows else "sweep",
               PmleConfig.from_problem, cfg.n_flows, k, 1.0, o.gamma)
+    if "pmle-exhaustive" in cfg.decoders:
+        check("decoders", PmleConfig(1.0, 1, o.levels, 0.0, 1).check_exhaustive,
+              cfg.n_flows)
 
 
 def _from_keys(cls, d: dict, where: str = ""):

@@ -299,6 +299,9 @@ def basis_pursuit(
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (g.n_right,):
         raise ValueError(f"y has shape {y.shape}, expected ({g.n_right},)")
+    if not (y.min() > -np.inf and y.max() < np.inf):  # a NaN fails both
+        j = int(np.flatnonzero(~np.isfinite(y))[0])
+        raise ValueError(f"counter {j} is {float(y[j])}; counters must be finite")
     dt_feas, dt_obj = _default_tols(y)
     tol_feas = dt_feas if tol_feas is None else tol_feas
     tol_obj = dt_obj if tol_obj is None else tol_obj

@@ -43,7 +43,6 @@ from .metrics import top_k_indices
 __all__ = [
     "KRAFT_CONSTANT",
     "CandidateCountError",
-    "CandidateSet",
     "PmleConfig",
     "PmleResult",
     "SparseSolveResult",
@@ -72,22 +71,40 @@ class CandidateCountError(ValueError):
     """Raised when an enumeration would exceed the exhaustive guard."""
 
 
+def _check_flows(g: BipartiteGraph, flows, what: str,
+                 cfg: Optional["PmleConfig"] = None) -> np.ndarray:
+    """flows as an int64 array; ValueError unless they are sorted, distinct
+    flows of g, in [0, N), and, given cfg, unless cfg.n_flows is g's N."""
+    if cfg is not None and cfg.n_flows != g.n_left:
+        raise ValueError(f"n_flows={cfg.n_flows} is not the graph's {g.n_left} flows")
+    flows = np.asarray(flows, dtype=np.int64)
+    if flows.ndim != 1 or (flows.size and (
+            flows[0] < 0 or flows[-1] >= g.n_left or (flows[1:] <= flows[:-1]).any())):
+        raise ValueError(f"{what} must hold sorted, distinct flows in [0, {g.n_left})")
+    return flows
+
+
 @dataclass(frozen=True)
 class PmleConfig:
-    """Every setting of the penalized-MLE objective, each held to its rule
-    here, so a decode refuses before any work. It is the one record of the
-    candidate grid and the penalty mode, which a CandidateSet reads.
+    """The penalized-MLE objective: every setting, each held to its rule
+    here so a decode refuses before any work, and its candidate set Lambda.
 
-    l0 bounds the l1 mass of every candidate, split into n_levels levels of
-    grid_step = l0/n_levels (the paper's delta is grid_step**2). c scales
-    the offset c*l0 on the cover flows, and penalty_mode picks the code
-    lengths (see CandidateSet.pen_of_size).
+    Lambda holds the rate vectors over n_flows flows whose nonzero entries
+    are m*grid_step for integer levels 1 <= m <= n_levels summing to at
+    most n_levels (so ||lam||_1 <= l0), grid_step = l0/n_levels (the
+    paper's delta is grid_step**2). penalty_mode picks their Kraft code
+    lengths (`pen_of_size`). A universe, the sorted flows a search may use,
+    restricts the supports but keeps the code lengths of all n_flows flows,
+    so restricted (A1) and unrestricted searches minimize the same
+    objective. Lambda is never materialized: `blocks` enumerates it and
+    `n_candidates` counts it. c scales the offset c*l0 on the cover flows.
     """
 
     l0: float
     k: int
     n_levels: int
     c: float
+    n_flows: int
     penalty_mode: str = DecodeSpec.penalty_mode
 
     def __post_init__(self):
@@ -103,9 +120,10 @@ class PmleConfig:
                     or not isinstance(n, numbers.Integral) or n < 1):
                 raise ValueError(f"need 0 < {name} < inf and an integer n_levels >= 1, "
                                  f"got {name}={size}, n_levels={n!r}")
-        if (isinstance(self.k, bool) or not isinstance(self.k, numbers.Integral)
-                or self.k < 1):
-            raise ValueError(f"k must be an integer >= 1, got {self.k!r}")
+        for name in ("k", "n_flows"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {v!r}")
         if not (0 <= self.c < 1):
             raise ValueError(f"offset coefficient c must be in [0,1), got {self.c}")
 
@@ -125,7 +143,8 @@ class PmleConfig:
         c = gamma / (k * math.log(n_flows / k))
         if not 0 < c < 1:  # so gamma must be positive
             raise ValueError(f"derived c = gamma/(k*ln(N/k)) = {c:.4g} outside (0,1)")
-        return cls(l0=l0, k=k, n_levels=levels, c=c, penalty_mode=penalty_mode)
+        return cls(l0=l0, k=k, n_levels=levels, c=c, n_flows=n_flows,
+                   penalty_mode=penalty_mode)
 
     @property
     def grid_step(self) -> float:
@@ -136,49 +155,18 @@ class PmleConfig:
         """Counter means of the offset alone: scale * A @ (c*l0 on the cover
         flows). Each counter adds c*l0 once per incident cover flow, the
         nonzero terms of its row of that product, so the bits agree."""
-        cover = np.asarray(cover, dtype=np.int64)
-        if cover.size and cover.max() >= g.n_left:
-            raise ValueError(
-                f"cover flow {int(cover.max())} outside a graph of "
-                f"{g.n_left} flows"
-            )
+        cover = _check_flows(g, cover, "cover", self)
         mu = np.zeros(g.n_right)
         np.add.at(mu, g.columns[cover].ravel(), self.c * self.l0)
         return scale * mu
 
-
-@dataclass(frozen=True)
-class CandidateSet:
-    """Lazy family of grid rate vectors with a Kraft code length, on the
-    grid and penalty mode of cfg.
-
-    Candidates are the vectors supported in `universe` whose nonzero
-    entries are m*grid_step for integer levels 1 <= m <= n_levels summing
-    to at most n_levels (that is ||lam||_1 <= l0). Never materialized:
-    enumeration is a generator and the size comes from a counting formula.
-
-    n_flows, the flows of the graph, is the penalty universe: a set
-    restricted to A1 keeps the code lengths of all n_flows flows, so
-    restricted and unrestricted searches minimize the same objective.
-    """
-
-    cfg: PmleConfig
-    universe: np.ndarray  # sorted flow indices allowed in supports
-    n_flows: int  # the penalty universe and the length of a candidate
-
-    def __post_init__(self):
-        u = np.unique(np.asarray(self.universe, dtype=np.int64))
-        u.setflags(write=False)
-        object.__setattr__(self, "universe", u)
-        if self.n_flows < u.size:
-            raise ValueError("penalty universe cannot be smaller than universe")
-
-    def _count_sum(self, universe_size: int, cap: Optional[int] = None) -> int:
+    def n_candidates(self, universe_size: int, cap: Optional[int] = None) -> int:
         """|Lambda| over a universe of U flows: sum_s C(U,s)*C(G,s),
-        supports times level tuples, stopping once past cap. A tuple of s
-        levels in [1,G] summing to at most G is fixed by its prefix sums,
-        s distinct values in [1,G]: C(G,s) of them."""
-        g = self.cfg.n_levels
+        supports times level tuples, stopping once past cap, so a count far
+        too large to enumerate costs only its first few terms. A tuple of s
+        levels in [1,G] summing to at most G is fixed by its prefix sums, s
+        distinct values in [1,G]: C(G,s) of them."""
+        g = self.n_levels
         total = 0
         for s in range(min(universe_size, g) + 1):
             total += math.comb(universe_size, s) * math.comb(g, s)
@@ -186,16 +174,10 @@ class CandidateSet:
                 break
         return total
 
-    def count_exceeds(self, cap: int) -> bool:
-        """Whether the set has more than cap candidates. Early-terminating:
-        the full count can be astronomically large while the comparison
-        needs only its first few terms."""
-        return self._count_sum(self.universe.size, cap=cap) > cap
-
-    def check_exhaustive(self) -> None:
-        """The exhaustive guard: CandidateCountError when the set has more
-        than 10^6 candidates to enumerate."""
-        if self.count_exceeds(_EXHAUSTIVE_GUARD):
+    def check_exhaustive(self, universe_size: int) -> None:
+        """The exhaustive guard: CandidateCountError when a universe of
+        that many flows has more than 10^6 candidates to enumerate."""
+        if self.n_candidates(universe_size, _EXHAUSTIVE_GUARD) > _EXHAUSTIVE_GUARD:
             raise CandidateCountError(
                 f"candidate count exceeds the exhaustive guard "
                 f"{_EXHAUSTIVE_GUARD}; use pmle_reduced"
@@ -203,36 +185,36 @@ class CandidateSet:
 
     @functools.cached_property
     def _penalty_count(self) -> int:
-        return self._count_sum(self.n_flows)
+        return self.n_candidates(self.n_flows)
 
     def pen_of_size(self, s: int) -> float:
         """Code length of any candidate with s nonzero entries."""
         if s < 0:
             raise ValueError("support size cannot be negative")
-        if self.cfg.penalty_mode == "uniform":
+        if self.penalty_mode == "uniform":
             return math.log(self._penalty_count)
         return (
-            s * (math.log(self.n_flows) + math.log(1 + self.cfg.n_levels))
+            s * (math.log(self.n_flows) + math.log(1 + self.n_levels))
             + 2.0 * math.log(1 + s)
             + KRAFT_CONSTANT
         )
 
-    def blocks(self) -> Iterator[tuple[tuple, np.ndarray]]:
-        """Yield (support, levels) blocks, one per support: support size
-        ascending, supports in lexicographic order, and levels an int
-        array of shape (C(G,s), s) holding every level tuple of that
-        support in lexicographic order. Supports of one size share one
-        read-only levels array."""
-        universe = [int(i) for i in self.universe]
-        for s in range(min(len(universe), self.cfg.n_levels) + 1):
-            levels = _level_tuples(s, self.cfg.n_levels)
+    def blocks(self, universe) -> Iterator[tuple[tuple, np.ndarray]]:
+        """Yield (support, levels) blocks over the universe's flows, one per
+        support: support size ascending, supports in lexicographic order,
+        and levels an int array of shape (C(G,s), s) holding every level
+        tuple of that support in lexicographic order. Supports of one size
+        share one read-only levels array."""
+        universe = [int(i) for i in universe]
+        for s in range(min(len(universe), self.n_levels) + 1):
+            levels = _level_tuples(s, self.n_levels)
             for supp in combinations(universe, s):
                 yield supp, levels
 
     def materialize(self, support: tuple, levels: tuple) -> np.ndarray:
         out = np.zeros(self.n_flows, dtype=np.float64)
         if support:
-            out[list(support)] = np.asarray(levels, float) * self.cfg.grid_step
+            out[list(support)] = np.asarray(levels, float) * self.grid_step
         return out
 
 
@@ -317,24 +299,27 @@ class PmleResult:
 def pmle_exhaustive(
     y: np.ndarray,
     g: BipartiteGraph,
-    cs: CandidateSet,
+    cfg: PmleConfig,
+    universe: np.ndarray,
     cover: np.ndarray,
     scale: float,
 ) -> PmleResult:
-    """Exact penalized-MLE argmin by full enumeration of the candidate set,
-    with the offset of cs.cfg on the cover flows.
+    """Exact penalized-MLE argmin of cfg by full enumeration of its
+    candidates supported in the universe, sorted distinct flows of g, with
+    the offset of cfg on the cover flows.
 
-    Guarded: refuses more than 10^6 candidates (`cs.check_exhaustive`).
+    Guarded: refuses more than 10^6 candidates (`cfg.check_exhaustive`).
     Scoring is batched: all level tuples of one support are scored as one
     array, and candidates within rounding error of the minimum are
     rescored exactly, so ties still go to the candidate enumerated first.
     """
-    cs.check_exhaustive()
+    universe = _check_flows(g, universe, "universe", cfg)
+    cfg.check_exhaustive(universe.size)
     y = checked_counters(y, g)
     if not scale > 0:
         raise ValueError(f"scale must be positive, got {scale}")
-    mu0 = cs.cfg.offset_means(g, cover, scale)
-    return _argmin(y, g, cs, mu0, scale, cs.blocks(), exhaustive=True)
+    mu0 = cfg.offset_means(g, cover, scale)
+    return _argmin(y, g, cfg, mu0, scale, cfg.blocks(universe), exhaustive=True)
 
 
 # A block is scored in row chunks whose per-row arrays hold at most this
@@ -345,7 +330,7 @@ _CHUNK_FLOATS = 2**18
 def _argmin(
     y: np.ndarray,
     g: BipartiteGraph,
-    cs: CandidateSet,
+    cfg: PmleConfig,
     mu0: np.ndarray,
     scale: float,
     blocks: Iterable[tuple[tuple, np.ndarray]],
@@ -384,7 +369,7 @@ def _argmin(
     those of a one-by-one loop over `_score`. When every candidate is
     +inf the first one is returned.
     """
-    a = scale * cs.cfg.grid_step
+    a = scale * cfg.grid_step
     pos = y > 0
     live = pos & (mu0 > 0)
     w = np.zeros_like(mu0)
@@ -409,7 +394,7 @@ def _argmin(
             first = candidate(flows, levels[0])
         s = len(flows)
         while len(pen2) <= s:
-            pen2.append(2.0 * cs.pen_of_size(len(pen2)))
+            pen2.append(2.0 * cfg.pen_of_size(len(pen2)))
         pen2_s = np.array(pen2[:s + 1])
         ragged = not levels.all()  # some rows leave some of the flows out
         touched, _, inv = _local_index(g, list(flows))
@@ -419,10 +404,10 @@ def _argmin(
         flow_of = np.repeat(np.arange(s), g.d)  # the flow of each entry of inv
         per_row = pos[touched]  # the counters scored row by row
         table = None
-        if len(levels) > cs.cfg.n_levels + 1:
+        if len(levels) > cfg.n_levels + 1:
             # the private counters' tables: flow i at level l is entry
             # i*(n_levels+1) + l of each
-            lvl = np.arange(cs.cfg.n_levels + 1)
+            lvl = np.arange(cfg.n_levels + 1)
             private = per_row & (np.bincount(inv, minlength=touched.size) == 1)
             per_row &= ~private
             on_p = private[inv]
@@ -475,12 +460,12 @@ def _argmin(
                 continue
             for j in np.nonzero(obj - tol <= best_hi)[0]:
                 supp, cand = candidate(flows, lv[j])
-                exact = _score(y, g, cs, mu0, scale, supp, cand)
+                exact = _score(y, g, cfg, mu0, scale, supp, cand)
                 if best is None or exact < best[0]:
                     best = (exact, supp, cand)
     obj, supp, lv = best if best is not None else (math.inf, *first)
     return PmleResult(
-        rates=cs.materialize(supp, lv),
+        rates=cfg.materialize(supp, lv),
         support=supp, levels=lv, objective=obj,
         n_evaluated=n_eval, exhaustive=exhaustive,
     )
@@ -489,7 +474,7 @@ def _argmin(
 def _score(
     y: np.ndarray,
     g: BipartiteGraph,
-    cs: CandidateSet,
+    cfg: PmleConfig,
     mu0: np.ndarray,
     scale: float,
     supp: tuple,
@@ -500,9 +485,9 @@ def _score(
     mu = mu0.copy()
     if supp:
         cols = g.columns[list(supp)].ravel()
-        a = scale * cs.cfg.grid_step
+        a = scale * cfg.grid_step
         np.add.at(mu, cols, np.repeat(a * np.asarray(lv, float), g.d))
-    return _nll_from_mu(mu, y) + 2.0 * cs.pen_of_size(len(supp))
+    return _nll_from_mu(mu, y) + 2.0 * cfg.pen_of_size(len(supp))
 
 
 def _local_index(g: BipartiteGraph, flows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -548,7 +533,7 @@ def sparse_poisson_solve(
     """
     import scipy.sparse as sp
 
-    support = np.asarray(support, dtype=np.int64)
+    support = _check_flows(g, support, "support")
     if support.size == 0:
         raise ValueError("support must be nonempty")
     y = np.asarray(y, dtype=np.float64)
@@ -721,17 +706,17 @@ def pmle_reduced(
     so the result is the zero estimate with the objective of the offset
     alone (n_evaluated 1, exhaustive True).
     """
+    a1 = _check_flows(g, loc.a1, "A1", cfg)
     y = checked_counters(y, g)
-    if loc.a1.size == 0:
+    if a1.size == 0:
         warnings.warn("localization produced an empty support; returning zeros")
-    cs = CandidateSet(cfg, loc.a1, g.n_left)
-    if loc.a1.size == 0 or not cs.count_exceeds(exhaustive_cap):
-        res = pmle_exhaustive(y, g, cs, cover, scale)
+    if a1.size == 0 or cfg.n_candidates(a1.size, exhaustive_cap) <= exhaustive_cap:
+        res = pmle_exhaustive(y, g, cfg, a1, cover, scale)
     else:
         mu0 = cfg.offset_means(g, cover, scale)
-        solve = sparse_poisson_solve(y, g, loc.a1, scale, mu_base=mu0)
-        s_max = min(loc.a1.size, cfg.n_levels, max(2 * cfg.k, 32))
-        block = _l0_path(solve.theta, loc.a1, cfg.grid_step, cfg.n_levels, s_max)
-        res = _argmin(y, g, cs, mu0, scale, [block], exhaustive=False)
+        solve = sparse_poisson_solve(y, g, a1, scale, mu_base=mu0)
+        s_max = min(a1.size, cfg.n_levels, max(2 * cfg.k, 32))
+        block = _l0_path(solve.theta, a1, cfg.grid_step, cfg.n_levels, s_max)
+        res = _argmin(y, g, cfg, mu0, scale, [block], exhaustive=False)
     res.localization = loc
     return res

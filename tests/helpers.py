@@ -128,43 +128,44 @@ def neg_log_likelihood(theta: np.ndarray, g: BipartiteGraph, y: np.ndarray,
     return _nll_from_mu(scale * apply_adjacency(g, theta), y)
 
 
-def grid_config(step: float, levels: int,
+def grid_config(step: float, levels: int, n_flows: int,
                 penalty_mode: str = DecodeSpec.penalty_mode) -> PmleConfig:
-    """A PmleConfig of no offset whose grid is `levels` levels of `step`:
-    l0 = step*levels, checked to give the step back exactly."""
+    """A PmleConfig over n_flows flows, of no offset, whose grid is `levels`
+    levels of `step`: l0 = step*levels, checked to give the step back
+    exactly."""
     cfg = PmleConfig(l0=step * levels, k=1, n_levels=levels, c=0.0,
-                     penalty_mode=penalty_mode)
+                     n_flows=n_flows, penalty_mode=penalty_mode)
     assert cfg.grid_step == step
     return cfg
 
 
-def _support_sizes(cs, max_support: Optional[int] = None) -> range:
-    """Support sizes of a pmle.CandidateSet's candidates, optionally only
-    those of at most max_support flows."""
-    smax = min(cs.universe.size, cs.cfg.n_levels)
+def _support_sizes(cfg, universe, max_support: Optional[int] = None) -> range:
+    """Support sizes of the candidates of a pmle.PmleConfig in a universe,
+    optionally only those of at most max_support flows."""
+    smax = min(len(universe), cfg.n_levels)
     return range((smax if max_support is None else min(smax, max_support)) + 1)
 
 
-def candidate_count(cs, max_support: Optional[int] = None) -> int:
-    """|Lambda| of a pmle.CandidateSet: C(U,s) supports times C(G,s)
-    level tuples, summed over the support sizes s."""
-    u, g = cs.universe.size, cs.cfg.n_levels
+def candidate_count(cfg, universe, max_support: Optional[int] = None) -> int:
+    """|Lambda| of a pmle.PmleConfig in a universe: C(U,s) supports times
+    C(G,s) level tuples, summed over the support sizes s."""
+    u, g = len(universe), cfg.n_levels
     return sum(math.comb(u, s) * math.comb(g, s)
-               for s in _support_sizes(cs, max_support))
+               for s in _support_sizes(cfg, universe, max_support))
 
 
-def enumerate_candidates(cs, max_support: Optional[int] = None):
-    """Every (support, levels) candidate of a pmle.CandidateSet as tuples,
-    in the order of its blocks, optionally only the supports of at most
-    max_support flows."""
-    for supp, levels in cs.blocks():
+def enumerate_candidates(cfg, universe, max_support: Optional[int] = None):
+    """Every (support, levels) candidate of a pmle.PmleConfig in a universe
+    as tuples, in the order of its blocks, optionally only the supports of
+    at most max_support flows."""
+    for supp, levels in cfg.blocks(universe):
         if max_support is not None and len(supp) > max_support:
             return  # support sizes ascend
         for lv in levels.tolist():
             yield supp, tuple(lv)
 
 
-def penalty(candidate: np.ndarray, cs) -> float:
+def penalty(candidate: np.ndarray, cfg, universe) -> float:
     """Code length of an explicit candidate vector.
 
     Validates grid membership: support inside the universe, every nonzero
@@ -173,17 +174,17 @@ def penalty(candidate: np.ndarray, cs) -> float:
     """
     candidate = np.asarray(candidate, dtype=np.float64)
     nz = np.nonzero(candidate)[0]
-    if not np.isin(nz, cs.universe).all():
+    if not np.isin(nz, universe).all():
         raise ValueError("candidate support lies outside the universe")
     if (candidate[nz] < 0).any():
         raise ValueError("candidate entries must be nonnegative")
-    levels = candidate[nz] / cs.cfg.grid_step
+    levels = candidate[nz] / cfg.grid_step
     rounded = np.rint(levels)
     if (np.abs(levels - rounded) > 1e-9 * np.maximum(1.0, levels)).any():
         raise ValueError("candidate entry off the grid")
-    if (rounded > cs.cfg.n_levels).any() or rounded.sum() > cs.cfg.n_levels:
+    if (rounded > cfg.n_levels).any() or rounded.sum() > cfg.n_levels:
         raise ValueError("candidate exceeds the l1 budget")
-    return cs.pen_of_size(int(nz.size))
+    return cfg.pen_of_size(int(nz.size))
 
 
 class KraftAudit(NamedTuple):
@@ -192,29 +193,30 @@ class KraftAudit(NamedTuple):
     ok: bool  # total <= 1 (tiny float slack)
 
 
-def kraft_audit(cs, max_support: Optional[int] = None,
+def kraft_audit(cfg, universe, max_support: Optional[int] = None,
                 exhaustive_cap: int = 10**5) -> KraftAudit:
-    """Verify the penalty of a pmle.CandidateSet is a valid code length:
-    sum e^{-pen} <= 1 over its candidates with at most max_support flows.
+    """Verify the penalty of a pmle.PmleConfig is a valid code length:
+    sum e^{-pen} <= 1 over its candidates in a universe with at most
+    max_support flows.
 
     Small sets are summed candidate by candidate; larger ones use the
     exact per-size counts (the penalty depends only on support size, so
     the counting formula is not a bound but the same sum regrouped).
     """
-    if candidate_count(cs, max_support) <= exhaustive_cap:
+    if candidate_count(cfg, universe, max_support) <= exhaustive_cap:
         total = 0.0
-        for supp, _levels in enumerate_candidates(cs, max_support):
-            total += math.exp(-cs.pen_of_size(len(supp)))
+        for supp, _levels in enumerate_candidates(cfg, universe, max_support):
+            total += math.exp(-cfg.pen_of_size(len(supp)))
         return KraftAudit(total=total, exhaustive=True, ok=total <= 1.0 + 1e-9)
-    g = cs.cfg.n_levels
-    u = cs.universe.size
+    g = cfg.n_levels
+    u = len(universe)
     total = 0.0
-    for s in _support_sizes(cs, max_support):
+    for s in _support_sizes(cfg, universe, max_support):
         log_count = (
             math.lgamma(u + 1) - math.lgamma(s + 1) - math.lgamma(u - s + 1)
             + math.lgamma(g + 1) - math.lgamma(s + 1) - math.lgamma(g - s + 1)
         )
-        total += math.exp(log_count - cs.pen_of_size(s))
+        total += math.exp(log_count - cfg.pen_of_size(s))
     return KraftAudit(total=total, exhaustive=False, ok=total <= 1.0 + 1e-9)
 
 
@@ -551,11 +553,11 @@ def _nll_from_mu(mu: np.ndarray, y: np.ndarray) -> float:
     return float(mu.sum() - (y[pos] * np.log(mu[pos])).sum())
 
 
-def argmin_scalar(y, g, cs, mu0, scale, candidates, exhaustive) -> PmleResult:
+def argmin_scalar(y, g, cfg, mu0, scale, candidates, exhaustive) -> PmleResult:
     """Score each (support, levels) candidate as NLL(candidate + offset) +
     2*pen(candidate) over all counters, one candidate at a time, and keep
     the first minimum."""
-    step = cs.cfg.grid_step
+    step = cfg.grid_step
     best = None
     n_eval = 0
     for supp, lv in candidates:
@@ -563,25 +565,25 @@ def argmin_scalar(y, g, cs, mu0, scale, candidates, exhaustive) -> PmleResult:
         if supp:
             cols = g.columns[list(supp)].ravel()
             np.add.at(mu, cols, np.repeat(scale * step * np.asarray(lv, float), g.d))
-        obj = _nll_from_mu(mu, y) + 2.0 * cs.pen_of_size(len(supp))
+        obj = _nll_from_mu(mu, y) + 2.0 * cfg.pen_of_size(len(supp))
         n_eval += 1
         if best is None or obj < best[0]:
             best = (obj, supp, lv)
     obj, supp, lv = best
     return PmleResult(
-        rates=cs.materialize(supp, lv),
+        rates=cfg.materialize(supp, lv),
         support=supp, levels=lv, objective=obj,
         n_evaluated=n_eval, exhaustive=exhaustive,
     )
 
 
-def argmin_chunked(y, g, cs, mu0, scale, blocks, exhaustive) -> PmleResult:
+def argmin_chunked(y, g, cfg, mu0, scale, blocks, exhaustive) -> PmleResult:
     """`pmle._argmin` as it screened before per-flow level tables: each row
     chunk of a block evaluates y*ln(mu) on every counter the block's flows
     touch, as one (rows, |T|) buffer, and candidates within the rounding
     bound of the running minimum are rescored exactly by `pmle._score`."""
     chunk_rows = 1024
-    a = scale * cs.cfg.grid_step
+    a = scale * cfg.grid_step
     pos = y > 0
     live = pos & (mu0 > 0)
     w = np.zeros_like(mu0)
@@ -606,7 +608,7 @@ def argmin_chunked(y, g, cs, mu0, scale, blocks, exhaustive) -> PmleResult:
             first = candidate(flows, levels[0])
         s = len(flows)
         while len(pen2) <= s:
-            pen2.append(2.0 * cs.pen_of_size(len(pen2)))
+            pen2.append(2.0 * cfg.pen_of_size(len(pen2)))
         pen2_s = np.array(pen2[:s + 1])
         ragged = not levels.all()
         touched, _, inv = pmle._local_index(g, list(flows))
@@ -641,12 +643,12 @@ def argmin_chunked(y, g, cs, mu0, scale, blocks, exhaustive) -> PmleResult:
                 continue
             for j in np.nonzero(obj - tol <= best_hi)[0]:
                 supp, cand = candidate(flows, lv[j])
-                exact = pmle._score(y, g, cs, mu0, scale, supp, cand)
+                exact = pmle._score(y, g, cfg, mu0, scale, supp, cand)
                 if best is None or exact < best[0]:
                     best = (exact, supp, cand)
     obj, supp, lv = best if best is not None else (math.inf, *first)
     return PmleResult(
-        rates=cs.materialize(supp, lv),
+        rates=cfg.materialize(supp, lv),
         support=supp, levels=lv, objective=obj,
         n_evaluated=n_eval, exhaustive=exhaustive,
     )

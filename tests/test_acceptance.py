@@ -15,7 +15,6 @@ from pathlib import Path
 import numpy as np
 
 from flowsketch import (
-    CandidateSet,
     GraphConstructionError,
     PmleConfig,
     SignalSpec,
@@ -171,20 +170,21 @@ def test_ac5_localization():
 
 
 def test_ac6_kraft_audit():
-    small = [  # (candidate set, largest support audited)
-        (CandidateSet(grid_config(1.0, 99, "uniform"), np.array([0]), 1), None),
-        (CandidateSet(grid_config(0.5, 4), np.arange(20), 20), 2),
-        (CandidateSet(grid_config(0.5, 5), np.arange(12), 12), None),
+    small = [  # (candidate set, universe, largest support audited)
+        (grid_config(1.0, 99, 1, "uniform"), np.array([0]), None),
+        (grid_config(0.5, 4, 20), np.arange(20), 2),
+        (grid_config(0.5, 5, 12), np.arange(12), None),
     ]
     audits = []
-    for cs, max_support in small:
-        audits.append(kraft_audit(cs, max_support))  # candidate-by-candidate
-        audits.append(kraft_audit(cs, max_support, exhaustive_cap=0))  # counting formula
+    for cfg, universe, max_support in small:
+        audits.append(kraft_audit(cfg, universe, max_support))  # candidate-by-candidate
+        audits.append(kraft_audit(cfg, universe, max_support,
+                                  exhaustive_cap=0))  # counting formula
     large = [
-        CandidateSet(grid_config(0.25, 64), np.arange(5000), 5000),
-        CandidateSet(grid_config(0.05, 1024, "uniform"), np.arange(5000), 5000),
+        grid_config(0.25, 64, 5000),
+        grid_config(0.05, 1024, 5000, "uniform"),
     ]
-    audits.extend(kraft_audit(cs) for cs in large)
+    audits.extend(kraft_audit(cfg, np.arange(5000)) for cfg in large)
     exhaustive_used = sum(a.exhaustive for a in audits)
     worst = max(a.total for a in audits)
     ok = all(a.ok for a in audits)
@@ -213,8 +213,7 @@ def test_ac7_oracle_equivalence():
         run_epochs(st, 60)
         cfg = dataclasses.replace(
             PmleConfig.from_problem(12, 2, l0=2.5, levels=5), c=0.01)
-        cs = CandidateSet(cfg, np.arange(12), 12)
-        full = pmle_exhaustive(st.y, g, cs, cover, 60.0)
+        full = pmle_exhaustive(st.y, g, cfg, np.arange(12), cover, 60.0)
         loc = localize_whales(st.y, g, 2)
         if not np.isin(truth.whale_support, loc.a1).all():
             continue

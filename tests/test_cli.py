@@ -878,6 +878,24 @@ def test_sweep_config_pmle_knob_failing_every_trial_is_invalid_input(
     assert not (tmp_path / "results.csv").exists()
 
 
+def test_sweep_config_exhaustive_guard_failing_every_trial_is_invalid_input(
+        tmp_path, capsys, monkeypatch):
+    # 200 flows at 64 levels: every pmle-exhaustive trial would exceed the
+    # exhaustive guard, which depends only on n_flows and pmle.levels
+    calls = []
+    monkeypatch.setattr(experiment, "run_trial",
+                        lambda *a: calls.append(a) or [])
+
+    def edit(d):
+        d.update(n_flows=200, n_counters=60, degree=6, sweep=[2], trials=3,
+                 decoders=["pmle-exhaustive"])
+    assert sweep_with_edited_config(tmp_path, edit) == 1
+    assert capsys.readouterr().err.startswith(
+        "invalid input: key 'decoders': candidate count exceeds the exhaustive guard")
+    assert calls == []
+    assert not (tmp_path / "results.csv").exists()
+
+
 @pytest.mark.parametrize("key,value,message", [
     ("sweep", [2, 60], "key 'sweep': need 0 <= k <= n_flows, got k=60"),
     ("whale_dist", {"kind": "constant", "value": 0.0},

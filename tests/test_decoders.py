@@ -39,6 +39,20 @@ def test_decode_rejects_bad_counters(small_expander, monkeypatch, decoder,
         decode(g, y, 30, 1.0, spec)
 
 
+@pytest.mark.parametrize("decoder", ["pmle-exhaustive", "pmle-reduced"])
+def test_decode_refuses_a_cover_outside_the_graph(small_expander, monkeypatch,
+                                                 decoder):
+    # a negative flow index would alias flow N + index
+    for mod, name in [(pmle, "_argmin"), (pmle, "sparse_poisson_solve")]:
+        monkeypatch.setattr(mod, name, _refuse)
+    g = small_expander
+    cover = graph.greedy_cover(g).copy()
+    cover[0] -= g.n_left  # the alias of cover[0], still sorted
+    with pytest.raises(ValueError, match="cover must hold sorted, distinct flows"):
+        decode(g, np.full(g.n_right, 2.0), 30, 1.0,
+               DecodeSpec(decoder, k=2, l0=2.0, levels=2), cover=cover)
+
+
 def test_pmle_reduced_decode_calls_each_layer_through_its_module(monkeypatch):
     # The benchmark times each layer by wrapping these module attributes,
     # so a decode that bypasses one would drop that layer's time. At the

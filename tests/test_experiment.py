@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from flowsketch import Dist
+from flowsketch import Dist, lp, pmle
 from flowsketch.experiment import (
     ExperimentConfig,
     ExperimentResult,
@@ -206,15 +206,20 @@ def test_mean_hw():
     assert all(math.isnan(v) for v in _mean_hw(np.array([])))
 
 
-def test_decoder_failure_recorded_not_raised():
-    # exhaustive enumeration blows the candidate guard at this size; the
-    # sweep keeps going and the row carries the exception note
+def test_decoder_failure_recorded_not_raised(monkeypatch):
+    # a decoder that raises mid-trial: the sweep keeps going and the row
+    # carries the exception note. (A pmle-exhaustive whose every trial
+    # exceeds the exhaustive guard is refused before any trial runs.)
+    def fail(*args, **kwargs):
+        raise lp.NumericalError("the solve diverged")
+    monkeypatch.setattr(pmle, "pmle_exhaustive", fail)
     cfg = tiny_cfg(n_flows=100, n_counters=30, degree=3,
-                   decoders=("direct", "pmle-exhaustive"))
+                   decoders=("direct", "pmle-exhaustive"),
+                   pmle=PmleOptions(levels=2))
     res = run_sweep(cfg)
     by_dec = {r.decoder: r for r in res.rows}
     assert len(res.rows) == 2
-    assert "CandidateCountError" in by_dec["pmle-exhaustive"].note
+    assert by_dec["pmle-exhaustive"].note == "NumericalError: the solve diverged"
     assert not by_dec["pmle-exhaustive"].success
     assert math.isnan(by_dec["pmle-exhaustive"].rel_l1_error)
     assert by_dec["direct"].note == ""

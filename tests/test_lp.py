@@ -62,6 +62,13 @@ def test_input_validation():
                        columns=np.array([[0, 1], [0, 1]], dtype=np.int32), seed=0)
     with pytest.raises(ValueError):
         basis_pursuit(g, np.zeros(3))
+    # refused before the interior point runs, which would iterate to its
+    # cap on such counters and return a NaN u
+    for value in (np.nan, np.inf, -np.inf):
+        with mock.patch.object(lp, "_solve_ipm") as ipm, pytest.raises(
+                ValueError, match=f"counter 1 is {value}; counters must be finite"):
+            basis_pursuit(g, np.array([2.0, value]))
+        ipm.assert_not_called()
 
 
 def test_two_sparse_recovery_matches_oracle(small_expander):

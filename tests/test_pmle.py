@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from flowsketch import (
     KRAFT_CONSTANT,
     CandidateCountError,
-    CandidateSet,
     DecodeSpec,
     Dist,
     PmleConfig,
@@ -196,47 +195,56 @@ def test_nll_stationarity():
 def test_pmle_config_validation():
     cover = greedy_cover(hexad_graph())
     with pytest.raises(ValueError):
-        PmleConfig(l0=0.0, k=1, n_levels=4, c=0.1)
+        PmleConfig(l0=0.0, k=1, n_levels=4, c=0.1, n_flows=6)
     for l0, n_levels in [(math.inf, 4), (4.0, 2.5), (4.0, True)]:
         with pytest.raises(ValueError, match="need 0 < l0 < inf and an integer"):
-            PmleConfig(l0=l0, k=1, n_levels=n_levels, c=0.1)
+            PmleConfig(l0=l0, k=1, n_levels=n_levels, c=0.1, n_flows=6)
     # l0 passes on its own, but its grid step l0/n_levels underflows to 0,
     # or has no float value at more levels than a float holds
     for l0, n_levels in [(1e-320, 10**6), (4.0, 10**400)]:
         with pytest.raises(ValueError, match="need 0 < grid_step < inf and an integer"):
-            PmleConfig(l0=l0, k=1, n_levels=n_levels, c=0.1)
+            PmleConfig(l0=l0, k=1, n_levels=n_levels, c=0.1, n_flows=6)
     for k in (2.5, True):
         with pytest.raises(ValueError, match="k must be an integer >= 1"):
-            PmleConfig(l0=4.0, k=k, n_levels=4, c=0.1)
-    cfg = PmleConfig(l0=4.0, k=np.int64(2), n_levels=np.int64(4), c=0.1)
+            PmleConfig(l0=4.0, k=k, n_levels=4, c=0.1, n_flows=6)
+    for n_flows in (0, 2.5, True):
+        with pytest.raises(ValueError, match="n_flows must be an integer >= 1"):
+            PmleConfig(l0=4.0, k=1, n_levels=4, c=0.1, n_flows=n_flows)
+    cfg = PmleConfig(l0=4.0, k=np.int64(2), n_levels=np.int64(4), c=0.1,
+                     n_flows=np.int64(6))
     assert cfg.grid_step == 1.0
     with pytest.raises(ValueError, match="unknown penalty mode 'huffman'"):
-        PmleConfig(l0=4.0, k=1, n_levels=4, c=0.1, penalty_mode="huffman")
+        PmleConfig(l0=4.0, k=1, n_levels=4, c=0.1, n_flows=6, penalty_mode="huffman")
     with pytest.raises(ValueError):
-        PmleConfig(l0=4.0, k=0, n_levels=4, c=0.1)
+        PmleConfig(l0=4.0, k=0, n_levels=4, c=0.1, n_flows=6)
     with pytest.raises(ValueError):
-        PmleConfig(l0=4.0, k=1, n_levels=0, c=0.1)
+        PmleConfig(l0=4.0, k=1, n_levels=0, c=0.1, n_flows=6)
     with pytest.raises(ValueError):
-        PmleConfig(l0=4.0, k=1, n_levels=4, c=1.0)
+        PmleConfig(l0=4.0, k=1, n_levels=4, c=1.0, n_flows=6)
     cfg = PmleConfig.from_problem(6, 2, 4.0, gamma=0.5, levels=4)
-    assert cfg.grid_step == 1.0 and cfg.n_levels == 4
+    assert cfg.grid_step == 1.0 and cfg.n_levels == 4 and cfg.n_flows == 6
     assert cfg.penalty_mode == DecodeSpec.penalty_mode
     assert abs(cfg.c - 0.5 / (2 * math.log(3))) < 1e-12
     with pytest.raises(ValueError):
         PmleConfig.from_problem(6, 6, 4.0)  # k = N
     with pytest.raises(ValueError):
         PmleConfig.from_problem(6, 2, 4.0, gamma=4.0)  # c >= 1
-    with pytest.raises(ValueError):  # cover flow 5 is not in a 5-flow graph
-        cfg.offset_means(build_random_expander(5, 4, 2, seed=0), cover, 1.0)
+    g5 = build_random_expander(5, 4, 2, seed=0)
+    # cover flow 5 is not in a 5-flow graph, and -1 would alias flow 4
+    for bad in (cover, np.array([-1, 0]), np.array([1, 0])):
+        with pytest.raises(ValueError, match="cover must hold sorted, distinct flows"):
+            dataclasses.replace(cfg, n_flows=5).offset_means(g5, bad, 1.0)
+    with pytest.raises(ValueError, match="n_flows=6 is not the graph's 5 flows"):
+        cfg.offset_means(g5, np.array([0]), 1.0)
 
 
 # ---------------------------------------------------------------- candidates
 
 
 def test_candidate_count_matches_enumeration():
-    cs = CandidateSet(grid_config(0.5, 3), np.arange(5), 5)
-    cands = list(enumerate_candidates(cs))
-    assert len(cands) == candidate_count(cs) == sum(
+    cfg, universe = grid_config(0.5, 3, 5), np.arange(5)
+    cands = list(enumerate_candidates(cfg, universe))
+    assert len(cands) == candidate_count(cfg, universe) == cfg.n_candidates(5) == sum(
         math.comb(5, s) * math.comb(3, s) for s in range(4)
     )
     assert len(set(cands)) == len(cands)
@@ -246,8 +254,8 @@ def test_candidate_count_matches_enumeration():
     for supp, lv in cands:
         assert len(supp) == len(lv)
         assert all(1 <= m <= 3 for m in lv) and sum(lv) <= 3
-        vec = cs.materialize(supp, lv)
-        assert vec.sum() <= cs.cfg.n_levels * cs.cfg.grid_step + 1e-12
+        vec = cfg.materialize(supp, lv)
+        assert vec.sum() <= cfg.n_levels * cfg.grid_step + 1e-12
 
 
 @settings(max_examples=300, deadline=None)
@@ -278,18 +286,15 @@ def test_level_tuples_cached_read_only():
 
 
 def test_candidate_count_exceeds():
-    cs = CandidateSet(grid_config(0.5, 3), np.arange(5), 5)
-    n = candidate_count(cs)
-    assert cs.count_exceeds(n - 1)
-    assert not cs.count_exceeds(n)
-    big = CandidateSet(grid_config(0.1, 2048), np.arange(5000), 5000)
-    assert big.count_exceeds(10**6)  # early exit, no bigint blowup
-
-
-def test_candidate_set_validation():
-    # the grid and penalty mode are PmleConfig's (test_pmle_config_validation)
-    with pytest.raises(ValueError, match="penalty universe cannot be smaller"):
-        CandidateSet(grid_config(1.0, 2), np.arange(3), 2)
+    cfg = grid_config(0.5, 3, 5)
+    n = candidate_count(cfg, np.arange(5))
+    assert cfg.n_candidates(5, cap=n - 1) > n - 1
+    assert cfg.n_candidates(5, cap=n) == n
+    cfg.check_exhaustive(5)
+    big = grid_config(0.1, 2048, 5000)
+    assert big.n_candidates(5000, cap=10**6) > 10**6  # early exit, no bigint blowup
+    with pytest.raises(CandidateCountError):
+        big.check_exhaustive(5000)
 
 
 # ---------------------------------------------------------------- penalties
@@ -297,48 +302,47 @@ def test_candidate_set_validation():
 
 def test_uniform_penalty_kraft_exact():
     # |Lambda| = 1 + 99 = 100; every candidate pays ln 100
-    cs = CandidateSet(grid_config(0.25, 99, "uniform"), np.array([0]), 1)
-    assert candidate_count(cs) == 100
-    assert cs.pen_of_size(0) == cs.pen_of_size(1) == math.log(100)
-    audit = kraft_audit(cs)
+    cfg = grid_config(0.25, 99, 1, "uniform")
+    assert candidate_count(cfg, np.array([0])) == 100
+    assert cfg.pen_of_size(0) == cfg.pen_of_size(1) == math.log(100)
+    audit = kraft_audit(cfg, np.array([0]))
     assert audit.exhaustive and audit.ok
     assert math.isclose(audit.total, 1.0, rel_tol=1e-12)
 
 
 def test_l0_scaled_penalty_values():
-    cs = CandidateSet(grid_config(1.0, 4), np.arange(20), 20)
-    assert penalty(np.zeros(20), cs) == KRAFT_CONSTANT
+    cfg, universe = grid_config(1.0, 4, 20), np.arange(20)
+    assert penalty(np.zeros(20), cfg, universe) == KRAFT_CONSTANT
     assert KRAFT_CONSTANT == math.log(math.pi**2 / 6)
     lam = np.zeros(20)
     lam[3], lam[8] = 1.0, 2.0
     want = 2 * (math.log(20) + math.log(5)) + 2 * math.log(3) + KRAFT_CONSTANT
-    assert abs(penalty(lam, cs) - want) < 1e-12
+    assert abs(penalty(lam, cfg, universe) - want) < 1e-12
 
 
 def test_penalty_rejects_bad_candidates():
-    cs = CandidateSet(grid_config(0.5, 4), np.arange(4), 4)
+    cfg, universe = grid_config(0.5, 4, 4), np.arange(4)
     bad_univ = np.zeros(6)
     bad_univ[5] = 0.5
     with pytest.raises(ValueError):
-        penalty(bad_univ, cs)
+        penalty(bad_univ, cfg, universe)
     with pytest.raises(ValueError):
-        penalty(np.array([0.3, 0, 0, 0]), cs)  # off grid
+        penalty(np.array([0.3, 0, 0, 0]), cfg, universe)  # off grid
     with pytest.raises(ValueError):
-        penalty(np.array([1.5, 1.0, 0, 0]), cs)  # level budget exceeded
+        penalty(np.array([1.5, 1.0, 0, 0]), cfg, universe)  # level budget exceeded
     with pytest.raises(ValueError):
-        penalty(np.array([-0.5, 0, 0, 0]), cs)
+        penalty(np.array([-0.5, 0, 0, 0]), cfg, universe)
 
 
 def test_kraft_audit_l0_scaled():
-    cs = CandidateSet(grid_config(1.0, 4), np.arange(20), 20)
-    brute = kraft_audit(cs, max_support=2, exhaustive_cap=10**5)
-    formula = kraft_audit(cs, max_support=2, exhaustive_cap=100)
+    cfg, universe = grid_config(1.0, 4, 20), np.arange(20)
+    brute = kraft_audit(cfg, universe, max_support=2, exhaustive_cap=10**5)
+    formula = kraft_audit(cfg, universe, max_support=2, exhaustive_cap=100)
     assert brute.exhaustive and not formula.exhaustive
     assert brute.ok and formula.ok
     assert abs(brute.total - formula.total) < 1e-9
     # full-scale set stays within the Kraft budget via the closed form
-    big = CandidateSet(grid_config(1.0, 64), np.arange(5000), 5000)
-    audit = kraft_audit(big)
+    audit = kraft_audit(grid_config(1.0, 64, 5000), np.arange(5000))
     assert not audit.exhaustive and audit.ok
 
 
@@ -352,40 +356,39 @@ def _hexad_problem(c=0.0, gamma=0.5):
     scale = 5.0
     y = scale * apply_adjacency(g, truth)
     if c == 0.0:
-        cfg = PmleConfig(l0=4.0, k=2, n_levels=4, c=0.0, penalty_mode="uniform")
+        cfg = PmleConfig(l0=4.0, k=2, n_levels=4, c=0.0, n_flows=6,
+                         penalty_mode="uniform")
     else:
         cfg = PmleConfig.from_problem(6, 2, 4.0, gamma=gamma, levels=4,
                                       penalty_mode="uniform")
-    cs = CandidateSet(cfg, np.arange(6), 6)
-    return g, cover, cfg, cs, truth, y, scale
+    return g, cover, cfg, truth, y, scale
 
 
 def test_exhaustive_noiseless_uniform():
     # injective instance: counter 3 is empty so flows 2,4,5 are pinned to
     # zero and the remaining 3x3 system is invertible; argmin is the truth
-    g, cover, cfg, cs, truth, y, scale = _hexad_problem(c=0.0)
-    res = pmle_exhaustive(y, g, cs, cover, scale)
+    g, cover, cfg, truth, y, scale = _hexad_problem(c=0.0)
+    res = pmle_exhaustive(y, g, cfg, np.arange(6), cover, scale)
     assert res.support == (0, 3) and res.levels == (2, 1)
     assert np.array_equal(res.rates, truth)
-    assert res.exhaustive and res.n_evaluated == candidate_count(cs)
+    assert res.exhaustive and res.n_evaluated == candidate_count(cfg, np.arange(6))
 
 
 def test_exhaustive_offset_perturbation():
     # with c > 0 the offset shifts the optimum by at most one grid step
-    g, cover, cfg, cs, truth, y, scale = _hexad_problem(c=None or 0.22)
-    res = pmle_exhaustive(y, g, cs, cover, scale)
+    g, cover, cfg, truth, y, scale = _hexad_problem(c=None or 0.22)
+    res = pmle_exhaustive(y, g, cfg, np.arange(6), cover, scale)
     assert np.abs(res.rates - truth).max() <= cfg.grid_step + 1e-12
 
 
 def test_exhaustive_singleton_universe():
     g = hexad_graph()
     cover = greedy_cover(g)
-    cfg = PmleConfig(l0=3.0, k=1, n_levels=3, c=0.0, penalty_mode="uniform")
-    cs = CandidateSet(cfg, np.array([2]), 6)
+    cfg = PmleConfig(l0=3.0, k=1, n_levels=3, c=0.0, n_flows=6, penalty_mode="uniform")
     truth = np.zeros(6)
     truth[2] = 2.0
     y = 4.0 * apply_adjacency(g, truth)
-    res = pmle_exhaustive(y, g, cs, cover, 4.0)
+    res = pmle_exhaustive(y, g, cfg, np.array([2]), cover, 4.0)
     assert res.support == (2,) and res.levels == (2,)
 
 
@@ -393,17 +396,16 @@ def test_exhaustive_guard():
     g = build_random_expander(5000, 800, 8, seed=1)
     cover = greedy_cover(g)
     cfg = PmleConfig.from_problem(5000, 10, 64.0, levels=64)
-    cs = CandidateSet(cfg, np.arange(5000), 5000)
     with pytest.raises(CandidateCountError):
-        pmle_exhaustive(np.zeros(800), g, cs, cover, 1.0)
+        pmle_exhaustive(np.zeros(800), g, cfg, np.arange(5000), cover, 1.0)
 
 
 def test_scale_equivariance_uniform():
     # integer rescale of (y, scale) preserves the argmin candidate
-    g, cover, cfg, cs, truth, y, scale = _hexad_problem(c=0.22)
-    base = pmle_exhaustive(y, g, cs, cover, scale)
+    g, cover, cfg, truth, y, scale = _hexad_problem(c=0.22)
+    base = pmle_exhaustive(y, g, cfg, np.arange(6), cover, scale)
     for factor in (2, 3, 7):
-        res = pmle_exhaustive(factor * y, g, cs, cover, factor * scale)
+        res = pmle_exhaustive(factor * y, g, cfg, np.arange(6), cover, factor * scale)
         assert res.support == base.support and res.levels == base.levels
 
 
@@ -430,7 +432,7 @@ def test_offset_means_match_csr_product(data):
     step = data.draw(st.sampled_from([0.3, 0.5, 1.0, 2.5]))
     levels = data.draw(st.integers(1, 64))
     cfg = PmleConfig(l0=levels * step, k=1, n_levels=levels,
-                     c=data.draw(st.floats(0.0, 0.99)))
+                     c=data.draw(st.floats(0.0, 0.99)), n_flows=g.n_left)
     cover = np.array(members, dtype=np.int64)
     scale = data.draw(st.sampled_from([0.1, 1.0, 3.0, 40.0]))
     want = scale * apply_adjacency(g, offset_rates(cfg, cover, g.n_left))
@@ -488,6 +490,10 @@ def test_sparse_solve_validation():
         sparse_poisson_solve(np.zeros(10), g, np.array([], dtype=np.int64), 1.0)
     with pytest.raises(ValueError):
         sparse_poisson_solve(np.zeros(10), g, np.array([0]), 0.0)
+    # -1 would solve flow 19 under the label -1
+    for support in ([-1], [20], [3, 1], [2, 2]):
+        with pytest.raises(ValueError, match="support must hold sorted, distinct flows"):
+            sparse_poisson_solve(np.zeros(10), g, np.array(support), 1.0)
 
 
 def test_sparse_solve_infeasible_precheck():
@@ -680,10 +686,10 @@ def test_reduced_empty_a1_warns():
     loc = WhaleLocalization(a1=np.empty(0, dtype=np.int64))
     y, scale = np.ones(4), 1.0
     for penalty_mode in ("l0-scaled", "uniform"):
-        cfg = PmleConfig(l0=4.0, k=1, n_levels=4, c=0.1, penalty_mode=penalty_mode)
-        cs_full = CandidateSet(cfg, np.arange(g.n_left), g.n_left)
+        cfg = PmleConfig(l0=4.0, k=1, n_levels=4, c=0.1, n_flows=g.n_left,
+                         penalty_mode=penalty_mode)
         want = (neg_log_likelihood(offset_rates(cfg, cover, g.n_left), g, y, scale)
-                + 2.0 * cs_full.pen_of_size(0))
+                + 2.0 * cfg.pen_of_size(0))
         for cap in (10**6, 0):
             with pytest.warns(UserWarning):
                 res = pmle_reduced(y, g, loc, cfg, cover, scale, exhaustive_cap=cap)
@@ -713,10 +719,44 @@ def test_reduced_path_branch_exact_recovery(small_expander):
 
 
 def test_reduced_penalty_inheritance():
-    cs_full = CandidateSet(grid_config(0.5, 5), np.arange(12), 12)
-    cs_sub = CandidateSet(grid_config(0.5, 5), np.array([1, 4, 7]), 12)
-    for s in range(4):
-        assert cs_sub.pen_of_size(s) == cs_full.pen_of_size(s)
+    # a universe restricts the supports but keeps the code lengths of all
+    # n_flows flows, so a sub-universe holding the full argmin returns it
+    # with the same objective bits
+    g, cover, cfg, truth, y, scale = _hexad_problem(c=0.0)
+    cfg = dataclasses.replace(cfg, penalty_mode="l0-scaled")
+    full = pmle_exhaustive(y, g, cfg, np.arange(6), cover, scale)
+    sub = pmle_exhaustive(y, g, cfg, np.array(full.support), cover, scale)
+    assert full.support and sub.n_evaluated < full.n_evaluated
+    assert (sub.support, sub.levels) == (full.support, full.levels)
+    assert sub.objective.hex() == full.objective.hex()
+
+
+@pytest.mark.parametrize("flows, n_flows, message", [
+    ([-1], 50, "must hold sorted, distinct flows in \\[0, 50\\)"),
+    ([0, 50], 50, "must hold sorted, distinct"),
+    ([3, 1], 50, "must hold sorted, distinct"),
+    ([2, 2], 50, "must hold sorted, distinct"),
+    ([0, 1], 51, "n_flows=51 is not the graph's 50 flows"),
+], ids=["flow--1", "flow-N", "unsorted", "repeated", "n_flows-not-N"])
+@pytest.mark.parametrize("caller", ["exhaustive", "reduced", "reduced-path"])
+def test_universe_rule_refuses_before_any_work(small_expander, caller, flows,
+                                               n_flows, message):
+    # a flow of -1 would alias flow N-1, and a flow of N would fail in
+    # materialize with an IndexError
+    g = small_expander
+    cfg = PmleConfig.from_problem(n_flows, 1, 4.0, levels=4)
+    y = np.full(g.n_right, 2.0)
+    cover = greedy_cover(g)
+    with mock.patch.object(pmle_module, "_argmin") as argmin, \
+            mock.patch.object(pmle_module, "sparse_poisson_solve") as solve, \
+            pytest.raises(ValueError, match=message):
+        if caller == "exhaustive":
+            pmle_exhaustive(y, g, cfg, np.array(flows), cover, 1.0)
+        else:
+            pmle_reduced(y, g, WhaleLocalization(a1=np.array(flows)), cfg, cover, 1.0,
+                         exhaustive_cap=0 if caller == "reduced-path" else 10**6)
+    argmin.assert_not_called()
+    solve.assert_not_called()
 
 
 def test_reduced_matches_exhaustive_small():
@@ -735,8 +775,7 @@ def test_reduced_matches_exhaustive_small():
         run_epochs(st, 60)
         cfg = dataclasses.replace(
             PmleConfig.from_problem(12, 2, l0=2.5, levels=5), c=0.01)
-        cs = CandidateSet(cfg, np.arange(12), 12)
-        full = pmle_exhaustive(st.y, g, cs, cover, 60.0)
+        full = pmle_exhaustive(st.y, g, cfg, np.arange(12), cover, 60.0)
         loc = localize_whales(st.y, g, 2)
         if not np.isin(truth.whale_support, loc.a1).all():
             continue
@@ -753,11 +792,11 @@ def test_reduced_matches_exhaustive_small():
 # ---------------------------------------------------------------- batched scoring
 
 
-def _scalar_argmin(y, g, cs, mu0, scale, blocks, exhaustive):
+def _scalar_argmin(y, g, cfg, mu0, scale, blocks, exhaustive):
     # a row's candidate is the block's flows with a nonzero level
     flat = ((tuple(i for i, m in zip(flows, lv) if m), tuple(m for m in lv if m))
             for flows, levels in blocks for lv in levels.tolist())
-    return argmin_scalar(y, g, cs, mu0, scale, flat, exhaustive)
+    return argmin_scalar(y, g, cfg, mu0, scale, flat, exhaustive)
 
 
 def _outcome(decode):
@@ -793,12 +832,11 @@ def _check_against_scalar(columns, n_right, universe, n_levels, step, scale,
                        d=columns.shape[1], columns=columns, seed=0)
     cover = np.array(sorted(cover_members), dtype=np.int64)
     cfg = PmleConfig(l0=n_levels * step, k=1, n_levels=n_levels,
-                     c=c, penalty_mode=penalty_mode)
-    cs = CandidateSet(cfg, np.array(sorted(universe), dtype=np.int64), g.n_left)
+                     c=c, n_flows=g.n_left, penalty_mode=penalty_mode)
+    a1 = np.array(sorted(universe), dtype=np.int64)
     y = np.array(y, dtype=np.float64)
-    full = assert_matches_scalar(lambda: pmle_exhaustive(y, g, cs, cover, scale))
-    assert full.n_evaluated == candidate_count(cs)
-    a1 = cs.universe
+    full = assert_matches_scalar(lambda: pmle_exhaustive(y, g, cfg, a1, cover, scale))
+    assert full.n_evaluated == candidate_count(cfg, a1)
     loc = WhaleLocalization(a1=a1)
     assert_matches_scalar(lambda: pmle_reduced(y, g, loc, cfg, cover, scale,
                                                exhaustive_cap=0))
@@ -881,13 +919,12 @@ def test_table_screen_rounding_tie():
     # rounding tolerance never rescores flow 0 and returns flow 1.
     g = BipartiteGraph(n_left=2, n_right=6, d=3, seed=0,
                        columns=np.array([[0, 2, 4], [1, 3, 5]], dtype=np.int32))
-    cfg = PmleConfig(l0=5.0, k=1, n_levels=2, c=0.013, penalty_mode="uniform")
-    cs = CandidateSet(cfg, np.array([0, 1]), 2)
+    cfg = PmleConfig(l0=5.0, k=1, n_levels=2, c=0.013, n_flows=2, penalty_mode="uniform")
     y = np.array([16.0, 6.0, 16.0, 16.0, 6.0, 16.0])
     mu0 = cfg.offset_means(g, np.array([0, 1]), 3.0)
     blocks = [((0, 1), np.array([[0, 0], [1, 0], [2, 0], [0, 1], [0, 2]]))]
-    got = pmle_module._argmin(y, g, cs, mu0, 3.0, blocks, exhaustive=False)
-    want = _scalar_argmin(y, g, cs, mu0, 3.0, blocks, exhaustive=False)
+    got = pmle_module._argmin(y, g, cfg, mu0, 3.0, blocks, exhaustive=False)
+    want = _scalar_argmin(y, g, cfg, mu0, 3.0, blocks, exhaustive=False)
     assert got.support == want.support == (0,) and got.levels == want.levels
     assert got.objective.hex() == want.objective.hex() == "0x1.0f47c77b3e838p+3"
     assert got.n_evaluated == want.n_evaluated == 5
@@ -934,8 +971,8 @@ def screen_instances(draw):
     flows = st.integers(0, g.n_left - 1)
     universe = np.array(sorted(draw(st.sets(flows, min_size=1, max_size=4))))
     penalty_mode = draw(st.sampled_from(["l0-scaled", "uniform"]))
-    cs = CandidateSet(grid_config(step, n_levels, penalty_mode), universe, g.n_left)
-    blocks = list(cs.blocks())
+    cfg = grid_config(step, n_levels, g.n_left, penalty_mode)
+    blocks = list(cfg.blocks(universe))
     theta = np.array(draw(st.lists(st.floats(0.0, n_levels * step),
                                    min_size=universe.size, max_size=universe.size)))
     blocks.append(pmle_module._l0_path(theta, universe, step, n_levels,
@@ -946,7 +983,7 @@ def screen_instances(draw):
                          min_size=n_levels + 2, max_size=n_levels + 6))
     blocks.append((tuple(ragged), np.array(rows, dtype=np.int64)))
     scale = draw(st.sampled_from([1.0, 3.0, 40.0]))
-    return y, g, cs, mu0, scale, blocks
+    return y, g, cfg, mu0, scale, blocks
 
 
 @settings(max_examples=300, deadline=None)
@@ -954,9 +991,9 @@ def screen_instances(draw):
 def test_table_screen_matches_chunked_screen(inst):
     # the per-flow level tables give the argmin, objective bits and count
     # of the (rows, |T|) screen they replace
-    y, g, cs, mu0, scale, blocks = inst
-    got = pmle_module._argmin(y, g, cs, mu0, scale, blocks, exhaustive=True)
-    want = argmin_chunked(y, g, cs, mu0, scale, blocks, exhaustive=True)
+    y, g, cfg, mu0, scale, blocks = inst
+    got = pmle_module._argmin(y, g, cfg, mu0, scale, blocks, exhaustive=True)
+    want = argmin_chunked(y, g, cfg, mu0, scale, blocks, exhaustive=True)
     assert got.support == want.support and got.levels == want.levels
     assert got.objective.hex() == want.objective.hex()
     assert got.n_evaluated == want.n_evaluated
@@ -973,13 +1010,13 @@ def test_exhaustive_scoring_memory_is_chunked():
     truth[[3, 30]] = 2.0
     y = 40.0 * apply_adjacency(g, truth)
     cfg = PmleConfig.from_problem(40, 2, 8.0, gamma=0.05, levels=64)
-    cs = CandidateSet(cfg, np.array([3, 9, 17, 30]), 40)
+    universe = np.array([3, 9, 17, 30])
     tracemalloc.start()
     try:
-        res = pmle_exhaustive(y, g, cs, cover, 40.0)
+        res = pmle_exhaustive(y, g, cfg, universe, cover, 40.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert res.n_evaluated == candidate_count(cs) == 814_385
+    assert res.n_evaluated == candidate_count(cfg, universe) == 814_385
     assert res.support == (3, 30)
     assert peak < 32 * 2**20
