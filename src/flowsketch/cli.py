@@ -11,6 +11,7 @@ import csv
 import functools
 import os
 import sys
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -28,6 +29,9 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NUMERICAL = 2
 EXIT_IO = 3
+
+# rows that _write_vector_csv formats per write
+_WRITE_CHUNK = 1 << 15
 
 
 class UsageError(Exception):
@@ -101,22 +105,90 @@ def _build_parser() -> _Parser:
 
 
 def _write_vector_csv(path, values) -> None:
-    """index,value CSV with \r\n line ends, as csv.writer writes it: floats
-    by repr, anything else as an int."""
+    """index,value CSV with \r\n line ends, the bytes csv.writer writes for
+    the rows (i, values[i]): floats by repr, integers as integers. values
+    is a float or integer array, or a sequence of Python numbers, each
+    written as it is (str of a float is its repr). Rows are formatted
+    _WRITE_CHUNK at a time, by one %-format of the chunk's cells, so a
+    vector of 10^6 entries is never held as text whole. A float array's
+    chunk calls repr only on its entries that are not +0.0 (-0.0, NaN and
+    the infinities included); the +0.0 cells are the string 0.0, which is
+    their repr."""
+    if not isinstance(values, np.ndarray):  # keep 2 an int beside 1.5
+        values = np.array(values, dtype=object)
+    line = "%d,%s\r\n"
     with open(path, "w", newline="") as f:
         f.write("index,value\r\n")
-        f.write("".join(
-            f"{i},{float(v)!r}\r\n" if isinstance(v, float) else f"{i},{int(v)}\r\n"
-            for i, v in enumerate(values)))
+        for start in range(0, values.size, _WRITE_CHUNK):
+            chunk = values[start:start + _WRITE_CHUNK]
+            if chunk.dtype.kind == "f":
+                cells = ["0.0"] * chunk.size
+                nonzero = np.flatnonzero((chunk != 0) | np.signbit(chunk))
+                texts = map(repr, chunk[nonzero].tolist())
+                for i, text in zip(nonzero.tolist(), texts):
+                    cells[i] = text
+            else:
+                cells = chunk.tolist()
+            rows = zip(range(start, start + chunk.size), cells)
+            f.write(line * chunk.size % tuple(chain.from_iterable(rows)))
 
 
 def _read_counters_csv(path, n_counters: int) -> np.ndarray:
     """Counters as simulate writes them: header index,value, then rows of
     exactly those two fields, every index in [0, n_counters) exactly once
-    with a count of ASCII digits
-    only, at most 2^53, the range in which float64, the type both decoders
-    work in, holds every integer. Raises ValueError naming the path and
-    the index."""
+    with a count of ASCII digits only, at most 2^53, the range in which
+    float64, the type both decoders work in, holds every integer. Raises
+    ValueError naming the path and the index.
+
+    A file in simulate's own form is read in bulk (`_bulk_counters`). Any
+    other file, a refused one included, is read again by the csv row scan
+    `_scan_counters_csv`, which names the first row at fault; the bulk read
+    takes only files the scan reads, and gives the array the scan gives."""
+    with open(path, "rb") as f:
+        data = f.read()
+    y = _bulk_counters(data, n_counters)
+    return _scan_counters_csv(path, n_counters) if y is None else y
+
+
+def _bulk_counters(data: bytes, n_counters: int) -> Optional[np.ndarray]:
+    """The counters of a file whose header line is index,value and whose
+    n_counters lines are each two fields of 1 to 16 ASCII digits joined by
+    a comma, every line ended by \n or \r\n (the last may be unended),
+    with every index once and every count at most 2^53; None for any
+    other file."""
+    for header in (b"index,value\r\n", b"index,value\n"):
+        if data.startswith(header):
+            break
+    else:
+        return None
+    body = data[len(header):].replace(b"\r\n", b"\n")
+    if not body.endswith(b"\n"):
+        body += b"\n"
+    u = np.frombuffer(body, dtype=np.uint8)
+    sep = (u == ord(",")) | (u == ord("\n"))
+    ends = np.flatnonzero(sep)  # one past the last digit of each field
+    if ends.size != 2 * n_counters or not ((u - ord("0") < 10) | sep).all():
+        return None
+    width = np.diff(ends, prepend=-1) - 1
+    if ((u[ends[0::2]] != ord(",")).any() or (u[ends[1::2]] != ord("\n")).any()
+            or width.min() < 1 or width.max() > 16):  # no int64 overflow
+        return None
+    fields = np.fromstring(body.replace(b"\n", b","), dtype=np.int64, sep=",")
+    index, count = fields[0::2], fields[1::2]
+    if index.max() >= n_counters or count.max() > 2**53:
+        return None
+    seen = np.zeros(n_counters, dtype=bool)
+    seen[index] = True
+    if not seen.all():  # an index repeated, so another one is missing
+        return None
+    y = np.empty(n_counters)
+    y[index] = count
+    return y
+
+
+def _scan_counters_csv(path, n_counters: int) -> np.ndarray:
+    """`_read_counters_csv` row by row, by csv.reader: the first row that
+    breaks a rule is named."""
     out = [None] * n_counters
     with open(path, newline="") as f:
         r = csv.reader(f)
@@ -194,9 +266,9 @@ def _cmd_simulate(args) -> int:
     state = StreamState(graph=g, rates=gen_rates(spec), tau=args.tau,
                         seed=args.stream_seed)
     run_epochs(state, args.epochs)
-    _write_vector_csv(args.out_counters, state.y.tolist())
+    _write_vector_csv(args.out_counters, state.y)
     if args.out_counts:
-        _write_vector_csv(args.out_counts, state.x.tolist())
+        _write_vector_csv(args.out_counts, state.x)
     print(
         f"simulated {args.epochs} epochs: total packets={int(state.x.sum())}, "
         f"counters -> {args.out_counters}"
@@ -235,7 +307,7 @@ def _cmd_recover(args) -> int:
             f"{args.decoder}: support={list(res.support)} "
             f"objective={res.objective:.6g} evaluated={res.n_evaluated}"
         )
-    _write_vector_csv(args.out, dec.estimate.tolist())
+    _write_vector_csv(args.out, dec.estimate)
     print(f"estimate -> {args.out}")
     return EXIT_OK
 

@@ -109,7 +109,7 @@ class ExpansionReport:
     subsets_tested: int
 
 
-def _sample_columns(rng: np.random.Generator, n: int, m: int, d: int) -> np.ndarray:
+def _sample_columns(rng: "np.random.Generator", n: int, m: int, d: int) -> np.ndarray:
     """n independent uniform d-subsets of [0, m), each sorted ascending.
 
     When d(d-1) < m, rows are drawn with replacement, and every row that

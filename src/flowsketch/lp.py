@@ -14,12 +14,19 @@ equations A diag(w) A^T dnu = r by preconditioned conjugate gradients
 P = diag(A W_N A^T) + A_B W_B A_B^T: B holds the flows whose weight w
 exceeds 10^3 times the median weight, N the rest. P^-1 is applied by the
 Woodbury identity with one |B| x |B| Cholesky factor per iteration, which
-the predictor and corrector solves share. The start point solves
-(2 A A^T) t = y as one more normal-equation system, at w = 2, where B is
-empty and P is the diagonal, twice the counter degrees. Cf. Gondzio,
-"Matrix-free interior point method" (COAP 2012); Fountoulakis, Gondzio
-and Zhlobich, "Matrix-free interior point method for compressed sensing
-problems" (Math. Prog. Comp. 2014).
+the predictor and corrector solves share. Its matrix
+C = W_B^-1 + A_B^T D^-1 A_B is summed from A^T's indices, not by a sparse
+product: the (flow, counter) pairs of B, sorted stably by counter, give
+each counter's flows in B, and np.bincount adds D^-1 of the counter into
+entry (i, j) for every pair of them, counters in ascending order. Those
+are the terms, in the order, that scipy's sparse product adds, so C is
+the same to the bit; LAPACK's potrf and potrs, which scipy.linalg's
+cho_factor and cho_solve wrap, factor it and solve with it. The start
+point solves (2 A A^T) t = y as one more normal-equation system, at
+w = 2, where B is empty and P is the diagonal, twice the counter
+degrees. Cf. Gondzio, "Matrix-free interior point method" (COAP 2012);
+Fountoulakis, Gondzio and Zhlobich, "Matrix-free interior point method
+for compressed sensing problems" (Math. Prog. Comp. 2014).
 
 The Newton systems are solved inexactly while the iterates are far from
 the optimum (cf. Bellavia, "Inexact interior-point method", JOTA 1998).
@@ -136,15 +143,36 @@ def _pcg(hmul, b: np.ndarray, pinv, rtol: float) -> np.ndarray:
     return best_x
 
 
+def _gram(cb: np.ndarray, dinv: np.ndarray) -> np.ndarray:
+    """A_B^T D^-1 A_B as a dense |B| x |B| array, cb holding the counters of
+    each flow of B in ascending order: entry (i, j) is the sum of dinv over
+    the counters flows i and j share, added in ascending counter order (see
+    the module docstring)."""
+    nb, d = cb.shape
+    counters = cb.ravel()
+    order = np.argsort(counters, kind="stable")
+    ks, rows = counters[order], order // d
+    # ks holds runs of equal counters; pair each position with its run
+    first = np.flatnonzero(np.r_[True, ks[1:] != ks[:-1]])
+    size = np.diff(np.r_[first, ks.size])
+    span = np.repeat(size, size)
+    p = np.repeat(np.arange(ks.size), span)
+    q = np.repeat(np.repeat(first, size), span) + (
+        np.arange(p.size) - np.repeat(np.cumsum(span) - span, span))
+    return np.bincount(rows[p] * nb + rows[q], weights=dinv[ks[p]],
+                       minlength=nb * nb).reshape(nb, nb)
+
+
 def _preconditioner(a, at, wcol: np.ndarray):
     """Product with P^-1, P = diag(A W_N A^T) + A_B W_B A_B^T, by Woodbury:
     P^-1 = D^-1 - D^-1 A_B C^-1 A_B^T D^-1 with D the diagonal part and
     C = W_B^-1 + A_B^T D^-1 A_B, a |B| x |B| matrix factored once; A_B^T
-    is at[B]. D is floored at 1e-12 max(A wcol), so counters with no flow
-    in N (or none at all) stay invertible. The floor also bounds D^-1 by
-    1e12 / max(w), which keeps C's diagonal term W_B^-1 from vanishing
-    next to the rest; should C still fail to factor, P is D alone."""
-    from scipy.linalg import LinAlgError, cho_factor, cho_solve
+    is the rows B of at. D is floored at 1e-12 max(A wcol), so counters
+    with no flow in N (or none at all) stay invertible. The floor also
+    bounds D^-1 by 1e12 / max(w), which keeps C's diagonal term W_B^-1
+    from vanishing next to the rest; should C still fail to factor, P is
+    D alone."""
+    from scipy.linalg.lapack import dpotrf, dpotrs
 
     big = wcol > _LOW_RANK_RATIO * float(np.median(wcol))
     diag = a @ np.where(big, 0.0, wcol)
@@ -152,19 +180,18 @@ def _preconditioner(a, at, wcol: np.ndarray):
     b = np.flatnonzero(big)
     if b.size == 0:
         return lambda r: dinv * r
-    e = at[b]
-    c = (e.multiply(dinv) @ e.T).toarray()
+    n, m = at.shape
+    cb = at.indices.reshape(n, -1)[b]
+    c = _gram(cb, dinv)
     c[np.diag_indices_from(c)] += 1.0 / wcol[b]
-    try:
-        factor = cho_factor(c, lower=True, check_finite=False)
-    except LinAlgError:
+    factor, info = dpotrf(c, lower=1, clean=0, overwrite_a=1)
+    if info != 0:
         return lambda r: dinv * r
-    cb = e.indices.reshape(b.size, -1)
-    flat, d, m = e.indices, cb.shape[1], at.shape[1]
+    flat, d = cb.ravel(), cb.shape[1]
 
     def pinv(r):
         t = dinv * r
-        v = cho_solve(factor, t[cb].sum(axis=1), check_finite=False)
+        v = dpotrs(factor, t[cb].sum(axis=1), lower=1, overwrite_b=1)[0]
         return t - dinv * np.bincount(flat, weights=np.repeat(v, d), minlength=m)
 
     return pinv
@@ -176,10 +203,9 @@ def _dual_bound(atn: np.ndarray, y: np.ndarray, nu: np.ndarray) -> float:
 
 
 def _max_step(v: np.ndarray, dv: np.ndarray) -> float:
-    neg = dv < 0
-    if not neg.any():
-        return 1.0
-    return min(1.0, float((-v[neg] / dv[neg]).min()))
+    """Largest step in [0, 1] that keeps the slacks v + step * dv >= 0."""
+    with np.errstate(all="ignore"):  # the ratios where dv >= 0 are dropped
+        return min(1.0, float(np.where(dv < 0, -v / dv, np.inf).min(initial=np.inf)))
 
 
 def _solve_ipm(at, y, tol_feas, tol_obj, iter_cap):

@@ -701,7 +701,9 @@ def pmle_reduced(
     sets are enumerated; large ones are screened by one continuous solve
     on A1 whose sorted coordinates define an l0 path of grid-projected
     candidates, at most max(2k, 32) long, for the final penalized
-    comparison. Either way ties go to the candidate scored first. An
+    comparison. Either way ties go to the candidate scored first. A set is
+    small when its candidates number at most exhaustive_cap, and a cap
+    above the exhaustive guard is taken as the guard. An
     empty A1 warns and is always enumerated: its only candidate is zero,
     so the result is the zero estimate with the objective of the offset
     alone (n_evaluated 1, exhaustive True).
@@ -710,7 +712,8 @@ def pmle_reduced(
     y = checked_counters(y, g)
     if a1.size == 0:
         warnings.warn("localization produced an empty support; returning zeros")
-    if a1.size == 0 or cfg.n_candidates(a1.size, exhaustive_cap) <= exhaustive_cap:
+    cap = min(exhaustive_cap, _EXHAUSTIVE_GUARD)
+    if a1.size == 0 or cfg.n_candidates(a1.size, cap) <= cap:
         res = pmle_exhaustive(y, g, cfg, a1, cover, scale)
     else:
         mu0 = cfg.offset_means(g, cover, scale)

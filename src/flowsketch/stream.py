@@ -93,7 +93,7 @@ class Dist:
         if not (math.isfinite(self.value) and self.value >= 0):
             raise ValueError(f"distribution value must be finite >= 0: {self.value}")
 
-    def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
+    def draw(self, rng: "np.random.Generator", size: int) -> np.ndarray:
         if self.kind == "constant":
             return np.full(size, self.value, dtype=np.float64)
         return np.abs(rng.normal(0.0, self.value, size))
@@ -210,7 +210,7 @@ class StreamState:
             self.y = np.zeros(self.graph.n_right, dtype=np.int64)
 
 
-def _epoch_rng(seed: int, epoch: int) -> np.random.Generator:
+def _epoch_rng(seed: int, epoch: int) -> "np.random.Generator":
     key = np.array([seed & _MASK64, epoch & _MASK64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
@@ -252,7 +252,7 @@ class _DrawPlan:
             ptrs = tuple(np.flatnonzero(rates * tau >= _PTRS_MIN).tolist())
         return cls(flows, rates, tau, bound, ptrs)
 
-    def draw(self, rng: np.random.Generator):
+    def draw(self, rng: "np.random.Generator"):
         """(flows, counts) of the epoch's nonzero counts, drawn as
         `rng.poisson(rates * tau)` draws them, with the same uniforms
         consumed."""

@@ -50,6 +50,51 @@ def write_vector_csv_rows(path, values) -> None:
             w.writerow([i, repr(float(v)) if isinstance(v, float) else int(v)])
 
 
+def read_counters_csv_rows(path, n_counters: int) -> np.ndarray:
+    """cli._read_counters_csv as it was, every file read row by row by
+    csv.reader: the same rules, and the same words for each refusal."""
+
+    def plain_int(text: str) -> Optional[int]:
+        if not (text.isascii() and text.isdigit()):
+            return None
+        digits = text.lstrip("0") or "0"
+        return int(digits) if len(digits) <= 16 else 2**53 + 1
+
+    out = [None] * n_counters
+    with open(path, newline="") as f:
+        r = csv.reader(f)
+        if next(r, None) != ["index", "value"]:
+            raise ValueError(f"{path}: expected header index,value")
+        for row in r:
+            i = plain_int(row[0]) if len(row) >= 2 else None
+            if i is None:
+                raise ValueError(f"{path}: malformed row {row!r}")
+            if i >= n_counters:
+                raise ValueError(f"{path}: index {row[0]} out of range")
+            if len(row) > 2:
+                raise ValueError(
+                    f"{path}: index {i} has extra fields {row[2:]!r}; "
+                    "expected index,value"
+                )
+            if out[i] is not None:
+                raise ValueError(f"{path}: index {i} repeated")
+            v = plain_int(row[1])
+            if v is None:
+                raise ValueError(
+                    f"{path}: index {i} has value {row[1]!r}, "
+                    "not a nonnegative integer count"
+                )
+            if v > 2**53:
+                raise ValueError(
+                    f"{path}: index {i} has value {row[1]!r}, "
+                    "above 2^53, which float64 cannot hold exactly"
+                )
+            out[i] = v
+    if None in out:
+        raise ValueError(f"{path}: index {out.index(None)} missing")
+    return np.array(out, dtype=np.float64)
+
+
 def apply_adjacency(g: BipartiteGraph, x: np.ndarray) -> np.ndarray:
     """Counter contents for flow totals x: y_j = sum of x_i over flows
     incident to counter j. Exact int64 arithmetic for integer x, float64
@@ -662,11 +707,22 @@ def adjacency_copies(g: BipartiteGraph):
     return a, a.T.tocsr()
 
 
+def low_rank_gram_sparse(cb: np.ndarray, dinv: np.ndarray) -> np.ndarray:
+    """A_B^T D^-1 A_B as lp._preconditioner formed it before it summed the
+    shared counters itself: cb holds the counters of each flow of B, and
+    the product is scipy's sparse one, made dense."""
+    nb, d = cb.shape
+    e = sp.csr_matrix((np.ones(cb.size), cb.ravel(), np.arange(0, cb.size + 1, d)),
+                      shape=(nb, dinv.size))
+    return (e.multiply(dinv) @ e.T).toarray()
+
+
 def preconditioner_from_columns(a: sp.csr_matrix, cols: np.ndarray,
                                 wcol: np.ndarray):
-    """lp._preconditioner as it was before it read A_B from A^T: the same
-    Woodbury product, with A_B^T a fresh CSR built from the columns of
-    the flows in B."""
+    """lp._preconditioner as it was before it read A_B from A^T and summed
+    C itself: the same Woodbury product, with C from the sparse product of
+    a fresh CSR built from the columns of the flows in B, factored and
+    solved by scipy.linalg's cho_factor and cho_solve."""
     m, d = a.shape[0], cols.shape[1]
     big = wcol > lp._LOW_RANK_RATIO * float(np.median(wcol))
     diag = a @ np.where(big, 0.0, wcol)
@@ -675,9 +731,7 @@ def preconditioner_from_columns(a: sp.csr_matrix, cols: np.ndarray,
     if b.size == 0:
         return lambda r: dinv * r
     cb = cols[b]
-    e = sp.csr_matrix((np.ones(cb.size), cb.ravel(), np.arange(0, cb.size + 1, d)),
-                      shape=(b.size, m))
-    c = (e.multiply(dinv) @ e.T).toarray()
+    c = low_rank_gram_sparse(cb, dinv)
     c[np.diag_indices_from(c)] += 1.0 / wcol[b]
     try:
         factor = cho_factor(c, lower=True, check_finite=False)
@@ -691,6 +745,15 @@ def preconditioner_from_columns(a: sp.csr_matrix, cols: np.ndarray,
         return t - dinv * np.bincount(flat, weights=np.repeat(v, d), minlength=m)
 
     return pinv
+
+
+def max_step_masked(v: np.ndarray, dv: np.ndarray) -> float:
+    """lp._max_step as it was: the ratios of the entries with dv < 0 taken
+    by a boolean mask."""
+    neg = dv < 0
+    if not neg.any():
+        return 1.0
+    return min(1.0, float((-v[neg] / dv[neg]).min()))
 
 
 def jacobi_start_preconditioner(a: sp.csr_matrix):

@@ -37,7 +37,7 @@ from flowsketch import (
 from flowsketch.cli import _read_counters_csv, _write_vector_csv, main
 from flowsketch.experiment import ExperimentConfig
 from flowsketch.stream import Dist
-from helpers import save_config, write_vector_csv_rows
+from helpers import read_counters_csv_rows, save_config, write_vector_csv_rows
 
 
 def read_vector(path):
@@ -576,6 +576,76 @@ def test_counters_csv_round_trip(values):
             assert back.dtype == np.float64
             assert back.astype(np.int64).tolist() == y.tolist()
 
+
+_MUTATIONS = ("quote", "lf", "blank", "extra", "pad", "drop", "repeat",
+              "out-of-range", "2^53", "2^53+1", "non-ascii", "unended")
+
+
+@st.composite
+def mutated_counters_files(draw):
+    """A counters file as simulate writes it, then a few of _MUTATIONS,
+    each on a drawn row: the bytes and the counter count."""
+    n = draw(st.integers(1, 12))
+    rows = [[str(i), str(draw(st.integers(0, 10**6)))] for i in range(n)]
+    ends = ["\r\n"] * n
+    for kind, at in draw(st.lists(st.tuples(st.sampled_from(_MUTATIONS),
+                                            st.integers(0, 10**6)), max_size=3)):
+        if not rows:
+            break
+        j = at % len(rows)
+        if kind == "quote" and len(rows[j]) > 1:
+            rows[j][at % 2] = f'"{rows[j][at % 2]}"'
+        elif kind == "lf":
+            ends[j] = "\n"
+        elif kind == "blank":
+            rows.insert(j, [])
+            ends.insert(j, "\r\n")
+        elif kind == "extra":
+            rows[j] = rows[j] + ["0"]
+        elif kind == "pad" and rows[j]:
+            rows[j][0] = "0" * (16 + at % 8) + rows[j][0]
+        elif kind == "drop":
+            del rows[j], ends[j]
+        elif kind == "repeat" and rows[j] and rows[at % len(rows)]:
+            rows[j][0] = rows[at % len(rows)][0]
+        elif kind == "out-of-range" and rows[j]:
+            rows[j][0] = str(n + at % 3)
+        elif kind in ("2^53", "2^53+1") and len(rows[j]) > 1:
+            rows[j][1] = str(2**53 + (kind == "2^53+1"))
+        elif kind == "non-ascii" and len(rows[j]) > 1:
+            rows[j][at % 2] = "\u0663" if at % 3 else "\uff15"
+        elif kind == "unended":
+            ends[-1] = ""
+    text = "index,value\r\n" + "".join(",".join(r) + e for r, e in zip(rows, ends))
+    return text.encode(), n
+
+
+@settings(max_examples=400, deadline=None)
+@given(mutated_counters_files())
+@example((b"index,value\r\n0,9007199254740992\r\n", 1))
+@example((b'index,value\n"0","5"\n1,6', 2))
+@example((b"index,value\r\n0,5\r\n\r\n1,6\r\n", 2))
+@example(("index,value\r\n0,5\r\n1,\uff16\r\n".encode(), 2))
+@example((b"index,value\r\n0,5\r\n0,6\r\n", 2))
+@example((b"index,value\r\n18446744073709551617,5\r\n0,6\r\n", 2))
+def test_counters_bulk_read_matches_the_row_scan(case):
+    # the same array, or a ValueError in the same words, as every file was
+    # read before the bulk read: row by row through csv.reader
+    data, n = case
+    with tempfile.TemporaryDirectory() as td:
+        path = Path(td) / "y.csv"
+        path.write_bytes(data)
+        try:
+            want = read_counters_csv_rows(path, n)
+        except ValueError as e:
+            with pytest.raises(ValueError) as err:
+                _read_counters_csv(path, n)
+            assert str(err.value) == str(e)
+        else:
+            got = _read_counters_csv(path, n)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 def test_counters_csv_digit_strings_past_int_limit(tmp_path):
     # int() refuses more than 4300 digits; such a count or index is still
     # reported against the file and the index it is on
@@ -596,12 +666,19 @@ def test_counters_csv_digit_strings_past_int_limit(tmp_path):
     st.lists(st.integers(-2**70, 2**70), max_size=30),
 ))
 @example([-0.0, 0.0, float("nan"), float("inf"), -float("inf"), 1e-300, 0.1])
+@example([0.0] * 70_000 + [-0.0, 2.5])  # past two row chunks
+@example([0, 2**63])
 def test_vector_csv_bytes_match_csv_writer(values):
+    # as a list, and as the float64 or int64 array recover and simulate pass
+    floats = all(isinstance(v, float) for v in values)
+    arrays = [np.array(values, dtype=np.float64 if floats else np.int64)] \
+        if floats or all(-2**63 <= v < 2**63 for v in values) else []
     with tempfile.TemporaryDirectory() as td:
         got, want = Path(td) / "got.csv", Path(td) / "want.csv"
-        _write_vector_csv(got, values)
         write_vector_csv_rows(want, values)
-        assert got.read_bytes() == want.read_bytes()
+        for form in [values] + arrays:
+            _write_vector_csv(got, form)
+            assert got.read_bytes() == want.read_bytes()
 
 
 def test_sweep_and_plot_data(tmp_path, capsys):
@@ -741,12 +818,13 @@ graph, out = sys.argv[1:]
 import flowsketch
 assert loaded() == ["flowsketch"], loaded()
 import flowsketch.cli
-for argv in (
-    ["gen-graph", "--flows", "60", "--counters", "20", "--degree", "4",
-     "--out", out + "/g2.txt"],
-    ["verify-expander", "--graph", graph, "--k", "2", "--epsilon", "0.375"],
-):
-    assert flowsketch.cli.main(argv) == 0, argv
+# numpy.random is loaded by the commands that draw, not by the import
+assert "numpy.random" not in sys.modules
+assert flowsketch.cli.main(["verify-expander", "--graph", graph, "--k", "2",
+                            "--epsilon", "0.375"]) == 0
+assert "numpy.random" not in sys.modules
+assert flowsketch.cli.main(["gen-graph", "--flows", "60", "--counters", "20",
+                            "--degree", "4", "--out", out + "/g2.txt"]) == 0
 base = ["flowsketch", "flowsketch.cli", "flowsketch.decoders", "flowsketch.graph"]
 assert loaded() == base, loaded()
 assert flowsketch.cli.main(["simulate", "--graph", graph, "--whales", "2",

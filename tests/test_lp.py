@@ -33,6 +33,8 @@ from helpers import (
     apply_adjacency,
     basis_pursuit_dense,
     jacobi_start_preconditioner,
+    low_rank_gram_sparse,
+    max_step_masked,
     oracle_2sparse,
     preconditioner_from_columns,
 )
@@ -386,6 +388,50 @@ def test_exact_normal_matvec_regression_44x15():
     assert abs(sol.objective - ref.fun) <= 1e-6 * max(1.0, ref.fun)
 
 
+@pytest.mark.parametrize("n_big", [0, 1, 3, 30, 300])
+def test_low_rank_part_matches_the_sparse_product(n_big):
+    # C = A_B^T D^-1 A_B from the shared counters, bit for bit scipy's
+    # sparse product, and P^-1 r bit for bit the cho_factor/cho_solve one
+    g = build_random_expander(5000, 800, 8, seed=67)
+    at = solver_at(g)
+    a = at.T
+    rng = np.random.default_rng(n_big)
+    wcol = rng.uniform(0.5, 2.0, g.n_left)
+    big = rng.choice(g.n_left, size=n_big, replace=False)
+    wcol[big] *= 10.0 ** rng.uniform(3.5, 8.0, n_big)
+    dinv = rng.uniform(0.01, 1.0, g.n_right)
+    cb = g.columns[np.sort(big)]
+    assert lp._gram(cb, dinv).tobytes() == low_rank_gram_sparse(cb, dinv).tobytes()
+    a_old, _ = adjacency_copies(g)
+    r = rng.normal(size=g.n_right)
+    got = lp._preconditioner(a, at, wcol)(r)
+    assert got.tobytes() == preconditioner_from_columns(a_old, g.columns, wcol)(r).tobytes()
+
+
+_SPECIAL = st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, 1e-308, -1e-308])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 12).flatmap(lambda n: st.tuples(
+    st.lists(st.one_of(st.floats(min_value=0.0), st.just(np.nan)),
+             min_size=n, max_size=n),
+    st.lists(st.one_of(st.floats(), _SPECIAL), min_size=n, max_size=n))))
+@example(([1.0, 2.0], [np.nan, -1.0]))
+@example(([np.nan, 2.0], [-1.0, -4.0]))
+@example(([np.inf, 1.0], [-np.inf, -0.0]))
+@example(([0.0, 3.0], [-0.0, -np.inf]))
+def test_max_step_matches_the_masked_ratio(vectors):
+    # v holds the slacks z or s, which the interior point keeps positive,
+    # so never -0.0. A -0.0 in v can make a ratio of -0.0 tie one of +0.0,
+    # and which of the two a numpy min returns depends on its reduction
+    # order, in either form
+    v, dv = (np.array(x, dtype=np.float64) for x in vectors)
+    with np.errstate(all="ignore"):
+        want = max_step_masked(v, dv)
+    got = lp._max_step(v, dv)
+    assert got.hex() == want.hex()
+
+
 def test_woodbury_factor_failure_falls_back_to_diagonal(small_expander):
     # the |B| x |B| factor of the preconditioner has a diagonal floor and
     # does not fail in practice; if it did, PCG runs on the diagonal alone
@@ -394,12 +440,15 @@ def test_woodbury_factor_failure_falls_back_to_diagonal(small_expander):
     x[3], x[17] = 4.0, 11.0
     y = apply_adjacency(g, x)
     want = basis_pursuit(g, y)
+    calls = []
 
-    def fail(*args, **kwargs):
-        raise LinAlgError("not positive definite")
+    def fail(c, **kwargs):
+        calls.append(c.shape)
+        return c, 1  # LAPACK's info > 0: a leading minor is not positive
 
-    with mock.patch("scipy.linalg.cho_factor", fail):
+    with mock.patch("scipy.linalg.lapack.dpotrf", fail):
         got = basis_pursuit(g, y)
+    assert calls
     assert got.status == want.status == "optimal"
     assert abs(got.objective - want.objective) <= max(got.duality_gap,
                                                       want.duality_gap)

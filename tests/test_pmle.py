@@ -718,6 +718,19 @@ def test_reduced_path_branch_exact_recovery(small_expander):
     assert np.isin(np.array(res.support), loc.a1).all()
 
 
+def test_reduced_cap_above_the_guard_is_the_guard():
+    # 1,929,501 candidates lie between the guard and a cap of 10^7: A1 takes
+    # the continuous path, where the exhaustive guard would refuse it
+    g = build_random_expander(40, 24, 8, seed=3)
+    a1 = np.array([3, 9, 17, 30])
+    cfg = PmleConfig.from_problem(g.n_left, 2, 8.0, levels=80)
+    assert cfg.n_candidates(a1.size) == 1_929_501
+    y = np.full(g.n_right, 2.0)
+    res = pmle_reduced(y, g, WhaleLocalization(a1=a1), cfg, greedy_cover(g), 1.0,
+                       exhaustive_cap=10**7)
+    assert not res.exhaustive
+
+
 def test_reduced_penalty_inheritance():
     # a universe restricts the supports but keeps the code lengths of all
     # n_flows flows, so a sub-universe holding the full argmin returns it
