@@ -16,7 +16,8 @@ import importlib
 
 # the module each public name is read from
 _HOME = {
-    **dict.fromkeys(("DecodeSpec", "Decoded", "decode"), "decoders"),
+    **dict.fromkeys(("DecodeSpec", "Decoded", "Observation", "decode"),
+                   "decoders"),
     **dict.fromkeys((
         "BipartiteGraph", "EnumerationCapExceeded", "ExpansionReport",
         "GraphConstructionError", "build_graph_with_cover",

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .decoders import DECODERS, PENALTY_MODES, DecodeSpec, decode
+from .decoders import DECODERS, PENALTY_MODES, DecodeSpec, Observation, decode
 from .graph import (
     build_random_expander,
     greedy_cover,  # noqa: F401 - the benchmark's spans wrap cli.greedy_cover
@@ -287,7 +287,7 @@ def _cmd_recover(args) -> int:
         decoder=args.decoder, k=args.k, l0=args.l0, gamma=args.gamma,
         levels=args.levels, penalty_mode=args.penalty_mode,
     )
-    dec = decode(g, y, args.epochs, args.tau, spec)
+    dec = decode(Observation(g, y, args.epochs, args.tau), spec)
     res = dec.result
     if isinstance(res, lp.LpSolution):
         if args.trace:

@@ -1,11 +1,12 @@
 """The one decode path shared by `flowsketch recover` and the sweep.
 
-`decode` turns a counter vector into a rate estimate with one of the three
-decoders and hands back the solver's own result next to the estimate, so
-callers print or score from it without knowing how the decoder is wired.
-The names and modes a command line checks live here at module scope;
-`decode` imports the solvers when it first runs, so a command that never
-decodes does not load them.
+Every layer decodes one `Observation`, counters and window held to their
+rules once, when it is built. `decode` turns one into a rate estimate with
+one of the three decoders and hands back the solver's own result next to
+the estimate, so callers print or score from it without knowing how the
+decoder is wired. The names and modes a command line checks live here at
+module scope; `decode` imports the solvers, and `Observation` the window
+rule, when first run, so a command that never decodes loads neither.
 """
 
 from dataclasses import dataclass
@@ -21,7 +22,7 @@ if TYPE_CHECKING:
     from .pmle import PmleResult
 
 __all__ = ["DECODERS", "PENALTY_MODES", "DecodeSpec", "Decoded",
-           "check_decoder", "decode"]
+           "Observation", "check_decoder", "decode"]
 
 DECODERS = ("direct", "pmle-exhaustive", "pmle-reduced")
 
@@ -55,43 +56,66 @@ class DecodeSpec:
             raise ValueError(f"decoder {self.decoder} requires k and l0")
 
 
+@dataclass(frozen=True, eq=False)  # y is an array: no field-wise ==
+class Observation:
+    """The counters y of bank g after `epochs` epochs of length tau, y
+    copied once into a read-only float64 array. Raises ValueError unless y
+    holds one finite, nonnegative entry per counter of g (the counters
+    rule), then unless (epochs, tau) passes `stream.check_window`."""
+
+    g: BipartiteGraph
+    y: np.ndarray
+    epochs: int
+    tau: float
+
+    def __post_init__(self):
+        from .stream import check_window
+
+        y = np.array(self.y, dtype=np.float64)
+        if y.shape != (self.g.n_right,):
+            raise ValueError(f"y has shape {y.shape}, expected ({self.g.n_right},)")
+        if not (y.min() >= 0 and y.max() < np.inf):  # a NaN fails both
+            j = int(np.flatnonzero(~(np.isfinite(y) & (y >= 0)))[0])
+            raise ValueError(
+                f"counter {j} is {float(y[j])}; counters must be finite and nonnegative"
+            )
+        check_window(self.epochs, self.tau)
+        y.setflags(write=False)
+        object.__setattr__(self, "y", y)
+
+    @property
+    def scale(self) -> float:
+        """The window's length: a rate lam adds scale*lam to its counters."""
+        return self.epochs * self.tau
+
+
 @dataclass
 class Decoded:
     estimate: np.ndarray  # rates, length n_flows
     result: "LpSolution | PmleResult"
 
 
-def decode(
-    g: BipartiteGraph,
-    y: np.ndarray,
-    epochs: int,
-    tau: float,
-    spec: DecodeSpec,
-    cover: Optional[np.ndarray] = None,
-) -> Decoded:
-    """Estimate per-flow rates from counters y observed over `epochs`
-    epochs of length tau.
+def decode(obs: Observation, spec: DecodeSpec,
+           cover: Optional[np.ndarray] = None) -> Decoded:
+    """Estimate per-flow rates from an observation.
 
-    cover is the greedy cover of g, its sorted flows; the pmle decoders
-    compute it when it is not given, and refuse one that is not sorted,
-    distinct flows of g before any solve. Raises ValueError, before any
-    cover or solver runs, unless y passes `pmle.checked_counters`, then
-    (epochs, tau) `stream.check_window`, then a pmle spec
-    `PmleConfig.from_problem`, then, for pmle-exhaustive, the exhaustive
-    guard `PmleConfig.check_exhaustive` over all N flows (a
-    CandidateCountError); and lp.NumericalError when basis pursuit finds y
-    unreachable.
+    cover is the greedy cover of obs.g, its sorted flows; the pmle
+    decoders compute it when it is not given, and refuse one that is not
+    sorted, distinct flows of the graph before any solve. Raises
+    ValueError, before any cover or solver runs, unless a pmle spec
+    passes `PmleConfig.from_problem` and then, for pmle-exhaustive, the
+    exhaustive guard `PmleConfig.check_exhaustive` over all N flows (a
+    CandidateCountError); and lp.NumericalError when basis pursuit finds
+    y unreachable.
     """
     from . import lp, pmle
-    from .stream import check_window
 
-    y = pmle.checked_counters(y, g)
-    check_window(epochs, tau)
+    g = obs.g
     if spec.decoder == "direct":
-        sol = lp.basis_pursuit(g, y)
+        sol = lp.basis_pursuit(obs)
         if sol.status == "infeasible":
             raise lp.NumericalError("basis pursuit reported infeasible")
-        return Decoded(lp.direct_estimate(sol, epochs, tau), sol)
+        return Decoded(lp.direct_estimate(sol, obs), sol)
     cfg = pmle.PmleConfig.from_problem(
         n_flows=g.n_left, k=spec.k, l0=spec.l0, gamma=spec.gamma,
         levels=spec.levels, penalty_mode=spec.penalty_mode,
@@ -100,10 +124,9 @@ def decode(
         cfg.check_exhaustive(g.n_left)
     if cover is None:
         cover = graph.greedy_cover(g)
-    scale = epochs * tau
     if spec.decoder == "pmle-exhaustive":
-        res = pmle.pmle_exhaustive(y, g, cfg, np.arange(g.n_left), cover, scale)
+        res = pmle.pmle_exhaustive(obs, cfg, np.arange(g.n_left), cover)
     else:
-        loc = pmle.localize_whales(y, g, spec.k)
-        res = pmle.pmle_reduced(y, g, loc, cfg, cover, scale)
+        loc = pmle.localize_whales(obs, spec.k)
+        res = pmle.pmle_reduced(obs, loc, cfg, cover)
     return Decoded(res.rates, res)

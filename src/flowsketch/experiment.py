@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .decoders import DecodeSpec, check_decoder, decode
+from .decoders import DecodeSpec, Observation, check_decoder, decode
 from .graph import build_graph_with_cover
 from .metrics import relative_l1_error, support_recovery_success
 from .pmle import PmleConfig
@@ -322,8 +322,8 @@ def _cell_rows(cfg: ExperimentConfig, k: int, trial: int) -> list:
     state = StreamState(graph=g, rates=truth, tau=cfg.tau,
                         seed=stable_seed(ts, "stream"))
     run_epochs(state, cfg.epochs)
-    y = state.y
-    counter_hash = hashlib.sha256(y.tobytes()).hexdigest()[:16]
+    counter_hash = hashlib.sha256(state.y.tobytes()).hexdigest()[:16]
+    obs = Observation(g, state.y, cfg.epochs, cfg.tau)
 
     rows = []
     for decoder in cfg.decoders:
@@ -335,7 +335,7 @@ def _cell_rows(cfg: ExperimentConfig, k: int, trial: int) -> list:
                 gamma=cfg.pmle.gamma, levels=cfg.pmle.levels,
                 penalty_mode=cfg.pmle.penalty_mode,
             )
-            dec = decode(g, y, cfg.epochs, cfg.tau, spec, cover)
+            dec = decode(obs, spec, cover)
             dt = time.perf_counter() - t0
             est = dec.estimate
             a1_size, whales_in_a1 = -1, None

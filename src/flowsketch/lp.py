@@ -58,9 +58,8 @@ from typing import Optional
 
 import numpy as np
 
-from .graph import BipartiteGraph
+from .decoders import Observation
 from .metrics import positive_clip
-from .stream import check_window
 
 __all__ = [
     "LpSolution",
@@ -308,26 +307,20 @@ def _solve_ipm(at, y, tol_feas, tol_obj, iter_cap):
 
 
 def basis_pursuit(
-    g: BipartiteGraph,
-    y: np.ndarray,
+    obs: Observation,
     tol_feas: Optional[float] = None,
     tol_obj: Optional[float] = None,
     iter_cap: Optional[int] = None,
 ) -> LpSolution:
-    """Minimum-l1 preimage of the counter vector y under the bank's matrix,
-    by the matrix-free interior-point method. Default tolerances scale with
-    the data: tol_feas = 1e-6*(1+||y||_inf), tol_obj = 1e-6*(1+||y||_1).
+    """Minimum-l1 preimage of the observed counters y under the bank's
+    matrix, by the matrix-free interior-point method. Default tolerances
+    scale with the data: tol_feas = 1e-6*(1+||y||_inf), tol_obj = 1e-6*(1+||y||_1).
     The status is "infeasible" when the residual ends far from feasibility
     after stalling, or after the iterates diverged (a slack reached zero).
     """
     import scipy.sparse as sp
 
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != (g.n_right,):
-        raise ValueError(f"y has shape {y.shape}, expected ({g.n_right},)")
-    if not (y.min() > -np.inf and y.max() < np.inf):  # a NaN fails both
-        j = int(np.flatnonzero(~np.isfinite(y))[0])
-        raise ValueError(f"counter {j} is {float(y[j])}; counters must be finite")
+    g, y = obs.g, obs.y
     dt_feas, dt_obj = _default_tols(y)
     tol_feas = dt_feas if tol_feas is None else tol_feas
     tol_obj = dt_obj if tol_obj is None else tol_obj
@@ -351,8 +344,7 @@ def basis_pursuit(
     return _solve_ipm(at, y, tol_feas, tol_obj, cap)
 
 
-def direct_estimate(sol: LpSolution, n_epochs: int, tau: float) -> np.ndarray:
-    """Rate estimate from a basis-pursuit solution: clip negatives, divide
-    by total observation time n_epochs*tau. No rounding."""
-    check_window(n_epochs, tau)
-    return positive_clip(sol.u) / (n_epochs * tau)
+def direct_estimate(sol: LpSolution, obs: Observation) -> np.ndarray:
+    """Rate estimate from a basis-pursuit solution of obs: clip negatives,
+    divide by the window's length obs.scale. No rounding."""
+    return positive_clip(sol.u) / obs.scale

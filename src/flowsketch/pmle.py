@@ -14,6 +14,8 @@ is the normalized-matrix convention with theta = n*tau*d*lam folded in;
 estimates are returned as rates directly, no trailing division. The
 offset's own means mu0 = scale * A @ (c*L0 on the cover) come from
 `PmleConfig.offset_means`, which sums over the cover flows alone.
+Every function here reads y, the bank and scale from one
+`decoders.Observation`, so none checks the counters or the window.
 
 Candidates are scored in blocks, as arrays over the few counters a
 block's flows touch: all level tuples of one support at a time when
@@ -36,7 +38,7 @@ from typing import Iterable, Iterator, Optional, Tuple
 
 import numpy as np
 
-from .decoders import PENALTY_MODES, DecodeSpec
+from .decoders import PENALTY_MODES, DecodeSpec, Observation
 from .graph import BipartiteGraph
 from .metrics import top_k_indices
 
@@ -47,7 +49,6 @@ __all__ = [
     "PmleResult",
     "SparseSolveResult",
     "WhaleLocalization",
-    "checked_counters",
     "localize_whales",
     "pmle_exhaustive",
     "pmle_reduced",
@@ -74,14 +75,23 @@ class CandidateCountError(ValueError):
 def _check_flows(g: BipartiteGraph, flows, what: str,
                  cfg: Optional["PmleConfig"] = None) -> np.ndarray:
     """flows as an int64 array; ValueError unless they are sorted, distinct
-    flows of g, in [0, N), and, given cfg, unless cfg.n_flows is g's N."""
+    integers (not bools) in [0, N), and, given cfg, unless cfg.n_flows is
+    g's N. An empty array of any dtype, np.array(()) too, is the empty set."""
     if cfg is not None and cfg.n_flows != g.n_left:
         raise ValueError(f"n_flows={cfg.n_flows} is not the graph's {g.n_left} flows")
-    flows = np.asarray(flows, dtype=np.int64)
+    flows = np.asarray(flows)
     if flows.ndim != 1 or (flows.size and (
-            flows[0] < 0 or flows[-1] >= g.n_left or (flows[1:] <= flows[:-1]).any())):
+            flows.dtype.kind not in "iuf"
+            or (flows.dtype.kind == "f" and (flows != np.floor(flows)).any())
+            or flows[0] < 0 or flows[-1] >= g.n_left or (flows[1:] <= flows[:-1]).any())):
         raise ValueError(f"{what} must hold sorted, distinct flows in [0, {g.n_left})")
-    return flows
+    return flows.astype(np.int64, copy=False)
+
+
+def _check_count(name: str, v) -> None:
+    """The rule for a whale or flow count: an integer (not a bool) >= 1."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -121,9 +131,7 @@ class PmleConfig:
                 raise ValueError(f"need 0 < {name} < inf and an integer n_levels >= 1, "
                                  f"got {name}={size}, n_levels={n!r}")
         for name in ("k", "n_flows"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {v!r}")
+            _check_count(name, getattr(self, name))
         if not (0 <= self.c < 1):
             raise ValueError(f"offset coefficient c must be in [0,1), got {self.c}")
 
@@ -150,15 +158,15 @@ class PmleConfig:
     def grid_step(self) -> float:
         return self.l0 / self.n_levels
 
-    def offset_means(self, g: BipartiteGraph, cover: np.ndarray,
-                     scale: float) -> np.ndarray:
+    def offset_means(self, obs: Observation, cover: np.ndarray) -> np.ndarray:
         """Counter means of the offset alone: scale * A @ (c*l0 on the cover
         flows). Each counter adds c*l0 once per incident cover flow, the
         nonzero terms of its row of that product, so the bits agree."""
+        g = obs.g
         cover = _check_flows(g, cover, "cover", self)
         mu = np.zeros(g.n_right)
         np.add.at(mu, g.columns[cover].ravel(), self.c * self.l0)
-        return scale * mu
+        return obs.scale * mu
 
     def n_candidates(self, universe_size: int, cap: Optional[int] = None) -> int:
         """|Lambda| over a universe of U flows: sum_s C(U,s)*C(G,s),
@@ -240,20 +248,6 @@ def _level_tuples(s: int, budget: int) -> np.ndarray:
     return out
 
 
-def checked_counters(y, g: BipartiteGraph) -> np.ndarray:
-    """y as a float64 array; ValueError unless it holds one finite,
-    nonnegative entry per counter of g."""
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != (g.n_right,):
-        raise ValueError(f"y has shape {y.shape}, expected ({g.n_right},)")
-    if not (y.min() >= 0 and y.max() < np.inf):  # a NaN fails both
-        j = int(np.flatnonzero(~(np.isfinite(y) & (y >= 0)))[0])
-        raise ValueError(
-            f"counter {j} is {float(y[j])}; counters must be finite and nonnegative"
-        )
-    return y
-
-
 @dataclass(frozen=True)
 class WhaleLocalization:
     """Output of the counter-sorting pass: a1 holds, sorted, the flows
@@ -262,18 +256,18 @@ class WhaleLocalization:
     a1: np.ndarray
 
 
-def localize_whales(y: np.ndarray, g: BipartiteGraph, k: int) -> WhaleLocalization:
+def localize_whales(obs: Observation, k: int) -> WhaleLocalization:
     """The flows whose counters all rank among the kd largest, the
     `top_k_indices` of y, so ties break toward the lowest index. When
     kd >= M every counter is large and a1 is all flows (the reduction
-    degrades gracefully to the full search). O(M + N d). y must pass
-    `checked_counters`, since top_k_indices ranks by magnitude.
+    degrades gracefully to the full search). O(M + N d). k follows
+    PmleConfig's rule: an integer >= 1, else ValueError. top_k_indices
+    ranks by magnitude, which the counters rule makes y's order.
     """
-    y = checked_counters(y, g)
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    _check_count("k", k)
+    g = obs.g
     big = np.zeros(g.n_right, dtype=bool)
-    big[top_k_indices(y, min(k * g.d, g.n_right))] = True
+    big[top_k_indices(obs.y, min(k * g.d, g.n_right))] = True
     a1 = np.nonzero(big[g.columns].all(axis=1))[0].astype(np.int64)
     return WhaleLocalization(a1=a1)
 
@@ -297,29 +291,24 @@ class PmleResult:
 
 
 def pmle_exhaustive(
-    y: np.ndarray,
-    g: BipartiteGraph,
+    obs: Observation,
     cfg: PmleConfig,
     universe: np.ndarray,
     cover: np.ndarray,
-    scale: float,
 ) -> PmleResult:
     """Exact penalized-MLE argmin of cfg by full enumeration of its
-    candidates supported in the universe, sorted distinct flows of g, with
-    the offset of cfg on the cover flows.
+    candidates supported in the universe, sorted distinct flows of obs.g,
+    with the offset of cfg on the cover flows.
 
     Guarded: refuses more than 10^6 candidates (`cfg.check_exhaustive`).
     Scoring is batched: all level tuples of one support are scored as one
     array, and candidates within rounding error of the minimum are
     rescored exactly, so ties still go to the candidate enumerated first.
     """
-    universe = _check_flows(g, universe, "universe", cfg)
+    universe = _check_flows(obs.g, universe, "universe", cfg)
     cfg.check_exhaustive(universe.size)
-    y = checked_counters(y, g)
-    if not scale > 0:
-        raise ValueError(f"scale must be positive, got {scale}")
-    mu0 = cfg.offset_means(g, cover, scale)
-    return _argmin(y, g, cfg, mu0, scale, cfg.blocks(universe), exhaustive=True)
+    mu0 = cfg.offset_means(obs, cover)
+    return _argmin(obs, cfg, mu0, cfg.blocks(universe), exhaustive=True)
 
 
 # A block is scored in row chunks whose per-row arrays hold at most this
@@ -328,11 +317,9 @@ _CHUNK_FLOATS = 2**18
 
 
 def _argmin(
-    y: np.ndarray,
-    g: BipartiteGraph,
+    obs: Observation,
     cfg: PmleConfig,
     mu0: np.ndarray,
-    scale: float,
     blocks: Iterable[tuple[tuple, np.ndarray]],
     exhaustive: bool,
 ) -> PmleResult:
@@ -369,7 +356,8 @@ def _argmin(
     those of a one-by-one loop over `_score`. When every candidate is
     +inf the first one is returned.
     """
-    a = scale * cfg.grid_step
+    g, y = obs.g, obs.y
+    a = obs.scale * cfg.grid_step
     pos = y > 0
     live = pos & (mu0 > 0)
     w = np.zeros_like(mu0)
@@ -460,7 +448,7 @@ def _argmin(
                 continue
             for j in np.nonzero(obj - tol <= best_hi)[0]:
                 supp, cand = candidate(flows, lv[j])
-                exact = _score(y, g, cfg, mu0, scale, supp, cand)
+                exact = _score(obs, cfg, mu0, supp, cand)
                 if best is None or exact < best[0]:
                     best = (exact, supp, cand)
     obj, supp, lv = best if best is not None else (math.inf, *first)
@@ -471,23 +459,17 @@ def _argmin(
     )
 
 
-def _score(
-    y: np.ndarray,
-    g: BipartiteGraph,
-    cfg: PmleConfig,
-    mu0: np.ndarray,
-    scale: float,
-    supp: tuple,
-    lv: tuple,
-) -> float:
+def _score(obs: Observation, cfg: PmleConfig, mu0: np.ndarray, supp: tuple,
+           lv: tuple) -> float:
     """NLL(candidate + offset) + 2*pen(candidate) of one candidate, over
     all counters."""
+    g = obs.g
     mu = mu0.copy()
     if supp:
         cols = g.columns[list(supp)].ravel()
-        a = scale * cfg.grid_step
+        a = obs.scale * cfg.grid_step
         np.add.at(mu, cols, np.repeat(a * np.asarray(lv, float), g.d))
-    return _nll_from_mu(mu, y) + 2.0 * cfg.pen_of_size(len(supp))
+    return _nll_from_mu(mu, obs.y) + 2.0 * cfg.pen_of_size(len(supp))
 
 
 def _local_index(g: BipartiteGraph, flows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -510,10 +492,8 @@ class SparseSolveResult:
 
 
 def sparse_poisson_solve(
-    y: np.ndarray,
-    g: BipartiteGraph,
+    obs: Observation,
     support: np.ndarray,
-    scale: float,
     mu_base: Optional[np.ndarray] = None,
 ) -> SparseSolveResult:
     """Projected proximal-gradient Poisson regression on a fixed support.
@@ -533,12 +513,10 @@ def sparse_poisson_solve(
     """
     import scipy.sparse as sp
 
+    g, y, scale = obs.g, obs.y, obs.scale
     support = _check_flows(g, support, "support")
     if support.size == 0:
         raise ValueError("support must be nonempty")
-    y = np.asarray(y, dtype=np.float64)
-    if not scale > 0:
-        raise ValueError(f"scale must be positive, got {scale}")
     if mu_base is None:
         mu_base = np.zeros(g.n_right)
     n, d = support.size, g.d
@@ -685,12 +663,10 @@ def _l0_path(theta: np.ndarray, flows_all: np.ndarray, step: float, budget: int,
 
 
 def pmle_reduced(
-    y: np.ndarray,
-    g: BipartiteGraph,
+    obs: Observation,
     loc: WhaleLocalization,
     cfg: PmleConfig,
     cover: np.ndarray,
-    scale: float,
     exhaustive_cap: int = _EXHAUSTIVE_GUARD,
 ) -> PmleResult:
     """Penalized MLE restricted to supports inside the localized set A1.
@@ -708,18 +684,17 @@ def pmle_reduced(
     so the result is the zero estimate with the objective of the offset
     alone (n_evaluated 1, exhaustive True).
     """
-    a1 = _check_flows(g, loc.a1, "A1", cfg)
-    y = checked_counters(y, g)
+    a1 = _check_flows(obs.g, loc.a1, "A1", cfg)
     if a1.size == 0:
         warnings.warn("localization produced an empty support; returning zeros")
     cap = min(exhaustive_cap, _EXHAUSTIVE_GUARD)
     if a1.size == 0 or cfg.n_candidates(a1.size, cap) <= cap:
-        res = pmle_exhaustive(y, g, cfg, a1, cover, scale)
+        res = pmle_exhaustive(obs, cfg, a1, cover)
     else:
-        mu0 = cfg.offset_means(g, cover, scale)
-        solve = sparse_poisson_solve(y, g, a1, scale, mu_base=mu0)
+        mu0 = cfg.offset_means(obs, cover)
+        solve = sparse_poisson_solve(obs, a1, mu_base=mu0)
         s_max = min(a1.size, cfg.n_levels, max(2 * cfg.k, 32))
         block = _l0_path(solve.theta, a1, cfg.grid_step, cfg.n_levels, s_max)
-        res = _argmin(y, g, cfg, mu0, scale, [block], exhaustive=False)
+        res = _argmin(obs, cfg, mu0, [block], exhaustive=False)
     res.localization = loc
     return res

@@ -27,6 +27,7 @@ flows fire every epoch is slower than one `rng.poisson` call.
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -68,11 +69,13 @@ _LOOSEN = 1.0 - 2.0**-40
 def check_window(epochs, tau, least: int = 1) -> None:
     """The one rule for a window of `epochs` epochs of length tau: epochs
     is an integer (a numpy integer, not a bool or a float) of at least
-    `least`, and tau is finite and positive. Raises ValueError otherwise."""
+    `least`, tau is finite and positive, and so is the window's length
+    epochs*tau as a float. Raises ValueError otherwise."""
     if (isinstance(epochs, bool) or not isinstance(epochs, numbers.Integral)
-            or epochs < least or not 0 < tau < math.inf):
-        raise ValueError(f"need epochs >= {least} and 0 < tau < inf, "
-                         f"got epochs={epochs}, tau={tau}")
+            or not least <= epochs <= sys.float_info.max or not 0 < tau < math.inf
+            or float(epochs) * float(tau) == math.inf):
+        raise ValueError(f"need epochs >= {least} and 0 < tau < inf with "
+                         f"epochs*tau < inf, got epochs={epochs}, tau={tau}")
 
 
 @dataclass(frozen=True)

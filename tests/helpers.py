@@ -21,6 +21,7 @@ from flowsketch import (
     BipartiteGraph,
     DecodeSpec,
     GraphConstructionError,
+    Observation,
     PmleConfig,
     PmleResult,
     SparseSolveResult,
@@ -29,6 +30,12 @@ from flowsketch import lp, pmle, stream
 from flowsketch.experiment import SCHEMA_VERSION
 from flowsketch.graph import _adjacency
 from flowsketch.lp import NumericalError, _default_tols, basis_pursuit
+
+
+def observe(g: BipartiteGraph, y, scale: float = 1.0) -> Observation:
+    """The observation of counters y over one epoch of length `scale`, so
+    that its scale is exactly `scale`."""
+    return Observation(g, y, 1, scale)
 
 
 def save_config(cfg, path) -> None:
@@ -622,11 +629,12 @@ def argmin_scalar(y, g, cfg, mu0, scale, candidates, exhaustive) -> PmleResult:
     )
 
 
-def argmin_chunked(y, g, cfg, mu0, scale, blocks, exhaustive) -> PmleResult:
+def argmin_chunked(obs, cfg, mu0, blocks, exhaustive) -> PmleResult:
     """`pmle._argmin` as it screened before per-flow level tables: each row
     chunk of a block evaluates y*ln(mu) on every counter the block's flows
     touch, as one (rows, |T|) buffer, and candidates within the rounding
     bound of the running minimum are rescored exactly by `pmle._score`."""
+    y, g, scale = obs.y, obs.g, obs.scale
     chunk_rows = 1024
     a = scale * cfg.grid_step
     pos = y > 0
@@ -688,7 +696,7 @@ def argmin_chunked(y, g, cfg, mu0, scale, blocks, exhaustive) -> PmleResult:
                 continue
             for j in np.nonzero(obj - tol <= best_hi)[0]:
                 supp, cand = candidate(flows, lv[j])
-                exact = pmle._score(y, g, cfg, mu0, scale, supp, cand)
+                exact = pmle._score(obs, cfg, mu0, supp, cand)
                 if best is None or exact < best[0]:
                     best = (exact, supp, cand)
     obj, supp, lv = best if best is not None else (math.inf, *first)
@@ -889,7 +897,7 @@ def basis_pursuit_dense(g: BipartiteGraph, y, tol_feas=None, tol_obj=None,
     a = _adjacency(g).astype(np.float64)
     if y.shape != (g.n_right,) or not np.abs(y).max(initial=0.0) or (
             (np.diff(a.indptr) == 0) & (y != 0)).any():
-        return basis_pursuit(g, y, tol_feas, tol_obj, iter_cap)
+        return basis_pursuit(observe(g, y), tol_feas, tol_obj, iter_cap)
     dt_feas, dt_obj = _default_tols(y)
     return _solve_ipm_dense(
         a, y, dt_feas if tol_feas is None else tol_feas,

@@ -16,6 +16,7 @@ import numpy as np
 
 from flowsketch import (
     GraphConstructionError,
+    Observation,
     PmleConfig,
     SignalSpec,
     StreamState,
@@ -94,7 +95,7 @@ def test_ac3_exact_sparse_recovery(small_expander):
                 n_flows=50, k=2, whale_dist=dist, minnow_dist=ZERO,
                 seed=stable_seed(303, s))).rates
             y = apply_adjacency(g, truth)
-            est = basis_pursuit(g, y).u
+            est = basis_pursuit(Observation(g, y, 1, 1.0)).u
             err = float(np.abs(est - truth).sum())
             oracle_err = float(np.abs(oracle_2sparse(g, y) - truth).sum())
             worst = max(worst, err)
@@ -121,7 +122,8 @@ def test_ac4_risk_slope():
             st = StreamState(graph=g, rates=rv, tau=1.0,
                              seed=stable_seed(ts, "st"))
             run_epochs(st, n)
-            est = direct_estimate(basis_pursuit(g, st.y), n, 1.0)
+            obs = Observation(g, st.y, n, 1.0)
+            est = direct_estimate(basis_pursuit(obs), obs)
             errs.append(float(np.abs(est - rv.rates).sum()))
         risks.append(float(np.mean(errs)))
     slope = float(np.polyfit(np.log(ns), np.log(risks), 1)[0])
@@ -141,7 +143,7 @@ def test_ac5_localization():
                                   minnow_dist=TINY, seed=stable_seed(ts, "s")))
         st = StreamState(graph=g, rates=rv, tau=1.0, seed=stable_seed(ts, "st"))
         run_epochs(st, 40)
-        loc = localize_whales(st.y, g, 10)
+        loc = localize_whales(Observation(g, st.y, 40, 1.0), 10)
         subset_ok += bool(np.isin(rv.whale_support, loc.a1).all())
         size_ok += loc.a1.size <= 80
 
@@ -156,7 +158,7 @@ def test_ac5_localization():
         reps = []
         for _ in range(31):
             t0 = time.perf_counter()
-            localize_whales(st.y, g, 10)
+            localize_whales(Observation(g, st.y, 40, 1.0), 10)
             reps.append(time.perf_counter() - t0)
         med_times.append(float(np.median(reps)))
     work = np.log([n * 8 for n in sizes])
@@ -213,14 +215,15 @@ def test_ac7_oracle_equivalence():
         run_epochs(st, 60)
         cfg = dataclasses.replace(
             PmleConfig.from_problem(12, 2, l0=2.5, levels=5), c=0.01)
-        full = pmle_exhaustive(st.y, g, cfg, np.arange(12), cover, 60.0)
-        loc = localize_whales(st.y, g, 2)
+        obs = Observation(g, st.y, 60, 1.0)
+        full = pmle_exhaustive(obs, cfg, np.arange(12), cover)
+        loc = localize_whales(obs, 2)
         if not np.isin(truth.whale_support, loc.a1).all():
             continue
         if full.support and not np.isin(np.array(full.support), loc.a1).all():
             continue
         qualified += 1
-        red = pmle_reduced(st.y, g, loc, cfg, cover, 60.0)
+        red = pmle_reduced(obs, loc, cfg, cover)
         matched += red.support == full.support and red.levels == full.levels
     ok = qualified == 100 and matched == 100
     assert record_gate(
@@ -240,11 +243,13 @@ def test_ac8_speed_separation():
         run_epochs(st, 40)
         cfg = PmleConfig.from_problem(5000, 10, l0=1.25 * rv.l1(), levels=64)
         t0 = time.perf_counter()
-        direct_estimate(basis_pursuit(g, st.y), 40, 1.0)
+        obs = Observation(g, st.y, 40, 1.0)
+        direct_estimate(basis_pursuit(obs), obs)
         t_direct.append(time.perf_counter() - t0)
         t0 = time.perf_counter()
-        loc = localize_whales(st.y, g, 10)
-        pmle_reduced(st.y, g, loc, cfg, cover, 40.0)
+        obs = Observation(g, st.y, 40, 1.0)
+        loc = localize_whales(obs, 10)
+        pmle_reduced(obs, loc, cfg, cover)
         t_reduced.append(time.perf_counter() - t0)
     md, mr = float(np.mean(t_direct)), float(np.mean(t_reduced))
     ratio = mr / md

@@ -21,6 +21,7 @@ import flowsketch
 from flowsketch import (
     BipartiteGraph,
     DecodeSpec,
+    Observation,
     RateVector,
     StreamState,
     cli,
@@ -442,7 +443,7 @@ def test_refused_pmle_settings_do_no_work(graph_file, counters_file, tmp_path,
         y = _read_counters_csv(counters_file, g.n_right)
         spec = DecodeSpec(decoder, **{"k": 2, "l0": 8.0, "levels": 8, **edit})
         with pytest.raises(ValueError) as got:
-            decode(g, y, 30, 1.0, spec)
+            decode(Observation(g, y, 30, 1.0), spec)
         assert str(got.value).startswith(message)
         return
     est_path = tmp_path / "est.csv"
@@ -456,9 +457,12 @@ def test_refused_pmle_settings_do_no_work(graph_file, counters_file, tmp_path,
 
 
 # (epochs, tau) windows that every boundary refuses, with its least epoch
-# count 0 or 1; (0, 1.0) is refused where the least is 1
+# count 0 or 1; (0, 1.0) is refused where the least is 1. The last two
+# have no finite length epochs*tau: it overflows to inf, or the epoch
+# count has no float value
 BAD_WINDOWS = [(-1, 1.0), (3, 0.0), (3, -1.5), (3, math.nan), (3, math.inf),
-               (1.5, 1.0), (True, 1.0), (np.float64(2.0), 1.0), (0, 1.0)]
+               (1.5, 1.0), (True, 1.0), (np.float64(2.0), 1.0), (0, 1.0),
+               (10**30, 1e300), (10**400, 1.0)]
 
 
 def _cli_refusal(ctx, argv):
@@ -485,15 +489,18 @@ WINDOW_BOUNDARIES = {
         ctx.graph_file, ctx.counters_file, ctx.out, "direct")
         + ["--epochs", str(e), "--tau", str(t)])),
     "decode": (1, "any", lambda ctx, e, t: _refusal(
-        decode, ctx.g, np.zeros(ctx.g.n_right), e, t, DecodeSpec("direct"))),
+        lambda: decode(Observation(ctx.g, np.zeros(ctx.g.n_right), e, t),
+                       DecodeSpec("direct")))),
     "ExperimentConfig": (1, "any", lambda ctx, e, t: _refusal(
         ExperimentConfig, n_flows=10, n_counters=8, degree=2, epochs=e, tau=t,
         sweep=(1,), trials=1, whale_dist=Dist("constant", 1.0),
         minnow_dist=Dist("constant", 0.0), decoders=("direct",), root_seed=1)),
     "StreamState": (0, "any", lambda ctx, e, t: _refusal(
         StreamState, graph=ctx.g, rates=ctx.rates, tau=t, seed=0, n_epochs=e)),
+    # its window is the observation's
     "direct_estimate": (1, "any", lambda ctx, e, t: _refusal(
-        lp.direct_estimate, ctx.sol, e, t)),
+        lambda: lp.direct_estimate(ctx.sol, Observation(
+            ctx.g, np.zeros(ctx.g.n_right), e, t)))),
     "run_epochs": (0, "tau 1.0", lambda ctx, e, t: _refusal(
         run_epochs, StreamState(graph=ctx.g, rates=ctx.rates, tau=t, seed=0), e)),
 }
@@ -522,7 +529,8 @@ def test_every_window_boundary_refuses_alike(graph_file, counters_file, tmp_path
                           primal_feasibility=0.0, duality_gap=0.0,
                           iterations=0, status="optimal", solver="trivial"),
     )
-    assert refuse(ctx, epochs, tau) == (f"need epochs >= {least} and 0 < tau < inf, "
+    assert refuse(ctx, epochs, tau) == (f"need epochs >= {least} and 0 < tau < inf "
+                                        f"with epochs*tau < inf, "
                                         f"got epochs={epochs}, tau={tau}")
     assert not ctx.out.exists()
 

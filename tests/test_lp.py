@@ -1,5 +1,6 @@
 """Basis-pursuit decoder tests."""
 
+import re
 import warnings
 from unittest import mock
 
@@ -15,6 +16,7 @@ from flowsketch import (
     DecodeSpec,
     Dist,
     LpSolution,
+    Observation,
     RateVector,
     SignalSpec,
     StreamState,
@@ -35,6 +37,7 @@ from helpers import (
     jacobi_start_preconditioner,
     low_rank_gram_sparse,
     max_step_masked,
+    observe,
     oracle_2sparse,
     preconditioner_from_columns,
 )
@@ -43,7 +46,7 @@ from helpers import (
 def test_zero_counters():
     g = BipartiteGraph(n_left=2, n_right=2, d=2,
                        columns=np.array([[0, 1], [0, 1]], dtype=np.int32), seed=0)
-    sol = basis_pursuit(g, np.zeros(2))
+    sol = basis_pursuit(observe(g, np.zeros(2)))
     assert sol.status == "optimal"
     assert not sol.u.any() and sol.objective == 0.0
 
@@ -53,7 +56,7 @@ def test_complete_graph_objective():
     g = BipartiteGraph(n_left=2, n_right=2, d=2,
                        columns=np.array([[0, 1], [0, 1]], dtype=np.int32), seed=0)
     y = np.array([8.0, 8.0])
-    sol = basis_pursuit(g, y)
+    sol = basis_pursuit(observe(g, y))
     assert sol.status == "optimal"
     assert abs(sol.objective - 8.0) <= 1e-6 * (1 + y.sum())
     assert sol.primal_feasibility <= 1e-6 * (1 + y.max())
@@ -62,15 +65,17 @@ def test_complete_graph_objective():
 def test_input_validation():
     g = BipartiteGraph(n_left=2, n_right=2, d=2,
                        columns=np.array([[0, 1], [0, 1]], dtype=np.int32), seed=0)
-    with pytest.raises(ValueError):
-        basis_pursuit(g, np.zeros(3))
-    # refused before the interior point runs, which would iterate to its
-    # cap on such counters and return a NaN u
-    for value in (np.nan, np.inf, -np.inf):
-        with mock.patch.object(lp, "_solve_ipm") as ipm, pytest.raises(
-                ValueError, match=f"counter 1 is {value}; counters must be finite"):
-            basis_pursuit(g, np.array([2.0, value]))
-        ipm.assert_not_called()
+    # refused by the observation basis pursuit reads, before the interior
+    # point runs, which would iterate to its cap on non-finite counters
+    # and return a NaN u; a negative counter counts no packets
+    with mock.patch.object(lp, "_solve_ipm") as ipm:
+        with pytest.raises(ValueError, match=re.escape("y has shape (3,), expected (2,)")):
+            basis_pursuit(observe(g, np.zeros(3)))
+        for value in (np.nan, np.inf, -np.inf, -5.0):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"counter 1 is {value}; counters must be finite and nonnegative")):
+                basis_pursuit(observe(g, np.array([2.0, value])))
+    ipm.assert_not_called()
 
 
 def test_two_sparse_recovery_matches_oracle(small_expander):
@@ -81,7 +86,7 @@ def test_two_sparse_recovery_matches_oracle(small_expander):
         i, j = rng.choice(g.n_left, size=2, replace=False)
         x[i], x[j] = rng.integers(1, 50, size=2)
         y = apply_adjacency(g, x)
-        sol = basis_pursuit(g, y, tol_feas=1e-9, tol_obj=1e-9)
+        sol = basis_pursuit(observe(g, y), tol_feas=1e-9, tol_obj=1e-9)
         assert sol.status == "optimal"
         assert np.abs(sol.u - x).sum() <= 1e-4
         ox = oracle_2sparse(g, y)
@@ -95,7 +100,7 @@ def test_l1_non_expansion(small_expander):
     for _ in range(5):
         x = rng.poisson(2.0, g.n_left).astype(np.float64)
         y = apply_adjacency(g, x)
-        sol = basis_pursuit(g, y)
+        sol = basis_pursuit(observe(g, y))
         tol_obj = 1e-6 * (1 + np.abs(y).sum())
         assert sol.objective <= np.abs(x).sum() + tol_obj
 
@@ -109,7 +114,7 @@ def test_expander_error_bound(plane_expander):
     st = StreamState(graph=g, rates=rates, tau=1.0, seed=64)
     run_epochs(st, 30)
     x = st.x.astype(np.float64)
-    sol = basis_pursuit(g, st.y.astype(np.float64))
+    sol = basis_pursuit(observe(g, st.y.astype(np.float64)))
     assert sol.status == "optimal"
     resid = np.abs(apply_adjacency(g, sol.u) - apply_adjacency(g, x)).sum()
     bound = 4 * best_k_term(x, 2).residual_l1 + 4 / g.d * resid
@@ -123,7 +128,7 @@ def test_direct_decode_above_2000_counters_is_certified():
     x = np.zeros(g.n_left)
     x[rng.choice(g.n_left, 3, replace=False)] = (5.0, 9.0, 2.0)
     y = apply_adjacency(g, x)
-    sol = decode(g, y, 1, 1.0, DecodeSpec("direct")).result
+    sol = decode(Observation(g, y, 1, 1.0), DecodeSpec("direct")).result
     tol_obj = 1e-6 * (1 + np.abs(y).sum())
     tol_feas = 1e-6 * (1 + np.abs(y).max())
     assert sol.solver == "interior-point"
@@ -137,7 +142,7 @@ def test_infeasible_counters_detected():
     # counter 2 has no incident flow, so any mass there is unexplainable
     cols = np.array([[0], [0], [1], [1]], dtype=np.int32)
     g = BipartiteGraph(n_left=4, n_right=3, d=1, columns=cols, seed=0)
-    sol = basis_pursuit(g, np.array([1.0, 1.0, 1.0]))
+    sol = basis_pursuit(observe(g, np.array([1.0, 1.0, 1.0])))
     assert sol.status == "infeasible"
 
 
@@ -146,7 +151,7 @@ def test_iteration_cap_status(small_expander):
     rng = np.random.default_rng(66)
     x = rng.poisson(3.0, g.n_left).astype(np.float64)
     y = apply_adjacency(g, x)
-    sol = basis_pursuit(g, y, iter_cap=1)
+    sol = basis_pursuit(observe(g, y), iter_cap=1)
     assert sol.status == "iteration-cap"
 
 
@@ -155,29 +160,31 @@ def test_trace_collection(small_expander):
     x = np.zeros(g.n_left)
     x[3], x[17] = 4.0, 11.0
     y = apply_adjacency(g, x)
-    sol = basis_pursuit(g, y)
+    sol = basis_pursuit(observe(g, y))
     assert sol.trace and len(sol.trace[0]) == 3
     its = [row[0] for row in sol.trace]
     assert its == sorted(its)
 
 
 def test_direct_estimate():
+    g = BipartiteGraph(n_left=3, n_right=2, d=1,
+                       columns=np.array([[0], [1], [1]], dtype=np.int32), seed=0)
+    y = np.zeros(2)
     lam = np.array([0.5, 0.0, 2.0])
     sol = LpSolution(u=40.0 * lam, objective=0.0, primal_feasibility=0.0,
                      duality_gap=0.0, iterations=0, status="optimal",
                      solver="trivial")
-    assert np.allclose(direct_estimate(sol, 40, 1.0), lam)
+    assert np.allclose(direct_estimate(sol, Observation(g, y, 40, 1.0)), lam)
     sol.u = np.array([8.0, -3.0, 4.0])
-    est = direct_estimate(sol, 2, 1.0)
+    est = direct_estimate(sol, Observation(g, y, 2, 1.0))
     assert np.array_equal(est, [4.0, 0.0, 2.0])
-    assert np.array_equal(direct_estimate(sol, 4, 1.0), est / 2)
-    with pytest.raises(ValueError):
-        direct_estimate(sol, 0, 1.0)
-    with pytest.raises(ValueError):
-        direct_estimate(sol, 2, 0.0)
-    for tau in (float("nan"), float("inf")):
-        with pytest.raises(ValueError):
-            direct_estimate(sol, 2, tau)
+    assert np.array_equal(direct_estimate(sol, Observation(g, y, 4, 1.0)), est / 2)
+    assert np.array_equal(direct_estimate(sol, Observation(g, y, 1, 0.5)), 4 * est)
+    # the window it divides by is held to the window rule when observed
+    for epochs, tau in ((0, 1.0), (2, 0.0), (2, float("nan")), (2, float("inf")),
+                        (10**30, 1e300), (10**400, 1.0)):
+        with pytest.raises(ValueError, match="need epochs >= 1 and 0 < tau < inf"):
+            Observation(g, y, epochs, tau)
 
 
 @st.composite
@@ -205,12 +212,12 @@ def test_basis_pursuit_matches_highs(bank):
     assert ref.status == 0
     # default tolerances certify the gap to 1e-6 * (1 + ||y||_1), up to d
     # times 1e-6 of the optimum: HiGHS's optimum lies in that interval
-    sol = basis_pursuit(g, y)
+    sol = basis_pursuit(observe(g, y))
     assert sol.status == "optimal"
     assert sol.objective - sol.duality_gap <= ref.fun * (1 + 1e-9)
     assert abs(sol.objective - ref.fun) <= 1e-6 * (1 + y.sum())
     # tightened tolerances reach the optimum to 1e-6 relative
-    sol = basis_pursuit(g, y, tol_feas=1e-9 * (1 + y.max()),
+    sol = basis_pursuit(observe(g, y), tol_feas=1e-9 * (1 + y.max()),
                         tol_obj=1e-9 * (1 + y.sum()))
     assert sol.status == "optimal"
     assert abs(sol.objective - ref.fun) <= 1e-6 * max(1.0, ref.fun)
@@ -240,7 +247,7 @@ def degenerate_banks(draw):
 @given(degenerate_banks())
 def test_stall_heuristic_spares_feasible_degenerate_counters(bank):
     g, y = bank
-    assert basis_pursuit(g, y).status != "infeasible"
+    assert basis_pursuit(observe(g, y)).status != "infeasible"
 
 
 def test_unreachable_counters_are_infeasible():
@@ -251,10 +258,10 @@ def test_unreachable_counters_are_infeasible():
                        columns=np.array([[0, 1]] * 3, dtype=np.int32))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        sol = basis_pursuit(g, np.array([1.0, 2.0]))
+        sol = basis_pursuit(observe(g, np.array([1.0, 2.0])))
         assert sol.status == "infeasible" and sol.solver == "interior-point"
         assert sol.primal_feasibility >= 0.5 - 1e-9
-        assert basis_pursuit(g, np.array([2.0, 2.0])).status == "optimal"
+        assert basis_pursuit(observe(g, np.array([2.0, 2.0]))).status == "optimal"
 
 
 # ------------------------------------------------- matrix-free vs dense oracle
@@ -267,7 +274,7 @@ def assert_matches_dense(g, y, **tols):
     objective can sit below the optimum by more than either gap; when the
     optima differ by more, basis_pursuit's optimum must lie within that
     bound of HiGHS's."""
-    got = basis_pursuit(g, y, **tols)
+    got = basis_pursuit(observe(g, y), **tols)
     want = basis_pursuit_dense(g, y, **tols)
     assert got.status == want.status
     if got.status == "optimal":
@@ -328,7 +335,7 @@ def solver_at(g):
     """The A^T that basis_pursuit hands its interior-point method."""
     seen = []
     with mock.patch.object(lp, "_solve_ipm", lambda at, *rest: seen.append(at)):
-        basis_pursuit(g, apply_adjacency(g, np.ones(g.n_left)))
+        basis_pursuit(observe(g, apply_adjacency(g, np.ones(g.n_left))))
     return seen[0]
 
 
@@ -382,7 +389,7 @@ def test_exact_normal_matvec_regression_44x15():
     a = _adjacency(g).toarray().astype(np.float64)
     ref = scipy.optimize.linprog(np.ones(2 * g.n_left), A_eq=np.hstack([a, -a]),
                                  b_eq=y, bounds=(0, None), method="highs")
-    sol = basis_pursuit(g, y, tol_feas=1e-9 * (1 + y.max()),
+    sol = basis_pursuit(observe(g, y), tol_feas=1e-9 * (1 + y.max()),
                         tol_obj=1e-9 * (1 + y.sum()))
     assert sol.status == "optimal" and sol.iterations <= 50
     assert abs(sol.objective - ref.fun) <= 1e-6 * max(1.0, ref.fun)
@@ -439,7 +446,7 @@ def test_woodbury_factor_failure_falls_back_to_diagonal(small_expander):
     x = np.zeros(g.n_left)
     x[3], x[17] = 4.0, 11.0
     y = apply_adjacency(g, x)
-    want = basis_pursuit(g, y)
+    want = basis_pursuit(observe(g, y))
     calls = []
 
     def fail(c, **kwargs):
@@ -447,7 +454,7 @@ def test_woodbury_factor_failure_falls_back_to_diagonal(small_expander):
         return c, 1  # LAPACK's info > 0: a leading minor is not positive
 
     with mock.patch("scipy.linalg.lapack.dpotrf", fail):
-        got = basis_pursuit(g, y)
+        got = basis_pursuit(observe(g, y))
     assert calls
     assert got.status == want.status == "optimal"
     assert abs(got.objective - want.objective) <= max(got.duality_gap,

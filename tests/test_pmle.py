@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import tracemalloc
 import warnings
 from unittest import mock
@@ -47,6 +48,7 @@ from helpers import (
     level_tuples_recursive,
     local_index_unique,
     neg_log_likelihood,
+    observe,
     offset_rates,
     penalty,
     sparse_poisson_solve_full,
@@ -79,7 +81,7 @@ def localize_oracle(y, g, k):
 
 def test_localize_zero_counters():
     g = build_random_expander(12, 8, 2, seed=3)
-    loc = localize_whales(np.zeros(8), g, 2)
+    loc = localize_whales(observe(g, np.zeros(8)), 2)
     # ties break to the lowest index: the top counters are {0, 1, 2, 3}
     expect_a1 = [i for i in range(12) if set(g.columns[i]) <= {0, 1, 2, 3}]
     assert list(loc.a1) == expect_a1 == localize_oracle(np.zeros(8), g, 2)
@@ -90,7 +92,7 @@ def test_localize_single_flow():
     for i in (0, 7, 29):
         x = np.zeros(30)
         x[i] = 5
-        loc = localize_whales(apply_adjacency(g, x), g, 1)
+        loc = localize_whales(observe(g, apply_adjacency(g, x)), 1)
         assert i in loc.a1
 
 
@@ -99,7 +101,7 @@ def test_localize_matches_oracle():
     rng = np.random.default_rng(6)
     y = rng.poisson(3.0, 16).astype(float)  # Poisson(3) counts tie often
     for k in (1, 2, 3, 4):
-        loc = localize_whales(y, g, k)
+        loc = localize_whales(observe(g, y), k)
         assert loc.a1.dtype == np.int64
         assert loc.a1.tolist() == localize_oracle(y, g, k)
 
@@ -107,22 +109,25 @@ def test_localize_matches_oracle():
 def test_localize_kd_over_m_degrades_to_full():
     g = build_random_expander(20, 8, 4, seed=7)
     y = np.arange(8, dtype=float)
-    loc = localize_whales(y, g, 3)  # kd = 12 > 8
+    loc = localize_whales(observe(g, y), 3)  # kd = 12 > 8
     assert loc.a1.tolist() == list(range(20)) == localize_oracle(y, g, 3)
 
 
 def test_localize_validation():
     g = build_random_expander(10, 6, 2, seed=8)
     with pytest.raises(ValueError):
-        localize_whales(np.zeros(5), g, 1)
-    with pytest.raises(ValueError):
-        localize_whales(np.zeros(6), g, 0)
+        localize_whales(observe(g, np.zeros(5)), 1)
+    # PmleConfig's rule for k: no bool taken as 1, no fraction
+    for k in (0, -1, True, 2.5):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"k must be an integer >= 1, got {k!r}")):
+            localize_whales(observe(g, np.zeros(6)), k)
     # the ranking is by magnitude, so counters must be finite and nonnegative
     for bad in (-1.0, -np.inf, np.nan, np.inf):
         y = np.zeros(6)
         y[3] = bad
         with pytest.raises(ValueError, match="finite and nonnegative"):
-            localize_whales(y, g, 1)
+            localize_whales(observe(g, y), 1)
 
 
 def test_localize_full_scale_margin():
@@ -138,7 +143,7 @@ def test_localize_full_scale_margin():
         st = StreamState(graph=g, rates=truth, tau=1.0,
                          seed=stable_seed(ts, "st"))
         run_epochs(st, 40)
-        loc = localize_whales(st.y, g, 10)
+        loc = localize_whales(observe(g, st.y), 10)
         hits_s += np.isin(truth.whale_support, loc.a1).all()
         hits_size += loc.a1.size <= 80
     assert hits_s == 12 and hits_size == 12
@@ -233,9 +238,9 @@ def test_pmle_config_validation():
     # cover flow 5 is not in a 5-flow graph, and -1 would alias flow 4
     for bad in (cover, np.array([-1, 0]), np.array([1, 0])):
         with pytest.raises(ValueError, match="cover must hold sorted, distinct flows"):
-            dataclasses.replace(cfg, n_flows=5).offset_means(g5, bad, 1.0)
+            dataclasses.replace(cfg, n_flows=5).offset_means(observe(g5, np.zeros(4)), bad)
     with pytest.raises(ValueError, match="n_flows=6 is not the graph's 5 flows"):
-        cfg.offset_means(g5, np.array([0]), 1.0)
+        cfg.offset_means(observe(g5, np.zeros(4)), np.array([0]))
 
 
 # ---------------------------------------------------------------- candidates
@@ -368,7 +373,7 @@ def test_exhaustive_noiseless_uniform():
     # injective instance: counter 3 is empty so flows 2,4,5 are pinned to
     # zero and the remaining 3x3 system is invertible; argmin is the truth
     g, cover, cfg, truth, y, scale = _hexad_problem(c=0.0)
-    res = pmle_exhaustive(y, g, cfg, np.arange(6), cover, scale)
+    res = pmle_exhaustive(observe(g, y, scale), cfg, np.arange(6), cover)
     assert res.support == (0, 3) and res.levels == (2, 1)
     assert np.array_equal(res.rates, truth)
     assert res.exhaustive and res.n_evaluated == candidate_count(cfg, np.arange(6))
@@ -377,7 +382,7 @@ def test_exhaustive_noiseless_uniform():
 def test_exhaustive_offset_perturbation():
     # with c > 0 the offset shifts the optimum by at most one grid step
     g, cover, cfg, truth, y, scale = _hexad_problem(c=None or 0.22)
-    res = pmle_exhaustive(y, g, cfg, np.arange(6), cover, scale)
+    res = pmle_exhaustive(observe(g, y, scale), cfg, np.arange(6), cover)
     assert np.abs(res.rates - truth).max() <= cfg.grid_step + 1e-12
 
 
@@ -388,7 +393,7 @@ def test_exhaustive_singleton_universe():
     truth = np.zeros(6)
     truth[2] = 2.0
     y = 4.0 * apply_adjacency(g, truth)
-    res = pmle_exhaustive(y, g, cfg, np.array([2]), cover, 4.0)
+    res = pmle_exhaustive(observe(g, y, 4.0), cfg, np.array([2]), cover)
     assert res.support == (2,) and res.levels == (2,)
 
 
@@ -397,22 +402,23 @@ def test_exhaustive_guard():
     cover = greedy_cover(g)
     cfg = PmleConfig.from_problem(5000, 10, 64.0, levels=64)
     with pytest.raises(CandidateCountError):
-        pmle_exhaustive(np.zeros(800), g, cfg, np.arange(5000), cover, 1.0)
+        pmle_exhaustive(observe(g, np.zeros(800)), cfg, np.arange(5000), cover)
 
 
 def test_scale_equivariance_uniform():
     # integer rescale of (y, scale) preserves the argmin candidate
     g, cover, cfg, truth, y, scale = _hexad_problem(c=0.22)
-    base = pmle_exhaustive(y, g, cfg, np.arange(6), cover, scale)
+    base = pmle_exhaustive(observe(g, y, scale), cfg, np.arange(6), cover)
     for factor in (2, 3, 7):
-        res = pmle_exhaustive(factor * y, g, cfg, np.arange(6), cover, factor * scale)
+        res = pmle_exhaustive(observe(g, factor * y, factor * scale), cfg, np.arange(6),
+                              cover)
         assert res.support == base.support and res.levels == base.levels
 
 
 def test_offset_positivity():
     g, cover, _ = build_graph_with_cover(200, 40, 4, seed=12)
     cfg = PmleConfig.from_problem(200, 3, 8.0, levels=16)
-    mu0 = cfg.offset_means(g, cover, 1.0)  # any candidate only adds to this
+    mu0 = cfg.offset_means(observe(g, np.zeros(40)), cover)  # a candidate only adds
     floor = cfg.c * cfg.l0 / g.d
     assert (mu0 / g.d >= floor - 1e-12).all()
 
@@ -436,7 +442,8 @@ def test_offset_means_match_csr_product(data):
     cover = np.array(members, dtype=np.int64)
     scale = data.draw(st.sampled_from([0.1, 1.0, 3.0, 40.0]))
     want = scale * apply_adjacency(g, offset_rates(cfg, cover, g.n_left))
-    assert cfg.offset_means(g, cover, scale).tobytes() == want.tobytes()
+    got = cfg.offset_means(observe(g, np.zeros(n_right), scale), cover)
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("n, m, d", [(5000, 800, 8), (20000, 2500, 10)])
@@ -445,7 +452,8 @@ def test_offset_means_match_csr_product_greedy_cover(n, m, d):
     cfg = PmleConfig.from_problem(n, 10, 12.5, levels=64)
     for scale in (1.0, 40.0):
         want = scale * apply_adjacency(g, offset_rates(cfg, cover, n))
-        assert cfg.offset_means(g, cover, scale).tobytes() == want.tobytes()
+        got = cfg.offset_means(observe(g, np.zeros(m), scale), cover)
+        assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------- solver
@@ -475,7 +483,7 @@ def test_sparse_solve_one_dimensional():
     for i in (0, 9, 19):
         y = np.zeros(10)
         y[g.columns[i]] = rng.poisson(8.0, 3)
-        res = sparse_poisson_solve(y, g, np.array([i]), scale=2.0)
+        res = sparse_poisson_solve(observe(g, y, 2.0), np.array([i]))
         opt = y[g.columns[i]].sum() / (2.0 * 3)
         if opt == 0.0:
             assert res.theta[0] == 0.0
@@ -487,13 +495,22 @@ def test_sparse_solve_one_dimensional():
 def test_sparse_solve_validation():
     g = build_random_expander(20, 10, 3, seed=13)
     with pytest.raises(ValueError):
-        sparse_poisson_solve(np.zeros(10), g, np.array([], dtype=np.int64), 1.0)
-    with pytest.raises(ValueError):
-        sparse_poisson_solve(np.zeros(10), g, np.array([0]), 0.0)
+        sparse_poisson_solve(observe(g, np.zeros(10)), np.array([], dtype=np.int64))
+    with pytest.raises(ValueError, match="need epochs >= 1 and 0 < tau < inf"):
+        sparse_poisson_solve(observe(g, np.zeros(10), 0.0), np.array([0]))
+    # the one counters rule, applied by the observation the solve reads
+    for value in (-5.0, np.nan, np.inf):
+        y = np.ones(10)
+        y[2] = value
+        with pytest.raises(ValueError, match=re.escape(
+                f"counter 2 is {value}; counters must be finite and nonnegative")):
+            sparse_poisson_solve(observe(g, y), np.array([0]))
+    with pytest.raises(ValueError, match=re.escape("y has shape (9,), expected (10,)")):
+        sparse_poisson_solve(observe(g, np.ones(9)), np.array([0]))
     # -1 would solve flow 19 under the label -1
     for support in ([-1], [20], [3, 1], [2, 2]):
         with pytest.raises(ValueError, match="support must hold sorted, distinct flows"):
-            sparse_poisson_solve(np.zeros(10), g, np.array(support), 1.0)
+            sparse_poisson_solve(observe(g, np.zeros(10)), np.array(support))
 
 
 def test_sparse_solve_infeasible_precheck():
@@ -501,9 +518,9 @@ def test_sparse_solve_infeasible_precheck():
     y = np.array([0.0, 0, 0, 5.0])
     # flow 0 touches counters {0,1} only; packets on counter 3 unexplained
     with pytest.raises(ValueError):
-        sparse_poisson_solve(y, g, np.array([0]), 1.0)
+        sparse_poisson_solve(observe(g, y), np.array([0]))
     # an everywhere-positive base mean restores feasibility
-    res = sparse_poisson_solve(y, g, np.array([0]), 1.0,
+    res = sparse_poisson_solve(observe(g, y), np.array([0]),
                                mu_base=np.full(4, 0.5))
     assert res.converged and res.theta[0] == 0.0
 
@@ -517,7 +534,7 @@ def test_sparse_solve_matches_oracle():
     x[support] = theta_true
     scale = 20.0
     y = scale * apply_adjacency(g, x)
-    res = sparse_poisson_solve(y, g, support, scale)
+    res = sparse_poisson_solve(observe(g, y, scale), support)
     rel = np.abs(res.theta - theta_true).sum() / theta_true.sum()
     assert rel <= 1e-4
 
@@ -545,7 +562,7 @@ def test_sparse_solve_monotone_trace():
         x[supp] = rng.uniform(0.5, 4.0, 3)
         y = rng.poisson(6.0 * apply_adjacency(g, x)).astype(float)
         base = np.full(m, 1e-3)
-        res = sparse_poisson_solve(y, g, supp, 6.0, mu_base=base)
+        res = sparse_poisson_solve(observe(g, y, 6.0), supp, mu_base=base)
         tr = res.trace
         assert isinstance(tr, tuple) and len(tr) >= 1
         assert all(a >= b - 1e-9 * max(1.0, abs(a)) for a, b in zip(tr, tr[1:]))
@@ -596,10 +613,10 @@ def test_sparse_solve_matches_full_counter_oracle(problem):
         want = sparse_poisson_solve_full(y, g, support, scale, mu_base=mu_base)
     except ValueError as e:
         with pytest.raises(ValueError) as got:
-            sparse_poisson_solve(y, g, support, scale, mu_base=mu_base)
+            sparse_poisson_solve(observe(g, y, scale), support, mu_base=mu_base)
         assert str(got.value) == str(e)
         return
-    got = sparse_poisson_solve(y, g, support, scale, mu_base=mu_base)
+    got = sparse_poisson_solve(observe(g, y, scale), support, mu_base=mu_base)
     _assert_same_solve(got, want, y, g, support, scale, mu_base)
 
 
@@ -614,10 +631,10 @@ def test_sparse_solve_matches_full_counter_oracle_5k(k):
     st_ = StreamState(graph=g, rates=rv, tau=1.0, seed=stable_seed(ts, "st"))
     run_epochs(st_, 40)
     cfg = PmleConfig.from_problem(5000, k, l0=1.25 * rv.l1(), levels=64)
-    a1 = localize_whales(st_.y, g, k).a1
-    mu0 = cfg.offset_means(g, cover, 40.0)
+    a1 = localize_whales(observe(g, st_.y), k).a1
+    mu0 = cfg.offset_means(observe(g, st_.y, 40.0), cover)
     want = sparse_poisson_solve_full(st_.y, g, a1, 40.0, mu_base=mu0)
-    got = sparse_poisson_solve(st_.y, g, a1, 40.0, mu_base=mu0)
+    got = sparse_poisson_solve(observe(g, st_.y, 40.0), a1, mu_base=mu0)
     _assert_same_solve(got, want, st_.y, g, a1, 40.0, mu0)
 
 
@@ -662,11 +679,12 @@ def test_reduced_path_levels_within_budget_below_fitted_mass(small_expander):
     truth[11], truth[37] = 3.0, 1.0
     scale = 50.0
     y = scale * apply_adjacency(g, truth)
-    loc = localize_whales(y, g, 2)
+    loc = localize_whales(observe(g, y), 2)
     cfg = PmleConfig.from_problem(g.n_left, 2, 2.0, gamma=0.1, levels=4)
     with mock.patch.object(pmle_module, "_grid_project",
                            wraps=pmle_module._grid_project) as proj:
-        res = pmle_reduced(y, g, loc, cfg, greedy_cover(g), scale, exhaustive_cap=0)
+        res = pmle_reduced(observe(g, y, scale), loc, cfg, greedy_cover(g),
+                           exhaustive_cap=0)
     assert not res.exhaustive
     assert any(np.clip(np.rint(v / step), 0, budget).sum() > budget
                for v, step, budget in (c.args for c in proj.call_args_list))
@@ -692,7 +710,8 @@ def test_reduced_empty_a1_warns():
                 + 2.0 * cfg.pen_of_size(0))
         for cap in (10**6, 0):
             with pytest.warns(UserWarning):
-                res = pmle_reduced(y, g, loc, cfg, cover, scale, exhaustive_cap=cap)
+                res = pmle_reduced(observe(g, y, scale), loc, cfg, cover,
+                                   exhaustive_cap=cap)
             assert not res.rates.any() and res.support == ()
             assert res.objective == want
             assert res.n_evaluated == 1 and res.exhaustive
@@ -707,12 +726,12 @@ def test_reduced_path_branch_exact_recovery(small_expander):
     truth[11], truth[37] = 3.0, 1.0
     scale = 50.0
     y = scale * apply_adjacency(g, truth)
-    loc = localize_whales(y, g, 2)
+    loc = localize_whales(observe(g, y), 2)
     assert np.isin([11, 37], loc.a1).all()
     cover = greedy_cover(g)
     # gamma keeps the offset mass c*l0 well under the smallest whale
     cfg = PmleConfig.from_problem(g.n_left, 2, 8.0, gamma=0.1, levels=8)
-    res = pmle_reduced(y, g, loc, cfg, cover, scale, exhaustive_cap=0)
+    res = pmle_reduced(observe(g, y, scale), loc, cfg, cover, exhaustive_cap=0)
     assert not res.exhaustive
     assert np.array_equal(res.rates, truth)
     assert np.isin(np.array(res.support), loc.a1).all()
@@ -726,7 +745,7 @@ def test_reduced_cap_above_the_guard_is_the_guard():
     cfg = PmleConfig.from_problem(g.n_left, 2, 8.0, levels=80)
     assert cfg.n_candidates(a1.size) == 1_929_501
     y = np.full(g.n_right, 2.0)
-    res = pmle_reduced(y, g, WhaleLocalization(a1=a1), cfg, greedy_cover(g), 1.0,
+    res = pmle_reduced(observe(g, y), WhaleLocalization(a1=a1), cfg, greedy_cover(g),
                        exhaustive_cap=10**7)
     assert not res.exhaustive
 
@@ -737,8 +756,8 @@ def test_reduced_penalty_inheritance():
     # with the same objective bits
     g, cover, cfg, truth, y, scale = _hexad_problem(c=0.0)
     cfg = dataclasses.replace(cfg, penalty_mode="l0-scaled")
-    full = pmle_exhaustive(y, g, cfg, np.arange(6), cover, scale)
-    sub = pmle_exhaustive(y, g, cfg, np.array(full.support), cover, scale)
+    full = pmle_exhaustive(observe(g, y, scale), cfg, np.arange(6), cover)
+    sub = pmle_exhaustive(observe(g, y, scale), cfg, np.array(full.support), cover)
     assert full.support and sub.n_evaluated < full.n_evaluated
     assert (sub.support, sub.levels) == (full.support, full.levels)
     assert sub.objective.hex() == full.objective.hex()
@@ -750,7 +769,11 @@ def test_reduced_penalty_inheritance():
     ([3, 1], 50, "must hold sorted, distinct"),
     ([2, 2], 50, "must hold sorted, distinct"),
     ([0, 1], 51, "n_flows=51 is not the graph's 50 flows"),
-], ids=["flow--1", "flow-N", "unsorted", "repeated", "n_flows-not-N"])
+    # flows are integers: no fraction is truncated, no bool taken as 0 or 1
+    ([0.0, 2.5], 50, "must hold sorted, distinct"),
+    ([False, True], 50, "must hold sorted, distinct"),
+], ids=["flow--1", "flow-N", "unsorted", "repeated", "n_flows-not-N", "fractional",
+        "bool"])
 @pytest.mark.parametrize("caller", ["exhaustive", "reduced", "reduced-path"])
 def test_universe_rule_refuses_before_any_work(small_expander, caller, flows,
                                                n_flows, message):
@@ -764,12 +787,22 @@ def test_universe_rule_refuses_before_any_work(small_expander, caller, flows,
             mock.patch.object(pmle_module, "sparse_poisson_solve") as solve, \
             pytest.raises(ValueError, match=message):
         if caller == "exhaustive":
-            pmle_exhaustive(y, g, cfg, np.array(flows), cover, 1.0)
+            pmle_exhaustive(observe(g, y), cfg, np.array(flows), cover)
         else:
-            pmle_reduced(y, g, WhaleLocalization(a1=np.array(flows)), cfg, cover, 1.0,
-                         exhaustive_cap=0 if caller == "reduced-path" else 10**6)
+            pmle_reduced(observe(g, y), WhaleLocalization(a1=np.array(flows)), cfg,
+                         cover, exhaustive_cap=0 if caller == "reduced-path" else 10**6)
     argmin.assert_not_called()
     solve.assert_not_called()
+
+
+def test_flow_rule_takes_integral_floats_and_any_empty_array(small_expander):
+    g = small_expander
+    flows = pmle_module._check_flows(g, np.array([2.0, 7.0]), "A1")
+    assert flows.dtype == np.int64 and flows.tolist() == [2, 7]
+    # np.array(()) is float: an empty array of any dtype is the empty set
+    for empty in (np.array(()), np.array([], dtype=bool), []):
+        flows = pmle_module._check_flows(g, empty, "A1")
+        assert flows.dtype == np.int64 and flows.size == 0
 
 
 def test_reduced_matches_exhaustive_small():
@@ -788,14 +821,14 @@ def test_reduced_matches_exhaustive_small():
         run_epochs(st, 60)
         cfg = dataclasses.replace(
             PmleConfig.from_problem(12, 2, l0=2.5, levels=5), c=0.01)
-        full = pmle_exhaustive(st.y, g, cfg, np.arange(12), cover, 60.0)
-        loc = localize_whales(st.y, g, 2)
+        full = pmle_exhaustive(observe(g, st.y, 60.0), cfg, np.arange(12), cover)
+        loc = localize_whales(observe(g, st.y), 2)
         if not np.isin(truth.whale_support, loc.a1).all():
             continue
         if full.support and not np.isin(np.array(full.support), loc.a1).all():
             continue
         qualified += 1
-        red = pmle_reduced(st.y, g, loc, cfg, cover, 60.0)
+        red = pmle_reduced(observe(g, st.y, 60.0), loc, cfg, cover)
         if red.support == full.support and red.levels == full.levels:
             matched += 1
         assert not red.support or np.isin(np.array(red.support), loc.a1).all()
@@ -805,11 +838,11 @@ def test_reduced_matches_exhaustive_small():
 # ---------------------------------------------------------------- batched scoring
 
 
-def _scalar_argmin(y, g, cfg, mu0, scale, blocks, exhaustive):
+def _scalar_argmin(obs, cfg, mu0, blocks, exhaustive):
     # a row's candidate is the block's flows with a nonzero level
     flat = ((tuple(i for i, m in zip(flows, lv) if m), tuple(m for m in lv if m))
             for flows, levels in blocks for lv in levels.tolist())
-    return argmin_scalar(y, g, cfg, mu0, scale, flat, exhaustive)
+    return argmin_scalar(obs.y, obs.g, cfg, mu0, obs.scale, flat, exhaustive)
 
 
 def _outcome(decode):
@@ -848,10 +881,11 @@ def _check_against_scalar(columns, n_right, universe, n_levels, step, scale,
                      c=c, n_flows=g.n_left, penalty_mode=penalty_mode)
     a1 = np.array(sorted(universe), dtype=np.int64)
     y = np.array(y, dtype=np.float64)
-    full = assert_matches_scalar(lambda: pmle_exhaustive(y, g, cfg, a1, cover, scale))
+    obs = observe(g, y, scale)
+    full = assert_matches_scalar(lambda: pmle_exhaustive(obs, cfg, a1, cover))
     assert full.n_evaluated == candidate_count(cfg, a1)
     loc = WhaleLocalization(a1=a1)
-    assert_matches_scalar(lambda: pmle_reduced(y, g, loc, cfg, cover, scale,
+    assert_matches_scalar(lambda: pmle_reduced(obs, loc, cfg, cover,
                                                exhaustive_cap=0))
     return full
 
@@ -934,10 +968,10 @@ def test_table_screen_rounding_tie():
                        columns=np.array([[0, 2, 4], [1, 3, 5]], dtype=np.int32))
     cfg = PmleConfig(l0=5.0, k=1, n_levels=2, c=0.013, n_flows=2, penalty_mode="uniform")
     y = np.array([16.0, 6.0, 16.0, 16.0, 6.0, 16.0])
-    mu0 = cfg.offset_means(g, np.array([0, 1]), 3.0)
+    mu0 = cfg.offset_means(observe(g, y, 3.0), np.array([0, 1]))
     blocks = [((0, 1), np.array([[0, 0], [1, 0], [2, 0], [0, 1], [0, 2]]))]
-    got = pmle_module._argmin(y, g, cfg, mu0, 3.0, blocks, exhaustive=False)
-    want = _scalar_argmin(y, g, cfg, mu0, 3.0, blocks, exhaustive=False)
+    got = pmle_module._argmin(observe(g, y, 3.0), cfg, mu0, blocks, exhaustive=False)
+    want = _scalar_argmin(observe(g, y, 3.0), cfg, mu0, blocks, exhaustive=False)
     assert got.support == want.support == (0,) and got.levels == want.levels
     assert got.objective.hex() == want.objective.hex() == "0x1.0f47c77b3e838p+3"
     assert got.n_evaluated == want.n_evaluated == 5
@@ -952,8 +986,9 @@ def test_batched_scoring_matches_scalar_oracle_5k(seed):
     st_ = StreamState(graph=g, rates=truth, tau=1.0, seed=stable_seed(seed, "st"))
     run_epochs(st_, 40)
     cfg = PmleConfig.from_problem(5000, 3, l0=1.25 * truth.l1(), levels=64)
-    loc = localize_whales(st_.y, g, 3)
-    res = assert_matches_scalar(lambda: pmle_reduced(st_.y, g, loc, cfg, cover, 40.0))
+    loc = localize_whales(observe(g, st_.y), 3)
+    obs = observe(g, st_.y, 40.0)
+    res = assert_matches_scalar(lambda: pmle_reduced(obs, loc, cfg, cover))
     assert res.exhaustive and res.n_evaluated == 47_905
 
 
@@ -1005,8 +1040,8 @@ def test_table_screen_matches_chunked_screen(inst):
     # the per-flow level tables give the argmin, objective bits and count
     # of the (rows, |T|) screen they replace
     y, g, cfg, mu0, scale, blocks = inst
-    got = pmle_module._argmin(y, g, cfg, mu0, scale, blocks, exhaustive=True)
-    want = argmin_chunked(y, g, cfg, mu0, scale, blocks, exhaustive=True)
+    got = pmle_module._argmin(observe(g, y, scale), cfg, mu0, blocks, exhaustive=True)
+    want = argmin_chunked(observe(g, y, scale), cfg, mu0, blocks, exhaustive=True)
     assert got.support == want.support and got.levels == want.levels
     assert got.objective.hex() == want.objective.hex()
     assert got.n_evaluated == want.n_evaluated
@@ -1026,7 +1061,7 @@ def test_exhaustive_scoring_memory_is_chunked():
     universe = np.array([3, 9, 17, 30])
     tracemalloc.start()
     try:
-        res = pmle_exhaustive(y, g, cfg, universe, cover, 40.0)
+        res = pmle_exhaustive(observe(g, y, 40.0), cfg, universe, cover)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

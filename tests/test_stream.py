@@ -1,6 +1,7 @@
 """Signal generation and Poisson stream simulation tests."""
 
 import hashlib
+import re
 from dataclasses import asdict
 from unittest import mock
 
@@ -191,8 +192,9 @@ def test_stream_state_refuses_a_negative_epoch_count():
     # epoch -1 would draw from Philox key 2^64 - 1
     g = build_random_expander(8, 4, 2, seed=0)
     rv = gen_rates(SignalSpec(8, 1, CONST1, MINNOW, seed=0))
-    with pytest.raises(ValueError, match="need epochs >= 0 and 0 < tau < inf, "
-                                         "got epochs=-1, tau=1.0"):
+    with pytest.raises(ValueError, match=re.escape(
+            "need epochs >= 0 and 0 < tau < inf with epochs*tau < inf, "
+            "got epochs=-1, tau=1.0")):
         StreamState(graph=g, rates=rv, tau=1.0, seed=0, n_epochs=-1)
 
 
