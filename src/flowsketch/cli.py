@@ -107,15 +107,11 @@ def _build_parser() -> _Parser:
 def _write_vector_csv(path, values) -> None:
     """index,value CSV with \r\n line ends, the bytes csv.writer writes for
     the rows (i, values[i]): floats by repr, integers as integers. values
-    is a float or integer array, or a sequence of Python numbers, each
-    written as it is (str of a float is its repr). Rows are formatted
-    _WRITE_CHUNK at a time, by one %-format of the chunk's cells, so a
-    vector of 10^6 entries is never held as text whole. A float array's
-    chunk calls repr only on its entries that are not +0.0 (-0.0, NaN and
-    the infinities included); the +0.0 cells are the string 0.0, which is
-    their repr."""
-    if not isinstance(values, np.ndarray):  # keep 2 an int beside 1.5
-        values = np.array(values, dtype=object)
+    is a float64 or int64 array. Rows are formatted _WRITE_CHUNK at a
+    time, by one %-format of the chunk's cells, so a vector of 10^6
+    entries is never held as text whole. A float chunk calls repr only on
+    its entries that are not +0.0 (-0.0, NaN and the infinities included);
+    the +0.0 cells are the string 0.0, which is their repr."""
     line = "%d,%s\r\n"
     with open(path, "w", newline="") as f:
         f.write("index,value\r\n")

@@ -230,13 +230,14 @@ _AGG_FIELDS = [f.name for f in fields(AggregateRow)]
 
 @dataclass
 class ExperimentResult:
-    rows: list
-    aggregates: list = field(default_factory=list)
+    """Trial rows sorted by (k, trial, decoder), and their aggregates."""
 
-    @classmethod
-    def from_rows(cls, rows: list) -> "ExperimentResult":
-        rows = sorted(rows, key=lambda r: (r.k, r.trial, r.decoder))
-        return cls(rows=rows, aggregates=compute_aggregates(rows))
+    rows: list
+    aggregates: list = field(init=False)
+
+    def __post_init__(self):
+        self.rows = sorted(self.rows, key=lambda r: (r.k, r.trial, r.decoder))
+        self.aggregates = compute_aggregates(self.rows)
 
 
 def _mean_hw(values: np.ndarray) -> tuple[float, float]:
@@ -374,7 +375,7 @@ def run_sweep(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for chunk in pool.map(run_trial, [cfg] * len(tasks), ks, ts):
                 rows.extend(chunk)
-    return ExperimentResult.from_rows(rows)
+    return ExperimentResult(rows)
 
 
 def _fmt(v) -> str:
@@ -466,7 +467,7 @@ def load_csv(path) -> ExperimentResult:
     except FileNotFoundError:
         timings = {}
     rows = [TrialRow(**r, wall_time_s=timings.get(key(r), math.nan)) for r in raw]
-    res = ExperimentResult.from_rows(rows)
+    res = ExperimentResult(rows)
     _crosscheck_aggregates(res, _sibling(path, "agg"))
     return res
 

@@ -307,9 +307,10 @@ def load_graph(path) -> BipartiteGraph:
     indices. Raises ValueError (GraphConstructionError for the shape)."""
     with open(path) as f:
         header = f.readline().split()
-        if len(header) != 4:
-            raise ValueError(f"{path}: malformed header {header!r}")
-        n, m, d, seed = (int(t) for t in header)
+        try:  # four integer fields
+            n, m, d, seed = (int(t) for t in header)
+        except ValueError:
+            raise ValueError(f"{path}: malformed header {header!r}") from None
         _check_shape(n, m, d)
         for first in f:  # np.loadtxt warns on a body without data
             if first.strip():

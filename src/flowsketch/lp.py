@@ -54,7 +54,6 @@ alone and does not pay scipy's import.
 """
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -306,25 +305,17 @@ def _solve_ipm(at, y, tol_feas, tol_obj, iter_cap):
     )
 
 
-def basis_pursuit(
-    obs: Observation,
-    tol_feas: Optional[float] = None,
-    tol_obj: Optional[float] = None,
-    iter_cap: Optional[int] = None,
-) -> LpSolution:
+def basis_pursuit(obs: Observation) -> LpSolution:
     """Minimum-l1 preimage of the observed counters y under the bank's
-    matrix, by the matrix-free interior-point method. Default tolerances
-    scale with the data: tol_feas = 1e-6*(1+||y||_inf), tol_obj = 1e-6*(1+||y||_1).
+    matrix, by the matrix-free interior-point method, capped at 200
+    iterations. The tolerances scale with the data:
+    tol_feas = 1e-6*(1+||y||_inf), tol_obj = 1e-6*(1+||y||_1).
     The status is "infeasible" when the residual ends far from feasibility
     after stalling, or after the iterates diverged (a slack reached zero).
     """
     import scipy.sparse as sp
 
     g, y = obs.g, obs.y
-    dt_feas, dt_obj = _default_tols(y)
-    tol_feas = dt_feas if tol_feas is None else tol_feas
-    tol_obj = dt_obj if tol_obj is None else tol_obj
-
     cols = g.columns.ravel()
     if ((np.bincount(cols, minlength=g.n_right) == 0) & (y != 0)).any():
         return LpSolution(
@@ -338,10 +329,9 @@ def basis_pursuit(
             duality_gap=0.0, iterations=0, status="optimal", solver="trivial",
         )
 
-    cap = _IPM_DEFAULT_CAP if iter_cap is None else iter_cap
     at = sp.csr_matrix((np.ones(cols.size), cols, np.arange(0, cols.size + 1, g.d)),
                        shape=(g.n_left, g.n_right))
-    return _solve_ipm(at, y, tol_feas, tol_obj, cap)
+    return _solve_ipm(at, y, *_default_tols(y), _IPM_DEFAULT_CAP)
 
 
 def direct_estimate(sol: LpSolution, obs: Observation) -> np.ndarray:

@@ -494,7 +494,7 @@ class SparseSolveResult:
 def sparse_poisson_solve(
     obs: Observation,
     support: np.ndarray,
-    mu_base: Optional[np.ndarray] = None,
+    mu_base: np.ndarray,
 ) -> SparseSolveResult:
     """Projected proximal-gradient Poisson regression on a fixed support.
 
@@ -517,8 +517,6 @@ def sparse_poisson_solve(
     support = _check_flows(g, support, "support")
     if support.size == 0:
         raise ValueError("support must be nonempty")
-    if mu_base is None:
-        mu_base = np.zeros(g.n_right)
     n, d = support.size, g.d
     touched, hit, inv = _local_index(g, support)
     rest = ~hit
@@ -667,32 +665,30 @@ def pmle_reduced(
     loc: WhaleLocalization,
     cfg: PmleConfig,
     cover: np.ndarray,
-    exhaustive_cap: int = _EXHAUSTIVE_GUARD,
 ) -> PmleResult:
     """Penalized MLE restricted to supports inside the localized set A1.
 
     Penalties are inherited from the full universe (same code lengths as
     an unrestricted search), so when the unrestricted argmin happens to be
-    supported in A1 the reduced search returns it exactly. Small reduced
-    sets are enumerated; large ones are screened by one continuous solve
-    on A1 whose sorted coordinates define an l0 path of grid-projected
+    supported in A1 the reduced search returns it exactly. An A1 whose
+    candidates pass the exhaustive guard is enumerated by
+    `pmle_exhaustive`; a larger one is screened by one continuous solve on
+    A1 whose sorted coordinates define an l0 path of grid-projected
     candidates, at most max(2k, 32) long, for the final penalized
-    comparison. Either way ties go to the candidate scored first. A set is
-    small when its candidates number at most exhaustive_cap, and a cap
-    above the exhaustive guard is taken as the guard. An
-    empty A1 warns and is always enumerated: its only candidate is zero,
-    so the result is the zero estimate with the objective of the offset
-    alone (n_evaluated 1, exhaustive True).
+    comparison. Either way ties go to the candidate scored first, and A1
+    is held to the flow rule once, as that universe or as the solve's
+    support. An empty A1 warns: its only candidate is zero, so the result
+    is the zero estimate with the objective of the offset alone
+    (n_evaluated 1, exhaustive True).
     """
-    a1 = _check_flows(obs.g, loc.a1, "A1", cfg)
+    a1 = np.asarray(loc.a1)
     if a1.size == 0:
         warnings.warn("localization produced an empty support; returning zeros")
-    cap = min(exhaustive_cap, _EXHAUSTIVE_GUARD)
-    if a1.size == 0 or cfg.n_candidates(a1.size, cap) <= cap:
+    if cfg.n_candidates(a1.size, _EXHAUSTIVE_GUARD) <= _EXHAUSTIVE_GUARD:
         res = pmle_exhaustive(obs, cfg, a1, cover)
     else:
         mu0 = cfg.offset_means(obs, cover)
-        solve = sparse_poisson_solve(obs, a1, mu_base=mu0)
+        solve = sparse_poisson_solve(obs, a1, mu0)
         s_max = min(a1.size, cfg.n_levels, max(2 * cfg.k, 32))
         block = _l0_path(solve.theta, a1, cfg.grid_step, cfg.n_levels, s_max)
         res = _argmin(obs, cfg, mu0, [block], exhaustive=False)

@@ -136,30 +136,26 @@ class SignalSpec:
 class RateVector:
     """Nonnegative per-flow rates plus the realized whale support.
 
-    whale_support holds the k largest realized rates (ties to lowest
-    index), which for abs-gaussian minnows may not coincide with the
-    planted whale positions; success metrics compare against what was
-    actually largest.
+    rates is a read-only float64 copy of the array given, so the caller's
+    array stays its own. whale_support, derived here, holds the k largest
+    realized rates (ties to lowest index), which for abs-gaussian minnows
+    may not coincide with the planted whale positions; success metrics
+    compare against what was actually largest.
     """
 
     rates: np.ndarray
-    whale_support: np.ndarray
     k: int
+    whale_support: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        r = np.asarray(self.rates, dtype=np.float64)
+        r = np.array(self.rates, dtype=np.float64)
         if (r < 0).any() or not np.isfinite(r).all():
             raise ValueError("rates must be finite and nonnegative")
-        s = np.asarray(self.whale_support, dtype=np.int64)
+        s = top_k_indices(r, self.k)
         r.setflags(write=False)
         s.setflags(write=False)
         object.__setattr__(self, "rates", r)
         object.__setattr__(self, "whale_support", s)
-
-    @classmethod
-    def from_rates(cls, rates: np.ndarray, k: int) -> "RateVector":
-        rates = np.asarray(rates, dtype=np.float64)
-        return cls(rates=rates, whale_support=top_k_indices(rates, k), k=k)
 
     @property
     def n_flows(self) -> int:
@@ -181,23 +177,23 @@ def gen_rates(spec: SignalSpec) -> RateVector:
         mask[planted] = False
         rates[mask] = spec.minnow_dist.draw(rng, n - k)
     rates[planted] = spec.whale_dist.draw(rng, k)
-    return RateVector.from_rates(rates, k)
+    return RateVector(rates, k)
 
 
 @dataclass
 class StreamState:
     """Mutable simulation state: epoch counter, exact flow tallies x, and
-    counter contents y = A x (an exact integer identity, not an estimate).
-    The per-epoch draw plan is built from rates and tau at construction,
-    so neither may be replaced afterwards."""
+    counter contents y = A x (an exact integer identity, not an estimate),
+    all starting at zero. The per-epoch draw plan is built from rates and
+    tau at construction, so neither may be replaced afterwards."""
 
     graph: BipartiteGraph
     rates: RateVector
     tau: float
     seed: int
-    n_epochs: int = 0
-    x: np.ndarray = field(default=None)
-    y: np.ndarray = field(default=None)
+    n_epochs: int = field(init=False, default=0)
+    x: np.ndarray = field(init=False)
+    y: np.ndarray = field(init=False)
     _plan: "_DrawPlan" = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -207,10 +203,8 @@ class StreamState:
             )
         check_window(self.n_epochs, self.tau, least=0)
         self._plan = _DrawPlan.build(self.rates.rates, self.tau)
-        if self.x is None:
-            self.x = np.zeros(self.graph.n_left, dtype=np.int64)
-        if self.y is None:
-            self.y = np.zeros(self.graph.n_right, dtype=np.int64)
+        self.x = np.zeros(self.graph.n_left, dtype=np.int64)
+        self.y = np.zeros(self.graph.n_right, dtype=np.int64)
 
 
 def _epoch_rng(seed: int, epoch: int) -> "np.random.Generator":

@@ -29,7 +29,7 @@ from flowsketch import (
 from flowsketch import lp, pmle, stream
 from flowsketch.experiment import SCHEMA_VERSION
 from flowsketch.graph import _adjacency
-from flowsketch.lp import NumericalError, _default_tols, basis_pursuit
+from flowsketch.lp import NumericalError, basis_pursuit
 
 
 def observe(g: BipartiteGraph, y, scale: float = 1.0) -> Observation:
@@ -452,7 +452,7 @@ def support_matrix_via_csc(g: BipartiteGraph, support: np.ndarray):
 
 
 def sparse_poisson_solve_full(y, g: BipartiteGraph, support, scale: float,
-                              mu_base=None) -> SparseSolveResult:
+                              mu_base) -> SparseSolveResult:
     """pmle.sparse_poisson_solve over all M counters: the same start point,
     step rule, stop rule and Newton polish, on the n_right-row A[:, support]
     and length-M means, residuals and objective."""
@@ -463,8 +463,6 @@ def sparse_poisson_solve_full(y, g: BipartiteGraph, support, scale: float,
     if not scale > 0:
         raise ValueError(f"scale must be positive, got {scale}")
     a_s = support_matrix_via_csc(g, support)
-    if mu_base is None:
-        mu_base = np.zeros(g.n_right)
     covered = np.asarray((a_s @ np.ones(support.size)) > 0)
     feas_bad = (y > 0) & (mu_base <= 0) & ~covered
     if feas_bad.any():
@@ -888,18 +886,14 @@ def _solve_ipm_dense(a: sp.csr_matrix, y, tol_feas, tol_obj, iter_cap):
     )
 
 
-def basis_pursuit_dense(g: BipartiteGraph, y, tol_feas=None, tol_obj=None,
-                        iter_cap=None) -> LpSolution:
+def basis_pursuit_dense(g: BipartiteGraph, y) -> LpSolution:
     """lp.basis_pursuit with the dense normal-equation interior-point
-    method that the matrix-free one replaced. The trivial cases (a
-    nonzero counter with no flow, y = 0) are lp.basis_pursuit's own."""
+    method that the matrix-free one replaced, at the tolerances and the
+    iteration cap lp reads at the call. The trivial cases (a nonzero
+    counter with no flow, y = 0) are lp.basis_pursuit's own."""
     y = np.asarray(y, dtype=np.float64)
     a = _adjacency(g).astype(np.float64)
     if y.shape != (g.n_right,) or not np.abs(y).max(initial=0.0) or (
             (np.diff(a.indptr) == 0) & (y != 0)).any():
-        return basis_pursuit(observe(g, y), tol_feas, tol_obj, iter_cap)
-    dt_feas, dt_obj = _default_tols(y)
-    return _solve_ipm_dense(
-        a, y, dt_feas if tol_feas is None else tol_feas,
-        dt_obj if tol_obj is None else tol_obj,
-        200 if iter_cap is None else iter_cap)
+        return basis_pursuit(observe(g, y))
+    return _solve_ipm_dense(a, y, *lp._default_tols(y), lp._IPM_DEFAULT_CAP)

@@ -67,6 +67,17 @@ def test_decode_refuses_a_fractional_cover(small_expander, monkeypatch, decoder)
                cover=graph.greedy_cover(g) + 0.9)
 
 
+def _readme_observation(whales):
+    """The README's simulate run with this many whales, as decode reads
+    it, and its rates."""
+    g = build_random_expander(5000, 800, 8, seed=1)
+    truth = gen_rates(SignalSpec(5000, whales, Dist("constant", 1.0),
+                                 Dist("abs-gaussian", 1e-6), seed=2))
+    state = StreamState(graph=g, rates=truth, tau=1.0, seed=3)
+    run_epochs(state, 40)
+    return Observation(g, state.y, 40, 1.0), truth
+
+
 def test_pmle_reduced_decode_calls_each_layer_through_its_module(monkeypatch):
     # The benchmark times each layer by wrapping these module attributes,
     # so a decode that bypasses one would drop that layer's time. At the
@@ -78,16 +89,33 @@ def test_pmle_reduced_decode_calls_each_layer_through_its_module(monkeypatch):
             calls.append(_name)
             return _orig(*args, **kwargs)
         monkeypatch.setattr(mod, name, counted)
-    g = build_random_expander(5000, 800, 8, seed=1)
-    truth = gen_rates(SignalSpec(5000, 3, Dist("constant", 1.0),
-                                 Dist("abs-gaussian", 1e-6), seed=2))
-    state = StreamState(graph=g, rates=truth, tau=1.0, seed=3)
-    run_epochs(state, 40)
-    dec = decode(Observation(g, state.y, 40, 1.0),
-                 DecodeSpec("pmle-reduced", k=3, l0=1.25 * truth.l1()))
+    obs, truth = _readme_observation(3)
+    dec = decode(obs, DecodeSpec("pmle-reduced", k=3, l0=1.25 * truth.l1()))
     assert sorted(calls) == ["greedy_cover", "localize_whales",
                              "pmle_exhaustive", "pmle_reduced"]
     assert dec.result.exhaustive and dec.result.localization.a1.size == 3
+
+
+@pytest.mark.parametrize("k,l0,checked", [
+    (3, 4.0, ["universe", "cover"]),  # A1 enumerated
+    (10, 15.0, ["cover", "support"]),  # A1 solved
+])
+def test_a_pmle_reduced_decode_checks_each_flow_array_once(monkeypatch, k, l0,
+                                                          checked):
+    # the README's two pmle-reduced runs: the flow rule holds the cover
+    # once and A1 once, as the universe enumerated or the solve's support
+    calls = []
+    check_flows = pmle._check_flows
+
+    def counted(g, flows, what, cfg=None):
+        calls.append(what)
+        return check_flows(g, flows, what, cfg)
+
+    monkeypatch.setattr(pmle, "_check_flows", counted)
+    obs, _ = _readme_observation(k)
+    dec = decode(obs, DecodeSpec("pmle-reduced", k=k, l0=l0))
+    assert calls == checked
+    assert dec.result.exhaustive == (k == 3)
 
 
 def test_observation_holds_a_read_only_copy_of_the_counters(small_expander):

@@ -169,7 +169,7 @@ def test_aggregate_tampering_detected(tmp_path):
 
 def test_empty_result_header_only(tmp_path):
     p = tmp_path / "empty.csv"
-    emit_csv(ExperimentResult.from_rows([]), p)
+    emit_csv(ExperimentResult([]), p)
     text = p.read_text().splitlines()
     assert len(text) == 1 and text[0].startswith("k,trial,decoder,success")
     back = load_csv(p)

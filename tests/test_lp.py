@@ -78,7 +78,8 @@ def test_input_validation():
     ipm.assert_not_called()
 
 
-def test_two_sparse_recovery_matches_oracle(small_expander):
+def test_two_sparse_recovery_matches_oracle(small_expander, monkeypatch):
+    monkeypatch.setattr(lp, "_default_tols", lambda y: (1e-9, 1e-9))
     g = small_expander
     rng = np.random.default_rng(61)
     for _ in range(8):
@@ -86,7 +87,7 @@ def test_two_sparse_recovery_matches_oracle(small_expander):
         i, j = rng.choice(g.n_left, size=2, replace=False)
         x[i], x[j] = rng.integers(1, 50, size=2)
         y = apply_adjacency(g, x)
-        sol = basis_pursuit(observe(g, y), tol_feas=1e-9, tol_obj=1e-9)
+        sol = basis_pursuit(observe(g, y))
         assert sol.status == "optimal"
         assert np.abs(sol.u - x).sum() <= 1e-4
         ox = oracle_2sparse(g, y)
@@ -146,12 +147,13 @@ def test_infeasible_counters_detected():
     assert sol.status == "infeasible"
 
 
-def test_iteration_cap_status(small_expander):
+def test_iteration_cap_status(small_expander, monkeypatch):
+    monkeypatch.setattr(lp, "_IPM_DEFAULT_CAP", 1)
     g = small_expander
     rng = np.random.default_rng(66)
     x = rng.poisson(3.0, g.n_left).astype(np.float64)
     y = apply_adjacency(g, x)
-    sol = basis_pursuit(observe(g, y), iter_cap=1)
+    sol = basis_pursuit(observe(g, y))
     assert sol.status == "iteration-cap"
 
 
@@ -202,6 +204,11 @@ def sparse_banks(draw):
     return g, apply_adjacency(g, x)
 
 
+def tight_tols(y):
+    """lp._default_tols a thousand times tighter."""
+    return 1e-9 * (1 + y.max()), 1e-9 * (1 + y.sum())
+
+
 @settings(max_examples=200, deadline=None)
 @given(sparse_banks())
 def test_basis_pursuit_matches_highs(bank):
@@ -217,8 +224,8 @@ def test_basis_pursuit_matches_highs(bank):
     assert sol.objective - sol.duality_gap <= ref.fun * (1 + 1e-9)
     assert abs(sol.objective - ref.fun) <= 1e-6 * (1 + y.sum())
     # tightened tolerances reach the optimum to 1e-6 relative
-    sol = basis_pursuit(observe(g, y), tol_feas=1e-9 * (1 + y.max()),
-                        tol_obj=1e-9 * (1 + y.sum()))
+    with mock.patch.object(lp, "_default_tols", tight_tols):
+        sol = basis_pursuit(observe(g, y))
     assert sol.status == "optimal"
     assert abs(sol.objective - ref.fun) <= 1e-6 * max(1.0, ref.fun)
 
@@ -267,15 +274,15 @@ def test_unreachable_counters_are_infeasible():
 # ------------------------------------------------- matrix-free vs dense oracle
 
 
-def assert_matches_dense(g, y, **tols):
+def assert_matches_dense(g, y):
     """basis_pursuit and the dense normal-equation oracle reach the same
     status, and optima within the larger of their certified gaps. The
     oracle may stop anywhere within tol_feas of feasible, where its
     objective can sit below the optimum by more than either gap; when the
     optima differ by more, basis_pursuit's optimum must lie within that
     bound of HiGHS's."""
-    got = basis_pursuit(observe(g, y), **tols)
-    want = basis_pursuit_dense(g, y, **tols)
+    got = basis_pursuit(observe(g, y))
+    want = basis_pursuit_dense(g, y)
     assert got.status == want.status
     if got.status == "optimal":
         bound = max(got.duality_gap, want.duality_gap)
@@ -377,7 +384,7 @@ def test_operators_match_replaced_copies_5k():
         assert_operators_match_copies(g, np.random.default_rng(seed))
 
 
-def test_exact_normal_matvec_regression_44x15():
+def test_exact_normal_matvec_regression_44x15(monkeypatch):
     # a bank on which adding even 1e-12 max(A diag(w) 1) to the normal
     # product H v, to regularize CG, loses feasibility at these tolerances
     # (the run ends "infeasible" or at the iteration cap); with H v exact
@@ -389,8 +396,8 @@ def test_exact_normal_matvec_regression_44x15():
     a = _adjacency(g).toarray().astype(np.float64)
     ref = scipy.optimize.linprog(np.ones(2 * g.n_left), A_eq=np.hstack([a, -a]),
                                  b_eq=y, bounds=(0, None), method="highs")
-    sol = basis_pursuit(observe(g, y), tol_feas=1e-9 * (1 + y.max()),
-                        tol_obj=1e-9 * (1 + y.sum()))
+    monkeypatch.setattr(lp, "_default_tols", tight_tols)
+    sol = basis_pursuit(observe(g, y))
     assert sol.status == "optimal" and sol.iterations <= 50
     assert abs(sol.objective - ref.fun) <= 1e-6 * max(1.0, ref.fun)
 

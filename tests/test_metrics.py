@@ -130,7 +130,7 @@ def test_clip_lipschitz():
 
 
 def _truth(rates, k):
-    return RateVector.from_rates(np.asarray(rates, dtype=np.float64), k)
+    return RateVector(rates, k)
 
 
 def test_support_recovery_examples():

@@ -483,7 +483,7 @@ def test_sparse_solve_one_dimensional():
     for i in (0, 9, 19):
         y = np.zeros(10)
         y[g.columns[i]] = rng.poisson(8.0, 3)
-        res = sparse_poisson_solve(observe(g, y, 2.0), np.array([i]))
+        res = sparse_poisson_solve(observe(g, y, 2.0), np.array([i]), np.zeros(10))
         opt = y[g.columns[i]].sum() / (2.0 * 3)
         if opt == 0.0:
             assert res.theta[0] == 0.0
@@ -495,22 +495,24 @@ def test_sparse_solve_one_dimensional():
 def test_sparse_solve_validation():
     g = build_random_expander(20, 10, 3, seed=13)
     with pytest.raises(ValueError):
-        sparse_poisson_solve(observe(g, np.zeros(10)), np.array([], dtype=np.int64))
+        sparse_poisson_solve(observe(g, np.zeros(10)), np.array([], dtype=np.int64),
+                             np.zeros(10))
     with pytest.raises(ValueError, match="need epochs >= 1 and 0 < tau < inf"):
-        sparse_poisson_solve(observe(g, np.zeros(10), 0.0), np.array([0]))
+        sparse_poisson_solve(observe(g, np.zeros(10), 0.0), np.array([0]), np.zeros(10))
     # the one counters rule, applied by the observation the solve reads
     for value in (-5.0, np.nan, np.inf):
         y = np.ones(10)
         y[2] = value
         with pytest.raises(ValueError, match=re.escape(
                 f"counter 2 is {value}; counters must be finite and nonnegative")):
-            sparse_poisson_solve(observe(g, y), np.array([0]))
+            sparse_poisson_solve(observe(g, y), np.array([0]), np.zeros(10))
     with pytest.raises(ValueError, match=re.escape("y has shape (9,), expected (10,)")):
-        sparse_poisson_solve(observe(g, np.ones(9)), np.array([0]))
+        sparse_poisson_solve(observe(g, np.ones(9)), np.array([0]), np.zeros(10))
     # -1 would solve flow 19 under the label -1
     for support in ([-1], [20], [3, 1], [2, 2]):
         with pytest.raises(ValueError, match="support must hold sorted, distinct flows"):
-            sparse_poisson_solve(observe(g, np.zeros(10)), np.array(support))
+            sparse_poisson_solve(observe(g, np.zeros(10)), np.array(support),
+                                 np.zeros(10))
 
 
 def test_sparse_solve_infeasible_precheck():
@@ -518,7 +520,7 @@ def test_sparse_solve_infeasible_precheck():
     y = np.array([0.0, 0, 0, 5.0])
     # flow 0 touches counters {0,1} only; packets on counter 3 unexplained
     with pytest.raises(ValueError):
-        sparse_poisson_solve(observe(g, y), np.array([0]))
+        sparse_poisson_solve(observe(g, y), np.array([0]), np.zeros(4))
     # an everywhere-positive base mean restores feasibility
     res = sparse_poisson_solve(observe(g, y), np.array([0]),
                                mu_base=np.full(4, 0.5))
@@ -534,7 +536,7 @@ def test_sparse_solve_matches_oracle():
     x[support] = theta_true
     scale = 20.0
     y = scale * apply_adjacency(g, x)
-    res = sparse_poisson_solve(observe(g, y, scale), support)
+    res = sparse_poisson_solve(observe(g, y, scale), support, np.zeros(10))
     rel = np.abs(res.theta - theta_true).sum() / theta_true.sum()
     assert rel <= 1e-4
 
@@ -577,7 +579,7 @@ def _assert_same_solve(got, want, y, g, support, scale, mu_base):
     assert len(got.trace) == len(want.trace)
     assert (np.abs(got.theta - want.theta).max()
             <= 1e-12 * np.abs(want.theta).max())
-    mu = np.zeros(g.n_right) if mu_base is None else mu_base.copy()
+    mu = mu_base.copy()
     np.add.at(mu, g.columns[support].ravel(),
               np.repeat(scale * want.theta, g.d))
     mag = 1.0 + mu.sum() + (y * np.abs(np.log(np.maximum(mu, 1e-12)))).sum()
@@ -586,8 +588,8 @@ def _assert_same_solve(got, want, y, g, support, scale, mu_base):
 
 @st.composite
 def solve_problems(draw):
-    """A small bank, a support, counters and an optional base mean: zero,
-    positive, or zero on some counters."""
+    """A small bank, a support, counters and a base mean: zero, positive,
+    or zero on some counters."""
     n_right = draw(st.integers(1, 16))
     g = build_random_expander(draw(st.integers(1, 30)), n_right,
                               draw(st.integers(1, n_right)),
@@ -598,7 +600,7 @@ def solve_problems(draw):
                                max_size=n_right)), dtype=np.float64)
     scale = draw(st.sampled_from([0.5, 1.0, 6.0, 40.0]))
     mu_base = draw(st.one_of(
-        st.none(),
+        st.just(np.zeros(n_right)),
         st.lists(st.sampled_from([0.0, 1e-3, 0.5, 7.0]), min_size=n_right,
                  max_size=n_right).map(np.array)))
     return y, g, support, scale, mu_base
@@ -671,9 +673,11 @@ def test_l0_path_block_matches_candidate_loop(theta, step, budget, s_max):
     assert got == l0_path_candidates(theta, flows_all, step, budget, s_max)
 
 
-def test_reduced_path_levels_within_budget_below_fitted_mass(small_expander):
+def test_reduced_path_levels_within_budget_below_fitted_mass(small_expander,
+                                                              monkeypatch):
     # l0 = 2 under the fitted mass 4: the grid projection walks the path
-    # candidates back inside the budget
+    # candidates back inside the budget; a guard of 0 forces the solve path
+    monkeypatch.setattr(pmle_module, "_EXHAUSTIVE_GUARD", 0)
     g = small_expander
     truth = np.zeros(g.n_left)
     truth[11], truth[37] = 3.0, 1.0
@@ -683,8 +687,7 @@ def test_reduced_path_levels_within_budget_below_fitted_mass(small_expander):
     cfg = PmleConfig.from_problem(g.n_left, 2, 2.0, gamma=0.1, levels=4)
     with mock.patch.object(pmle_module, "_grid_project",
                            wraps=pmle_module._grid_project) as proj:
-        res = pmle_reduced(observe(g, y, scale), loc, cfg, greedy_cover(g),
-                           exhaustive_cap=0)
+        res = pmle_reduced(observe(g, y, scale), loc, cfg, greedy_cover(g))
     assert not res.exhaustive
     assert any(np.clip(np.rint(v / step), 0, budget).sum() > budget
                for v, step, budget in (c.args for c in proj.call_args_list))
@@ -697,8 +700,7 @@ def test_reduced_path_levels_within_budget_below_fitted_mass(small_expander):
 
 def test_reduced_empty_a1_warns():
     # the zero candidate is scored against the full-universe code length
-    # under both penalty modes, and an empty A1 never reaches the
-    # continuous solve, even with exhaustive_cap=0
+    # under both penalty modes
     g = hexad_graph()
     cover = greedy_cover(g)
     loc = WhaleLocalization(a1=np.empty(0, dtype=np.int64))
@@ -708,19 +710,18 @@ def test_reduced_empty_a1_warns():
                          penalty_mode=penalty_mode)
         want = (neg_log_likelihood(offset_rates(cfg, cover, g.n_left), g, y, scale)
                 + 2.0 * cfg.pen_of_size(0))
-        for cap in (10**6, 0):
-            with pytest.warns(UserWarning):
-                res = pmle_reduced(observe(g, y, scale), loc, cfg, cover,
-                                   exhaustive_cap=cap)
-            assert not res.rates.any() and res.support == ()
-            assert res.objective == want
-            assert res.n_evaluated == 1 and res.exhaustive
-            assert res.localization is loc
+        with pytest.warns(UserWarning):
+            res = pmle_reduced(observe(g, y, scale), loc, cfg, cover)
+        assert not res.rates.any() and res.support == ()
+        assert res.objective == want
+        assert res.n_evaluated == 1 and res.exhaustive
+        assert res.localization is loc
 
 
-def test_reduced_path_branch_exact_recovery(small_expander):
-    # exhaustive_cap=0 forces the continuous-solve path; grid projection
-    # still lands exactly on on-grid whales when localization isolates them
+def test_reduced_path_branch_exact_recovery(small_expander, monkeypatch):
+    # a guard of 0 forces the continuous-solve path; grid projection still
+    # lands exactly on on-grid whales when localization isolates them
+    monkeypatch.setattr(pmle_module, "_EXHAUSTIVE_GUARD", 0)
     g = small_expander
     truth = np.zeros(g.n_left)
     truth[11], truth[37] = 3.0, 1.0
@@ -731,22 +732,21 @@ def test_reduced_path_branch_exact_recovery(small_expander):
     cover = greedy_cover(g)
     # gamma keeps the offset mass c*l0 well under the smallest whale
     cfg = PmleConfig.from_problem(g.n_left, 2, 8.0, gamma=0.1, levels=8)
-    res = pmle_reduced(observe(g, y, scale), loc, cfg, cover, exhaustive_cap=0)
+    res = pmle_reduced(observe(g, y, scale), loc, cfg, cover)
     assert not res.exhaustive
     assert np.array_equal(res.rates, truth)
     assert np.isin(np.array(res.support), loc.a1).all()
 
 
 def test_reduced_cap_above_the_guard_is_the_guard():
-    # 1,929,501 candidates lie between the guard and a cap of 10^7: A1 takes
-    # the continuous path, where the exhaustive guard would refuse it
+    # 1,929,501 candidates exceed the guard of 10^6: A1 takes the
+    # continuous path, where pmle_exhaustive would refuse it
     g = build_random_expander(40, 24, 8, seed=3)
     a1 = np.array([3, 9, 17, 30])
     cfg = PmleConfig.from_problem(g.n_left, 2, 8.0, levels=80)
     assert cfg.n_candidates(a1.size) == 1_929_501
     y = np.full(g.n_right, 2.0)
-    res = pmle_reduced(observe(g, y), WhaleLocalization(a1=a1), cfg, greedy_cover(g),
-                       exhaustive_cap=10**7)
+    res = pmle_reduced(observe(g, y), WhaleLocalization(a1=a1), cfg, greedy_cover(g))
     assert not res.exhaustive
 
 
@@ -778,21 +778,24 @@ def test_reduced_penalty_inheritance():
 def test_universe_rule_refuses_before_any_work(small_expander, caller, flows,
                                                n_flows, message):
     # a flow of -1 would alias flow N-1, and a flow of N would fail in
-    # materialize with an IndexError
+    # materialize with an IndexError. A guard of 0 sends A1 to the solve,
+    # which holds it to the rule as its support before indexing anything.
     g = small_expander
     cfg = PmleConfig.from_problem(n_flows, 1, 4.0, levels=4)
     y = np.full(g.n_right, 2.0)
     cover = greedy_cover(g)
+    guard = 0 if caller == "reduced-path" else pmle_module._EXHAUSTIVE_GUARD
     with mock.patch.object(pmle_module, "_argmin") as argmin, \
-            mock.patch.object(pmle_module, "sparse_poisson_solve") as solve, \
+            mock.patch.object(pmle_module, "_local_index") as local_index, \
+            mock.patch.object(pmle_module, "_EXHAUSTIVE_GUARD", guard), \
             pytest.raises(ValueError, match=message):
         if caller == "exhaustive":
             pmle_exhaustive(observe(g, y), cfg, np.array(flows), cover)
         else:
             pmle_reduced(observe(g, y), WhaleLocalization(a1=np.array(flows)), cfg,
-                         cover, exhaustive_cap=0 if caller == "reduced-path" else 10**6)
+                         cover)
     argmin.assert_not_called()
-    solve.assert_not_called()
+    local_index.assert_not_called()
 
 
 def test_flow_rule_takes_integral_floats_and_any_empty_array(small_expander):
@@ -885,8 +888,8 @@ def _check_against_scalar(columns, n_right, universe, n_levels, step, scale,
     full = assert_matches_scalar(lambda: pmle_exhaustive(obs, cfg, a1, cover))
     assert full.n_evaluated == candidate_count(cfg, a1)
     loc = WhaleLocalization(a1=a1)
-    assert_matches_scalar(lambda: pmle_reduced(obs, loc, cfg, cover,
-                                               exhaustive_cap=0))
+    with mock.patch.object(pmle_module, "_EXHAUSTIVE_GUARD", 0):  # the solve path
+        assert_matches_scalar(lambda: pmle_reduced(obs, loc, cfg, cover))
     return full
 
 

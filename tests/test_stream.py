@@ -1,7 +1,6 @@
 """Signal generation and Poisson stream simulation tests."""
 
 import hashlib
-import re
 from dataclasses import asdict
 from unittest import mock
 
@@ -91,16 +90,26 @@ def test_signal_spec_validation():
 
 def test_rate_vector_validation():
     with pytest.raises(ValueError):
-        RateVector.from_rates(np.array([1.0, -0.5]), 1)
+        RateVector(np.array([1.0, -0.5]), 1)
     with pytest.raises(ValueError):
-        RateVector.from_rates(np.array([1.0, np.nan]), 1)
+        RateVector(np.array([1.0, np.nan]), 1)
 
 
 def test_rate_vector_realized_support():
     # support tracks the realized largest entries, not any planted labels
-    rv = RateVector.from_rates(np.array([0.5, 3.0, 1.0]), 1)
+    rv = RateVector(np.array([0.5, 3.0, 1.0]), 1)
     assert list(rv.whale_support) == [1]
     assert rv.n_flows == 3 and rv.l1() == 4.5
+
+
+def test_rate_vector_copies_the_callers_rates():
+    x = np.ones(5)
+    rv = RateVector(x, 1)
+    x[0] = 2.0  # the caller's array stays writable
+    assert rv.rates.tolist() == [1.0] * 5 and rv.whale_support.tolist() == [0]
+    for held in (rv.rates, rv.whale_support):
+        with pytest.raises(ValueError, match="read-only"):
+            held[0] = 3
 
 
 def test_gen_rates_all_whales():
@@ -188,14 +197,16 @@ def test_stream_state_validation():
             StreamState(graph=g, rates=rv8, tau=tau, seed=0)
 
 
-def test_stream_state_refuses_a_negative_epoch_count():
-    # epoch -1 would draw from Philox key 2^64 - 1
+def test_stream_state_starts_at_epoch_zero():
+    # the epoch count and both tallies are derived, never given
     g = build_random_expander(8, 4, 2, seed=0)
     rv = gen_rates(SignalSpec(8, 1, CONST1, MINNOW, seed=0))
-    with pytest.raises(ValueError, match=re.escape(
-            "need epochs >= 0 and 0 < tau < inf with epochs*tau < inf, "
-            "got epochs=-1, tau=1.0")):
-        StreamState(graph=g, rates=rv, tau=1.0, seed=0, n_epochs=-1)
+    st = StreamState(graph=g, rates=rv, tau=1.0, seed=0)
+    assert st.n_epochs == 0 and not st.x.any() and not st.y.any()
+    assert (st.x.shape, st.y.shape) == ((8,), (4,))
+    for name in ("n_epochs", "x", "y"):
+        with pytest.raises(TypeError, match=f"argument '{name}'"):
+            StreamState(graph=g, rates=rv, tau=1.0, seed=0, **{name: 0})
 
 
 @pytest.mark.parametrize("rate,tau", [(1e300, 1e10), (1.0, 1e308), (1.0, 1e19)])
@@ -203,14 +214,14 @@ def test_mean_past_numpy_poisson_limit_is_refused(rate, tau):
     # rates * tau overflows to inf, or is finite but above the largest mean
     # rng.poisson draws: refused at construction, naming tau
     g = build_random_expander(8, 4, 2, seed=0)
-    rv = RateVector.from_rates(np.array([rate] + [0.0] * 7), 1)
+    rv = RateVector(np.array([rate] + [0.0] * 7), 1)
     with pytest.raises(ValueError, match="tau"):
         StreamState(graph=g, rates=rv, tau=tau, seed=0)
 
 
 def test_advance_zero_rates():
     g = build_random_expander(20, 8, 2, seed=1)
-    rv = RateVector.from_rates(np.zeros(20), 0)
+    rv = RateVector(np.zeros(20), 0)
     st = StreamState(graph=g, rates=rv, tau=1.0, seed=3)
     advance_epoch(st)
     assert st.n_epochs == 1
@@ -220,7 +231,7 @@ def test_advance_zero_rates():
 def test_tiny_rate_epoch_is_quiet():
     # lambda*tau = 1e-9 across 1000 flows: P(any arrival) < 1e-5
     g = build_random_expander(1000, 50, 4, seed=2)
-    rv = RateVector.from_rates(np.full(1000, 1e-9), 0)
+    rv = RateVector(np.full(1000, 1e-9), 0)
     st = StreamState(graph=g, rates=rv, tau=1.0, seed=4)
     advance_epoch(st)
     assert not st.x.any()
@@ -230,7 +241,7 @@ def test_single_flow_mean_band():
     # CLT band: |mean - 2| <= 3*sqrt(2/10^4) ~= 0.0424
     g = BipartiteGraph(n_left=1, n_right=1, d=1,
                        columns=np.array([[0]], dtype=np.int32), seed=0)
-    rv = RateVector.from_rates(np.array([2.0]), 1)
+    rv = RateVector(np.array([2.0]), 1)
     st = StreamState(graph=g, rates=rv, tau=1.0, seed=77)
     run_epochs(st, 10_000)
     mean = st.x[0] / st.n_epochs
@@ -296,7 +307,7 @@ def test_marginal_law():
     # X_{n,i} ~ Poisson(n*tau*lambda_i), checked by moment matching
     g = BipartiteGraph(n_left=3, n_right=2, d=1,
                        columns=np.array([[0], [1], [0]], dtype=np.int32), seed=0)
-    rv = RateVector.from_rates(np.array([0.5, 2.0, 7.0]), 3)
+    rv = RateVector(np.array([0.5, 2.0, 7.0]), 3)
     reps, n, tau = 10_000, 2, 0.5
     xs, _ = _replicate_counts(g, rv, tau, n, reps, seed0=50_000)
     _assert_poisson_moments(xs, n * tau * rv.rates, reps)
@@ -306,7 +317,7 @@ def test_aggregation_law():
     # Y_{n,j} ~ Poisson(n*tau*(A lambda)_j) on a 3x5 toy graph
     cols = np.array([[0, 1], [1, 2], [0, 2], [0, 1], [1, 2]], dtype=np.int32)
     g = BipartiteGraph(n_left=5, n_right=3, d=2, columns=cols, seed=0)
-    rv = RateVector.from_rates(np.array([0.3, 0.7, 0.2, 1.1, 0.4]), 2)
+    rv = RateVector(np.array([0.3, 0.7, 0.2, 1.1, 0.4]), 2)
     mu = 3 * 1.0 * apply_adjacency(g, rv.rates)
     assert np.allclose(mu, [4.8, 7.5, 3.9])
     reps = 10_000
@@ -320,7 +331,7 @@ def _stream_pair(rates, tau, seed, m=20, d=3):
     start = np.random.default_rng(seed).integers(0, m - d + 1, rates.size)
     g = BipartiteGraph(n_left=rates.size, n_right=m, d=d,
                        columns=start[:, None] + np.arange(d), seed=0)
-    rv = RateVector.from_rates(rates, 0)
+    rv = RateVector(rates, 0)
     return [StreamState(graph=g, rates=rv, tau=tau, seed=seed) for _ in range(2)]
 
 
@@ -396,7 +407,7 @@ def _replay_bank(name):
     rates = np.random.default_rng(9).choice(
         [0.0, 1e-6, 0.3, 2.0, 9.0, 14.0, 17.5, 250.0, 1e4], size=2000,
         p=[0.3, 0.3, 0.1, 0.1, 0.05, 0.05, 0.05, 0.03, 0.02])
-    rv = RateVector.from_rates(rates, 10)
+    rv = RateVector(rates, 10)
     return StreamState(graph=g, rates=rv, tau=0.7, seed=11)
 
 

@@ -6,10 +6,17 @@ somewhere in the package outside ``__init__.py``, as a plain name or as an
 attribute. A name that only the tests read belongs in ``tests/helpers.py``.
 ``__init__.py`` is skipped: it only re-exports names that its modules list
 in their own ``__all__`` (``tests/test_cli.py`` checks that).
+
+The warning filter in ``pyproject.toml`` makes a deprecation warned from
+a flowsketch module fail the tests, so a deprecated numpy or scipy call in
+the package is found before the call is removed.
 """
 
 import ast
+import warnings
 from pathlib import Path
+
+import pytest
 
 import flowsketch
 
@@ -47,3 +54,15 @@ def test_every_exported_name_has_a_caller_in_the_package():
     unused = sorted(f"{mod}: {name}" for name, mod in public.items()
                     if name not in used)
     assert not unused, f"public but never used in the package: {unused}"
+
+
+@pytest.mark.parametrize("category", [DeprecationWarning, PendingDeprecationWarning])
+def test_a_deprecation_warned_in_the_package_is_an_error(category):
+    # pyproject's filterwarnings: raised from a flowsketch module, it fails
+    # the test; raised from another module, it stays a warning
+    with pytest.raises(category):
+        warnings.warn_explicit("deprecated", category, "cli.py", 1,
+                               module="flowsketch.cli")
+    with warnings.catch_warnings(record=True):
+        warnings.warn_explicit("deprecated", category, "core.py", 1,
+                               module="numpy.core")
