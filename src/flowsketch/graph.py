@@ -87,17 +87,33 @@ class BipartiteGraph:
         object.__setattr__(self, "columns", cols)
 
 
-def _adjacency(g: BipartiteGraph):
-    """0/1 adjacency matrix as a scipy CSR, shape (n_right, n_left): row j
-    lists the flows incident to counter j, in increasing order. The ones
-    are int8; products with wider operands upcast them."""
-    import scipy.sparse as sp
+def _adjacency(g: BipartiteGraph) -> tuple[np.ndarray, np.ndarray]:
+    """The counter-to-flows incidence, (indptr, flows): flows[indptr[j]:
+    indptr[j+1]] lists the flows incident to counter j in increasing order,
+    the indptr and indices of the (n_right, n_left) 0/1 matrix in CSR form.
 
-    n, d = g.n_left, g.d
-    indptr = np.arange(0, n * d + 1, d)
-    data = np.ones(n * d, dtype=np.int8)
-    csc = sp.csc_matrix((data, g.columns.ravel(), indptr), shape=(g.n_right, n))
-    return csc.tocsr()
+    Each entry (flow i, counter j) becomes one packed key j << b | i, with
+    b the bits of the largest flow index, in uint32 when the largest key
+    fits and uint64 otherwise. The keys are distinct, so one in-place sort
+    orders them by counter and then by flow, and masking off the counter
+    bits leaves the flows. Counter j's row starts at the first key at or
+    above j << b, found by searchsorted with needles of the key's own type
+    (needles of a wider type would cast every key). The n*d keys are the
+    only large array.
+    """
+    n, m, d = g.n_left, g.n_right, g.d
+    b = max(1, (n - 1).bit_length())
+    kt = np.uint32 if ((m - 1) << b | (n - 1)) < 2**32 else np.uint64
+    key = g.columns.astype(kt)
+    key <<= b
+    key |= np.arange(n, dtype=kt)[:, None]
+    key = key.ravel()
+    key.sort()
+    indptr = np.empty(m + 1, dtype=np.int64)
+    indptr[:m] = np.searchsorted(key, np.arange(m, dtype=kt) << kt(b))
+    indptr[m] = n * d
+    key &= kt((1 << b) - 1)
+    return indptr, key
 
 
 @dataclass(frozen=True)
@@ -229,10 +245,9 @@ def greedy_cover(g: BipartiteGraph) -> np.ndarray:
     it newly covers, which counts a flow incident to several of them once
     per counter. Each counter is retired once, so the decrements cost
     O(N*d) in total, and each pick adds one argmax over the one-byte
-    array.
+    array. All of it is numpy, so a pMLE decode does not load scipy.
     """
-    adj = _adjacency(g)
-    indptr, flows = adj.indptr, adj.indices
+    indptr, flows = _adjacency(g)
     isolated = np.flatnonzero(np.diff(indptr) == 0)
     if isolated.size:
         raise GraphConstructionError(
@@ -302,12 +317,16 @@ def save_graph(g: BipartiteGraph, path) -> None:
 
 
 def load_graph(path) -> BipartiteGraph:
-    """The graph save_graph wrote. The header must pass the graph-shape
-    rule before any row is read, and the body must hold its n rows of d
-    indices. Raises ValueError (GraphConstructionError for the shape)."""
+    """The graph save_graph wrote. The header must be four fields of ASCII
+    digits (no sign, underscore or other script's digits, the rule the
+    counters follow) and pass the graph-shape rule before any row is read,
+    and the body must hold its n rows of d indices. Raises ValueError
+    (GraphConstructionError for the shape)."""
     with open(path) as f:
         header = f.readline().split()
-        try:  # four integer fields
+        try:
+            if not all(t.isascii() and t.isdigit() for t in header):
+                raise ValueError
             n, m, d, seed = (int(t) for t in header)
         except ValueError:
             raise ValueError(f"{path}: malformed header {header!r}") from None

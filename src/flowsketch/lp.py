@@ -48,9 +48,11 @@ down on a singular system) returns its iterate of least residual and the
 method steps with that; "optimal" still needs the primal residual and the
 certified gap of the iterate itself within their tolerances.
 
-scipy is imported inside the functions that build its matrices, so that
-importing flowsketch, and every command that never solves, runs on numpy
-alone and does not pay scipy's import.
+scipy is imported inside the functions that build its matrices, and
+basis pursuit is the only part of flowsketch that uses it. Importing
+flowsketch, every command but a direct `recover`, and the pMLE decoders
+(the greedy cover and the sparse Poisson solve included) run on numpy
+alone and do not pay scipy's import.
 """
 
 from dataclasses import dataclass, field

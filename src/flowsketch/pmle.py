@@ -482,6 +482,27 @@ def _local_index(g: BipartiteGraph, flows) -> tuple[np.ndarray, np.ndarray, np.n
     return np.flatnonzero(hit), hit, np.cumsum(hit)[cols] - 1
 
 
+def _counter_sums(inv: np.ndarray, theta: np.ndarray, n_touched: int) -> np.ndarray:
+    """A[T, support] @ theta, inv numbering each support flow's d counters
+    in T as `_local_index` does: one `np.bincount` adds the flows' values
+    into their counters in flow order, from zero, the sums of a sparse
+    column-by-column product to the bit."""
+    d = inv.size // theta.size
+    return np.bincount(inv, weights=np.repeat(theta, d), minlength=n_touched)
+
+
+def _flow_sums(r: np.ndarray, inv_cols: np.ndarray) -> np.ndarray:
+    """A[T, support].T @ r, inv_cols (d, |support|) holding in row c each
+    flow's c-th counter in T: a zero vector plus the rows of r.take one by
+    one, each flow's d terms in counter order, the sums of a sparse
+    row-by-row product to the bit. Never `.sum(axis=0)`: for one flow and
+    d >= 8 numpy sums that column pairwise, in another order."""
+    acc = np.zeros(inv_cols.shape[1])
+    for row in r.take(inv_cols):
+        acc += row
+    return acc
+
+
 @dataclass
 class SparseSolveResult:
     theta: np.ndarray  # nonnegative values on `support`, rate units
@@ -506,13 +527,14 @@ def sparse_poisson_solve(
     1e-12 so a stray zero mean cannot produce NaN.
 
     Only the counters T that the support touches (`_local_index`) depend
-    on theta, so every array of the solve is over T: A[T, support] is the
-    transpose view of one CSR. The other counters keep their mu_base means
-    and add one constant to the objective, so `objective`, `trace` and the
-    stop rule are over all counters.
-    """
-    import scipy.sparse as sp
+    on theta, so every array of the solve is over T. The other counters
+    keep their mu_base means and add one constant to the objective, so
+    `objective`, `trace` and the stop rule are over all counters.
 
+    The two products with A[T, support], `_counter_sums` for the means and
+    `_flow_sums` for the gradient, are numpy's, so the solve loads no
+    scipy.
+    """
     g, y, scale = obs.g, obs.y, obs.scale
     support = _check_flows(g, support, "support")
     if support.size == 0:
@@ -530,15 +552,13 @@ def sparse_poisson_solve(
     theta = np.full(n, (y.sum() + 1.0) / (scale * d * n))
     y_r, mu_r = y[rest], mu_base[rest]
     const = float(mu_r.sum() - (y_r * np.log(np.maximum(mu_r, _MU_FLOOR))).sum())
-    a_t = sp.csr_matrix((np.ones(n * d), inv, np.arange(0, n * d + 1, d)),
-                        shape=(n, touched.size))
-    a = a_t.T
+    inv_cols = np.ascontiguousarray(inv.reshape(n, d).T)
     base = mu_base[touched]
     pos = y[touched] > 0
     ypos = y[touched][pos]
 
     def means(th):
-        return base + scale * (a @ th)
+        return base + scale * _counter_sums(inv, th, touched.size)
 
     def objective(mu):
         return const + float(
@@ -547,7 +567,7 @@ def sparse_poisson_solve(
     def gradient(mu):
         r = np.ones(touched.size)
         r[pos] -= ypos / np.maximum(mu[pos], _MU_FLOOR)
-        return scale * (a_t @ r)
+        return scale * _flow_sums(r, inv_cols)
 
     def pg_norm(th, grad):  # sup norm of the projected gradient
         return float(np.abs(np.where((th <= 0) & (grad > 0), 0.0, grad)).max())
@@ -588,7 +608,6 @@ def sparse_poisson_solve(
     # relative. Gradients carry far less noise, so up to three Newton steps
     # on the free coordinates, each kept only if it shrinks the projected
     # gradient, push theta to machine stationarity.
-    inv = inv.reshape(n, d)
     grad = gradient(mu)
     for _ in range(3):
         before = pg_norm(theta, grad)
@@ -596,7 +615,7 @@ def sparse_poisson_solve(
             break
         free = np.nonzero((theta > 0) | (grad < 0))[0]
         af = np.zeros((touched.size, free.size))  # the dense A[T, free]
-        af[inv[free].ravel(), np.repeat(np.arange(free.size), d)] = 1.0
+        af[inv.reshape(n, d)[free].ravel(), np.repeat(np.arange(free.size), d)] = 1.0
         w = np.zeros(touched.size)
         w[pos] = ypos / np.maximum(mu[pos], _MU_FLOOR) ** 2
         h = scale * scale * (af.T * w) @ af

@@ -28,7 +28,6 @@ from flowsketch import (
 )
 from flowsketch import lp, pmle, stream
 from flowsketch.experiment import SCHEMA_VERSION
-from flowsketch.graph import _adjacency
 from flowsketch.lp import NumericalError, basis_pursuit
 
 
@@ -102,6 +101,18 @@ def read_counters_csv_rows(path, n_counters: int) -> np.ndarray:
     return np.array(out, dtype=np.float64)
 
 
+def adjacency_csr(g: BipartiteGraph) -> sp.csr_matrix:
+    """graph._adjacency as it was, by scipy: the 0/1 adjacency matrix as a
+    CSR of int8 ones, shape (n_right, n_left), row j listing the flows
+    incident to counter j in increasing order. Its indptr and indices are
+    the oracle of the packed-key incidence."""
+    n, d = g.n_left, g.d
+    indptr = np.arange(0, n * d + 1, d)
+    data = np.ones(n * d, dtype=np.int8)
+    csc = sp.csc_matrix((data, g.columns.ravel(), indptr), shape=(g.n_right, n))
+    return csc.tocsr()
+
+
 def apply_adjacency(g: BipartiteGraph, x: np.ndarray) -> np.ndarray:
     """Counter contents for flow totals x: y_j = sum of x_i over flows
     incident to counter j. Exact int64 arithmetic for integer x, float64
@@ -110,7 +121,7 @@ def apply_adjacency(g: BipartiteGraph, x: np.ndarray) -> np.ndarray:
     if x.shape != (g.n_left,):
         raise ValueError(f"x has shape {x.shape}, expected ({g.n_left},)")
     exact = np.issubdtype(x.dtype, np.integer)
-    return _adjacency(g) @ x.astype(np.int64 if exact else np.float64)
+    return adjacency_csr(g) @ x.astype(np.int64 if exact else np.float64)
 
 
 def counters_consistent(state) -> bool:
@@ -300,7 +311,7 @@ def oracle_2sparse(g: BipartiteGraph, y: np.ndarray):
     coefficients, and returns the one of minimum l1 norm (None if no pair
     fits). Vectorized over pairs; near-singular pairs fall back to lstsq.
     """
-    a = _adjacency(g).toarray().astype(np.float64)
+    a = adjacency_csr(g).toarray().astype(np.float64)
     n = g.n_left
     gram = a.T @ a
     b = a.T @ y
@@ -448,7 +459,19 @@ def local_index_unique(g: BipartiteGraph, flows):
 def support_matrix_via_csc(g: BipartiteGraph, support: np.ndarray):
     """A[:, support] as float CSR by slicing a full float CSC copy of the
     adjacency, the construction the sparse Poisson solve used to read."""
-    return _adjacency(g).astype(np.float64).tocsc()[:, support].tocsr()
+    return adjacency_csr(g).astype(np.float64).tocsc()[:, support].tocsr()
+
+
+def local_products_csr(inv: np.ndarray, n: int, d: int, n_touched: int):
+    """(A, A^T) over the n support flows and the n_touched counters they
+    touch, by scipy, as pmle.sparse_poisson_solve formed its means and
+    gradient before its products were numpy's: a float CSR of the flows'
+    rows, inv[i*d:(i+1)*d] numbering flow i's counters, and its transpose
+    view. `A @ theta` and `A^T @ r` are the oracles of the solve's
+    products."""
+    a_t = sp.csr_matrix((np.ones(n * d), inv, np.arange(0, n * d + 1, d)),
+                        shape=(n, n_touched))
+    return a_t.T, a_t
 
 
 def sparse_poisson_solve_full(y, g: BipartiteGraph, support, scale: float,
@@ -709,7 +732,7 @@ def adjacency_copies(g: BipartiteGraph):
     """A and A^T as basis pursuit used to build them for every solve: a
     float copy of the graph's int8 adjacency, and a CSR copy of its
     transpose."""
-    a = _adjacency(g).astype(np.float64)
+    a = adjacency_csr(g).astype(np.float64)
     return a, a.T.tocsr()
 
 
@@ -892,7 +915,7 @@ def basis_pursuit_dense(g: BipartiteGraph, y) -> LpSolution:
     iteration cap lp reads at the call. The trivial cases (a nonzero
     counter with no flow, y = 0) are lp.basis_pursuit's own."""
     y = np.asarray(y, dtype=np.float64)
-    a = _adjacency(g).astype(np.float64)
+    a = adjacency_csr(g).astype(np.float64)
     if y.shape != (g.n_right,) or not np.abs(y).max(initial=0.0) or (
             (np.diff(a.indptr) == 0) & (y != 0)).any():
         return basis_pursuit(observe(g, y))

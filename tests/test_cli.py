@@ -260,6 +260,11 @@ def test_recover_unreachable_counters_is_numerical_error(tmp_path, capsys):
     # every field an integer, the seed too
     ("3 x 2 0\n0 1\n", "g.txt: malformed header"),
     ("3 20 4 1.5\n0 1 2 3\n", "g.txt: malformed header"),
+    # each field ASCII digits alone, though int() reads all of these
+    ("3 2_0 4 0\n0 1 2 3\n4 5 6 7\n8 9 10 11\n", "g.txt: malformed header"),
+    ("\u0663 20 4 0\n0 1 2 3\n4 5 6 7\n8 9 10 11\n", "g.txt: malformed header"),
+    ("3 20 4 +7\n0 1 2 3\n4 5 6 7\n8 9 10 11\n", "g.txt: malformed header"),
+    ("3 20 4 -7\n0 1 2 3\n4 5 6 7\n8 9 10 11\n", "g.txt: malformed header"),
 ])
 def test_graph_header_is_checked_before_its_rows(tmp_path, capsys, text, message):
     g_path = tmp_path / "g.txt"
@@ -779,18 +784,22 @@ def test_plot_data_names_the_line_of_a_cell_that_does_not_parse(
     assert not dat.exists()
 
 
-# Runs in a fresh interpreter: the commands that never cover or solve
-# leave scipy unloaded, and a direct recover loads it.
+# Runs in a fresh interpreter: every command but a direct recover leaves
+# scipy unloaded, the pMLE decoders and a pMLE-only sweep cell too, since
+# only basis pursuit uses it; a direct recover loads it.
 _SCIPY_PROBE = """
 import sys
 
 import flowsketch, flowsketch.cli, flowsketch.experiment
+from flowsketch import Dist
 
 def scipy_loaded():
     return any(m.split(".")[0] == "scipy" for m in sys.modules)
 
 graph, results, out = sys.argv[1:]
 assert not scipy_loaded(), "import"
+recover = ["recover", "--graph", graph, "--counters", out + "/y.csv",
+           "--epochs", "10", "--l0", "4.0"]
 for argv in (
     ["gen-graph", "--flows", "60", "--counters", "20", "--degree", "4",
      "--out", out + "/g2.txt"],
@@ -799,17 +808,27 @@ for argv in (
      "--out-counters", out + "/y.csv"],
     ["plot-data", "--results", results, "--metric", "success",
      "--out", out + "/s.dat"],
+    # k*d = M, so A1 is every flow and the sparse Poisson solve runs
+    recover + ["--decoder", "pmle-reduced", "--k", "5", "--out", out + "/e1.csv"],
+    recover + ["--decoder", "pmle-exhaustive", "--k", "2", "--levels", "2",
+               "--out", out + "/e2.csv"],
 ):
     assert flowsketch.cli.main(argv) == 0, argv
-    assert not scipy_loaded(), argv[0]
-assert flowsketch.cli.main(["recover", "--graph", graph, "--counters",
-                            out + "/y.csv", "--epochs", "10", "--decoder",
-                            "direct", "--out", out + "/e.csv"]) == 0
+    assert not scipy_loaded(), argv[:3]
+cfg = flowsketch.experiment.ExperimentConfig(
+    n_flows=50, n_counters=20, degree=4, epochs=10, tau=1.0, sweep=(5,),
+    trials=1, whale_dist=Dist("constant", 1.0), minnow_dist=Dist("constant", 0.0),
+    decoders=("pmle-reduced",), root_seed=1)
+(row,) = flowsketch.experiment.run_trial(cfg, 5, 0)
+assert row.note == "" and row.a1_size == 50, row
+assert not scipy_loaded(), "run_trial"
+assert flowsketch.cli.main(recover + ["--decoder", "direct",
+                                      "--out", out + "/e.csv"]) == 0
 assert scipy_loaded(), "recover"
 """
 
 
-def test_commands_that_never_solve_leave_scipy_unloaded(graph_file, tmp_path):
+def test_only_basis_pursuit_loads_scipy(graph_file, tmp_path):
     results = write_small_results(tmp_path)
     env = dict(os.environ, PYTHONPATH=str(Path(flowsketch.__file__).parents[1]))
     proc = subprocess.run(

@@ -24,6 +24,7 @@ from flowsketch import graph as graph_module
 from flowsketch.graph import _SAVE_CHUNK, _adjacency, _sample_columns
 
 from helpers import (
+    adjacency_csr,
     apply_adjacency,
     brute_expansion_ratio,
     greedy_cover_rescan,
@@ -139,7 +140,7 @@ def test_raw_columns_validation():
 
 def test_adjacency_matrix_matches_columns():
     g = build_random_expander(30, 10, 3, seed=11)
-    dense = _adjacency(g).toarray()
+    dense = adjacency_csr(g).toarray()
     ref = np.zeros((10, 30), dtype=np.int64)
     for i, col in enumerate(g.columns):
         ref[col, i] = 1
@@ -381,11 +382,27 @@ adjacency_graphs = st.one_of(st.sampled_from([
 @settings(max_examples=200, deadline=None)
 @given(adjacency_graphs)
 def test_csr_is_dense_incidence_with_sorted_rows(g):
-    a = _adjacency(g)
+    a = adjacency_csr(g)
     assert a.shape == (g.n_right, g.n_left) and a.dtype == np.int8
     assert np.array_equal(a.toarray(), _dense(g))
     for j in range(g.n_right):
         assert (np.diff(a.indices[a.indptr[j]:a.indptr[j + 1]]) > 0).all()
+
+
+@settings(max_examples=200, deadline=None)
+@given(adjacency_graphs)
+# keys past 32 bits: (M-1) << 17 | (N-1) >= 2^32
+@example(build_random_expander(70_000, 40_000, 2, seed=5))
+@example(_graph([[2, 5, 7]], 8))  # one flow, five counters without one
+@example(_graph([[0, 1], [0, 3], [1, 3], [0, 1]], 4))  # counter 2 has none
+def test_packed_key_incidence_matches_scipy_csr(g):
+    indptr, flows = _adjacency(g)
+    want = adjacency_csr(g)
+    assert np.array_equal(indptr, want.indptr)
+    assert np.array_equal(flows, want.indices)
+    b = max(1, (g.n_left - 1).bit_length())
+    wide = ((g.n_right - 1) << b | (g.n_left - 1)) >= 2**32
+    assert flows.dtype == (np.uint64 if wide else np.uint32)
 
 
 @settings(max_examples=200, deadline=None)
@@ -412,6 +429,10 @@ def test_save_load_round_trip_property(g, seed):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "graph.txt"
         save_graph(g, path)
+        if seed < 0:  # the header's seed must be ASCII digits, no sign
+            with pytest.raises(ValueError, match="malformed header"):
+                load_graph(path)
+            return
         back = load_graph(path)
         assert (back.n_left, back.n_right, back.d, back.seed) == \
             (g.n_left, g.n_right, g.d, seed)

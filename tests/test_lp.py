@@ -29,9 +29,10 @@ from flowsketch import (
     run_epochs,
 )
 from flowsketch import lp
-from flowsketch.graph import BipartiteGraph, _adjacency
+from flowsketch.graph import BipartiteGraph
 from helpers import (
     adjacency_copies,
+    adjacency_csr,
     apply_adjacency,
     basis_pursuit_dense,
     jacobi_start_preconditioner,
@@ -213,7 +214,7 @@ def tight_tols(y):
 @given(sparse_banks())
 def test_basis_pursuit_matches_highs(bank):
     g, y = bank
-    a = _adjacency(g).toarray().astype(np.float64)
+    a = adjacency_csr(g).toarray().astype(np.float64)
     ref = scipy.optimize.linprog(np.ones(2 * g.n_left), A_eq=np.hstack([a, -a]),
                                  b_eq=y, bounds=(0, None), method="highs")
     assert ref.status == 0
@@ -307,7 +308,7 @@ def highs_optimum(g, y):
     max y.nu subject to -1 <= A^T nu <= 1: the same value by strong
     duality, and at 5k/800/8 about five times faster than the split
     primal."""
-    at = sp.csr_matrix(_adjacency(g).T.astype(np.float64))
+    at = sp.csr_matrix(adjacency_csr(g).T.astype(np.float64))
     ref = scipy.optimize.linprog(-y, A_ub=sp.vstack([at, -at]),
                                  b_ub=np.ones(2 * g.n_left), bounds=(None, None),
                                  method="highs")
@@ -393,7 +394,7 @@ def test_exact_normal_matvec_regression_44x15(monkeypatch):
     x = np.zeros(g.n_left, dtype=np.int64)
     x[[27, 41, 42, 29, 33]] = (34, 17, 8, 7, 1)
     y = apply_adjacency(g, x)
-    a = _adjacency(g).toarray().astype(np.float64)
+    a = adjacency_csr(g).toarray().astype(np.float64)
     ref = scipy.optimize.linprog(np.ones(2 * g.n_left), A_eq=np.hstack([a, -a]),
                                  b_eq=y, bounds=(0, None), method="highs")
     monkeypatch.setattr(lp, "_default_tols", tight_tols)

@@ -33,10 +33,11 @@ from flowsketch import (
     sparse_poisson_solve,
 )
 from flowsketch import pmle as pmle_module
-from flowsketch.graph import BipartiteGraph, _adjacency
+from flowsketch.graph import BipartiteGraph
 from flowsketch.seeds import stable_seed
 
 from helpers import (
+    adjacency_csr,
     apply_adjacency,
     argmin_chunked,
     argmin_scalar,
@@ -47,6 +48,7 @@ from helpers import (
     l0_path_candidates,
     level_tuples_recursive,
     local_index_unique,
+    local_products_csr,
     neg_log_likelihood,
     observe,
     offset_rates,
@@ -540,7 +542,7 @@ def test_sparse_solve_matches_oracle():
     rel = np.abs(res.theta - theta_true).sum() / theta_true.sum()
     assert rel <= 1e-4
 
-    a_s = _adjacency(g)[:, support].toarray()
+    a_s = adjacency_csr(g)[:, support].toarray()
     pos = y > 0
 
     def nll(t):
@@ -552,6 +554,46 @@ def test_sparse_solve_matches_oracle():
         bounds=[(0, None)] * 3, options={"ftol": 1e-15, "gtol": 1e-12},
     )
     assert np.abs(res.theta - oracle.x).sum() / theta_true.sum() <= 1e-4
+
+
+def _products_case(g, support, seed):
+    """(g, support, theta, r): theta on the support and a residual r on the
+    counters it touches, of either sign, magnitudes from 1e-8 to 1e8."""
+    rng = np.random.default_rng(seed)
+    n_touched = np.unique(g.columns[support]).size
+    theta = 10.0 ** rng.uniform(-8, 8, support.size)
+    r = rng.choice([-1.0, 1.0], n_touched) * 10.0 ** rng.uniform(-8, 8, n_touched)
+    return g, support, theta, r
+
+
+@st.composite
+def products_cases(draw):
+    g = draw(small_graphs())
+    support = draw(st.one_of(
+        st.just(np.arange(g.n_left)),
+        st.sets(st.integers(0, g.n_left - 1), min_size=1).map(
+            lambda s: np.array(sorted(s), dtype=np.int64))))
+    return _products_case(g, support, draw(st.integers(0, 2**32)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(products_cases())
+# one flow at d >= 8, where numpy's .sum(axis=0) would sum pairwise
+@example(_products_case(build_random_expander(50, 40, 8, 1), np.array([7]), 1))
+@example(_products_case(build_random_expander(50, 40, 10, 2), np.array([0]), 2))
+@example(_products_case(build_random_expander(50, 40, 16, 3), np.array([49]), 3))
+# every flow of the bank
+@example(_products_case(build_random_expander(300, 60, 8, 4), np.arange(300), 4))
+def test_solve_products_match_scipy_bit_for_bit(case):
+    g, support, theta, r = case
+    n, d = support.size, g.d
+    touched, _, inv = pmle_module._local_index(g, support)
+    assert r.size == touched.size
+    a, a_t = local_products_csr(inv, n, d, touched.size)
+    got = pmle_module._counter_sums(inv, theta, touched.size)
+    assert got.tobytes() == (a @ theta).tobytes()
+    inv_cols = np.ascontiguousarray(inv.reshape(n, d).T)
+    assert pmle_module._flow_sums(r, inv_cols).tobytes() == (a_t @ r).tobytes()
 
 
 def test_sparse_solve_monotone_trace():
