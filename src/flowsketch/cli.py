@@ -273,8 +273,6 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_recover(args) -> int:
-    from . import lp
-
     if args.trace and args.decoder != "direct":
         raise UsageError("--trace dumps LP iterations; only --decoder direct has them")
     g = load_graph(args.graph)
@@ -285,7 +283,7 @@ def _cmd_recover(args) -> int:
     )
     dec = decode(Observation(g, y, args.epochs, args.tau), spec)
     res = dec.result
-    if isinstance(res, lp.LpSolution):
+    if args.decoder == "direct":
         if args.trace:
             with open(args.trace, "w", newline="") as f:
                 w = csv.writer(f)

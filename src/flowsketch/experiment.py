@@ -12,7 +12,6 @@ import csv
 import hashlib
 import json
 import math
-import numbers
 import operator
 import sys
 import time
@@ -22,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .decoders import DecodeSpec, Observation, check_decoder, decode
-from .graph import build_graph_with_cover
+from .graph import build_graph_with_cover, is_integer
 from .metrics import relative_l1_error, support_recovery_success
 from .pmle import PmleConfig
 from .seeds import stable_seed
@@ -146,8 +145,7 @@ class ExperimentConfig:
     out_dir: str = "results"
 
     def __post_init__(self):
-        if not all(isinstance(k, numbers.Integral) and not isinstance(k, bool)
-                   for k in self.sweep):
+        if not all(map(is_integer, self.sweep)):
             raise ValueError(
                 f"key 'sweep' must list integers, got {list(self.sweep)!r}"
             )

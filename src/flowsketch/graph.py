@@ -10,6 +10,7 @@ be certified by brute force.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import chain
 
@@ -39,6 +40,12 @@ class EnumerationCapExceeded(ValueError):
 
 # rows that save_graph formats per write
 _SAVE_CHUNK = 1 << 15
+
+
+def is_integer(v) -> bool:
+    """The package's one test for an integer setting: a Python or numpy
+    integer, not a bool (an int subclass) and not a float."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
 def _check_shape(n_left: int, n_right: int, d: int) -> None:
@@ -72,6 +79,9 @@ class BipartiteGraph:
 
     def __post_init__(self):
         _check_shape(self.n_left, self.n_right, self.d)
+        # load_graph reads a header seed of ASCII digits only
+        if not (is_integer(self.seed) and self.seed >= 0):
+            raise GraphConstructionError(f"need an integer seed >= 0, got {self.seed!r}")
         cols = np.asarray(self.columns, dtype=np.int32)
         if cols.shape != (self.n_left, self.d):
             raise GraphConstructionError(

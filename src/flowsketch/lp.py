@@ -4,8 +4,8 @@ Solves min ||u||_1 subject to A u = y with a self-contained Mehrotra
 predictor-corrector interior-point method on the split formulation
 u = p - q, p,q >= 0. The one matrix a solve builds is A^T in CSR form, its
 indices the graph's own `columns` and its data float ones; A is its
-transpose view, which shares those arrays. Every solve records its
-per-iteration objective and residual in the solution.
+transpose view, which shares those arrays. Each iterate is evaluated
+once, and the solution traces each iteration's objective and residual.
 
 The method is matrix-free: it reads A only through the products A x and
 A^T v and forms no M x M matrix. Each Newton step solves the normal
@@ -110,13 +110,11 @@ def _pcg(hmul, b: np.ndarray, pinv, rtol: float) -> np.ndarray:
     residual rtol; after _CG_MAX_ITER steps, or when the recurrence
     breaks down (p^T H p or r^T P^-1 r not positive and finite, as on a
     singular H with b outside its range), it returns the iterate of least
-    residual instead."""
+    residual instead (x = 0 when b = 0)."""
     x = np.zeros_like(b)
     r = b.copy()
     best_x, best_r = x, float(np.linalg.norm(r))
     target = rtol * best_r
-    if best_r == 0.0:
-        return x
     z = pinv(r)
     rz = float(r @ z)
     p = z
@@ -216,7 +214,6 @@ def _solve_ipm(at, y, tol_feas, tol_obj, iter_cap):
     for what a CG solve that misses its tolerance does."""
     n, m = at.shape
     a = at.T
-    ones = np.ones(2 * n)
 
     def gmul(z):
         return a @ (z[:n] - z[n:])
@@ -231,28 +228,28 @@ def _solve_ipm(at, y, tol_feas, tol_obj, iter_cap):
     # starting point: least-squares primal, unit slacks, shifted positive
     z_tilde = split(at @ normal_solver(np.full(n, 2.0), _CG_RTOL_CAP)(y))
     z_bar = z_tilde + max(-1.5 * float(z_tilde.min(initial=0.0)), 0.0)
-    s_bar = ones.copy()
-    dot = float(z_bar @ s_bar)
+    s = np.ones(2 * n)
+    dot = float(z_bar @ s)
     if dot <= 0.0:
-        z, s = ones.copy(), ones.copy()
+        z = np.ones(2 * n)
     else:
-        z = z_bar + 0.5 * dot / s_bar.sum()
-        s = s_bar + 0.5 * dot / z_bar.sum()
+        z = z_bar + 0.5 * dot / s.sum()
+        s += 0.5 * dot / z_bar.sum()
     nu = np.zeros(m)
     mu0 = float(z @ s) / (2 * n)
 
     trace = []
     status = "iteration-cap"
     diverged = False
-    it = 0
-    for it in range(iter_cap):
+    for it in range(iter_cap + 1):  # iterate iter_cap is evaluated, not traced
         rp = y - gmul(z)
         atn = at @ nu
-        rd = ones - split(atn) - s
         u = z[:n] - z[n:]
         feas = float(np.abs(rp).max(initial=0.0))
         obj = float(np.abs(u).sum())
         gap = obj - _dual_bound(atn, y, nu)
+        if it == iter_cap:
+            break
         trace.append((it, obj, feas))
         if feas <= tol_feas and gap <= tol_obj:
             status = "optimal"
@@ -264,6 +261,7 @@ def _solve_ipm(at, y, tol_feas, tol_obj, iter_cap):
         if not np.isfinite(wcol.sum()):
             diverged = True  # a slack reached zero: the weights overflow
             break
+        rd = 1.0 - split(atn) - s
         mu = float(z @ s) / (2 * n)
         rtol = max(_CG_RTOL, min(_CG_RTOL_CAP, _CG_RTOL_CAP * mu / mu0))
         solve = normal_solver(wcol, rtol)
@@ -288,14 +286,7 @@ def _solve_ipm(at, y, tol_feas, tol_obj, iter_cap):
         z = z + ap * dz
         s = s + ad * ds
         nu = nu + ad * dnu
-    else:
-        it += 1
 
-    rp = y - gmul(z)
-    u = z[:n] - z[n:]
-    feas = float(np.abs(rp).max(initial=0.0))
-    obj = float(np.abs(u).sum())
-    gap = obj - _dual_bound(at @ nu, y, nu)
     stalled = len(trace) >= 10 and trace[-1][2] > 0.9 * trace[-10][2]
     if status != "optimal" and feas > 1e3 * tol_feas and (diverged or stalled):
         # the residual stalled far from feasibility, or the iterates

@@ -30,7 +30,6 @@ are those of scoring every candidate on its own.
 
 import functools
 import math
-import numbers
 import warnings
 from dataclasses import dataclass
 from itertools import chain, combinations
@@ -39,7 +38,7 @@ from typing import Iterable, Iterator, Optional, Tuple
 import numpy as np
 
 from .decoders import PENALTY_MODES, DecodeSpec, Observation
-from .graph import BipartiteGraph
+from .graph import BipartiteGraph, is_integer
 from .metrics import top_k_indices
 
 __all__ = [
@@ -90,7 +89,7 @@ def _check_flows(g: BipartiteGraph, flows, what: str,
 
 def _check_count(name: str, v) -> None:
     """The rule for a whale or flow count: an integer (not a bool) >= 1."""
-    if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < 1:
+    if not (is_integer(v) and v >= 1):
         raise ValueError(f"{name} must be an integer >= 1, got {v!r}")
 
 
@@ -126,8 +125,7 @@ class PmleConfig:
                 size = getattr(self, name)
             except OverflowError:  # l0 or n_levels past the float range
                 size = math.nan
-            if (not 0 < size < math.inf or isinstance(n, bool)
-                    or not isinstance(n, numbers.Integral) or n < 1):
+            if not (0 < size < math.inf and is_integer(n) and n >= 1):
                 raise ValueError(f"need 0 < {name} < inf and an integer n_levels >= 1, "
                                  f"got {name}={size}, n_levels={n!r}")
         for name in ("k", "n_flows"):

@@ -26,14 +26,13 @@ flows fire every epoch is slower than one `rng.poisson` call.
 """
 
 import math
-import numbers
 import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .graph import BipartiteGraph
+from .graph import BipartiteGraph, is_integer
 from .metrics import top_k_indices
 
 __all__ = [
@@ -71,9 +70,8 @@ def check_window(epochs, tau, least: int = 1) -> None:
     is an integer (a numpy integer, not a bool or a float) of at least
     `least`, tau is finite and positive, and so is the window's length
     epochs*tau as a float. Raises ValueError otherwise."""
-    if (isinstance(epochs, bool) or not isinstance(epochs, numbers.Integral)
-            or not least <= epochs <= sys.float_info.max or not 0 < tau < math.inf
-            or float(epochs) * float(tau) == math.inf):
+    if (not is_integer(epochs) or not least <= epochs <= sys.float_info.max
+            or not 0 < tau < math.inf or float(epochs) * float(tau) == math.inf):
         raise ValueError(f"need epochs >= {least} and 0 < tau < inf with "
                          f"epochs*tau < inf, got epochs={epochs}, tau={tau}")
 

@@ -80,6 +80,19 @@ def test_gen_graph_then_verify(graph_file, capsys):
     assert "worst_ratio=0.625000" in out
 
 
+@pytest.mark.parametrize("flag,value,message", [
+    ("--k", "0", "need 1 <= k <= n_left, got k=0"),
+    ("--epsilon", "1.0", "epsilon must be in (0,1), got 1.0"),
+])
+def test_verify_expander_out_of_range_is_invalid_input(graph_file, capsys, flag,
+                                                       value, message):
+    opts = {"--k": "1", "--epsilon": "0.5", flag: value}
+    rc = main(["verify-expander", "--graph", str(graph_file),
+               "--k", opts["--k"], "--epsilon", opts["--epsilon"]])
+    assert rc == 1
+    assert capsys.readouterr().err == f"invalid input: {message}\n"
+
+
 def test_missing_graph_file_is_io_error(tmp_path, capsys):
     rc = main(["verify-expander", "--graph", str(tmp_path / "absent.json"),
                "--k", "1", "--epsilon", "0.5"])
@@ -265,6 +278,8 @@ def test_recover_unreachable_counters_is_numerical_error(tmp_path, capsys):
     ("\u0663 20 4 0\n0 1 2 3\n4 5 6 7\n8 9 10 11\n", "g.txt: malformed header"),
     ("3 20 4 +7\n0 1 2 3\n4 5 6 7\n8 9 10 11\n", "g.txt: malformed header"),
     ("3 20 4 -7\n0 1 2 3\n4 5 6 7\n8 9 10 11\n", "g.txt: malformed header"),
+    # rows that parse, fewer than the header's n
+    ("3 20 4 0\n0 1 2 3\n4 5 6 7\n", "expected 3 rows of 4 indices, got shape (2, 4)"),
 ])
 def test_graph_header_is_checked_before_its_rows(tmp_path, capsys, text, message):
     g_path = tmp_path / "g.txt"
@@ -760,6 +775,29 @@ def test_plot_data_refuses_a_row_of_another_length(tmp_path, capsys, sidecar,
     assert not dat.exists()
 
 
+@pytest.mark.parametrize("sidecar,message", [
+    ("", "unexpected header ['k', 'trail'"),
+    (".agg", "0 aggregate rows, recomputed 1"),
+], ids=["results-header", "agg-row-deleted"])
+def test_plot_data_refuses_an_edited_results_header_or_aggregate(
+        tmp_path, capsys, sidecar, message):
+    results = write_small_results(tmp_path)
+    path = tmp_path / f"results{sidecar}.csv"
+    lines = path.read_text().splitlines()
+    if sidecar:
+        del lines[1]  # the one aggregate row
+    else:
+        lines[0] = lines[0].replace("trial", "trail", 1)
+    path.write_text("\n".join(lines) + "\n")
+    dat = tmp_path / "succ.dat"
+    capsys.readouterr()
+    assert main(["plot-data", "--results", str(results), "--metric",
+                 "success", "--out", str(dat)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"invalid input: {path}: {message}")
+    assert not dat.exists()
+
+
 @pytest.mark.parametrize("sidecar,column,cell,message", [
     ("", "k", "x0", "invalid literal for int() with base 10: 'x0'"),
     (".timings", "k", "x0", "invalid literal for int() with base 10: 'x0'"),
@@ -1010,7 +1048,8 @@ def test_sweep_config_exhaustive_guard_failing_every_trial_is_invalid_input(
     ("sweep", [2, 60], "key 'sweep': need 0 <= k <= n_flows, got k=60"),
     ("whale_dist", {"kind": "constant", "value": 0.0},
      "key 'whale_dist': constant whale magnitude must be positive"),
-], ids=["k-above-n_flows", "whale-dist-constant-0"])
+    ("decoders", [], "need at least one decoder\n"),
+], ids=["k-above-n_flows", "whale-dist-constant-0", "no-decoder"])
 def test_sweep_point_no_trial_can_run_is_refused_before_any_trial(
         tmp_path, capsys, monkeypatch, key, value, message):
     calls = []
@@ -1048,7 +1087,8 @@ def test_sweep_missing_config_key_is_invalid_input(tmp_path, capsys, block, key)
 
 def test_recover_matches_sweep_row(tmp_path, monkeypatch):
     # recover on a sweep cell's own graph and counters scores exactly as
-    # the sweep row did, for each decoder
+    # the sweep row did, for each decoder, with the pmle budget derived
+    # from the true rates and with one given in the config
     seen = {}
 
     def spy(name):
@@ -1061,31 +1101,32 @@ def test_recover_matches_sweep_row(tmp_path, monkeypatch):
 
     for name in ("build_graph_with_cover", "gen_rates", "run_epochs"):
         spy(name)
-    cfg = ExperimentConfig(
-        n_flows=400, n_counters=90, degree=6, epochs=40, tau=1.0, sweep=(3,),
-        trials=1, whale_dist=Dist("constant", 1.0),
-        minnow_dist=Dist("abs-gaussian", 1e-6),
-        decoders=("direct", "pmle-reduced"), root_seed=31,
-        pmle=experiment.PmleOptions(levels=16),
-    )
-    rows = experiment.run_trial(cfg, 3, 0)
-    g, truth = seen["build_graph_with_cover"][0], seen["gen_rates"]
-    y = seen["run_epochs"].y
-    g_path, y_path = tmp_path / "g.txt", tmp_path / "y.csv"
-    save_graph(g, g_path)
-    with open(y_path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["index", "value"])
-        w.writerows(enumerate(int(v) for v in y))
-    l0 = (1.0 + cfg.pmle.l0_margin) * truth.l1()
-    for row in rows:
-        assert row.note == ""
-        est_path = tmp_path / f"{row.decoder}.csv"
-        argv = ["recover", "--graph", str(g_path), "--counters", str(y_path),
-                "--epochs", "40", "--decoder", row.decoder, "--out", str(est_path)]
-        if row.decoder != "direct":
-            argv += ["--k", "3", "--l0", repr(l0), "--levels", "16"]
-        assert main(argv) == 0
-        est = read_vector(est_path)
-        assert support_recovery_success(est, truth) == row.success
-        assert relative_l1_error(est, truth).value == row.rel_l1_error
+    for given in (None, 6.0):
+        cfg = ExperimentConfig(
+            n_flows=400, n_counters=90, degree=6, epochs=40, tau=1.0, sweep=(3,),
+            trials=1, whale_dist=Dist("constant", 1.0),
+            minnow_dist=Dist("abs-gaussian", 1e-6),
+            decoders=("direct", "pmle-reduced"), root_seed=31,
+            pmle=experiment.PmleOptions(levels=16, l0=given),
+        )
+        rows = experiment.run_trial(cfg, 3, 0)
+        g, truth = seen["build_graph_with_cover"][0], seen["gen_rates"]
+        y = seen["run_epochs"].y
+        g_path, y_path = tmp_path / "g.txt", tmp_path / "y.csv"
+        save_graph(g, g_path)
+        with open(y_path, "w", newline="") as f:
+            w = csv.writer(f)
+            w.writerow(["index", "value"])
+            w.writerows(enumerate(int(v) for v in y))
+        l0 = (1.0 + cfg.pmle.l0_margin) * truth.l1() if given is None else given
+        for row in rows:
+            assert row.note == ""
+            est_path = tmp_path / f"{row.decoder}.csv"
+            argv = ["recover", "--graph", str(g_path), "--counters", str(y_path),
+                    "--epochs", "40", "--decoder", row.decoder, "--out", str(est_path)]
+            if row.decoder != "direct":
+                argv += ["--k", "3", "--l0", repr(l0), "--levels", "16"]
+            assert main(argv) == 0
+            est = read_vector(est_path)
+            assert support_recovery_success(est, truth) == row.success
+            assert relative_l1_error(est, truth).value == row.rel_l1_error

@@ -136,6 +136,10 @@ def test_raw_columns_validation():
     bad_range = np.array([[0, 3], [1, 2]], dtype=np.int32)
     with pytest.raises(GraphConstructionError):
         BipartiteGraph(n_left=2, n_right=3, d=2, columns=bad_range, seed=0)
+    for shape in [(2,), (2, 1), (3, 2), (1, 2, 2)]:
+        with pytest.raises(GraphConstructionError, match=r"columns shape .* != \(2, 2\)"):
+            BipartiteGraph(n_left=2, n_right=3, d=2,
+                           columns=np.zeros(shape, dtype=np.int32), seed=0)
 
 
 def test_adjacency_matrix_matches_columns():
@@ -346,6 +350,22 @@ def test_build_graph_with_cover():
     assert np.unique(g.columns[cover]).size == 800
 
 
+def test_build_graph_with_cover_gives_up_after_its_retries(monkeypatch):
+    # one flow on one of 10 counters leaves 9 with no flow in every draw
+    drawn = []
+    real = graph_module.build_random_expander
+
+    def counting(*args):
+        drawn.append(args[3])
+        return real(*args)
+
+    monkeypatch.setattr(graph_module, "build_random_expander", counting)
+    with pytest.raises(GraphConstructionError,
+                       match=f"no usable greedy cover after {graph_module._COVER_RETRIES}"):
+        build_graph_with_cover(1, 10, 1, seed=3)
+    assert len(drawn) == len(set(drawn)) == graph_module._COVER_RETRIES + 1
+
+
 def test_save_load_round_trip(tmp_path):
     g = build_random_expander(37, 13, 4, seed=21)
     path = tmp_path / "graph.txt"
@@ -423,16 +443,19 @@ def test_apply_adjacency_matches_dense_product(g, data):
 
 
 @settings(max_examples=100, deadline=None)
-@given(adjacency_graphs, st.integers(-2**63, 2**63 - 1))
+@given(adjacency_graphs, st.one_of(st.integers(-2**63, 2**63 - 1), st.booleans(),
+                                   st.integers(0, 2**63 - 1).map(np.int64)))
 def test_save_load_round_trip_property(g, seed):
+    if isinstance(seed, bool) or seed < 0:
+        # the header's seed must be ASCII digits, no sign: a graph whose
+        # seed could not be read back is refused when it is made
+        with pytest.raises(GraphConstructionError, match="integer seed >= 0"):
+            BipartiteGraph(g.n_left, g.n_right, g.d, g.columns, seed)
+        return
     g = BipartiteGraph(g.n_left, g.n_right, g.d, g.columns, seed)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "graph.txt"
         save_graph(g, path)
-        if seed < 0:  # the header's seed must be ASCII digits, no sign
-            with pytest.raises(ValueError, match="malformed header"):
-                load_graph(path)
-            return
         back = load_graph(path)
         assert (back.n_left, back.n_right, back.d, back.seed) == \
             (g.n_left, g.n_right, g.d, seed)
@@ -456,13 +479,13 @@ def saved_graphs(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32)))
     # d sorted draws from [0, m - d], lifted by 0..d-1: distinct and sorted
     cols = np.sort(rng.integers(0, m - d + 1, size=(n, d)), axis=1) + np.arange(d)
-    return BipartiteGraph(n, m, d, cols, draw(st.integers(-2**63, 2**63 - 1)))
+    return BipartiteGraph(n, m, d, cols, draw(st.integers(0, 2**63 - 1)))
 
 
 @settings(max_examples=60, deadline=None)
 @given(saved_graphs())
 @example(BipartiteGraph(3, 2**31 - 1, 2, np.array(
-    [[0, 2**31 - 2], [999_999_999, 1_000_000_000], [9, 10]]), seed=-1))
+    [[0, 2**31 - 2], [999_999_999, 1_000_000_000], [9, 10]]), seed=2**63 - 1))
 def test_save_graph_matches_row_writer(g):
     with tempfile.TemporaryDirectory() as tmp:
         got, want = Path(tmp) / "got.txt", Path(tmp) / "want.txt"

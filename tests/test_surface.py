@@ -56,10 +56,12 @@ def test_every_exported_name_has_a_caller_in_the_package():
     assert not unused, f"public but never used in the package: {unused}"
 
 
-@pytest.mark.parametrize("category", [DeprecationWarning, PendingDeprecationWarning])
+@pytest.mark.parametrize(
+    "category", [DeprecationWarning, PendingDeprecationWarning, RuntimeWarning])
 def test_a_deprecation_warned_in_the_package_is_an_error(category):
     # pyproject's filterwarnings: raised from a flowsketch module, it fails
-    # the test; raised from another module, it stays a warning
+    # the test; raised from another module, it stays a warning. numpy's
+    # floating-point warnings are RuntimeWarnings
     with pytest.raises(category):
         warnings.warn_explicit("deprecated", category, "cli.py", 1,
                                module="flowsketch.cli")
