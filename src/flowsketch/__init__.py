@@ -33,8 +33,8 @@ _HOME = {
         "SparseSolveResult", "WhaleLocalization", "localize_whales",
         "pmle_exhaustive", "pmle_reduced", "sparse_poisson_solve"), "pmle"),
     **dict.fromkeys((
-        "Dist", "RateVector", "SignalSpec", "StreamState", "advance_epoch",
-        "gen_rates", "parse_dist", "run_epochs"), "stream"),
+        "Dist", "RateVector", "SignalSpec", "StreamState", "gen_rates",
+        "parse_dist", "run_epochs"), "stream"),
 }
 __all__ = list(_HOME)
 _SUBMODULES = ("cli", "decoders", "experiment", "graph", "lp", "metrics",

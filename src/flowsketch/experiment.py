@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .decoders import DecodeSpec, Observation, check_decoder, decode
-from .graph import build_graph_with_cover, is_integer
+from .graph import _check_shape, build_graph_with_cover, is_integer
 from .metrics import relative_l1_error, support_recovery_success
 from .pmle import PmleConfig
 from .seeds import stable_seed
@@ -69,17 +69,26 @@ _JSON_TYPES = {
 
 def _check_trial_inputs(cfg) -> None:
     """Refuse, naming its key, an input that would fail trials, before any
-    runs: by SignalSpec's rule, the whale distribution and each k; with a
-    pmle decoder, by decoding's rules, each pmle knob. The budget is l0,
-    with levels (for the step l0/levels), or 1 + l0_margin per unit of
-    true l1 mass; c must be in (0,1) at every k; pmle-exhaustive must pass
-    the exhaustive guard over n_flows flows at that many levels."""
+    runs: a graph shape no trial can build, or give a greedy cover (which
+    needs a flow on every counter); by SignalSpec's rule, the whale
+    distribution and each k; with a pmle decoder, by decoding's rules, each
+    pmle knob. The budget is l0, with levels (for the step l0/levels), or
+    1 + l0_margin per unit of true l1 mass; c must be in (0,1) at every k;
+    pmle-exhaustive must pass the exhaustive guard over n_flows flows at
+    that many levels."""
     def check(key, rule, *args):
         try:
             rule(*args)
         except ValueError as e:
             raise ValueError(f"key {key!r}: {e}") from None
 
+    check("n_flows" if cfg.n_flows < 1 else "degree", _check_shape,
+          cfg.n_flows, cfg.n_counters, cfg.degree)
+    if cfg.n_flows * cfg.degree < cfg.n_counters:
+        raise ValueError(
+            f"key 'n_flows': {cfg.n_flows} flows of degree {cfg.degree} leave "
+            f"some of {cfg.n_counters} counters with no flow, so no graph has "
+            f"a greedy cover")
     check("whale_dist", SignalSpec, 0, 0, cfg.whale_dist, cfg.minnow_dist, 0)
     for k in cfg.sweep:
         check("sweep", SignalSpec, cfg.n_flows, k, cfg.whale_dist, cfg.minnow_dist, 0)
@@ -370,7 +379,8 @@ def run_sweep(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
         from concurrent.futures import ProcessPoolExecutor
 
         ks, ts = zip(*tasks)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # a pool starts all its workers at the first submit: no more than cells
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             for chunk in pool.map(run_trial, [cfg] * len(tasks), ks, ts):
                 rows.extend(chunk)
     return ExperimentResult(rows)

@@ -215,8 +215,8 @@ def verify_expansion(
     # singletons: every column has exactly d distinct neighbors
     worst = 1.0
     if k >= 2:
-        masks = [int(np.bitwise_or.reduce([1 << int(j) for j in row]))
-                 for row in g.columns]  # each flow's counters as an int bitmask
+        # each flow's counters as an int bitmask (distinct bits: sum is OR)
+        masks = [sum(1 << j for j in row) for row in g.columns.tolist()]
         n = g.n_left
 
         def rec(start: int, depth: int, acc: int, worst: float) -> float:

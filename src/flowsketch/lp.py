@@ -206,14 +206,15 @@ def _max_step(v: np.ndarray, dv: np.ndarray) -> float:
         return min(1.0, float(np.where(dv < 0, -v / dv, np.inf).min(initial=np.inf)))
 
 
-def _solve_ipm(at, y, tol_feas, tol_obj, iter_cap):
+def _solve_ipm(at, y):
     """Mehrotra predictor-corrector on the split formulation, at the float
-    A^T in CSR form and A its transpose view. The start point and both
-    Newton systems of an iteration are normal-equation solves by `_pcg`,
-    the latter two under one `_preconditioner`; see the module docstring
-    for what a CG solve that misses its tolerance does."""
+    A^T in CSR form and A its transpose view, to `_default_tols(y)` within
+    `_IPM_DEFAULT_CAP` iterations. The start point and both Newton systems
+    of an iteration are normal-equation solves by `_pcg`, the latter two
+    under one `_preconditioner` (see the module docstring)."""
     n, m = at.shape
     a = at.T
+    tol_feas, tol_obj = _default_tols(y)
 
     def gmul(z):
         return a @ (z[:n] - z[n:])
@@ -241,14 +242,14 @@ def _solve_ipm(at, y, tol_feas, tol_obj, iter_cap):
     trace = []
     status = "iteration-cap"
     diverged = False
-    for it in range(iter_cap + 1):  # iterate iter_cap is evaluated, not traced
+    for it in range(_IPM_DEFAULT_CAP + 1):  # the last is evaluated, not traced
         rp = y - gmul(z)
         atn = at @ nu
         u = z[:n] - z[n:]
         feas = float(np.abs(rp).max(initial=0.0))
         obj = float(np.abs(u).sum())
         gap = obj - _dual_bound(atn, y, nu)
-        if it == iter_cap:
+        if it == _IPM_DEFAULT_CAP:
             break
         trace.append((it, obj, feas))
         if feas <= tol_feas and gap <= tol_obj:
@@ -324,7 +325,7 @@ def basis_pursuit(obs: Observation) -> LpSolution:
 
     at = sp.csr_matrix((np.ones(cols.size), cols, np.arange(0, cols.size + 1, g.d)),
                        shape=(g.n_left, g.n_right))
-    return _solve_ipm(at, y, *_default_tols(y), _IPM_DEFAULT_CAP)
+    return _solve_ipm(at, y)
 
 
 def direct_estimate(sol: LpSolution, obs: Observation) -> np.ndarray:

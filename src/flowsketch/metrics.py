@@ -27,7 +27,7 @@ class KTermDecomposition(NamedTuple):
 
 class RelativeError(NamedTuple):
     value: float
-    is_absolute: bool  # True when the truth had zero l1 mass
+    is_absolute: bool  # True when the truth's k-term tail is zero (k-sparse)
 
 
 def top_k_indices(u: np.ndarray, k: int) -> np.ndarray:

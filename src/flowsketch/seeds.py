@@ -7,8 +7,6 @@ are identical across runs, platforms, and process counts.
 
 import hashlib
 
-_MASK64 = (1 << 64) - 1
-
 
 def stable_seed(root: int, *parts) -> int:
     """Derive a 64-bit seed from a root seed and a tag tuple.
@@ -24,4 +22,4 @@ def stable_seed(root: int, *parts) -> int:
             h.update(b"s" + p.encode())
         else:
             h.update(b"i" + str(int(p)).encode())
-    return int.from_bytes(h.digest()[:8], "big") & _MASK64
+    return int.from_bytes(h.digest()[:8], "big")

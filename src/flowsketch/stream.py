@@ -3,9 +3,9 @@
 Flows emit packets as independent Poisson processes; per-epoch packet
 counts are folded into both the exact per-flow tally and the M compressed
 counters. Epoch e of a stream seeded with s uses the counter-based
-substream Philox(key=[s, e]), so a stream advanced epoch by epoch matches
-one advanced in a single call, and any epoch can be regenerated in
-isolation.
+substream Philox(key=[s, e]), so a stream advanced epoch by epoch, by
+run_epochs(state, 1), matches one advanced in a single call, and any epoch
+can be regenerated in isolation.
 
 An epoch's counts are bit for bit the counts `rng.poisson(rates * tau)`
 gives, and the epoch leaves the generator where that call would, but
@@ -40,7 +40,6 @@ __all__ = [
     "RateVector",
     "SignalSpec",
     "StreamState",
-    "advance_epoch",
     "check_window",
     "gen_rates",
     "parse_dist",
@@ -292,32 +291,20 @@ class _DrawPlan:
         return fired, np.array(counts, dtype=np.int64)
 
 
-def advance_epoch(state: StreamState) -> StreamState:
-    """Draw one epoch of packet counts and fold them into x and y in place.
-
-    The counts equal `rng.poisson(rates * tau)` on the epoch's generator
-    (see the module docstring). Only the flows that fired are folded in,
-    O(d) each; a flow that did not fire costs one bulk uniform.
-    """
-    rng = _epoch_rng(state.seed, state.n_epochs)
-    flows, counts = state._plan.draw(rng)
-    if flows.size:
-        state.x[flows] += counts
-        np.add.at(
-            state.y,
-            state.graph.columns[flows].ravel(),
-            np.repeat(counts, state.graph.d),
-        )
-    state.n_epochs += 1
-    return state
-
-
 def run_epochs(state: StreamState, count: int) -> StreamState:
-    """Advance `count` epochs. Composition is exact: run_epochs(s, a+b)
-    equals run_epochs(run_epochs(s, a), b) because each epoch draws from
-    its own substream."""
+    """Advance `count` epochs, folding each epoch's counts into x and y in
+    place; one epoch is run_epochs(state, 1). The counts equal
+    `rng.poisson(rates * tau)` on the epoch's generator (see the module
+    docstring), and only the flows that fired are folded in, O(d) each.
+    Composition is exact: run_epochs(s, a+b) equals
+    run_epochs(run_epochs(s, a), b) because each epoch draws from its own
+    substream."""
     check_window(count, state.tau, least=0)
     for _ in range(count):
-        advance_epoch(state)
+        flows, counts = state._plan.draw(_epoch_rng(state.seed, state.n_epochs))
+        if flows.size:
+            state.x[flows] += counts
+            np.add.at(state.y, state.graph.columns[flows].ravel(),
+                      np.repeat(counts, state.graph.d))
+        state.n_epochs += 1
     return state
-

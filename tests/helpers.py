@@ -391,9 +391,9 @@ def greedy_cover_rescan(g: BipartiteGraph) -> np.ndarray:
 
 
 def advance_epoch_poisson(state) -> np.random.Generator:
-    """stream.advance_epoch as it was before the bulk-uniform draw: one
-    rng.poisson over all N means, folded in through a dense delta. Returns
-    the epoch's generator, left where the draw left it."""
+    """One epoch of stream.run_epochs as it was before the bulk-uniform
+    draw: one rng.poisson over all N means, folded in through a dense
+    delta. Returns the epoch's generator, left where the draw left it."""
     rng = stream._epoch_rng(state.seed, state.n_epochs)
     delta = rng.poisson(state.rates.rates * state.tau)
     state.x += delta

@@ -929,8 +929,9 @@ def test_package_names_are_their_home_modules_objects():
         flowsketch.no_such_name
 
 
-def sweep_with_edited_config(tmp_path, edit):
-    """Exit code of a sweep on a small saved config after edit(dict)."""
+def sweep_with_edited_config(tmp_path, edit, out_dir=None):
+    """Exit code of a sweep on a small saved config after edit(dict),
+    writing into out_dir (tmp_path by default)."""
     cfg = ExperimentConfig(
         n_flows=10, n_counters=8, degree=2, epochs=4, tau=1.0, sweep=(1,),
         trials=1, whale_dist=Dist("constant", 1.0),
@@ -941,7 +942,8 @@ def sweep_with_edited_config(tmp_path, edit):
     d = json.loads(cfg_path.read_text())
     edit(d)
     cfg_path.write_text(json.dumps(d))
-    return main(["sweep", "--config", str(cfg_path), "--out-dir", str(tmp_path)])
+    return main(["sweep", "--config", str(cfg_path),
+                 "--out-dir", str(out_dir or tmp_path)])
 
 
 @pytest.mark.parametrize("block,key", [
@@ -1049,7 +1051,14 @@ def test_sweep_config_exhaustive_guard_failing_every_trial_is_invalid_input(
     ("whale_dist", {"kind": "constant", "value": 0.0},
      "key 'whale_dist': constant whale magnitude must be positive"),
     ("decoders", [], "need at least one decoder\n"),
-], ids=["k-above-n_flows", "whale-dist-constant-0", "no-decoder"])
+    # no trial can build its graph: more counters per flow than counters
+    ("degree", 21, "key 'degree': need n_left >= 1 and 1 <= d <= n_right, "
+                   "got n_left=50, d=21, n_right=20"),
+    # or a greedy cover: 6 flows of degree 3 miss some of the 20 counters
+    ("n_flows", 6, "key 'n_flows': 6 flows of degree 3 leave some of 20 "
+                   "counters with no flow"),
+], ids=["k-above-n_flows", "whale-dist-constant-0", "no-decoder",
+        "degree-above-n_counters", "a-counter-with-no-flow"])
 def test_sweep_point_no_trial_can_run_is_refused_before_any_trial(
         tmp_path, capsys, monkeypatch, key, value, message):
     calls = []
@@ -1059,10 +1068,10 @@ def test_sweep_point_no_trial_can_run_is_refused_before_any_trial(
     def edit(d):
         d.update(n_flows=50, n_counters=20, degree=3, trials=3)
         d[key] = value
-    assert sweep_with_edited_config(tmp_path, edit) == 1
+    assert sweep_with_edited_config(tmp_path, edit, tmp_path / "out") == 1
     assert capsys.readouterr().err.startswith(f"invalid input: {message}")
     assert calls == []
-    assert not (tmp_path / "results.csv").exists()
+    assert not (tmp_path / "out").exists()
 
 
 def test_sweep_config_not_an_object_is_invalid_input(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Sweep orchestration, CSV persistence, and plot emission tests."""
 
+import concurrent.futures
 import csv
 import json
 import math
@@ -78,13 +79,24 @@ def test_config_checks_pmle_knobs_only_when_a_pmle_decoder_runs():
         tiny_cfg(sweep=(1, 10), decoders=("pmle-exhaustive",))
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def test_readme_config_example_loads():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    section = readme.split("## Sweep configs", 1)[1]
+    section = README.read_text().split("## Sweep configs", 1)[1]
     example = section.split("```json\n", 1)[1].split("```", 1)[0]
     cfg = ExperimentConfig.from_dict(json.loads(example))
     assert cfg.decoders == ("direct", "pmle-reduced")
     assert cfg.pmle == PmleOptions(gamma=1.0, levels=64, penalty_mode="l0-scaled")
+
+
+def test_readme_library_session_runs(capsys):
+    # its number's last digits come from CG and BLAS, so none is pinned
+    section = README.read_text().split("## Library", 1)[1]
+    session = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(session, str(README), "exec"), {})
+    printed = capsys.readouterr().out.split()
+    assert len(printed) == 1 and math.isfinite(float(printed[0]))
 
 
 def test_config_json_round_trip(tmp_path):
@@ -243,14 +255,41 @@ def test_pmle_reduced_rows_record_localization():
     assert row.whales_in_a1 in (True, False)
 
 
+def _outcomes(res):
+    """Each row without its wall time, the one field workers may change."""
+    return [(r.k, r.trial, r.decoder, r.success, r.rel_l1_error,
+             r.abs_l1_error, r.counter_hash, r.note) for r in res.rows]
+
+
 def test_workers_match_serial():
     cfg = tiny_cfg(sweep=(1, 2), trials=2, n_flows=20, n_counters=10,
                    degree=2, epochs=8)
-    serial = run_sweep(cfg)
-    parallel = run_sweep(cfg, workers=2)
-    key = lambda r: (r.k, r.trial, r.decoder, r.success, r.rel_l1_error,
-                     r.abs_l1_error, r.counter_hash, r.note)
-    assert [key(r) for r in serial.rows] == [key(r) for r in parallel.rows]
+    assert _outcomes(run_sweep(cfg)) == _outcomes(run_sweep(cfg, workers=2))
+
+
+def test_a_sweep_starts_at_most_one_process_per_cell(monkeypatch):
+    # a process pool forks all its workers at the first submit, so a
+    # 2-cell sweep at a million workers must ask for 2; the pool here is a
+    # stand-in that records the request and maps in this process
+    asked = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    cfg = tiny_cfg(sweep=(1, 2))
+    assert _outcomes(run_sweep(cfg, workers=10**6)) == _outcomes(run_sweep(cfg))
+    assert asked == [2]
 
 
 def test_plot_data(tmp_path):

@@ -213,6 +213,15 @@ def test_verify_matches_brute_force():
             rep = verify_expansion(g, k, 0.25)
             assert rep.worst_ratio == brute_expansion_ratio(g, k)
     assert verify_expansion(graphs[-1], 2, 0.25).worst_ratio == 0.5
+    # masks past 64 bits, among them flows whose largest counter is 63
+    # (seeds 5, 9 and 19 each have one)
+    wide = [BipartiteGraph(3, 70, 2, np.array([[1, 63], [2, 64], [3, 65]],
+                                              dtype=np.int32), 0)]
+    wide += [build_random_expander(30, 100, 4, seed) for seed in (0, 5, 9, 19)]
+    for g in wide:
+        for k in (2, 3):
+            rep = verify_expansion(g, k, 0.5)
+            assert rep.worst_ratio == brute_expansion_ratio(g, k)
 
 
 def test_verify_spec_seed_and_fixture(ac2_seeds):

@@ -14,7 +14,6 @@ from flowsketch import (
     RateVector,
     SignalSpec,
     StreamState,
-    advance_epoch,
     best_k_term,
     build_random_expander,
     gen_rates,
@@ -223,7 +222,7 @@ def test_advance_zero_rates():
     g = build_random_expander(20, 8, 2, seed=1)
     rv = RateVector(np.zeros(20), 0)
     st = StreamState(graph=g, rates=rv, tau=1.0, seed=3)
-    advance_epoch(st)
+    run_epochs(st, 1)
     assert st.n_epochs == 1
     assert not st.x.any() and not st.y.any()
 
@@ -233,7 +232,7 @@ def test_tiny_rate_epoch_is_quiet():
     g = build_random_expander(1000, 50, 4, seed=2)
     rv = RateVector(np.full(1000, 1e-9), 0)
     st = StreamState(graph=g, rates=rv, tau=1.0, seed=4)
-    advance_epoch(st)
+    run_epochs(st, 1)
     assert not st.x.any()
 
 
@@ -277,7 +276,7 @@ def test_counters_consistent_and_monotone():
     st = _toy_state(40)
     prev = st.x.copy()
     for _ in range(20):
-        advance_epoch(st)
+        run_epochs(st, 1)
         assert counters_consistent(st)
         assert (st.x >= prev).all()
         prev = st.x.copy()
@@ -336,8 +335,8 @@ def _stream_pair(rates, tau, seed, m=20, d=3):
 
 
 def _advance_both(new, old):
-    """advance_epoch on new, the old rng.poisson advance on old: x, y and
-    the next uniform of each epoch's generator must agree."""
+    """One epoch of run_epochs on new, the old rng.poisson advance on old:
+    x, y and the next uniform of each epoch's generator must agree."""
     made = []
     real = stream._epoch_rng
 
@@ -346,7 +345,7 @@ def _advance_both(new, old):
         return made[-1]
 
     with mock.patch.object(stream, "_epoch_rng", recording):
-        advance_epoch(new)
+        run_epochs(new, 1)
     rng = advance_epoch_poisson(old)
     assert np.array_equal(new.x, old.x)
     assert np.array_equal(new.y, old.y)
